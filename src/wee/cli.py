@@ -140,18 +140,14 @@ class _ControlServer:
         self._sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         self._sock.bind(path)
         self._sock.listen(1)
-        self._sock.settimeout(0.2)
-        self._shutdown = threading.Event()
         self.thread = threading.Thread(target=self._serve, name="wee-control", daemon=True)
         self.thread.start()
 
     def _serve(self) -> None:
-        while not self._shutdown.is_set():
+        while True:
             try:
                 conn, _ = self._sock.accept()
-            except socket.timeout:
-                continue
-            except OSError:
+            except OSError:  # close() shut the listening socket down
                 break
             with conn:
                 try:
@@ -172,8 +168,9 @@ class _ControlServer:
         return f"stopped {saved_to}"
 
     def close(self) -> None:
-        self._shutdown.set()
-        # let an in-flight stop request finish replying before the socket goes
+        # wakes the blocked accept(); an accepted stop request still finishes
+        # replying before the thread is joined
+        self._sock.shutdown(socket.SHUT_RDWR)
         self.thread.join(timeout=5)
         try:
             self._sock.close()
@@ -184,9 +181,18 @@ class _ControlServer:
 def execute_instance(
     instance: WorkflowInstance,
     control_path: Optional[str],
-    persist,
+    save_path: str | Path,
+    src_hash: str,
 ) -> int:
-    """Run an instance under optional control, persisting it when stopped."""
+    """Run an instance under optional control, saving it to save_path when stopped."""
+    persisted = threading.Event()
+
+    def persist() -> str:
+        if instance.result in ("stopped", "error") and not persisted.is_set():
+            persisted.set()
+            write_saved_instance(save_path, instance.save(), src_hash)
+        return str(save_path)
+
     server = None
     try:
         instance.start()
@@ -201,6 +207,9 @@ def execute_instance(
         return EXIT_STOPPED
     if result == "finished":
         return EXIT_FINISHED
+    for record in instance.log.records:
+        if record.kind == "error":
+            print(f"error: {record.detail.get('message')}", file=sys.stderr)
     return EXIT_ERROR
 
 
@@ -222,21 +231,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     )
     instance = WorkflowInstance(ast, handler, options)
     save_path = args.save or default_save_path(args.workflow)
-    src_hash = source_hash(source)
-    persisted = threading.Event()
-
-    def persist() -> str:
-        if instance.result in ("stopped", "error") and not persisted.is_set():
-            persisted.set()
-            write_saved_instance(save_path, instance.save(), src_hash)
-        return str(save_path)
-
-    code = execute_instance(instance, args.control, persist)
-    if code == EXIT_ERROR and instance.result == "error":
-        errors = [r for r in instance.log.records if r.kind == "error"]
-        for record in errors:
-            print(f"error: {record.detail.get('message')}", file=sys.stderr)
-    return code
+    return execute_instance(instance, args.control, save_path, source_hash(source))
 
 
 def cmd_stop(args: argparse.Namespace) -> int:
@@ -300,22 +295,7 @@ def cmd_resume(args: argparse.Namespace) -> int:
         print(exc, file=sys.stderr)
         return EXIT_ERROR
 
-    save_path = args.save or args.saved
-    src_hash = saved["hash"]
-    persisted = threading.Event()
-
-    def persist() -> str:
-        if instance.result in ("stopped", "error") and not persisted.is_set():
-            persisted.set()
-            write_saved_instance(save_path, instance.save(), src_hash)
-        return str(save_path)
-
-    code = execute_instance(instance, args.control, persist)
-    if code == EXIT_ERROR and instance.result == "error":
-        for record in instance.log.records:
-            if record.kind == "error":
-                print(f"error: {record.detail.get('message')}", file=sys.stderr)
-    return code
+    return execute_instance(instance, args.control, args.save or args.saved, saved["hash"])
 
 
 def cmd_check(args: argparse.Namespace) -> int:

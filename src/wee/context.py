@@ -43,7 +43,6 @@ class ContextStore:
         self._state = (dict(values), version)
         self._log: list[ChangeRecord] = []
         self.initial_values: dict[str, Value] = dict(values)
-        self.initial_version = version
 
     @classmethod
     def from_decls(cls, decls: Sequence[tuple[str, object]]) -> "ContextStore":

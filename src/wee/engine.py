@@ -8,12 +8,17 @@ their next node boundary; their in-flight calls get stop_call). A stop
 signal parks every branch at its program counter so the instance can be
 serialized and resumed later, with passthrough tokens standing in for
 interrupted service calls.
+
+Branch coordination uses one lock and one condition built on it per
+instance. The lock guards the stop request, each branch's cancel flag and
+in-flight call, the join groups, the critical-section owners and the count
+of live branches; every change that can unblock a waiter notifies the
+condition. Handlers are never called while the lock is held.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 import uuid
 from dataclasses import dataclass, field
 from enum import Enum
@@ -75,14 +80,13 @@ class _Cancelled(Exception):
 
 
 class _JoinGroup:
-    """Join bookkeeping for one execution of a parallel block."""
+    """Join bookkeeping for one execution of a parallel block; guarded by the
+    instance's state lock."""
 
     def __init__(self, wait: dsl.WaitSpec, parallel_path: tuple[int, ...], parent: "_Branch"):
         self.wait = wait
         self.parallel_path = parallel_path
         self.parent = parent
-        self.lock = threading.Lock()
-        self.cond = threading.Condition(self.lock)
         self.children: list[_Branch] = []
         self.arrived: list[str] = []
         self.pre_arrived = 0  # completions restored from a saved instance
@@ -126,22 +130,16 @@ class _Branch:
         self.group = group
         self.group_stack: list[_JoinGroup] = list(group_stack or [])
         self.resume_path = resume_path
-        self.lock = threading.Lock()
-        self.stop_flag = False
         self.cancelled = False
         self.status = BranchStatus.ACTIVE
         self.in_flight_position: Optional[str] = None
-        self.held_sections: set[str] = set()
-        self.critical_section: Optional[str] = None
         self.parked = False
         self.saved_path: Optional[tuple[int, ...]] = None
-        self.thread: Optional[threading.Thread] = None
 
     def start_thread(self) -> None:
-        self.thread = threading.Thread(
+        threading.Thread(
             target=self.engine._run_branch, args=(self,), name=f"wee-{self.id}", daemon=True
-        )
-        self.thread.start()
+        ).start()
 
 
 @dataclass
@@ -201,13 +199,15 @@ class WorkflowInstance:
         self.skip_positions = frozenset(self.options.skip_positions)
 
         self._position_paths = dsl.position_paths(ast)
-        self._state_lock = threading.RLock()
+        self._state_lock = threading.Lock()
+        self._cond = threading.Condition(self._state_lock)
+        self._live_branches = 0
+        self._section_owners: dict[str, str] = {}  # critical section -> branch id
         self._stop_requested = False
         self._stop_source: Optional[str] = None
         self._error: Optional[str] = None
         self._terminal = False
         self._groups: list[_JoinGroup] = []
-        self._critical_mutexes: dict[str, threading.Lock] = {}
         self._fork_counters: dict[str, int] = {}
         self._resume_children: dict[tuple[str, tuple[int, ...]], list[tuple[str, Optional[tuple]]]] = {}
         self._root_resume: Optional[tuple[int, ...]] = None
@@ -226,18 +226,10 @@ class WorkflowInstance:
         root.start_thread()
         return self
 
-    def wait(self, timeout: Optional[float] = None) -> str:
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            with self._state_lock:
-                alive = [b.thread for b in self.branches.values() if b.thread and b.thread.is_alive()]
-            if not alive:
-                break
-            for thread in alive:
-                thread.join(timeout=0.2)
-            if deadline is not None and time.monotonic() > deadline:
-                if any(t.is_alive() for t in alive):
-                    raise TimeoutError("instance did not settle in time")
+    def wait(self) -> str:
+        with self._state_lock:
+            while self._live_branches:
+                self._cond.wait()
         self._finalize()
         assert self.result is not None
         return self.result
@@ -254,26 +246,39 @@ class WorkflowInstance:
         self.wait()
 
     def request_stop(self, source: str = "controller") -> None:
-        """Set stop flags; after this no branch starts another activity."""
+        """Request a stop; after this no branch starts another activity."""
         with self._state_lock:
             if self._stop_requested or self._terminal:
                 return
             self._stop_requested = True
             self._stop_source = source
             branches = list(self.branches.values())
-        for branch in branches:
-            with branch.lock:
-                branch.stop_flag = True
+            self._cond.notify_all()
         self.log.emit("signal", ROOT_BRANCH, detail={"signal": "stop", "source": source})
         self.log.emit("stop_acknowledged", ROOT_BRANCH)
-        for branch in branches:
-            position = branch.in_flight_position
-            if position is not None:
-                self.log.emit("signal", branch.id, position, {"signal": "stop_call"})
-                try:
-                    self.handler.stop_call(position)
-                except Exception:
-                    pass
+        self._stop_calls(branches)
+
+    def _stop_calls(self, branches: Iterable[_Branch]) -> None:
+        """Ask the handler to wind down each branch's in-flight call.
+
+        Called without the state lock held; a stop_call that raises leaves a
+        stop_call_failed signal in the trace.
+        """
+        with self._state_lock:
+            calls = [
+                (b.id, b.in_flight_position) for b in branches if b.in_flight_position is not None
+            ]
+        for branch_id, position in calls:
+            self.log.emit("signal", branch_id, position, {"signal": "stop_call"})
+            try:
+                self.handler.stop_call(position)
+            except Exception as exc:
+                self.log.emit(
+                    "signal",
+                    branch_id,
+                    position,
+                    {"signal": "stop_call_failed", "message": repr(exc)},
+                )
 
     def _finalize(self) -> None:
         with self._state_lock:
@@ -446,18 +451,14 @@ class WorkflowInstance:
 
     def _register_branch(self, branch: _Branch) -> None:
         with self._state_lock:
-            branch.stop_flag = self._stop_requested
             self.branches[branch.id] = branch
+            self._live_branches += 1
 
     def _next_fork_index(self, branch_id: str) -> int:
         with self._state_lock:
             index = self._fork_counters.get(branch_id, 1)
             self._fork_counters[branch_id] = index + 1
             return index
-
-    def _critical_mutex(self, section: str) -> threading.Lock:
-        with self._state_lock:
-            return self._critical_mutexes.setdefault(section, threading.Lock())
 
     def _run_branch(self, branch: _Branch) -> None:
         try:
@@ -475,29 +476,24 @@ class WorkflowInstance:
         except _Parked as parked:
             branch.parked = True
             branch.saved_path = parked.path
-            self._notify_group(branch)
         except _Cancelled:
             branch.status = BranchStatus.CANCELLED
-            self._notify_group(branch)
         except EngineError as exc:
             self._report_error(branch, exc)
             branch.status = BranchStatus.CANCELLED
-            self._notify_group(branch)
         except Exception as exc:  # engine bug: fail loudly instead of hanging
             self._report_error(branch, EngineError(f"internal error: {exc!r}"))
             branch.status = BranchStatus.CANCELLED
-            self._notify_group(branch)
-
-    def _notify_group(self, branch: _Branch) -> None:
-        if branch.group is not None:
-            with branch.group.lock:
-                branch.group.cond.notify_all()
+        finally:
+            with self._state_lock:
+                self._live_branches -= 1
+                self._cond.notify_all()
 
     def _child_finished(self, child: _Branch) -> None:
         group = child.group
         assert group is not None
         losers: list[_Branch] = []
-        with group.lock:
+        with self._state_lock:
             if child.cancelled:
                 child.status = BranchStatus.CANCELLED
             else:
@@ -509,11 +505,11 @@ class WorkflowInstance:
                     detail={"role": "arrive", "parent": group.parent.id},
                 )
                 losers = self._maybe_fire(group)
-            group.cond.notify_all()
-        self._stop_loser_calls(losers)
+            self._cond.notify_all()
+        self._stop_calls(losers)
 
     def _maybe_fire(self, group: _JoinGroup) -> list[_Branch]:
-        """Fire the join if its condition holds; caller holds group.lock."""
+        """Fire the join if its condition holds; caller holds the state lock."""
         if not group.ready_to_fire():
             return []
         group.fired = True
@@ -533,21 +529,10 @@ class WorkflowInstance:
             for other in group.children:
                 if other.id in arrived or other.cancelled:
                     continue
-                with other.lock:
-                    other.cancelled = True
+                other.cancelled = True
                 self.log.emit("signal", other.id, detail={"signal": "no_longer_necessary"})
                 losers.append(other)
         return losers
-
-    def _stop_loser_calls(self, losers: list[_Branch]) -> None:
-        for loser in losers:
-            position = loser.in_flight_position
-            if position is not None:
-                self.log.emit("signal", loser.id, position, {"signal": "stop_call"})
-                try:
-                    self.handler.stop_call(position)
-                except Exception:
-                    pass
 
     # ------------------------------------------------------------------
     # Node execution
@@ -582,11 +567,8 @@ class WorkflowInstance:
                 self._exec_call(branch, node, path)
             return
 
-        with branch.lock:
-            if branch.stop_flag:
-                raise _Parked(path)
-            if branch.cancelled:
-                raise _Cancelled()
+        with self._state_lock:
+            self._checkpoint(branch, path)
 
         if isinstance(node, dsl.Parallel):
             self._exec_parallel(branch, node, path, sub)
@@ -601,15 +583,34 @@ class WorkflowInstance:
         else:
             raise EngineError(f"unknown node {node!r}")
 
-    def _begin_activity(self, branch: _Branch, node, path: tuple[int, ...], kind: str) -> None:
-        with branch.lock:
-            if branch.stop_flag:
-                raise _Parked(path)
-            if branch.cancelled:
-                raise _Cancelled()
-            if kind == "call":
+    def _checkpoint(self, branch: _Branch, path: tuple[int, ...]) -> None:
+        """Park on a stop request, stand down on cancel; caller holds the state lock."""
+        if self._stop_requested:
+            raise _Parked(path)
+        if branch.cancelled:
+            raise _Cancelled()
+
+    def _begin_activity(
+        self, branch: _Branch, node, path: tuple[int, ...], kind: str, in_flight: bool = False
+    ) -> None:
+        with self._state_lock:
+            self._checkpoint(branch, path)
+            if in_flight:
                 branch.in_flight_position = node.position
             self.log.emit("activity_start", branch.id, node.position, {"type": kind})
+
+    def _commit(self, branch: _Branch, position: str, delta: list[Change]) -> None:
+        """Commit a delta and trace it; caller holds the store's exclusive lock."""
+        version = self.store.commit(delta, position)
+        self.log.emit(
+            "context_change",
+            branch.id,
+            position,
+            {
+                "changes": [{"name": c.name, "old": c.old, "new": c.new} for c in delta],
+                "version": version,
+            },
+        )
 
     def _exec_manipulate(self, branch: _Branch, node: dsl.ManipulateActivity, path) -> None:
         self._begin_activity(branch, node, path, "manipulate")
@@ -617,18 +618,7 @@ class WorkflowInstance:
             with self.store.exclusive():
                 delta = apply_assignments(node.statements, self.store.current_values())
                 if delta:
-                    version = self.store.commit(delta, node.position)
-                    self.log.emit(
-                        "context_change",
-                        branch.id,
-                        node.position,
-                        {
-                            "changes": [
-                                {"name": c.name, "old": c.old, "new": c.new} for c in delta
-                            ],
-                            "version": version,
-                        },
-                    )
+                    self._commit(branch, node.position, delta)
         except (EvalError, ContextError) as exc:
             raise EngineError(f"manipulate '{node.position}': {exc}") from exc
         self.log.emit("activity_end", branch.id, node.position, {"outcome": "applied"})
@@ -653,7 +643,7 @@ class WorkflowInstance:
         with self._state_lock:
             token = self.passthroughs.pop(node.position, None)
 
-        self._begin_activity(branch, node, path, "call")
+        self._begin_activity(branch, node, path, "call", in_flight=True)
         call = HandlerCall(
             position=node.position,
             endpoint=uri,
@@ -667,9 +657,9 @@ class WorkflowInstance:
         except Exception as exc:
             outcome = Failure(f"handler raised: {exc!r}")
         finally:
-            with branch.lock:
+            with self._state_lock:
                 branch.in_flight_position = None
-                stopped = branch.stop_flag
+                stopped = self._stop_requested
                 cancelled = branch.cancelled
 
         if cancelled:
@@ -698,8 +688,6 @@ class WorkflowInstance:
 
     def _exec_engine_call(self, branch: _Branch, node, path, uri: str) -> None:
         self._begin_activity(branch, node, path, "call")
-        with branch.lock:
-            branch.in_flight_position = None
         if uri != STOP_ENDPOINT:
             raise EngineError(f"call '{node.position}': unknown engine endpoint '{uri}'")
         self.log.emit("activity_end", branch.id, node.position, {"outcome": "stop_signal"})
@@ -720,18 +708,7 @@ class WorkflowInstance:
                     if not is_value(value):
                         raise ContextError(f"handler result for '{name}' is not a value")
                     delta.append(Change(name, current[name], value))
-                version = self.store.commit(delta, node.position)
-                self.log.emit(
-                    "context_change",
-                    branch.id,
-                    node.position,
-                    {
-                        "changes": [
-                            {"name": c.name, "old": c.old, "new": c.new} for c in delta
-                        ],
-                        "version": version,
-                    },
-                )
+                self._commit(branch, node.position, delta)
         except ContextError as exc:
             raise EngineError(f"call '{node.position}': {exc}") from exc
 
@@ -774,7 +751,7 @@ class WorkflowInstance:
         finally:
             branch.group_stack.pop()
 
-        with group.lock:
+        with self._state_lock:
             group.spawning = False
             spawned = group.total_spawned()
             if not node.wait.is_all and spawned < node.wait.count:  # type: ignore[operator]
@@ -783,8 +760,8 @@ class WorkflowInstance:
                     f"unsatisfiable join: wait {node.wait.count} of {spawned} branches"
                 )
             losers = self._maybe_fire(group)
-            group.cond.notify_all()
-        self._stop_loser_calls(losers)
+            self._cond.notify_all()
+        self._stop_calls(losers)
         self._await_join(branch, group, path)
 
     def _attach_saved_children(
@@ -805,7 +782,7 @@ class WorkflowInstance:
                 group_stack=[group],
                 resume_path=rel or None,
             )
-            with group.lock:
+            with self._state_lock:
                 group.children.append(child)
             self._register_branch(child)
             self.log.emit("branch_fork", group.parent.id, detail={"child": child_id, "resumed": True})
@@ -825,7 +802,7 @@ class WorkflowInstance:
             group_stack=list(branch.group_stack),
         )
         late = False
-        with group.lock:
+        with self._state_lock:
             group.children.append(child)
             if group.fired and not group.wait.is_all:
                 child.cancelled = True
@@ -838,47 +815,38 @@ class WorkflowInstance:
 
     def _await_join(self, branch: _Branch, group: _JoinGroup, path) -> None:
         branch.status = BranchStatus.WAITING_JOIN
-        cancelled = False
         try:
-            with group.lock:
+            with self._state_lock:
                 while not group.fired:
-                    if branch.stop_flag:
+                    if self._stop_requested:
                         raise _Parked(path)
                     if branch.cancelled:
-                        cancelled = True
                         break
-                    group.cond.wait(timeout=0.05)
-            if cancelled:
-                self._cancel_children(group)
+                    self._cond.wait()
                 group.closed = True
-                raise _Cancelled()
-            group.closed = True
+                if group.fired:
+                    return
+                stopped = self._cancel_children(group)
+            self._stop_calls(stopped)
+            raise _Cancelled()
         finally:
             if branch.status is BranchStatus.WAITING_JOIN:
                 branch.status = BranchStatus.ACTIVE
 
-    def _cancel_children(self, group: _JoinGroup) -> None:
-        with group.lock:
-            children = list(group.children)
+    def _cancel_children(self, group: _JoinGroup) -> list[_Branch]:
+        """Signal the group's live children to stand down; caller holds the state lock."""
         stopped: list[_Branch] = []
-        for child in children:
-            with child.lock:
-                if child.cancelled or child.status in (
-                    BranchStatus.COMPLETED,
-                    BranchStatus.CANCELLED,
-                ):
-                    continue
-                child.cancelled = True
+        for child in group.children:
+            if child.cancelled or child.status in (
+                BranchStatus.COMPLETED,
+                BranchStatus.CANCELLED,
+            ):
+                continue
+            child.cancelled = True
             self.log.emit("signal", child.id, detail={"signal": "no_longer_necessary"})
             stopped.append(child)
-        for child in stopped:
-            position = child.in_flight_position
-            if position is not None:
-                self.log.emit("signal", child.id, position, {"signal": "stop_call"})
-                try:
-                    self.handler.stop_call(position)
-                except Exception:
-                    pass
+        self._cond.notify_all()
+        return stopped
 
     def _exec_choose(self, branch: _Branch, node: dsl.Choose, path, sub) -> None:
         blocks = dsl.child_blocks(node)
@@ -932,37 +900,29 @@ class WorkflowInstance:
             self._exec_block(branch, node.body, path + (0,))
 
     def _exec_critical(self, branch: _Branch, node: dsl.Critical, path, sub) -> None:
-        if node.section in branch.held_sections:
-            raise EngineError(f"critical section '{node.section}' re-entered")
-        mutex = self._critical_mutex(node.section)
-        while not mutex.acquire(timeout=0.005):
-            with branch.lock:
-                if branch.stop_flag:
-                    raise _Parked(path)
-                if branch.cancelled:
-                    raise _Cancelled()
-        # the holder may have released by parking: don't enter once stopping
-        with branch.lock:
-            if branch.stop_flag or branch.cancelled:
-                mutex.release()
-                if branch.stop_flag:
-                    raise _Parked(path)
-                raise _Cancelled()
-        branch.held_sections.add(node.section)
+        section = node.section
+        with self._state_lock:
+            if self._section_owners.get(section) == branch.id:
+                raise EngineError(f"critical section '{section}' re-entered")
+            # the holder may have released by parking: don't enter once stopping
+            self._checkpoint(branch, path)
+            while section in self._section_owners:
+                self._cond.wait()
+                self._checkpoint(branch, path)
+            self._section_owners[section] = branch.id
         previous_status = branch.status
         branch.status = BranchStatus.IN_CRITICAL
-        branch.critical_section = node.section
-        self.log.emit("signal", branch.id, detail={"signal": "critical_enter", "section": node.section})
+        self.log.emit("signal", branch.id, detail={"signal": "critical_enter", "section": section})
         try:
             self._exec_block(branch, node.body, path + (0,), sub[1:] if sub else None)
         finally:
             self.log.emit(
-                "signal", branch.id, detail={"signal": "critical_exit", "section": node.section}
+                "signal", branch.id, detail={"signal": "critical_exit", "section": section}
             )
-            branch.held_sections.discard(node.section)
-            branch.critical_section = None
             branch.status = previous_status
-            mutex.release()
+            with self._state_lock:
+                del self._section_owners[section]
+                self._cond.notify_all()
 
 
 def run_workflow(

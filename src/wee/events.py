@@ -29,8 +29,6 @@ KINDS = (
     "error",
 )
 
-TERMINAL_KINDS = ("instance_finish", "instance_stop")
-
 
 @dataclass(frozen=True)
 class EventRecord:
@@ -152,11 +150,6 @@ class EventLog:
         for fn in self._listeners:
             fn(record)
         return record
-
-    @property
-    def last_seq(self) -> int:
-        with self._lock:
-            return self._seq
 
     def close(self) -> None:
         with self._lock:

@@ -60,9 +60,6 @@ HandlerOutcome = Union[Result, Passthrough, Jump, Failure]
 class HandlerWrapper:
     """Behavioral contract; implementations must be safe under concurrent calls."""
 
-    supports_jump = False
-    supports_passthrough = False
-
     def call(self, call: HandlerCall) -> HandlerOutcome:
         raise NotImplementedError
 
@@ -103,9 +100,6 @@ class MockHandler(HandlerWrapper):
     the default, or "finish"); ``token`` (explicit passthrough token).
     Scripted delays are interrupted by stop_call.
     """
-
-    supports_jump = True
-    supports_passthrough = True
 
     def __init__(self, script: Optional[dict] = None, seed: Optional[int] = None):
         script = script or {}
@@ -209,8 +203,6 @@ class HttpHandler(HandlerWrapper):
     replays the stored response without contacting the service again.
     """
 
-    supports_passthrough = True
-
     def __init__(self, timeout: float = 30.0):
         self.timeout = timeout
         self._lock = threading.Lock()
@@ -227,9 +219,10 @@ class HttpHandler(HandlerWrapper):
                 return Failure("stored call did not complete in time")
             return record.outcome  # type: ignore[return-value]
 
-        stop = threading.Event()
+        # set by the worker when the response is in, or by stop_call
+        wake = threading.Event()
         with self._lock:
-            self._stop_events[call.position] = stop
+            self._stop_events[call.position] = wake
 
         record = _StoredResponse()
         body = {
@@ -242,23 +235,19 @@ class HttpHandler(HandlerWrapper):
         def worker() -> None:
             record.outcome = self._post(call.endpoint, body)
             record.done.set()
+            wake.set()
 
         thread = threading.Thread(target=worker, name=f"http-{call.position}", daemon=True)
         thread.start()
-
-        while True:
-            if record.done.wait(0.01):
-                break
-            if stop.is_set():
-                token = uuid.uuid4().hex
-                with self._lock:
-                    self._stored[token] = record
-                    self._stop_events.pop(call.position, None)
-                return Passthrough(token)
+        wake.wait()
 
         with self._lock:
             self._stop_events.pop(call.position, None)
-        return record.outcome  # type: ignore[return-value]
+            if record.done.is_set():
+                return record.outcome  # type: ignore[return-value]
+            token = uuid.uuid4().hex
+            self._stored[token] = record
+        return Passthrough(token)
 
     def _post(self, endpoint: str, body: dict) -> HandlerOutcome:
         try:
@@ -322,8 +311,6 @@ class TriggerHandler(HandlerWrapper):
     no call is waiting; only a delivery during the blocked call fires it.
     The awaited key comes from the call's ``key`` parameter.
     """
-
-    supports_passthrough = True
 
     def __init__(self, mode: str, events: Optional[list[TriggerEvent]] = None):
         if mode not in ("persistent", "transient"):
@@ -399,8 +386,6 @@ class JumpHandler(HandlerWrapper):
     holds against the call's context snapshot, otherwise an empty Result.
     Unlisted positions always get an empty Result.
     """
-
-    supports_jump = True
 
     def __init__(self, table: Mapping[str, Mapping[str, str]]):
         self._table: dict[str, tuple[Expr, str]] = {}

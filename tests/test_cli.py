@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import socket
+import statistics
 import subprocess
 import sys
 import time
@@ -316,6 +317,28 @@ def test_control_server_reports_already_terminal(tmp_path):
         assert reply == "already-terminal finished"
     finally:
         server.close()
+
+
+def test_run_with_control_socket_exits_promptly(tmp_path):
+    elapsed = []
+    for i in range(3):
+        started = time.perf_counter()
+        code = cli.main(
+            [
+                "run",
+                str(FIXTURES / "booking.wee"),
+                "--script",
+                str(FIXTURES / "booking_under.json"),
+                "--log",
+                str(tmp_path / f"run{i}.log"),
+                "--control",
+                str(tmp_path / f"ctl{i}.sock"),
+            ]
+        )
+        elapsed.append(time.perf_counter() - started)
+        assert code == 0
+    # closing the control server must not wait for a blocked accept() to time out
+    assert statistics.median(elapsed) < 0.1, elapsed
 
 
 def test_parse_skip_region_expands_source_range():

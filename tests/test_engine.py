@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import sys
+import threading
 import time
 from pathlib import Path
 
@@ -441,6 +443,80 @@ def test_critical_sections_never_overlap():
     assert a1 < b0  # disjoint
 
 
+def test_contended_sections_hold_under_a_short_switch_interval():
+    # more branches than cores, switching threads every 10 us: a lost update
+    # to the section owners, the join or the live-branch count shows up as an
+    # overlap, a wrong total, or a wait() that returns before :fin ran
+    bodies = " ".join(
+        "parallel_branch { "
+        + " ".join(
+            f"critical :s {{ manipulate :m{b}_{k} {{ n = n + 1 }} call :c{b}_{k}, endpoint: svc }}"
+            for k in range(5)
+        )
+        + " }"
+        for b in range(8)
+    )
+    source = f"""
+    workflow {{
+      handler "mock"
+      endpoint svc: "mock://svc"
+      context n: 0
+      context done: false
+      parallel wait: all {{ {bodies} }}
+      manipulate :fin {{ done = true }}
+    }}
+    """
+    ast = dsl.parse(source)
+    assert dsl.validate(ast) == []
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for seed in range(10):
+            instance = WorkflowInstance(
+                ast, MockHandler({"default": {"result": {}, "delay_ms": [0, 0.2]}}, seed=seed)
+            )
+            runner = threading.Thread(target=instance.run)
+            runner.start()
+            runner.join(timeout=20)
+            assert not runner.is_alive()
+            assert instance.result == "finished"
+            assert instance.store.current_values() == {"n": 40, "done": True}
+            assert instance.log.records[-1].kind == "instance_finish"
+            spans = sorted(section_spans(instance, "s"))
+            assert len(spans) == 40
+            assert all(a[1] < b[0] for a, b in zip(spans, spans[1:]))
+    finally:
+        sys.setswitchinterval(previous)
+
+
+def test_critical_release_hands_the_section_to_a_waiting_branch():
+    instance = run_source(
+        """
+        workflow {
+          handler "mock"
+          endpoint svc: "mock://svc"
+          parallel wait: all {
+            parallel_branch { critical :s { call :hold, endpoint: svc } call :after, endpoint: svc }
+            parallel_branch { call :pace, endpoint: svc critical :s { call :queued, endpoint: svc } }
+          }
+        }
+        """,
+        MockHandler(
+            {
+                "positions": {
+                    "hold": {"result": {}, "delay_ms": 50},
+                    "after": {"result": {}, "delay_ms": 300},
+                    "pace": {"result": {}, "delay_ms": 10},
+                    "queued": {"result": {}},
+                }
+            }
+        ),
+    )
+    order = [(r.kind, r.position) for r in instance.log.records if r.position]
+    # the release itself wakes the waiter, not the holder's branch ending later
+    assert order.index(("activity_end", "queued")) < order.index(("activity_end", "after"))
+
+
 def test_critical_empty_body_emits_enter_exit_only():
     instance = run_source(
         'workflow { handler "mock" critical :s { } }', MockHandler()
@@ -520,6 +596,30 @@ def test_stop_records_passthrough_of_blocked_call():
     saved = instance.save()
     assert saved["passthroughs"] == {"one": "p-one"}
     assert saved["lifecycle"] == "stopped"
+
+
+class RaisingStopHandler(MockHandler):
+    def stop_call(self, position):
+        raise RuntimeError("stop refused")
+
+
+def test_raising_stop_call_is_traced_and_instance_settles():
+    ast = dsl.parse(STOPPABLE)
+    handler = RaisingStopHandler({"positions": {"one": {"result": {}, "delay_ms": 100}}})
+    instance = WorkflowInstance(ast, handler)
+    instance.start()
+    deadline = time.monotonic() + 5
+    while not starts(instance) and time.monotonic() < deadline:
+        time.sleep(0.005)
+    instance.deliver_stop()
+    assert instance.result == "stopped"
+    assert not starts(instance, "two")
+    failed = [
+        (r.branch, r.position, r.detail["message"])
+        for r in instance.log.records
+        if r.detail.get("signal") == "stop_call_failed"
+    ]
+    assert failed == [("0", "one", "RuntimeError('stop refused')")]
 
 
 def test_stop_is_idempotent():

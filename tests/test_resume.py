@@ -9,6 +9,7 @@ final state an uninterrupted run would reach.
 from __future__ import annotations
 
 import json
+import statistics
 import time
 
 from wee import dsl
@@ -222,6 +223,26 @@ def test_nested_join_cancellation_cascades():
     assert instance.store.current_values()["done"] is True
 
 
+def test_nested_cancellation_wakes_the_loser_blocked_on_its_own_join():
+    ast = dsl.parse(NESTED_RACE)
+    inner = {"result": {}, "delay_ms": 2000, "on_stop": "finish"}
+    script = {
+        "positions": {
+            "outer_fast": {"result": {}, "delay_ms": 5},
+            "inner_a": inner,
+            "inner_b": inner,
+        }
+    }
+    elapsed = []
+    for _ in range(5):
+        instance = WorkflowInstance(ast, MockHandler(script))
+        started = time.perf_counter()
+        assert instance.run() == "finished"
+        elapsed.append(time.perf_counter() - started)
+    # the cancel itself must wake the loser's join wait, well before any poll
+    assert statistics.median(elapsed) < 0.025, elapsed
+
+
 CONTENDED_CRITICAL = """
 workflow {
   handler "mock"
@@ -277,6 +298,60 @@ def test_stop_while_blocked_on_critical_mutex_parks_cleanly():
         r for r in resumed.log.records if r.detail.get("signal") == "critical_enter"
     ]
     assert len(resumed_enters) == 2
+
+
+CANCEL_WHILE_QUEUED = """
+workflow {
+  handler "mock"
+  endpoint svc: "mock://svc"
+  parallel wait: all {
+    parallel_branch { critical :gate { call :holder, endpoint: svc } }
+    parallel_branch {
+      call :pace, endpoint: svc
+      parallel wait: 1 {
+        parallel_branch { call :fast, endpoint: svc }
+        parallel_branch { critical :gate { call :queued, endpoint: svc } }
+      }
+    }
+  }
+}
+"""
+
+
+def test_cancel_while_waiting_on_critical_section_stands_down_at_once():
+    script = {
+        "positions": {
+            "holder": {"result": {}, "delay_ms": 1000},
+            "pace": {"result": {}, "delay_ms": 20},
+            "fast": {"result": {}, "delay_ms": 30},
+            "queued": {"result": {}},
+        }
+    }
+    instance = WorkflowInstance(dsl.parse(CANCEL_WHILE_QUEUED), MockHandler(script))
+    instance.start()
+    assert wait_for(
+        instance,
+        lambda rs: any(
+            r.branch == "0.2.2" and r.detail.get("signal") == "no_longer_necessary"
+            for r in rs
+        ),
+    )
+    # the cancel wakes the queued branch; the holder keeps the section
+    deadline = time.monotonic() + 0.5
+    while time.monotonic() < deadline:
+        if instance.state().branches["0.2.2"].status == "cancelled":
+            break
+        time.sleep(0.002)
+    assert instance.state().branches["0.2.2"].status == "cancelled"
+    assert not [
+        r for r in instance.log.records if r.kind == "activity_end" and r.position == "holder"
+    ]
+
+    assert instance.wait() == "finished"
+    records = instance.log.records
+    assert not starts_of(records, "queued")
+    enters = [r.branch for r in records if r.detail.get("signal") == "critical_enter"]
+    assert enters == ["0.1"]
 
 
 def test_wait_count_equal_to_branch_count_behaves_like_join_all():
