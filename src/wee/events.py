@@ -3,6 +3,11 @@
 Records are emitted to an in-memory list and, when a path is given, flushed
 to a JSON Lines file one record per line. A deterministic clock can be
 injected to make whole traces byte-identical across runs.
+
+Each line is exactly ``json.dumps(record.to_json(), sort_keys=True)``: the
+seven keys in sorted order, ``", "`` and ``": "`` separators and ASCII
+escapes. The writer builds it from a fixed template instead of encoding the
+whole record, and flushes it before the next record is written.
 """
 
 from __future__ import annotations
@@ -10,10 +15,10 @@ from __future__ import annotations
 import json
 import sys
 import threading
-from dataclasses import dataclass, field
-from datetime import datetime, timezone
+import time
+from json.encoder import encode_basestring_ascii as _escape
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 KINDS = (
     "instance_start",
@@ -30,15 +35,14 @@ KINDS = (
 )
 
 
-@dataclass(frozen=True)
-class EventRecord:
+class EventRecord(NamedTuple):
     seq: int
     wall_time: str
     instance: str
     branch: str
     position: Optional[str]
     kind: str
-    detail: dict = field(default_factory=dict)
+    detail: dict
 
     def to_json(self) -> dict:
         return {
@@ -74,6 +78,25 @@ def read_jsonl(path: str | Path) -> list[EventRecord]:
     return records
 
 
+# (seconds, "YYYY-MM-DDTHH:MM:SS") of the last second formatted. It only
+# saves work: replaced as one tuple, it never pairs a second with another
+# second's text, so every caller gets the same string with or without it.
+_second_prefix: tuple[int, str] = (-1, "")
+
+
+def format_timestamp(seconds: int, microseconds: int) -> str:
+    """UTC time as ``datetime.isoformat()`` writes it, e.g.
+    ``1970-01-01T00:00:01.000002+00:00``; no fraction when microseconds is 0."""
+    global _second_prefix
+    cached, prefix = _second_prefix
+    if cached != seconds:
+        prefix = "%04d-%02d-%02dT%02d:%02d:%02d" % time.gmtime(seconds)[:6]
+        _second_prefix = (seconds, prefix)
+    if microseconds:
+        return "%s.%06d+00:00" % (prefix, microseconds)
+    return prefix + "+00:00"
+
+
 class FixedClock:
     """Deterministic clock: one microsecond per tick from the epoch."""
 
@@ -85,12 +108,17 @@ class FixedClock:
         with self._lock:
             self._ticks += 1
             ticks = self._ticks
-        stamp = datetime.fromtimestamp(ticks / 1_000_000, tz=timezone.utc)
-        return stamp.isoformat()
+        return format_timestamp(*divmod(ticks, 1_000_000))
 
 
 def wall_clock() -> str:
-    return datetime.now(timezone.utc).isoformat()
+    seconds, nanoseconds = divmod(time.time_ns(), 1_000_000_000)
+    return format_timestamp(seconds, nanoseconds // 1000)
+
+
+# One encoder for every record's detail: json.dumps(..., sort_keys=True)
+# would build a new JSONEncoder per call.
+_encode_detail = json.JSONEncoder(sort_keys=True).encode
 
 
 class EventLog:
@@ -105,6 +133,7 @@ class EventLog:
         append: bool = False,
     ):
         self.instance_id = instance_id
+        self._instance_json = _escape(instance_id)
         self._clock = clock or wall_clock
         self._lock = threading.Lock()
         self._seq = start_seq
@@ -131,20 +160,27 @@ class EventLog:
         detail: Optional[dict] = None,
     ) -> EventRecord:
         assert kind in KINDS, f"unknown event kind {kind}"
+        detail = detail or {}
+        head = None
+        if self._fh is not None:
+            # the keys before "seq" need no lock; seq and wall_time must be
+            # taken in seq order
+            head = '{"branch": %s, "detail": %s, "instance": %s, "kind": %s, "position": %s' % (
+                _escape(branch),
+                _encode_detail(detail),
+                self._instance_json,
+                _escape(kind),
+                "null" if position is None else _escape(position),
+            )
         with self._lock:
             self._seq += 1
             record = EventRecord(
-                seq=self._seq,
-                wall_time=self._clock(),
-                instance=self.instance_id,
-                branch=branch,
-                position=position,
-                kind=kind,
-                detail=detail or {},
+                self._seq, self._clock(), self.instance_id, branch, position, kind, detail
             )
             self.records.append(record)
-            if self._fh is not None:
-                self._fh.write(json.dumps(record.to_json(), sort_keys=True) + "\n")
+            if head is not None and self._fh is not None:  # close() may have run since
+                wall_time = _escape(record.wall_time)
+                self._fh.write('%s, "seq": %d, "wall_time": %s}\n' % (head, record.seq, wall_time))
                 self._fh.flush()
         # outside the lock: listeners may trigger further emits
         for fn in self._listeners:

@@ -22,7 +22,7 @@ from typing import Optional
 
 from .. import dsl
 from ..engine import RunOptions, WorkflowInstance
-from ..events import EventRecord, FixedClock
+from ..events import EventRecord
 from ..expressions import Value
 from ..handlers import (
     HandlerWrapper,
