@@ -9,9 +9,8 @@ never observe half of a multi-assignment delta.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .expressions import Change, EvalError, Value, eval_expr
 
@@ -20,8 +19,7 @@ class ContextError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class ChangeRecord:
+class ChangeRecord(NamedTuple):
     seq: int
     position: str
     name: str
@@ -29,8 +27,7 @@ class ChangeRecord:
     new: Value
 
 
-@dataclass(frozen=True)
-class Snapshot:
+class Snapshot(NamedTuple):
     values: Mapping[str, Value]
     version: int
 
@@ -79,19 +76,24 @@ class ContextStore:
         return self._lock
 
     def commit(self, delta: Sequence[Change], position: str) -> int:
-        """Append the delta as change records and advance the version."""
+        """Append the delta as change records and advance the version.
+
+        Every name is checked before anything changes: a rejected delta
+        leaves the values, the version and the change log as they were.
+        """
         with self._lock:
             values, version = self._state
-            new_values = dict(values)
             for change in delta:
-                if change.name not in new_values:
+                if change.name not in values:
                     raise ContextError(
                         f"change to undeclared context variable '{change.name}'"
                     )
+            new_values = dict(values)
+            records = []
+            for name, old, new in delta:
                 version += 1
-                self._log.append(
-                    ChangeRecord(version, position, change.name, change.old, change.new)
-                )
-                new_values[change.name] = change.new
+                records.append(ChangeRecord(version, position, name, old, new))
+                new_values[name] = new
+            self._log.extend(records)
             self._state = (new_values, version)
             return version

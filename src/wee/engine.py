@@ -590,13 +590,9 @@ class WorkflowInstance:
         if branch.cancelled:
             raise _Cancelled()
 
-    def _begin_activity(
-        self, branch: _Branch, node, path: tuple[int, ...], kind: str, in_flight: bool = False
-    ) -> None:
+    def _begin_activity(self, branch: _Branch, node, path: tuple[int, ...], kind: str) -> None:
         with self._state_lock:
             self._checkpoint(branch, path)
-            if in_flight:
-                branch.in_flight_position = node.position
             self.log.emit("activity_start", branch.id, node.position, {"type": kind})
 
     def _commit(self, branch: _Branch, position: str, delta: list[Change]) -> None:
@@ -641,9 +637,12 @@ class WorkflowInstance:
             raise EngineError(f"call '{node.position}' parameters: {exc}") from exc
 
         with self._state_lock:
+            self._checkpoint(branch, path)
+            # the token leaves the saved state only once the call is sure to
+            # begin: a branch parked by the checkpoint keeps it for the resume
             token = self.passthroughs.pop(node.position, None)
-
-        self._begin_activity(branch, node, path, "call", in_flight=True)
+            branch.in_flight_position = node.position
+            self.log.emit("activity_start", branch.id, node.position, {"type": "call"})
         call = HandlerCall(
             position=node.position,
             endpoint=uri,

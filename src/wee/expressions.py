@@ -8,51 +8,15 @@ short-circuit.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence, Union
+from typing import Callable, Mapping, NamedTuple, Sequence, Union
 
 Value = Union[int, bool, str, None]
 
 
 class EvalError(Exception):
     """Unbound variable, type mismatch, or division by zero."""
-
-
-@dataclass(frozen=True)
-class Literal:
-    value: Value
-
-
-@dataclass(frozen=True)
-class Var:
-    name: str
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class Unary:
-    op: str  # "!" or "-"
-    operand: "Expr"
-
-
-@dataclass(frozen=True)
-class Binary:
-    op: str
-    left: "Expr"
-    right: "Expr"
-
-
-Expr = Union[Literal, Var, Unary, Binary]
-
-
-@dataclass(frozen=True)
-class Change:
-    """One applied assignment: variable name with its old and new value."""
-
-    name: str
-    old: Value
-    new: Value
 
 
 def kind_name(value: Value) -> str:
@@ -96,68 +60,102 @@ def _bool_operand(value: Value, op: str) -> bool:
     return value
 
 
-def eval_expr(expr: Expr, env: Mapping[str, Value]) -> Value:
-    """Evaluate expr against env. Pure: env is never modified."""
-    if isinstance(expr, Literal):
-        return expr.value
-    if isinstance(expr, Var):
-        if expr.name not in env:
-            raise EvalError(f"unbound variable '{expr.name}'")
-        return env[expr.name]
-    if isinstance(expr, Unary):
-        operand = eval_expr(expr.operand, env)
-        if expr.op == "!":
+# Each node evaluates itself. Two integer operands, the common case, go
+# straight to this table; any other pair is checked and its kinds named.
+_INT_OPS: dict[str, Callable[[int, int], Value]] = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": trunc_div,
+    "%": trunc_mod,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "==": operator.eq,
+    "!=": operator.ne,
+}
+
+
+@dataclass(frozen=True)
+class Literal:
+    value: Value
+
+    def evaluate(self, env: Mapping[str, Value]) -> Value:
+        return self.value
+
+
+@dataclass(frozen=True)
+class Var:
+    name: str
+    line: int = field(default=0, compare=False)
+    col: int = field(default=0, compare=False)
+
+    def evaluate(self, env: Mapping[str, Value]) -> Value:
+        try:
+            return env[self.name]
+        except KeyError:
+            raise EvalError(f"unbound variable '{self.name}'") from None
+
+
+@dataclass(frozen=True)
+class Unary:
+    op: str  # "!" or "-"
+    operand: "Expr"
+
+    def evaluate(self, env: Mapping[str, Value]) -> Value:
+        operand = self.operand.evaluate(env)
+        if self.op == "!":
             return not _bool_operand(operand, "!")
         return -_int_operand(operand, "-")
-    if isinstance(expr, Binary):
-        return _eval_binary(expr, env)
-    raise EvalError(f"unknown expression node {expr!r}")
 
 
-def _eval_binary(expr: Binary, env: Mapping[str, Value]) -> Value:
-    op = expr.op
-    if op in ("&&", "||"):
-        left = _bool_operand(eval_expr(expr.left, env), op)
-        if op == "&&" and not left:
-            return False
-        if op == "||" and left:
-            return True
-        return _bool_operand(eval_expr(expr.right, env), op)
+@dataclass(frozen=True)
+class Binary:
+    op: str
+    left: "Expr"
+    right: "Expr"
 
-    left = eval_expr(expr.left, env)
-    right = eval_expr(expr.right, env)
+    def evaluate(self, env: Mapping[str, Value]) -> Value:
+        op = self.op
+        if op == "&&" or op == "||":
+            left = _bool_operand(self.left.evaluate(env), op)
+            if op == "&&" and not left:
+                return False
+            if op == "||" and left:
+                return True
+            return _bool_operand(self.right.evaluate(env), op)
 
-    if op in ("==", "!="):
-        if kind_name(left) != kind_name(right):
-            raise EvalError(
-                f"cannot compare {kind_name(left)} with {kind_name(right)}"
-            )
-        return (left == right) if op == "==" else (left != right)
+        left = self.left.evaluate(env)
+        right = self.right.evaluate(env)
+        if type(left) is int and type(right) is int and op in _INT_OPS:
+            return _INT_OPS[op](left, right)
 
-    if op in ("<", "<=", ">", ">="):
-        a = _int_operand(left, op)
-        b = _int_operand(right, op)
-        if op == "<":
-            return a < b
-        if op == "<=":
-            return a <= b
-        if op == ">":
-            return a > b
-        return a >= b
+        if op == "==" or op == "!=":
+            if kind_name(left) != kind_name(right):
+                raise EvalError(f"cannot compare {kind_name(left)} with {kind_name(right)}")
+            return (left == right) if op == "==" else (left != right)
 
-    a = _int_operand(left, op)
-    b = _int_operand(right, op)
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        return trunc_div(a, b)
-    if op == "%":
-        return trunc_mod(a, b)
-    raise EvalError(f"unknown operator '{op}'")
+        # only a non-integer operand or an unknown operator gets here
+        _int_operand(left, op)
+        _int_operand(right, op)
+        raise EvalError(f"unknown operator '{op}'")
+
+
+Expr = Union[Literal, Var, Unary, Binary]
+
+
+class Change(NamedTuple):
+    """One applied assignment: variable name with its old and new value."""
+
+    name: str
+    old: Value
+    new: Value
+
+
+def eval_expr(expr: Expr, env: Mapping[str, Value]) -> Value:
+    """Evaluate expr against env. Pure: env is never modified."""
+    return expr.evaluate(env)
 
 
 def apply_assignments(
@@ -174,7 +172,7 @@ def apply_assignments(
     for name, expr in statements:
         if name not in scratch:
             raise EvalError(f"undeclared variable '{name}'")
-        new = eval_expr(expr, scratch)
+        new = expr.evaluate(scratch)
         changes.append(Change(name, scratch[name], new))
         scratch[name] = new
     return changes

@@ -16,7 +16,7 @@ import threading
 import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Optional, Union
+from typing import Mapping, NamedTuple, Optional, Union
 
 import requests
 
@@ -24,8 +24,7 @@ from . import dsl
 from .expressions import EvalError, Expr, Value, eval_expr, is_value
 
 
-@dataclass(frozen=True)
-class HandlerCall:
+class HandlerCall(NamedTuple):
     position: str
     endpoint: str
     parameters: dict[str, Value]

@@ -81,6 +81,19 @@ def test_commit_rejects_undeclared_names():
         store.commit([Change("nope", None, 1)], position="a")
 
 
+def test_rejected_commit_leaves_no_phantom_records():
+    store = ContextStore({"x": 1, "y": 0})
+    with pytest.raises(ContextError, match="undeclared context variable 'nope'"):
+        store.commit([Change("x", 1, 2), Change("nope", None, 1)], position="a")
+    assert store.change_log == ()
+    assert store.version == 0
+    assert dict(store.current_values()) == {"x": 1, "y": 0}
+
+    assert store.commit([Change("x", 1, 2), Change("y", 0, 3)], position="b") == 2
+    assert [r.seq for r in store.change_log] == [1, 2]
+    assert [(r.position, r.name, r.new) for r in store.change_log] == [("b", "x", 2), ("b", "y", 3)]
+
+
 def test_snapshot_reflects_commits():
     store = ContextStore({"x": 1})
     store.commit([Change("x", 1, 2)], position="a")

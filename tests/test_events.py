@@ -8,11 +8,13 @@ import sys
 import tempfile
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wee import events
 from wee.events import KINDS, EventLog, FixedClock, format_timestamp, read_jsonl, wall_clock
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -137,3 +139,56 @@ def test_written_lines_equal_json_dumps_of_each_record(instance, stamps, emits):
             lines = fh.readlines()
         assert lines == [json.dumps(r.to_json(), sort_keys=True) + "\n" for r in log.records]
         assert read_jsonl(path) == log.records
+
+
+# -- detail encoding --------------------------------------------------------
+
+CHANGE_VALUES = st.one_of(
+    st.integers(),
+    st.integers(min_value=2**64),
+    st.integers(max_value=-(2**64)),
+    st.booleans(),
+    st.none(),
+    TEXT,
+)
+CHANGES = st.lists(
+    st.fixed_dictionaries({"name": TEXT, "old": CHANGE_VALUES, "new": CHANGE_VALUES}),
+    min_size=1,
+    max_size=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(changes=CHANGES, version=st.integers(min_value=0))
+def test_context_change_template_equals_json_dumps(changes, version):
+    detail = {"changes": changes, "version": version}
+    # every such detail is written by the template, never by the fallback
+    with mock.patch.object(events, "_encode_any", side_effect=AssertionError("fallback")):
+        encoded = events._encode_detail(detail)
+    assert encoded == json.dumps(detail, sort_keys=True)
+
+
+# the engine's flat details, and shapes close to a context change that the
+# template must hand to the encoder
+FLAT_DETAILS = st.one_of(
+    st.fixed_dictionaries({"type": TEXT}),
+    st.fixed_dictionaries({"outcome": TEXT}),
+    st.fixed_dictionaries({"signal": TEXT, "section": TEXT}),
+    DETAIL,
+    st.fixed_dictionaries(
+        {
+            "changes": st.lists(
+                st.dictionaries(st.sampled_from(["name", "new", "old", "x"]), SCALARS),
+                max_size=3,
+            ),
+            "version": SCALARS,
+        }
+    ),
+    st.fixed_dictionaries({"changes": st.lists(SCALARS, max_size=3), "version": SCALARS}),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(detail=FLAT_DETAILS)
+def test_other_details_equal_json_dumps(detail):
+    assert events._encode_detail(detail) == json.dumps(detail, sort_keys=True)

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wee.dsl import parse_expression
 from wee.expressions import (
+    Binary,
     Change,
     EvalError,
+    Literal,
+    Unary,
+    Var,
     apply_assignments,
     eval_expr,
     trunc_div,
@@ -89,6 +93,26 @@ def test_type_mismatches():
         ev("!3")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("y + 1", "unbound variable 'y'"),
+        ("true + 1", "operator '+' expects integers, got boolean"),
+        ('"a" < 1', "operator '<' expects integers, got string"),
+        ("1 == true", "cannot compare integer with boolean"),
+        ("!1", "operator '!' expects booleans, got integer"),
+        ("-null", "operator '-' expects integers, got null"),
+        ("1 && true", "operator '&&' expects booleans, got integer"),
+        ("1 / 0", "division by zero"),
+        ("1 % 0", "division by zero"),
+    ],
+)
+def test_eval_error_messages(text, message):
+    with pytest.raises(EvalError) as info:
+        ev(text)
+    assert str(info.value) == message
+
+
 def test_string_and_null_equality():
     assert ev('"abc" == "abc"') is True
     assert ev('"abc" != "abd"') is True
@@ -101,6 +125,11 @@ def test_short_circuit_avoids_evaluating_right_side():
     assert ev("true || missing", {}) is True
     with pytest.raises(EvalError):
         ev("true && missing", {})
+
+
+def test_short_circuit_skips_a_failing_right_side():
+    assert ev("false && (1 / 0 == 0)") is False
+    assert ev("true || (1 / 0 == 0)") is True
 
 
 def test_apply_assignments_sequential_effects():
@@ -169,3 +198,107 @@ def test_eval_is_pure_and_deterministic(env):
     second = eval_expr(expr, env)
     assert first == second
     assert env == before
+
+
+# -- eval_expr against a reference interpreter --------------------------------
+
+
+def _kind(value):
+    return {type(None): "null", bool: "boolean", int: "integer", str: "string"}[type(value)]
+
+
+def _reference(expr, env):
+    """Tree-walking oracle for eval_expr, independent of the nodes' methods."""
+    if isinstance(expr, Literal):
+        return expr.value
+    if isinstance(expr, Var):
+        if expr.name not in env:
+            raise EvalError(f"unbound variable '{expr.name}'")
+        return env[expr.name]
+
+    def expect(value, wanted, op):
+        if type(value) is not wanted:
+            kind = "booleans" if wanted is bool else "integers"
+            raise EvalError(f"operator '{op}' expects {kind}, got {_kind(value)}")
+        return value
+
+    if isinstance(expr, Unary):
+        value = _reference(expr.operand, env)
+        if expr.op == "!":
+            return not expect(value, bool, "!")
+        return -expect(value, int, "-")
+    op = expr.op
+    if op in ("&&", "||"):
+        left = expect(_reference(expr.left, env), bool, op)
+        if left == (op == "||"):
+            return left
+        return expect(_reference(expr.right, env), bool, op)
+    left, right = _reference(expr.left, env), _reference(expr.right, env)
+    if op in ("==", "!="):
+        if _kind(left) != _kind(right):
+            raise EvalError(f"cannot compare {_kind(left)} with {_kind(right)}")
+        return (left == right) == (op == "==")
+    a, b = expect(left, int, op), expect(right, int, op)
+    if op in ("/", "%"):
+        if b == 0:
+            raise EvalError("division by zero")
+        quotient = abs(a) // abs(b) * (1 if (a < 0) == (b < 0) else -1)
+        return quotient if op == "/" else a - quotient * b
+    return {
+        "+": a + b,
+        "-": a - b,
+        "*": a * b,
+        "<": a < b,
+        "<=": a <= b,
+        ">": a > b,
+        ">=": a >= b,
+    }[op]
+
+
+def _outcome(evaluate, expr, env):
+    try:
+        value = evaluate(expr, env)
+    except EvalError as exc:
+        return ("error", str(exc))
+    return ("value", type(value), value)
+
+
+_ENV = {"a": 7, "b": -3, "z": 0, "p": True, "q": False}
+_ARITH = ["+", "-", "*", "/", "%"]
+_COMPARE = ["<", "<=", ">", ">=", "==", "!="]
+_int_leaf = st.one_of(
+    st.builds(Literal, st.integers(-20, 20)),
+    st.builds(Literal, st.integers(2**62, 2**66)),
+    st.builds(Var, st.sampled_from(["a", "b", "z"])),
+)
+_bool_leaf = st.one_of(st.builds(Literal, st.booleans()), st.builds(Var, st.sampled_from(["p", "q"])))
+_int_tree = st.deferred(
+    lambda: st.one_of(
+        _int_leaf,
+        st.builds(Unary, st.just("-"), _int_tree),
+        st.builds(Binary, st.sampled_from(_ARITH), _int_tree, _int_tree),
+    )
+)
+_bool_tree = st.deferred(
+    lambda: st.one_of(
+        _bool_leaf,
+        st.builds(Unary, st.just("!"), _bool_tree),
+        st.builds(Binary, st.sampled_from(["&&", "||", "==", "!="]), _bool_tree, _bool_tree),
+        st.builds(Binary, st.sampled_from(_COMPARE), _int_tree, _int_tree),
+    )
+)
+# ill-typed trees too: every operator over any operands, unbound names included
+_any_tree = st.recursive(
+    st.one_of(_int_leaf, _bool_leaf, st.builds(Literal, st.none()), st.builds(Var, st.just("zz"))),
+    lambda inner: st.one_of(
+        st.builds(Unary, st.sampled_from(["!", "-"]), inner),
+        st.builds(Binary, st.sampled_from(_ARITH + _COMPARE + ["&&", "||"]), inner, inner),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_int_tree, _bool_tree, _any_tree))
+def test_eval_matches_reference_interpreter(expr):
+    assert _outcome(eval_expr, expr, _ENV) == _outcome(_reference, expr, _ENV)

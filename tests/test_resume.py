@@ -387,3 +387,44 @@ def test_saved_instance_is_json_round_trippable():
     resumed = WorkflowInstance.resume(ast, MockHandler(FORKING_LOOP_SCRIPT), saved)
     assert resumed.run() == "finished"
     assert resumed.store.current_values()["i"] == 103
+
+
+ONE_SLOW_CALL = """
+workflow {
+  handler "mock"
+  endpoint svc: "mock://svc"
+  context done: 0
+  call :slow, endpoint: svc
+}
+"""
+
+ONE_SLOW_CALL_SCRIPT = {
+    "positions": {"slow": {"result": {"done": 1}, "delay_ms": 2000, "token": "tok-slow"}},
+    "passthroughs": {"tok-slow": {"result": {"done": 2}}},
+}
+
+
+def test_stop_before_a_resumed_call_begins_keeps_its_passthrough():
+    ast = dsl.parse(ONE_SLOW_CALL)
+    handler = MockHandler(ONE_SLOW_CALL_SCRIPT)  # shared: counts every invocation
+    instance = WorkflowInstance(ast, handler)
+    instance.start()
+    assert wait_for(instance, lambda rs: len(starts_of(rs, "slow")) == 1)
+    instance.deliver_stop()
+    saved = instance.save()
+    assert saved["passthroughs"] == {"slow": "tok-slow"}
+
+    # stopped before the resumed call begins: it parks at the call and the
+    # token stays in the saved state
+    parked = WorkflowInstance.resume(ast, handler, saved)
+    parked.request_stop()
+    parked.start()
+    assert parked.wait() == "stopped"
+    assert starts_of(parked.log.records, "slow") == []
+    saved = parked.save()
+    assert saved["passthroughs"] == {"slow": "tok-slow"}
+
+    resumed = WorkflowInstance.resume(ast, handler, saved)
+    assert resumed.run() == "finished"
+    assert handler.invocations == {"slow": 1}
+    assert resumed.store.current_values()["done"] == 2
