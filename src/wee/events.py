@@ -19,7 +19,7 @@ import time
 from json.encoder import c_make_encoder
 from json.encoder import encode_basestring_ascii as _escape
 from pathlib import Path
-from typing import Any, Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 KINDS = (
     "instance_start",
@@ -117,57 +117,19 @@ def wall_clock() -> str:
     return format_timestamp(seconds, nanoseconds // 1000)
 
 
-# Every detail but a context change goes through one prebuilt C encoder
-# (json.dumps(..., sort_keys=True) would build a new JSONEncoder per call).
+# Details go through one prebuilt C encoder (json.dumps(..., sort_keys=True)
+# would build a new JSONEncoder per call).
 if c_make_encoder is not None:
     _c_encode = c_make_encoder(
         None, json.JSONEncoder().default, _escape, None, ": ", ", ", True, False, True
     )
 
-    def _encode_any(detail: dict) -> str:
+    def _encode_detail(detail: dict) -> str:
+        """``json.dumps(detail, sort_keys=True)``."""
         return "".join(_c_encode(detail, 0))
 
 else:  # pragma: no cover - interpreters without the _json accelerator
-    _encode_any = json.JSONEncoder(sort_keys=True).encode
-
-# how a context change writes each scalar, as json.dumps does; bool has its
-# own entry, so True is never written as an int
-_SCALARS: dict[type, Callable[[Any], str]] = {
-    type(None): lambda value: "null",
-    bool: ("false", "true").__getitem__,
-    int: int.__repr__,
-    str: _escape,
-}
-
-
-def _encode_context_change(changes: list, version: object) -> str:
-    scalar = _SCALARS
-    items = []
-    for change in changes:
-        if len(change) != 3:
-            raise TypeError("not a context change")
-        name, new, old = change["name"], change["new"], change["old"]
-        items.append(
-            '{"name": %s, "new": %s, "old": %s}'
-            % (scalar[type(name)](name), scalar[type(new)](new), scalar[type(old)](old))
-        )
-    return '{"changes": [%s], "version": %s}' % (", ".join(items), scalar[type(version)](version))
-
-
-def _encode_detail(detail: dict) -> str:
-    """``json.dumps(detail, sort_keys=True)``.
-
-    A ``{"changes": [{"name", "new", "old"}, ...], "version": n}`` detail of
-    scalars is written from a template in that key order; any other shape
-    or value goes through the encoder.
-    """
-    changes = detail.get("changes")
-    if type(changes) is list and len(detail) == 2 and "version" in detail:
-        try:
-            return _encode_context_change(changes, detail["version"])
-        except (KeyError, TypeError):
-            pass
-    return _encode_any(detail)
+    _encode_detail = json.JSONEncoder(sort_keys=True).encode
 
 
 class EventLog:

@@ -8,7 +8,6 @@ import sys
 import tempfile
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -160,16 +159,12 @@ CHANGES = st.lists(
 
 @settings(max_examples=300, deadline=None)
 @given(changes=CHANGES, version=st.integers(min_value=0))
-def test_context_change_template_equals_json_dumps(changes, version):
+def test_context_change_detail_equals_json_dumps(changes, version):
     detail = {"changes": changes, "version": version}
-    # every such detail is written by the template, never by the fallback
-    with mock.patch.object(events, "_encode_any", side_effect=AssertionError("fallback")):
-        encoded = events._encode_detail(detail)
-    assert encoded == json.dumps(detail, sort_keys=True)
+    assert events._encode_detail(detail) == json.dumps(detail, sort_keys=True)
 
 
-# the engine's flat details, and shapes close to a context change that the
-# template must hand to the encoder
+# the engine's flat details, and shapes close to a context change
 FLAT_DETAILS = st.one_of(
     st.fixed_dictionaries({"type": TEXT}),
     st.fixed_dictionaries({"outcome": TEXT}),
