@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import dsl
-from .engine import EngineError, RunOptions, WorkflowInstance
+from .engine import EngineError, RunOptions, WorkflowInstance, check_saved_schema
 from .events import FixedClock, read_jsonl
 from .handlers import (
     HandlerWrapper,
@@ -126,6 +126,10 @@ def load_saved_instance(path: str | Path) -> dict:
     for key in ("hash", "lifecycle", "branches", "context", "version", "passthroughs"):
         if key not in saved:
             raise ControllerError(f"saved instance is missing '{key}'")
+    try:
+        check_saved_schema(saved)
+    except EngineError as exc:
+        raise ControllerError(str(exc)) from exc
     return saved
 
 

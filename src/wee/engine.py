@@ -7,7 +7,9 @@ first k (the losers receive a no-longer-necessary signal and stand down at
 their next node boundary; their in-flight calls get stop_call). A stop
 signal parks every branch at its program counter so the instance can be
 serialized and resumed later, with passthrough tokens standing in for
-interrupted service calls.
+interrupted service calls. Each call is named by its call id, the branch id
+and position, so one position running in several branches at once is still
+several calls to stop and to resume.
 
 Branch coordination uses one lock and one condition built on it per
 instance. The lock guards the stop request, each branch's cancel flag and
@@ -32,10 +34,27 @@ from .handlers import Failure, HandlerCall, HandlerWrapper, Jump, Passthrough, R
 
 ROOT_BRANCH = "0"
 STOP_ENDPOINT = "wee://stop"
+# version of the saved-state format: 2 keys passthroughs by call id and adds
+# ended_calls; a state without a schema was written by an older wee, which
+# keyed passthroughs by position
+SAVED_SCHEMA = 2
 
 
 class EngineError(Exception):
     """Runtime failure of a workflow instance (aborts the run)."""
+
+
+def check_saved_schema(saved: Mapping) -> None:
+    """Reject a saved state that was not written in the current schema."""
+    schema = saved.get("schema")
+    if schema == SAVED_SCHEMA:
+        return
+    if schema is None:
+        raise EngineError(
+            "saved state has no schema: it was written by an older wee, whose "
+            "passthroughs are keyed by position, not by call id; it cannot be resumed"
+        )
+    raise EngineError(f"saved state has schema {schema!r}, expected {SAVED_SCHEMA}")
 
 
 class Lifecycle(str, Enum):
@@ -132,7 +151,7 @@ class _Branch:
         self.resume_path = resume_path
         self.cancelled = False
         self.status = BranchStatus.ACTIVE
-        self.in_flight_position: Optional[str] = None
+        self.in_flight: Optional[HandlerCall] = None
         self.parked = False
         self.saved_path: Optional[tuple[int, ...]] = None
 
@@ -195,6 +214,9 @@ class WorkflowInstance:
         self.lifecycle = Lifecycle.READY
         self.result: Optional[str] = None
         self.passthroughs: dict[str, str] = {}
+        # outcomes of calls that ended after a stop: the resume applies them
+        # instead of calling again
+        self.ended_calls: dict[str, Result | Jump] = {}
         self.branches: dict[str, _Branch] = {}
         self.skip_positions = frozenset(self.options.skip_positions)
 
@@ -265,18 +287,16 @@ class WorkflowInstance:
         stop_call_failed signal in the trace.
         """
         with self._state_lock:
-            calls = [
-                (b.id, b.in_flight_position) for b in branches if b.in_flight_position is not None
-            ]
-        for branch_id, position in calls:
-            self.log.emit("signal", branch_id, position, {"signal": "stop_call"})
+            calls = [(b.id, b.in_flight) for b in branches if b.in_flight is not None]
+        for branch_id, call in calls:
+            self.log.emit("signal", branch_id, call.position, {"signal": "stop_call"})
             try:
-                self.handler.stop_call(position)
+                self.handler.stop_call(call.call_id)
             except Exception as exc:
                 self.log.emit(
                     "signal",
                     branch_id,
-                    position,
+                    call.position,
                     {"signal": "stop_call_failed", "message": repr(exc)},
                 )
 
@@ -335,6 +355,10 @@ class WorkflowInstance:
             for branch in self.branches.values():
                 if branch.parked and branch.saved_path is not None:
                     entries.append({"id": branch.id, "path": list(branch.saved_path)})
+            root = self.branches.get(ROOT_BRANCH)
+            if root is not None and root.status is BranchStatus.COMPLETED:
+                # the stop came after the last activity: resume past the end
+                entries.append({"id": ROOT_BRANCH, "path": [len(self.ast.body)]})
             for group in self._groups:
                 if group.closed:
                     continue
@@ -344,11 +368,16 @@ class WorkflowInstance:
                     )
         entries.sort(key=lambda e: e["id"])
         return {
+            "schema": SAVED_SCHEMA,
             "lifecycle": "stopped",
             "branches": entries,
             "context": dict(self.store.current_values()),
             "version": self.store.version,
             "passthroughs": dict(self.passthroughs),
+            "ended_calls": {
+                call_id: {"result": o.values} if isinstance(o, Result) else {"jump": o.target}
+                for call_id, o in self.ended_calls.items()
+            },
         }
 
     @classmethod
@@ -363,6 +392,7 @@ class WorkflowInstance:
         """Rebuild a stopped instance; branches restart at their saved paths."""
         if saved.get("lifecycle") != "stopped":
             raise EngineError("saved instance is not stopped")
+        check_saved_schema(saved)
         options = options or RunOptions()
         known = dsl.position_paths(ast)
         skip = frozenset(skip_positions)
@@ -378,6 +408,10 @@ class WorkflowInstance:
             _restored_context=(dict(saved["context"]), int(saved["version"])),
         )
         instance.passthroughs = dict(saved.get("passthroughs", {}))
+        instance.ended_calls = {
+            call_id: cls._saved_outcome(call_id, entry)
+            for call_id, entry in saved.get("ended_calls", {}).items()
+        }
 
         entries = saved.get("branches", [])
         by_id = {}
@@ -407,6 +441,15 @@ class WorkflowInstance:
                 key = (parent_id, plan[0])
                 instance._resume_children.setdefault(key, []).append((branch_id, plan))
         return instance
+
+    @staticmethod
+    def _saved_outcome(call_id: str, entry: object) -> Result | Jump:
+        if isinstance(entry, dict):
+            if isinstance(entry.get("result"), dict):
+                return Result(dict(entry["result"]))
+            if isinstance(entry.get("jump"), str):
+                return Jump(entry["jump"])
+        raise EngineError(f"corrupt saved state: ended call {call_id}: {entry!r}")
 
     @staticmethod
     def _validate_parallel_path(ast: dsl.WorkflowAst, path: tuple[int, ...]) -> None:
@@ -636,41 +679,42 @@ class WorkflowInstance:
         except EvalError as exc:
             raise EngineError(f"call '{node.position}' parameters: {exc}") from exc
 
+        call_id = f"{branch.id}/{node.position}"
         with self._state_lock:
             self._checkpoint(branch, path)
-            # the token leaves the saved state only once the call is sure to
-            # begin: a branch parked by the checkpoint keeps it for the resume
-            token = self.passthroughs.pop(node.position, None)
-            branch.in_flight_position = node.position
+            # a stored token or outcome leaves the saved state only once the
+            # call is sure to begin: a branch parked by the checkpoint keeps it
+            token = self.passthroughs.pop(call_id, None)
+            outcome = self.ended_calls.pop(call_id, None)
+            if outcome is None:
+                call = branch.in_flight = HandlerCall(
+                    call_id, node.position, uri, parameters, snap.values, snap.version, token
+                )
             self.log.emit("activity_start", branch.id, node.position, {"type": "call"})
-        call = HandlerCall(
-            position=node.position,
-            endpoint=uri,
-            parameters=parameters,
-            context=snap.values,
-            context_version=snap.version,
-            passthrough=token,
-        )
         try:
-            outcome = self.handler.call(call)
+            if outcome is None:
+                outcome = self.handler.call(call)
         except Exception as exc:
             outcome = Failure(f"handler raised: {exc!r}")
         finally:
             with self._state_lock:
-                branch.in_flight_position = None
+                branch.in_flight = None
                 stopped = self._stop_requested
                 cancelled = branch.cancelled
 
         if cancelled:
             raise _Cancelled()
         if stopped:
-            # a final result is discarded from the flow; a passthrough is
-            # recorded so the resumed call can reuse the stored outcome
+            # the branch parks at the call; the resume applies a result or
+            # jump it already has and replays a passthrough, so the service
+            # is not called again; a failed call runs again
             with self._state_lock:
                 if isinstance(outcome, Passthrough):
-                    self.passthroughs[node.position] = outcome.token
+                    self.passthroughs[call_id] = outcome.token
+                elif isinstance(outcome, (Result, Jump)):
+                    self.ended_calls[call_id] = outcome
                 elif token is not None:
-                    self.passthroughs[node.position] = token
+                    self.passthroughs[call_id] = token
             raise _Parked(path)
 
         if isinstance(outcome, Result):

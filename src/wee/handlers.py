@@ -1,11 +1,13 @@
 """Handler wrappers: the components call activities are delegated to.
 
-A handler receives a HandlerCall (position, endpoint URI, evaluated
-parameters, context snapshot, optional passthrough token) and answers with
-exactly one outcome: Result values to commit, a Passthrough token (only
-after stop_call), a Jump directive moving the thread of control, or a
-Failure. stop_call is delivered from another thread while a call is blocked
-and must make it resolve within a bounded grace period.
+A handler receives a HandlerCall (call id, position, endpoint URI,
+evaluated parameters, context snapshot, optional passthrough token) and
+answers with exactly one outcome: Result values to commit, a Passthrough
+token (only after stop_call), a Jump directive moving the thread of control,
+or a Failure. stop_call names a call by its call id; it is delivered from
+another thread while the call is blocked and must make it resolve within a
+bounded grace period. A Result or Jump returned after stop_call is final: a
+call whose work is only partly done answers with a Passthrough.
 """
 
 from __future__ import annotations
@@ -25,6 +27,14 @@ from .expressions import EvalError, Expr, Value, eval_expr, is_value
 
 
 class HandlerCall(NamedTuple):
+    """One call to a handler.
+
+    call_id is "<branch id>/<position>". A branch has at most one call in
+    flight and keeps its id across save and resume, so the id names exactly
+    one in-flight call even when several branches run the same position.
+    """
+
+    call_id: str
     position: str
     endpoint: str
     parameters: dict[str, Value]
@@ -62,8 +72,8 @@ class HandlerWrapper:
     def call(self, call: HandlerCall) -> HandlerOutcome:
         raise NotImplementedError
 
-    def stop_call(self, position: str) -> None:
-        """Ask the in-flight call at position to wind down; no-op if none."""
+    def stop_call(self, call_id: str) -> None:
+        """Ask the in-flight call with this call id to wind down; no-op if none."""
 
 
 def _check_result_values(values: dict) -> dict[str, Value]:
@@ -148,7 +158,7 @@ class MockHandler(HandlerWrapper):
             invocation = self.invocations.get(call.position, 0)
             self.invocations[call.position] = invocation + 1
             stop = threading.Event()
-            self._stop_events[call.position] = stop
+            self._stop_events[call.call_id] = stop
 
         if entry is None:
             return Failure(f"no scripted outcome for position '{call.position}'")
@@ -157,7 +167,7 @@ class MockHandler(HandlerWrapper):
         interrupted = stop.wait(delay / 1000.0) if delay > 0 else stop.is_set()
 
         with self._lock:
-            self._stop_events.pop(call.position, None)
+            self._stop_events.pop(call.call_id, None)
 
         if interrupted and entry.get("on_stop", "passthrough") == "passthrough":
             token = entry.get("token") or f"pt-{call.position}-{invocation}"
@@ -174,9 +184,9 @@ class MockHandler(HandlerWrapper):
         except ValueError as exc:
             return Failure(str(exc))
 
-    def stop_call(self, position: str) -> None:
+    def stop_call(self, call_id: str) -> None:
         with self._lock:
-            event = self._stop_events.get(position)
+            event = self._stop_events.get(call_id)
         if event is not None:
             event.set()
 
@@ -221,7 +231,7 @@ class HttpHandler(HandlerWrapper):
         # set by the worker when the response is in, or by stop_call
         wake = threading.Event()
         with self._lock:
-            self._stop_events[call.position] = wake
+            self._stop_events[call.call_id] = wake
 
         record = _StoredResponse()
         body = {
@@ -241,7 +251,7 @@ class HttpHandler(HandlerWrapper):
         wake.wait()
 
         with self._lock:
-            self._stop_events.pop(call.position, None)
+            self._stop_events.pop(call.call_id, None)
             if record.done.is_set():
                 return record.outcome  # type: ignore[return-value]
             token = uuid.uuid4().hex
@@ -264,9 +274,9 @@ class HttpHandler(HandlerWrapper):
         except (ValueError, KeyError, TypeError) as exc:
             return Failure(f"malformed response: {exc}")
 
-    def stop_call(self, position: str) -> None:
+    def stop_call(self, call_id: str) -> None:
         with self._lock:
-            event = self._stop_events.get(position)
+            event = self._stop_events.get(call_id)
         if event is not None:
             event.set()
 
@@ -336,9 +346,9 @@ class TriggerHandler(HandlerWrapper):
             else:
                 self.withdrawn += 1
 
-    def is_waiting(self, position: str) -> bool:
+    def is_waiting(self, call_id: str) -> bool:
         with self._lock:
-            waiter = self._waiters.get(position)
+            waiter = self._waiters.get(call_id)
             return waiter is not None and not waiter.fired.is_set()
 
     def call(self, call: HandlerCall) -> HandlerOutcome:
@@ -352,21 +362,21 @@ class TriggerHandler(HandlerWrapper):
                 self.stored_matches += 1
                 return Result({})
             waiter = _Waiter(key)
-            self._waiters[call.position] = waiter
+            self._waiters[call.call_id] = waiter
 
         waiter.fired.wait()
 
         with self._lock:
-            self._waiters.pop(call.position, None)
+            self._waiters.pop(call.call_id, None)
         if waiter.stopped:
             return Passthrough(f"trigger-{call.position}-{uuid.uuid4().hex[:8]}")
         if waiter.matched_live:
             self.live_matches += 1
         return Result({})
 
-    def stop_call(self, position: str) -> None:
+    def stop_call(self, call_id: str) -> None:
         with self._lock:
-            waiter = self._waiters.get(position)
+            waiter = self._waiters.get(call_id)
             if waiter is not None and not waiter.fired.is_set():
                 waiter.stopped = True
                 waiter.fired.set()
@@ -427,7 +437,10 @@ class RecursiveHandler(HandlerWrapper):
     the nested instance's declared context initials, and the nested final
     context is returned as the Result. The ``depth`` parameter (default:
     max_depth) must stay positive: recursion without an exit condition fails
-    once the budget is exhausted.
+    once the budget is exhausted. On stop_call the nested instance stops and
+    the call returns a Passthrough token holding the nested saved state, its
+    source and its depth budget as JSON; a later call with that token, in
+    this process or another, resumes the nested instance where it stopped.
     """
 
     RESERVED = ("workflow", "depth")
@@ -438,9 +451,22 @@ class RecursiveHandler(HandlerWrapper):
         self._lock = threading.Lock()
         self.invocations: dict[str, int] = {}
         self._active: dict[str, object] = {}
+        self._interrupted: set[str] = set()  # call ids that got stop_call
 
     def call(self, call: HandlerCall) -> HandlerOutcome:
-        from .engine import WorkflowInstance  # here to avoid an import cycle
+        from .engine import EngineError, WorkflowInstance  # here to avoid an import cycle
+
+        if call.passthrough is not None:
+            # resuming the stopped nested instance is not a new invocation
+            try:
+                parked = json.loads(call.passthrough)
+                source, depth = parked["source"], parked["max_depth"]
+                instance = WorkflowInstance.resume(
+                    dsl.parse(source), RecursiveHandler(source, depth), parked["saved"]
+                )
+            except (ValueError, KeyError, TypeError, dsl.ParseError, EngineError) as exc:
+                return Failure(f"bad passthrough token: {exc!r}")
+            return self._run(call.call_id, instance)
 
         with self._lock:
             self.invocations[call.position] = self.invocations.get(call.position, 0) + 1
@@ -470,14 +496,20 @@ class RecursiveHandler(HandlerWrapper):
             return Failure(f"parameters not declared in nested workflow: {unknown}")
 
         nested_handler = RecursiveHandler(source=source, max_depth=depth - 1)
-        instance = WorkflowInstance(ast, nested_handler, initial_context=overrides)
+        return self._run(
+            call.call_id, WorkflowInstance(ast, nested_handler, initial_context=overrides)
+        )
+
+    def _run(self, call_id: str, instance) -> HandlerOutcome:
         with self._lock:
-            self._active[call.position] = instance
+            self._active[call_id] = instance
         try:
             result = instance.run()
         finally:
             with self._lock:
-                self._active.pop(call.position, None)
+                self._active.pop(call_id, None)
+                interrupted = call_id in self._interrupted
+                self._interrupted.discard(call_id)
         if result == "error":
             messages = [
                 r.detail.get("message", "")
@@ -485,12 +517,23 @@ class RecursiveHandler(HandlerWrapper):
                 if r.kind == "error"
             ]
             return Failure(f"nested instance failed: {'; '.join(messages)}")
-        # finished, or stopped via stop_call: the partial context is still a
-        # final result (the stopping outer engine discards it from the flow)
+        if result == "stopped" and interrupted:
+            # the partial context is no result: the token carries the nested
+            # instance, so it survives the outer instance's saved file
+            nested = instance.handler
+            parked = {
+                "source": nested.source,
+                "max_depth": nested.max_depth,
+                "saved": instance.save(),
+            }
+            return Passthrough(json.dumps(parked, sort_keys=True))
+        # finished, or stopped by its own workflow: the context is final
         return Result(dict(instance.store.current_values()))
 
-    def stop_call(self, position: str) -> None:
+    def stop_call(self, call_id: str) -> None:
         with self._lock:
-            instance = self._active.get(position)
+            instance = self._active.get(call_id)
+            if instance is not None:
+                self._interrupted.add(call_id)
         if instance is not None:
             instance.request_stop(source="controller")  # type: ignore[attr-defined]

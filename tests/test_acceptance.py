@@ -229,7 +229,7 @@ def test_criterion_5_cancel_region_round_trip():
         interrupted.deliver_stop()
         assert interrupted.result == "stopped"
         saved = interrupted.save()
-        assert saved["passthroughs"].get("prepare"), "the in-flight call must leave a passthrough"
+        assert saved["passthroughs"].get("0/prepare"), "the in-flight call must leave a passthrough"
 
         skip = cli.parse_skip_region("zone_a..zone_b", ast)
         resumed = WorkflowInstance.resume(ast, handler, saved, skip_positions=skip)
@@ -330,7 +330,7 @@ def run_trigger_schedule(mode: str, before: list[str], during: list[str]):
         from wee.handlers import HandlerCall
 
         outcome_box["outcome"] = handler.call(
-            HandlerCall("t", "trigger://bus", {"key": "go"}, {}, 0)
+            HandlerCall("t", "t", "trigger://bus", {"key": "go"}, {}, 0)
         )
 
     thread = threading.Thread(target=call)

@@ -188,7 +188,7 @@ def test_stop_resume_round_trip(seq_dir):
 
     payload = json.loads(saved.read_text())
     assert payload["lifecycle"] == "stopped"
-    assert payload["passthroughs"] == {"one": "p-one"}
+    assert payload["passthroughs"] == {"0/one": "p-one"}
     assert payload["hash"] == cli.source_hash((seq_dir / "seq.wee").read_text())
 
     pre_records = read_jsonl(log)
@@ -267,6 +267,64 @@ def test_resume_rejects_edited_source(seq_dir):
     )
     assert resume.returncode == 1
     assert "hash mismatch" in resume.stderr
+
+
+NESTED_COUNT_WEE = """
+workflow {
+  handler "recursive"
+  endpoint rec: "local://self"
+  context level: 0
+  context total: 0
+  choose {
+    alternative (level == 0) { call :nest, endpoint: rec, parameters: { level: 1 } }
+    otherwise { cycle (total < 40000) { manipulate :inc { total = total + 1 } } }
+  }
+}
+"""
+
+
+def test_stop_resume_recursive_call_across_processes(tmp_path):
+    workflow = tmp_path / "nest.wee"
+    workflow.write_text(NESTED_COUNT_WEE)
+    log, control, saved = tmp_path / "log.jsonl", tmp_path / "ctl.sock", tmp_path / "s.json"
+    proc = subprocess.Popen(
+        wee_cmd(
+            "run", str(workflow), "--log", str(log), "--control", str(control), "--save", str(saved)
+        ),
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+    )
+    deadline = time.monotonic() + 5
+    while time.monotonic() < deadline and not (
+        control.exists()
+        and log.exists()
+        and any(r.kind == "activity_start" for r in read_jsonl(log))
+    ):
+        time.sleep(0.01)
+    time.sleep(0.1)  # the nested instance is counting
+    stop = subprocess.run(
+        wee_cmd("stop", "--control", str(control)), capture_output=True, text=True
+    )
+    assert stop.stdout.startswith("stopped"), stop.stderr
+    assert proc.wait(timeout=10) == 2
+
+    # the token carries the stopped nested instance into the saved file
+    payload = json.loads(saved.read_text())
+    token = json.loads(payload["passthroughs"]["0/nest"])
+    assert token["saved"]["lifecycle"] == "stopped"
+    assert 0 < token["saved"]["context"]["total"] < 40000
+    assert payload["context"]["total"] == 0
+
+    resume = subprocess.run(
+        wee_cmd("resume", str(saved), "--workflow", str(workflow), "--log", str(log)),
+        capture_output=True,
+        text=True,
+    )
+    assert resume.returncode == 0, resume.stderr
+    records = read_jsonl(log)
+    assert records[-1].kind == "instance_finish"
+    changes = [r for r in records if r.kind == "context_change"]
+    assert [c["new"] for c in changes[-1].detail["changes"] if c["name"] == "total"] == [40000]
 
 
 def test_stop_unknown_instance_errors(tmp_path):
@@ -353,6 +411,7 @@ def test_parse_skip_region_expands_source_range():
 
 def test_saved_instance_schema_round_trip(tmp_path):
     saved = {
+        "schema": 2,
         "lifecycle": "stopped",
         "branches": [{"id": "0", "path": [1]}],
         "context": {"done": False},
@@ -368,6 +427,21 @@ def test_saved_instance_schema_round_trip(tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"lifecycle": "stopped"}))
         cli.load_saved_instance(bad)
+
+
+def test_load_saved_instance_rejects_state_without_schema(tmp_path):
+    # as an older wee wrote it: no schema, passthroughs keyed by position
+    saved = {
+        "lifecycle": "stopped",
+        "branches": [{"id": "0", "path": [0]}],
+        "context": {"done": False},
+        "version": 0,
+        "passthroughs": {"one": "p-one"},
+    }
+    path = tmp_path / "old.json"
+    cli.write_saved_instance(path, saved, "ff" * 32)
+    with pytest.raises(cli.ControllerError, match="older wee.*keyed by position"):
+        cli.load_saved_instance(path)
 
 
 def test_run_with_trigger_handler_and_events_file(tmp_path):

@@ -592,9 +592,9 @@ def test_stop_mid_sequence_prevents_later_activities():
 
 def test_stop_records_passthrough_of_blocked_call():
     instance, _ = stop_after_first_start(STOPPABLE, STOP_SCRIPT)
-    assert instance.passthroughs == {"one": "p-one"}
+    assert instance.passthroughs == {"0/one": "p-one"}
     saved = instance.save()
-    assert saved["passthroughs"] == {"one": "p-one"}
+    assert saved["passthroughs"] == {"0/one": "p-one"}
     assert saved["lifecycle"] == "stopped"
 
 
@@ -877,7 +877,7 @@ def test_stop_inside_parallel_saves_arrivals_and_live_branches():
     assert len(completed) == 1  # the quick branch already arrived
     live = [p for bid, p in by_id.items() if bid != "0" and (not p or p[-1] != -1)]
     assert len(live) == 1
-    assert saved["passthroughs"] == {"slow": "p-slow"}
+    assert saved["passthroughs"] == {"0.2/slow": "p-slow"}
 
 
 def test_resume_mid_parallel_completes_join():
@@ -971,5 +971,5 @@ def test_instance_state_snapshot_shape():
     state = instance.state()
     assert state.lifecycle == "stopped"
     assert state.context == {"done": False}
-    assert state.passthroughs == {"one": "p-one"}
+    assert state.passthroughs == {"0/one": "p-one"}
     assert "0" in state.branches

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import json
 import threading
 import time
 
 import pytest
 
+from wee import dsl
+from wee.engine import WorkflowInstance
 from wee.handlers import (
     Failure,
     HandlerCall,
@@ -20,8 +23,12 @@ from wee.handlers import (
 )
 
 
-def make_call(position="p", endpoint="mock://svc", parameters=None, context=None, passthrough=None):
+def make_call(
+    position="p", endpoint="mock://svc", parameters=None, context=None, passthrough=None, call_id=None
+):
+    # handlers treat the call id as an opaque key; by default it is the position
     return HandlerCall(
+        call_id=call_id or position,
         position=position,
         endpoint=endpoint,
         parameters=parameters or {},
@@ -85,13 +92,13 @@ def test_mock_stop_call_interrupts_delay_with_passthrough():
     box = {}
 
     def blocked():
-        box["outcome"] = handler.call(make_call("slow"))
+        box["outcome"] = handler.call(make_call("slow", call_id="0.1/slow"))
 
     thread = threading.Thread(target=blocked)
     started = time.monotonic()
     thread.start()
     time.sleep(0.05)
-    handler.stop_call("slow")
+    handler.stop_call("0.1/slow")
     thread.join(timeout=2)
     assert not thread.is_alive()
     assert time.monotonic() - started < 1.0  # far less than the scripted delay
@@ -265,6 +272,33 @@ def test_trigger_key_mismatch_does_not_fire():
     assert isinstance(box["outcome"], Passthrough)
 
 
+def test_two_branches_awaiting_one_key_both_fire():
+    ast = dsl.parse(
+        """
+        workflow {
+          handler "trigger"
+          endpoint bus: "trigger://bus"
+          context i: 0
+          parallel wait: all {
+            cycle (i < 2) {
+              manipulate :launch { i = i + 1 }
+              parallel_branch { call :await, endpoint: bus, parameters: { key: "go" } }
+            }
+          }
+        }
+        """
+    )
+    handler = TriggerHandler("transient")
+    instance = WorkflowInstance(ast, handler).start()
+    assert wait_until(lambda: handler.is_waiting("0.1/await") and handler.is_waiting("0.2/await"))
+    handler.deliver("go")
+    handler.deliver("go")
+    # each delivery fires one of the two waiters; neither is withdrawn
+    assert handler.withdrawn == 0
+    assert instance.wait() == "finished"
+    assert handler.live_matches == 2
+
+
 # -- jump ------------------------------------------------------------------------
 
 
@@ -356,6 +390,55 @@ def test_recursive_rejects_undeclared_parameter():
     handler = RecursiveHandler(source=FACTORIAL, max_depth=3)
     outcome = handler.call(make_call("r", parameters={"ghost": 1}))
     assert isinstance(outcome, Failure)
+
+
+COUNTER = """
+workflow {
+  handler "recursive"
+  context total: 0
+  cycle (total < 20000) { manipulate :inc { total = total + 1 } }
+}
+"""
+
+CALLS_COUNTER = """
+workflow {
+  handler "recursive"
+  endpoint rec: "local://self"
+  context total: 0
+  call :count, endpoint: rec
+}
+"""
+
+
+def test_recursive_call_stopped_midway_resumes_its_nested_instance():
+    ast = dsl.parse(CALLS_COUNTER)
+    handler = RecursiveHandler(source=COUNTER, max_depth=3)
+    instance = WorkflowInstance(ast, handler).start()
+    assert wait_until(lambda: handler.invocations == {"count": 1})
+    time.sleep(0.05)
+    instance.deliver_stop()
+    saved = json.loads(json.dumps(instance.save()))
+    # the nested instance stopped partway: its partial count is no result
+    assert instance.store.current_values()["total"] == 0
+    assert saved["ended_calls"] == {}
+    assert list(saved["passthroughs"]) == ["0/count"]
+
+    # a fresh handler, as `wee resume` builds in a new process: the token
+    # alone carries the stopped nested instance
+    fresh = RecursiveHandler(source=COUNTER, max_depth=3)
+    resumed = WorkflowInstance.resume(ast, fresh, saved)
+    assert resumed.run() == "finished"
+    assert resumed.store.current_values()["total"] == 20000
+    assert handler.invocations == {"count": 1}
+    assert fresh.invocations == {}
+
+
+def test_recursive_rejects_bad_passthrough_token():
+    outcome = RecursiveHandler(source=COUNTER).call(
+        make_call("count", "local://self", passthrough="not-a-token")
+    )
+    assert isinstance(outcome, Failure)
+    assert "bad passthrough token" in outcome.message
 
 
 # -- trigger event file -------------------------------------------------------------

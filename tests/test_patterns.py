@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import statistics
 from pathlib import Path
 
 import pytest
@@ -272,3 +273,16 @@ def test_no_interleave_detects_intruder():
         {"op": "no_interleave", "groups": [["a1", "a2"], ["b1"]]}, artifacts(records)
     )
     assert failure is not None
+
+
+@pytest.mark.parametrize("slug", ["cancel_mi_activity", "cancelling_partial_join_mi"])
+def test_cancelled_instances_of_one_activity_end_at_once(slug):
+    level = next(level for level in REFERENCE_LEVELS if level[2] == slug)
+    case = load_case(CORPUS, *level)
+    elapsed = []
+    for _ in range(3):
+        result = run_pattern(case)
+        assert result.passed, result.failures
+        elapsed.append(result.elapsed)
+    # every forked instance's scripted 400 ms delay is cut short by stop_call
+    assert statistics.median(elapsed) < 0.1, elapsed

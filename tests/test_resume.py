@@ -10,10 +10,15 @@ from __future__ import annotations
 
 import json
 import statistics
+import threading
 import time
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from wee import dsl
-from wee.engine import WorkflowInstance
+from wee.engine import EngineError, WorkflowInstance
 from wee.handlers import MockHandler
 
 
@@ -65,7 +70,7 @@ def test_resume_inside_critical_within_cycle():
     instance.deliver_stop()
     assert instance.store.current_values()["i"] == 1
     saved = instance.save()
-    assert saved["passthroughs"] == {"step": "p-step"}
+    assert saved["passthroughs"] == {"0/step": "p-step"}
     # parked inside the critical body, second loop pass
     assert saved["branches"] == [{"id": "0", "path": [0, 0, 0, 0, 0]}]
 
@@ -412,7 +417,7 @@ def test_stop_before_a_resumed_call_begins_keeps_its_passthrough():
     assert wait_for(instance, lambda rs: len(starts_of(rs, "slow")) == 1)
     instance.deliver_stop()
     saved = instance.save()
-    assert saved["passthroughs"] == {"slow": "tok-slow"}
+    assert saved["passthroughs"] == {"0/slow": "tok-slow"}
 
     # stopped before the resumed call begins: it parks at the call and the
     # token stays in the saved state
@@ -422,9 +427,159 @@ def test_stop_before_a_resumed_call_begins_keeps_its_passthrough():
     assert parked.wait() == "stopped"
     assert starts_of(parked.log.records, "slow") == []
     saved = parked.save()
-    assert saved["passthroughs"] == {"slow": "tok-slow"}
+    assert saved["passthroughs"] == {"0/slow": "tok-slow"}
 
     resumed = WorkflowInstance.resume(ast, handler, saved)
     assert resumed.run() == "finished"
     assert handler.invocations == {"slow": 1}
     assert resumed.store.current_values()["done"] == 2
+
+
+# -- one position in flight in several branches ----------------------------------
+
+FORKED_CALLS = """
+workflow {
+  handler "mock"
+  endpoint svc: "mock://svc"
+  context i: 0
+  context n: 4
+  parallel wait: all {
+    cycle (i < n) {
+      manipulate :launch { i = i + 1 }
+      parallel_branch { call :task_instance, endpoint: svc, parameters: { index: i } }
+    }
+  }
+  call :finish, endpoint: svc
+}
+"""
+
+
+def test_stop_interrupts_every_call_at_one_forked_position():
+    script = {
+        "positions": {
+            "task_instance": {"result": {}, "delay_ms": 3000, "token": "tok-task"},
+            "finish": {"result": {}},
+        },
+        "passthroughs": {"tok-task": {"result": {}}},
+    }
+    ast = dsl.parse(FORKED_CALLS)
+    handler = MockHandler(script)  # shared: counts every invocation
+    instance = WorkflowInstance(ast, handler).start()
+    deadline = time.monotonic() + 5
+    while handler.invocations.get("task_instance", 0) < 4 and time.monotonic() < deadline:
+        time.sleep(0.002)
+    assert handler.invocations == {"task_instance": 4}
+
+    started = time.perf_counter()
+    instance.request_stop()
+    assert instance.wait() == "stopped"
+    # every call is interrupted at once, none waits out its 3 s delay
+    assert time.perf_counter() - started < 0.2
+    saved = json.loads(json.dumps(instance.save()))
+    assert saved["passthroughs"] == {f"0.{k}/task_instance": "tok-task" for k in range(1, 5)}
+
+    resumed = WorkflowInstance.resume(ast, handler, saved)
+    assert resumed.run() == "finished"
+    assert handler.invocations == {"task_instance": 4, "finish": 1}
+
+
+def test_resume_rejects_saved_state_without_schema():
+    ast = dsl.parse(ONE_SLOW_CALL)
+    handler = MockHandler(ONE_SLOW_CALL_SCRIPT)
+    instance = WorkflowInstance(ast, handler)
+    instance.start()
+    assert wait_for(instance, lambda rs: len(starts_of(rs, "slow")) == 1)
+    instance.deliver_stop()
+    saved = instance.save()
+    assert saved["schema"] == 2
+    # as an older wee wrote it: no schema, passthroughs keyed by position
+    del saved["schema"]
+    saved["passthroughs"] = {"slow": "tok-slow"}
+    with pytest.raises(EngineError, match="older wee.*keyed by position"):
+        WorkflowInstance.resume(ast, handler, saved)
+
+
+def test_call_that_ends_after_the_stop_is_not_called_again():
+    script = {"positions": {"slow": {"result": {"done": 1}, "delay_ms": 2000, "on_stop": "finish"}}}
+    ast = dsl.parse(ONE_SLOW_CALL)
+    handler = MockHandler(script)  # shared: counts every invocation
+    instance = WorkflowInstance(ast, handler)
+    instance.start()
+    assert wait_for(instance, lambda rs: len(starts_of(rs, "slow")) == 1)
+    instance.deliver_stop()
+    # the handler finished the call instead of handing out a token
+    saved = json.loads(json.dumps(instance.save()))
+    assert saved["ended_calls"] == {"0/slow": {"result": {"done": 1}}}
+    assert saved["branches"] == [{"id": "0", "path": [0]}]
+
+    resumed = WorkflowInstance.resume(ast, handler, saved)
+    assert resumed.run() == "finished"
+    assert handler.invocations == {"slow": 1}
+    assert resumed.store.current_values()["done"] == 1
+
+
+def test_stop_after_the_last_activity_resumes_to_finished():
+    ast = dsl.parse(FORKED_CALLS)
+    handler = MockHandler({"default": {"result": {}}})
+    instance = WorkflowInstance(ast, handler)
+    # runs on the root's thread right after the last activity ends
+    instance.log.add_listener(
+        lambda r: instance.request_stop()
+        if r.kind == "activity_end" and r.position == "finish"
+        else None
+    )
+    assert instance.run() == "stopped"
+    saved = instance.save()
+    assert saved["branches"] == [{"id": "0", "path": [2]}]
+
+    resumed = WorkflowInstance.resume(ast, handler, saved)
+    assert resumed.run() == "finished"
+    assert handler.invocations == {"task_instance": 4, "finish": 1}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    instances=st.integers(min_value=1, max_value=4),
+    seed=st.integers(min_value=0, max_value=2**16),
+    stop_at=st.floats(min_value=0.0, max_value=1.0),
+)
+def test_stop_at_any_event_neither_repeats_nor_loses_a_call(instances, seed, stop_at):
+    script = {
+        "positions": {
+            "task_instance": {"result": {}, "delay_ms": [1, 4], "token": "tok-task"},
+            "finish": {"result": {}, "delay_ms": [0, 2], "token": "tok-finish"},
+        },
+        "passthroughs": {"tok-task": {"result": {}}, "tok-finish": {"result": {}}},
+    }
+    ast = dsl.parse(FORKED_CALLS)
+    initial = {"n": instances}
+    reference_handler = MockHandler(script, seed=seed)
+    reference = WorkflowInstance(ast, reference_handler, initial_context=initial)
+    assert reference.run() == "finished"
+
+    # stop on a drawn record of the trace, from a thread of its own
+    stop_after = max(1, round(stop_at * len(reference.log.records)))
+    handler = MockHandler(script, seed=seed)  # shared: counts every invocation
+    first = WorkflowInstance(ast, handler, initial_context=initial)
+    reached = threading.Event()
+    first.log.add_listener(
+        lambda record: reached.set() if record.seq >= stop_after else None
+    )
+
+    def stopper():
+        if reached.wait(timeout=5):
+            first.request_stop()
+
+    thread = threading.Thread(target=stopper)
+    thread.start()
+    result = first.run()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+    if result == "stopped":
+        saved = json.loads(json.dumps(first.save()))
+        resumed = WorkflowInstance.resume(ast, handler, saved)
+        assert resumed.run() == "finished"
+        assert resumed.store.current_values() == reference.store.current_values()
+    else:
+        assert result == "finished"
+    assert handler.invocations == reference_handler.invocations
