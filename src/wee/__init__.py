@@ -5,7 +5,7 @@ over a supervised context, delegate call activities to pluggable handler
 wrappers, and check control-flow pattern coverage with the bundled harness.
 """
 
-from .context import ChangeRecord, ContextStore
+from .context import ContextStore
 from .dsl import Diagnostic, ParseError, WorkflowAst, parse, positions, pretty, validate
 from .engine import (
     EngineError,
@@ -36,7 +36,6 @@ from .handlers import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChangeRecord",
     "ContextStore",
     "Diagnostic",
     "EngineError",

@@ -1,9 +1,10 @@
 """Supervised context variables shared by all branches of one instance.
 
-Every committed change is appended to an ordered change log; replaying the
-log over the initial values reproduces the current values exactly. Commits
-swap in a fresh values dict, so snapshots are plain reference reads and can
-never observe half of a multi-assignment delta.
+Every committed change advances the version by one, so the changes form one
+total order; the engine traces each commit as a context_change record, and
+replaying those over the initial values reproduces the current values
+exactly. Commits swap in a fresh values dict, so snapshots are plain
+reference reads and can never observe half of a multi-assignment delta.
 """
 
 from __future__ import annotations
@@ -19,26 +20,17 @@ class ContextError(Exception):
     pass
 
 
-class ChangeRecord(NamedTuple):
-    seq: int
-    position: str
-    name: str
-    old: Value
-    new: Value
-
-
 class Snapshot(NamedTuple):
     values: Mapping[str, Value]
     version: int
 
 
 class ContextStore:
-    """Name -> value map with a version counter and total-order change log."""
+    """Name -> value map with a version counter that counts every change."""
 
     def __init__(self, values: Mapping[str, Value], version: int = 0):
         self._lock = threading.RLock()
         self._state = (dict(values), version)
-        self._log: list[ChangeRecord] = []
         self.initial_values: dict[str, Value] = dict(values)
 
     @classmethod
@@ -58,11 +50,6 @@ class ContextStore:
     def version(self) -> int:
         return self._state[1]
 
-    @property
-    def change_log(self) -> tuple[ChangeRecord, ...]:
-        with self._lock:
-            return tuple(self._log)
-
     def snapshot(self) -> Snapshot:
         # single attribute read: always a fully committed (values, version)
         values, version = self._state
@@ -75,25 +62,22 @@ class ContextStore:
         """Lock granting the exclusive commit right for read-modify-write."""
         return self._lock
 
-    def commit(self, delta: Sequence[Change], position: str) -> int:
-        """Append the delta as change records and advance the version.
+    def commit(self, delta: Sequence[Change]) -> int:
+        """Apply the delta, advancing the version by one per change, and
+        return the version of its last change.
 
         Every name is checked before anything changes: a rejected delta
-        leaves the values, the version and the change log as they were.
+        leaves the values and the version as they were.
         """
         with self._lock:
             values, version = self._state
+            new_values = dict(values)
             for change in delta:
                 if change.name not in values:
                     raise ContextError(
                         f"change to undeclared context variable '{change.name}'"
                     )
-            new_values = dict(values)
-            records = []
-            for name, old, new in delta:
-                version += 1
-                records.append(ChangeRecord(version, position, name, old, new))
-                new_values[name] = new
-            self._log.extend(records)
+                new_values[change.name] = change.new
+            version += len(delta)
             self._state = (new_values, version)
             return version

@@ -4,9 +4,9 @@ One thread of control per branch: the root branch walks the workflow body,
 and every parallel_branch forks a child thread that shares the context store
 and the critical-section registry. Joins wait for all branches or for the
 first k (the losers receive a no-longer-necessary signal and stand down at
-their next node boundary; their in-flight calls get stop_call). A stop
-signal parks every branch at its program counter so the instance can be
-serialized and resumed later, with passthrough tokens standing in for
+their next node boundary; the stop tokens of their in-flight calls are set).
+A stop signal parks every branch at its program counter so the instance can
+be serialized and resumed later, with passthrough tokens standing in for
 interrupted service calls. Each call is named by its call id, the branch id
 and position, so one position running in several branches at once is still
 several calls to stop and to resume.
@@ -30,7 +30,7 @@ from . import dsl
 from .context import ContextError, ContextStore
 from .events import EventLog
 from .expressions import Change, EvalError, Value, apply_assignments, eval_expr, is_value
-from .handlers import Failure, HandlerCall, HandlerWrapper, Jump, Passthrough, Result
+from .handlers import Failure, HandlerCall, HandlerWrapper, Jump, Passthrough, Result, StopToken
 
 ROOT_BRANCH = "0"
 STOP_ENDPOINT = "wee://stop"
@@ -281,17 +281,17 @@ class WorkflowInstance:
         self._stop_calls(branches)
 
     def _stop_calls(self, branches: Iterable[_Branch]) -> None:
-        """Ask the handler to wind down each branch's in-flight call.
+        """Set the stop token of each branch's in-flight call.
 
-        Called without the state lock held; a stop_call that raises leaves a
-        stop_call_failed signal in the trace.
+        Called without the state lock held; a stop callback that raises
+        leaves a stop_call_failed signal in the trace.
         """
         with self._state_lock:
             calls = [(b.id, b.in_flight) for b in branches if b.in_flight is not None]
         for branch_id, call in calls:
             self.log.emit("signal", branch_id, call.position, {"signal": "stop_call"})
             try:
-                self.handler.stop_call(call.call_id)
+                call.stop.set()
             except Exception as exc:
                 self.log.emit(
                     "signal",
@@ -640,7 +640,7 @@ class WorkflowInstance:
 
     def _commit(self, branch: _Branch, position: str, delta: list[Change]) -> None:
         """Commit a delta and trace it; caller holds the store's exclusive lock."""
-        version = self.store.commit(delta, position)
+        version = self.store.commit(delta)
         self.log.emit(
             "context_change",
             branch.id,
@@ -688,7 +688,14 @@ class WorkflowInstance:
             outcome = self.ended_calls.pop(call_id, None)
             if outcome is None:
                 call = branch.in_flight = HandlerCall(
-                    call_id, node.position, uri, parameters, snap.values, snap.version, token
+                    call_id,
+                    node.position,
+                    uri,
+                    parameters,
+                    snap.values,
+                    snap.version,
+                    StopToken(),
+                    token,
                 )
             self.log.emit("activity_start", branch.id, node.position, {"type": "call"})
         try:
@@ -724,7 +731,7 @@ class WorkflowInstance:
             self._apply_jump(branch, node, outcome.target)
         elif isinstance(outcome, Passthrough):
             raise EngineError(
-                f"call '{node.position}': handler returned a passthrough without stop_call"
+                f"call '{node.position}': handler returned a passthrough without a stop"
             )
         else:
             raise EngineError(f"call '{node.position}': {outcome.message}")

@@ -1,13 +1,14 @@
 """Handler wrappers: the components call activities are delegated to.
 
 A handler receives a HandlerCall (call id, position, endpoint URI,
-evaluated parameters, context snapshot, optional passthrough token) and
-answers with exactly one outcome: Result values to commit, a Passthrough
-token (only after stop_call), a Jump directive moving the thread of control,
-or a Failure. stop_call names a call by its call id; it is delivered from
-another thread while the call is blocked and must make it resolve within a
-bounded grace period. A Result or Jump returned after stop_call is final: a
-call whose work is only partly done answers with a Passthrough.
+evaluated parameters, context snapshot, stop token, optional passthrough
+token) and answers with exactly one outcome: Result values to commit, a
+Passthrough token (only once the stop token is set), a Jump directive moving
+the thread of control, or a Failure. The engine sets the call's stop token
+from another thread, possibly before the handler has looked at it; the call
+must then resolve within a bounded grace period. A Result or Jump returned
+after the token is set is final: a call whose work is only partly done
+answers with a Passthrough.
 """
 
 from __future__ import annotations
@@ -18,12 +19,46 @@ import threading
 import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, NamedTuple, Optional, Union
+from typing import Callable, Mapping, NamedTuple, Optional, Union
 
 import requests
 
 from . import dsl
 from .expressions import EvalError, Expr, Value, eval_expr, is_value
+
+
+class StopToken(threading.Event):
+    """The engine's request that one call wind down.
+
+    The engine creates a token with each call and sets it on a stop, or when
+    a join no longer needs the call's branch. A handler waits on it, or
+    registers a callback with on_set; a callback registered after the token
+    was set runs at once, so a stop that lands before the handler looks is
+    not lost.
+    """
+
+    _callbacks: tuple = ()  # no allocation for calls that register none
+
+    def set(self) -> None:
+        """Set the token, then run each registered callback once in this
+        thread; an exception from a callback propagates to the caller."""
+        # the Event's own condition guards the flag and the callbacks together
+        with self._cond:
+            if self._flag:
+                return
+            self._flag = True
+            self._cond.notify_all()
+            callbacks, self._callbacks = self._callbacks, ()
+        for fn in callbacks:
+            fn()
+
+    def on_set(self, fn: Callable[[], object]) -> None:
+        """Run fn when the token is set, or now if it already is."""
+        with self._cond:
+            if not self._flag:
+                self._callbacks += (fn,)
+                return
+        fn()
 
 
 class HandlerCall(NamedTuple):
@@ -40,6 +75,7 @@ class HandlerCall(NamedTuple):
     parameters: dict[str, Value]
     context: Mapping[str, Value]
     context_version: int
+    stop: StopToken
     passthrough: Optional[str] = None
 
 
@@ -71,9 +107,6 @@ class HandlerWrapper:
 
     def call(self, call: HandlerCall) -> HandlerOutcome:
         raise NotImplementedError
-
-    def stop_call(self, call_id: str) -> None:
-        """Ask the in-flight call with this call id to wind down; no-op if none."""
 
 
 def _check_result_values(values: dict) -> dict[str, Value]:
@@ -107,7 +140,7 @@ class MockHandler(HandlerWrapper):
     Entry keys: ``result`` | ``error`` | ``jump``; ``delay_ms`` (number or
     [lo, hi] range drawn from the seeded RNG); ``on_stop`` ("passthrough",
     the default, or "finish"); ``token`` (explicit passthrough token).
-    Scripted delays are interrupted by stop_call.
+    Scripted delays end early when the call's stop token is set.
     """
 
     def __init__(self, script: Optional[dict] = None, seed: Optional[int] = None):
@@ -119,12 +152,6 @@ class MockHandler(HandlerWrapper):
         self._lock = threading.Lock()
         self._consumed: dict[str, int] = {}
         self.invocations: dict[str, int] = {}
-        self._stop_events: dict[str, threading.Event] = {}
-
-    @classmethod
-    def from_file(cls, path: str | Path, seed: Optional[int] = None) -> "MockHandler":
-        with open(path, encoding="utf-8") as fh:
-            return cls(json.load(fh), seed=seed)
 
     def _entry_for(self, position: str) -> Optional[dict]:
         scripted = self._positions.get(position)
@@ -157,17 +184,12 @@ class MockHandler(HandlerWrapper):
             entry = self._entry_for(call.position)
             invocation = self.invocations.get(call.position, 0)
             self.invocations[call.position] = invocation + 1
-            stop = threading.Event()
-            self._stop_events[call.call_id] = stop
 
         if entry is None:
             return Failure(f"no scripted outcome for position '{call.position}'")
 
         delay = self._delay_ms(entry, call.position, invocation)
-        interrupted = stop.wait(delay / 1000.0) if delay > 0 else stop.is_set()
-
-        with self._lock:
-            self._stop_events.pop(call.call_id, None)
+        interrupted = call.stop.wait(delay / 1000.0) if delay > 0 else call.stop.is_set()
 
         if interrupted and entry.get("on_stop", "passthrough") == "passthrough":
             token = entry.get("token") or f"pt-{call.position}-{invocation}"
@@ -183,12 +205,6 @@ class MockHandler(HandlerWrapper):
             return Result(_check_result_values(entry.get("result", {})))
         except ValueError as exc:
             return Failure(str(exc))
-
-    def stop_call(self, call_id: str) -> None:
-        with self._lock:
-            event = self._stop_events.get(call_id)
-        if event is not None:
-            event.set()
 
 
 # ---------------------------------------------------------------------------
@@ -206,16 +222,16 @@ class HttpHandler(HandlerWrapper):
     """POSTs calls to their endpoint and maps the JSON response.
 
     Request body: ``{"position", "parameters", "context", "passthrough"}``.
-    A 2xx response must carry ``{"result": {name: value, ...}}``. On
-    stop_call the blocked call returns a Passthrough token immediately while
-    the request finishes in the background; a later call with that token
-    replays the stored response without contacting the service again.
+    A 2xx response must carry ``{"result": {name: value, ...}}``. Once the
+    call's stop token is set, the blocked call returns a Passthrough token
+    immediately while the request finishes in the background; a later call
+    with that token replays the stored response without contacting the
+    service again.
     """
 
     def __init__(self, timeout: float = 30.0):
         self.timeout = timeout
         self._lock = threading.Lock()
-        self._stop_events: dict[str, threading.Event] = {}
         self._stored: dict[str, _StoredResponse] = {}
 
     def call(self, call: HandlerCall) -> HandlerOutcome:
@@ -228,11 +244,9 @@ class HttpHandler(HandlerWrapper):
                 return Failure("stored call did not complete in time")
             return record.outcome  # type: ignore[return-value]
 
-        # set by the worker when the response is in, or by stop_call
+        # set by the worker when the response is in, or by the stop token
         wake = threading.Event()
-        with self._lock:
-            self._stop_events[call.call_id] = wake
-
+        call.stop.on_set(wake.set)
         record = _StoredResponse()
         body = {
             "position": call.position,
@@ -251,7 +265,6 @@ class HttpHandler(HandlerWrapper):
         wake.wait()
 
         with self._lock:
-            self._stop_events.pop(call.call_id, None)
             if record.done.is_set():
                 return record.outcome  # type: ignore[return-value]
             token = uuid.uuid4().hex
@@ -273,12 +286,6 @@ class HttpHandler(HandlerWrapper):
             return Result(_check_result_values(values))
         except (ValueError, KeyError, TypeError) as exc:
             return Failure(f"malformed response: {exc}")
-
-    def stop_call(self, call_id: str) -> None:
-        with self._lock:
-            event = self._stop_events.get(call_id)
-        if event is not None:
-            event.set()
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +371,13 @@ class TriggerHandler(HandlerWrapper):
             waiter = _Waiter(key)
             self._waiters[call.call_id] = waiter
 
+        def release() -> None:
+            with self._lock:
+                if not waiter.fired.is_set():
+                    waiter.stopped = True
+                    waiter.fired.set()
+
+        call.stop.on_set(release)
         waiter.fired.wait()
 
         with self._lock:
@@ -373,13 +387,6 @@ class TriggerHandler(HandlerWrapper):
         if waiter.matched_live:
             self.live_matches += 1
         return Result({})
-
-    def stop_call(self, call_id: str) -> None:
-        with self._lock:
-            waiter = self._waiters.get(call_id)
-            if waiter is not None and not waiter.fired.is_set():
-                waiter.stopped = True
-                waiter.fired.set()
 
 
 # ---------------------------------------------------------------------------
@@ -437,10 +444,11 @@ class RecursiveHandler(HandlerWrapper):
     the nested instance's declared context initials, and the nested final
     context is returned as the Result. The ``depth`` parameter (default:
     max_depth) must stay positive: recursion without an exit condition fails
-    once the budget is exhausted. On stop_call the nested instance stops and
-    the call returns a Passthrough token holding the nested saved state, its
-    source and its depth budget as JSON; a later call with that token, in
-    this process or another, resumes the nested instance where it stopped.
+    once the budget is exhausted. When the call's stop token is set, the
+    nested instance stops and the call returns a Passthrough token holding
+    the nested saved state, its source and its depth budget as JSON; a later
+    call with that token, in this process or another, resumes the nested
+    instance where it stopped.
     """
 
     RESERVED = ("workflow", "depth")
@@ -450,8 +458,6 @@ class RecursiveHandler(HandlerWrapper):
         self.max_depth = max_depth
         self._lock = threading.Lock()
         self.invocations: dict[str, int] = {}
-        self._active: dict[str, object] = {}
-        self._interrupted: set[str] = set()  # call ids that got stop_call
 
     def call(self, call: HandlerCall) -> HandlerOutcome:
         from .engine import EngineError, WorkflowInstance  # here to avoid an import cycle
@@ -466,7 +472,7 @@ class RecursiveHandler(HandlerWrapper):
                 )
             except (ValueError, KeyError, TypeError, dsl.ParseError, EngineError) as exc:
                 return Failure(f"bad passthrough token: {exc!r}")
-            return self._run(call.call_id, instance)
+            return self._run(call, instance)
 
         with self._lock:
             self.invocations[call.position] = self.invocations.get(call.position, 0) + 1
@@ -496,20 +502,12 @@ class RecursiveHandler(HandlerWrapper):
             return Failure(f"parameters not declared in nested workflow: {unknown}")
 
         nested_handler = RecursiveHandler(source=source, max_depth=depth - 1)
-        return self._run(
-            call.call_id, WorkflowInstance(ast, nested_handler, initial_context=overrides)
-        )
+        return self._run(call, WorkflowInstance(ast, nested_handler, initial_context=overrides))
 
-    def _run(self, call_id: str, instance) -> HandlerOutcome:
-        with self._lock:
-            self._active[call_id] = instance
-        try:
-            result = instance.run()
-        finally:
-            with self._lock:
-                self._active.pop(call_id, None)
-                interrupted = call_id in self._interrupted
-                self._interrupted.discard(call_id)
+    def _run(self, call: HandlerCall, instance) -> HandlerOutcome:
+        instance.start()
+        call.stop.on_set(instance.request_stop)
+        result = instance.wait()
         if result == "error":
             messages = [
                 r.detail.get("message", "")
@@ -517,7 +515,7 @@ class RecursiveHandler(HandlerWrapper):
                 if r.kind == "error"
             ]
             return Failure(f"nested instance failed: {'; '.join(messages)}")
-        if result == "stopped" and interrupted:
+        if result == "stopped" and call.stop.is_set():
             # the partial context is no result: the token carries the nested
             # instance, so it survives the outer instance's saved file
             nested = instance.handler
@@ -529,11 +527,3 @@ class RecursiveHandler(HandlerWrapper):
             return Passthrough(json.dumps(parked, sort_keys=True))
         # finished, or stopped by its own workflow: the context is final
         return Result(dict(instance.store.current_values()))
-
-    def stop_call(self, call_id: str) -> None:
-        with self._lock:
-            instance = self._active.get(call_id)
-            if instance is not None:
-                self._interrupted.add(call_id)
-        if instance is not None:
-            instance.request_stop(source="controller")  # type: ignore[attr-defined]

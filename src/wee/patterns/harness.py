@@ -351,20 +351,6 @@ def _first_index(records: list[EventRecord], matcher: dict) -> Optional[int]:
     return None
 
 
-def _activity_spans(records: list[EventRecord], position: str) -> list[tuple[int, int]]:
-    spans = []
-    open_at: Optional[int] = None
-    for i, record in enumerate(records):
-        if record.position != position:
-            continue
-        if record.kind == "activity_start":
-            open_at = i
-        elif record.kind == "activity_end" and open_at is not None:
-            spans.append((open_at, i))
-            open_at = None
-    return spans
-
-
 def _section_spans(records: list[EventRecord], section: str) -> list[tuple[int, int, str]]:
     spans = []
     open_by_branch: dict[str, int] = {}

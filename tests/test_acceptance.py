@@ -19,7 +19,15 @@ from conftest import CountingStubServer
 from wee import cli, dsl
 from wee.engine import RunOptions, WorkflowInstance
 from wee.events import FixedClock
-from wee.handlers import HttpHandler, JumpHandler, MockHandler, Result, TriggerHandler
+from wee.handlers import (
+    HandlerCall,
+    HttpHandler,
+    JumpHandler,
+    MockHandler,
+    Result,
+    StopToken,
+    TriggerHandler,
+)
 from wee.patterns import harness
 
 FIXTURES = Path(__file__).parent.parent / "src" / "wee" / "fixtures"
@@ -325,12 +333,11 @@ def run_trigger_schedule(mode: str, before: list[str], during: list[str]):
         handler.deliver(key)
 
     outcome_box = {}
+    stop = StopToken()
 
     def call():
-        from wee.handlers import HandlerCall
-
         outcome_box["outcome"] = handler.call(
-            HandlerCall("t", "t", "trigger://bus", {"key": "go"}, {}, 0)
+            HandlerCall("t", "t", "trigger://bus", {"key": "go"}, {}, 0, stop)
         )
 
     thread = threading.Thread(target=call)
@@ -343,7 +350,7 @@ def run_trigger_schedule(mode: str, before: list[str], during: list[str]):
 
     # deliveries are synchronous: a still-waiting call can never fire now
     if handler.is_waiting("t"):
-        handler.stop_call("t")
+        stop.set()
         thread.join(timeout=2)
         assert not thread.is_alive()
         assert not isinstance(outcome_box["outcome"], Result), "a released call must not fire"

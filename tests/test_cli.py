@@ -158,9 +158,8 @@ def _start_run(seq_dir: Path):
             "--save",
             str(saved),
         ),
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        text=True,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
     )
     deadline = time.monotonic() + 5
     while time.monotonic() < deadline and not control.exists():

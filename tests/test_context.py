@@ -17,7 +17,7 @@ def test_init_in_declaration_order():
     store = ContextStore.from_decls(decls(("price", "0"), ("people", "3")))
     assert dict(store.current_values()) == {"price": 0, "people": 3}
     assert store.version == 0
-    assert store.change_log == ()
+    assert store.initial_values == {"price": 0, "people": 3}
 
 
 def test_init_empty():
@@ -42,61 +42,51 @@ def test_init_unbound_reference():
 
 def test_commit_appends_and_advances_version():
     store = ContextStore({"x": 1}, version=5)
-    new_version = store.commit([Change("x", 1, 2)], position="a")
+    new_version = store.commit([Change("x", 1, 2)])
     assert new_version == 6
     assert store.version == 6
-    record = store.change_log[-1]
-    assert (record.seq, record.position, record.name, record.old, record.new) == (
-        6,
-        "a",
-        "x",
-        1,
-        2,
-    )
+    assert dict(store.current_values()) == {"x": 2}
 
 
 def test_commit_empty_delta_is_identity():
     store = ContextStore({"x": 1})
-    assert store.commit([], position="a") == 0
+    assert store.commit([]) == 0
     assert store.version == 0
-    assert store.change_log == ()
+    assert dict(store.current_values()) == {"x": 1}
 
 
 def test_commit_consecutive_seq_numbers_and_replay():
     store = ContextStore({"x": 0, "y": 0, "z": 0})
-    store.commit(
-        [Change("x", 0, 1), Change("y", 0, 2), Change("z", 0, 3)], position="m"
-    )
+    delta = [Change("x", 0, 1), Change("y", 0, 2), Change("z", 0, 3)]
+    # one version per change: the delta's changes are numbered 1, 2, 3
+    assert store.commit(delta) == 3
     assert store.version == 3
-    assert [r.seq for r in store.change_log] == [1, 2, 3]
     replayed = dict(store.initial_values)
-    for record in store.change_log:
-        replayed[record.name] = record.new
+    for change in delta:
+        replayed[change.name] = change.new
     assert replayed == dict(store.current_values())
 
 
 def test_commit_rejects_undeclared_names():
     store = ContextStore({"x": 1})
     with pytest.raises(ContextError, match="undeclared context variable 'nope'"):
-        store.commit([Change("nope", None, 1)], position="a")
+        store.commit([Change("nope", None, 1)])
 
 
 def test_rejected_commit_leaves_no_phantom_records():
     store = ContextStore({"x": 1, "y": 0})
     with pytest.raises(ContextError, match="undeclared context variable 'nope'"):
-        store.commit([Change("x", 1, 2), Change("nope", None, 1)], position="a")
-    assert store.change_log == ()
+        store.commit([Change("x", 1, 2), Change("nope", None, 1)])
     assert store.version == 0
     assert dict(store.current_values()) == {"x": 1, "y": 0}
 
-    assert store.commit([Change("x", 1, 2), Change("y", 0, 3)], position="b") == 2
-    assert [r.seq for r in store.change_log] == [1, 2]
-    assert [(r.position, r.name, r.new) for r in store.change_log] == [("b", "x", 2), ("b", "y", 3)]
+    assert store.commit([Change("x", 1, 2), Change("y", 0, 3)]) == 2
+    assert dict(store.current_values()) == {"x": 2, "y": 3}
 
 
 def test_snapshot_reflects_commits():
     store = ContextStore({"x": 1})
-    store.commit([Change("x", 1, 2)], position="a")
+    store.commit([Change("x", 1, 2)])
     snap = store.snapshot()
     assert snap.values["x"] == 2
     assert snap.version == 1
@@ -139,8 +129,7 @@ def test_snapshot_never_sees_partial_delta():
                         Change("a", current["a"], i),
                         Change("b", current["b"], i),
                         Change("c", current["c"], i),
-                    ],
-                    position="m",
+                    ]
                 )
     finally:
         stop.set()
@@ -150,12 +139,14 @@ def test_snapshot_never_sees_partial_delta():
 
 def test_concurrent_commits_form_gap_free_total_order():
     store = ContextStore({"x": 0})
+    commits: list[tuple[int, int, int]] = []  # (version, old, new)
 
     def writer():
         for _ in range(500):
             with store.exclusive():
                 current = store.current_values()["x"]
-                store.commit([Change("x", current, current + 1)], position="w")
+                version = store.commit([Change("x", current, current + 1)])
+                commits.append((version, current, current + 1))
 
     threads = [threading.Thread(target=writer) for _ in range(4)]
     for t in threads:
@@ -163,9 +154,9 @@ def test_concurrent_commits_form_gap_free_total_order():
     for t in threads:
         t.join()
 
-    log = store.change_log
-    assert [r.seq for r in log] == list(range(1, 2001))
+    log = sorted(commits)
+    assert [version for version, _, _ in log] == list(range(1, 2001))
     assert store.current_values()["x"] == 2000
     # each commit saw the previous one's effect: the log chains exactly
     for prev, nxt in zip(log, log[1:]):
-        assert nxt.old == prev.new
+        assert nxt[1] == prev[2]

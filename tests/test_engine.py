@@ -43,7 +43,7 @@ def test_single_manipulate_trace_shape():
 
 def test_booking_over_limit_runs_inform_once():
     ast = load_booking()
-    handler = MockHandler(json.load(open(FIXTURES / "booking_over.json")))
+    handler = MockHandler(json.loads((FIXTURES / "booking_over.json").read_text()))
     instance = WorkflowInstance(ast, handler)
     assert instance.run() == "finished"
     inform = [r for r in instance.log.records if r.position == "inform"]
@@ -53,7 +53,7 @@ def test_booking_over_limit_runs_inform_once():
 
 def test_booking_under_limit_never_informs():
     ast = load_booking()
-    handler = MockHandler(json.load(open(FIXTURES / "booking_under.json")))
+    handler = MockHandler(json.loads((FIXTURES / "booking_under.json").read_text()))
     instance = WorkflowInstance(ast, handler)
     assert instance.run() == "finished"
     assert not [r for r in instance.log.records if r.position == "inform"]
@@ -599,7 +599,19 @@ def test_stop_records_passthrough_of_blocked_call():
 
 
 class RaisingStopHandler(MockHandler):
-    def stop_call(self, position):
+    """Registers a stop callback that raises, then runs the scripted call."""
+
+    def __init__(self, script):
+        super().__init__(script)
+        self.registered = threading.Event()
+
+    def call(self, call):
+        call.stop.on_set(self._refuse)
+        self.registered.set()
+        return super().call(call)
+
+    @staticmethod
+    def _refuse():
         raise RuntimeError("stop refused")
 
 
@@ -608,9 +620,7 @@ def test_raising_stop_call_is_traced_and_instance_settles():
     handler = RaisingStopHandler({"positions": {"one": {"result": {}, "delay_ms": 100}}})
     instance = WorkflowInstance(ast, handler)
     instance.start()
-    deadline = time.monotonic() + 5
-    while not starts(instance) and time.monotonic() < deadline:
-        time.sleep(0.005)
+    assert handler.registered.wait(5)
     instance.deliver_stop()
     assert instance.result == "stopped"
     assert not starts(instance, "two")
@@ -620,6 +630,37 @@ def test_raising_stop_call_is_traced_and_instance_settles():
         if r.detail.get("signal") == "stop_call_failed"
     ]
     assert failed == [("0", "one", "RuntimeError('stop refused')")]
+
+
+class EntersAfterStopHandler(MockHandler):
+    """Enters the scripted call only once request_stop() has returned."""
+
+    def __init__(self, script):
+        super().__init__(script)
+        self.entered = threading.Event()
+        self.stop_returned = threading.Event()
+
+    def call(self, call):
+        self.entered.set()
+        self.stop_returned.wait(5)
+        return super().call(call)
+
+
+def test_stop_before_the_handler_looks_still_interrupts_the_call():
+    # the call is in flight when the stop lands, but the handler has not yet
+    # looked at it: the stop must still cut the 2000 ms delay short
+    handler = EntersAfterStopHandler(
+        {"positions": {"one": {"result": {}, "delay_ms": 2000, "token": "p-one"}}}
+    )
+    instance = WorkflowInstance(dsl.parse(STOPPABLE), handler).start()
+    assert handler.entered.wait(5)
+    instance.request_stop()
+    handler.stop_returned.set()
+    started = time.monotonic()
+    assert instance.wait() == "stopped"
+    assert time.monotonic() - started < 1.0
+    assert instance.passthroughs == {"0/one": "p-one"}
+    assert instance.ended_calls == {}
 
 
 def test_stop_is_idempotent():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import time
 
@@ -18,6 +19,7 @@ from wee.handlers import (
     Passthrough,
     RecursiveHandler,
     Result,
+    StopToken,
     TriggerEvent,
     TriggerHandler,
 )
@@ -34,8 +36,38 @@ def make_call(
         parameters=parameters or {},
         context=context or {},
         context_version=0,
+        stop=StopToken(),
         passthrough=passthrough,
     )
+
+
+def stopped_call(*args, **kwargs):
+    """A call whose stop token was set before the handler saw it."""
+    call = make_call(*args, **kwargs)
+    call.stop.set()
+    return call
+
+
+# -- stop token -------------------------------------------------------------------
+
+
+def test_stop_token_runs_each_callback_once_when_set_races_on_set():
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(200):
+            token = StopToken()
+            ran = []
+            setters = [threading.Thread(target=token.set) for _ in range(2)]
+            for setter in setters:
+                setter.start()
+            token.on_set(lambda: ran.append(1))
+            for setter in setters:
+                setter.join(timeout=2)
+                assert not setter.is_alive()
+            assert token.is_set() and ran == [1]
+    finally:
+        sys.setswitchinterval(previous)
 
 
 # -- mock -----------------------------------------------------------------------
@@ -90,15 +122,16 @@ def test_mock_unknown_passthrough_token():
 def test_mock_stop_call_interrupts_delay_with_passthrough():
     handler = MockHandler({"positions": {"slow": {"result": {}, "delay_ms": 2000, "token": "t9"}}})
     box = {}
+    call = make_call("slow", call_id="0.1/slow")
 
     def blocked():
-        box["outcome"] = handler.call(make_call("slow", call_id="0.1/slow"))
+        box["outcome"] = handler.call(call)
 
     thread = threading.Thread(target=blocked)
     started = time.monotonic()
     thread.start()
     time.sleep(0.05)
-    handler.stop_call("0.1/slow")
+    call.stop.set()
     thread.join(timeout=2)
     assert not thread.is_alive()
     assert time.monotonic() - started < 1.0  # far less than the scripted delay
@@ -110,17 +143,28 @@ def test_mock_stop_call_with_finish_policy_returns_result():
         {"positions": {"slow": {"result": {"x": 1}, "delay_ms": 2000, "on_stop": "finish"}}}
     )
     box = {}
-    thread = threading.Thread(target=lambda: box.setdefault("o", handler.call(make_call("slow"))))
+    call = make_call("slow")
+    thread = threading.Thread(target=lambda: box.setdefault("o", handler.call(call)))
     thread.start()
     time.sleep(0.05)
-    handler.stop_call("slow")
+    call.stop.set()
     thread.join(timeout=2)
     assert box["o"] == Result({"x": 1})
 
 
 def test_mock_stop_call_without_inflight_is_noop():
-    handler = MockHandler({})
-    handler.stop_call("nothing")  # must not raise
+    handler = MockHandler({"default": {"result": {}}})
+    call = make_call("done")
+    assert handler.call(call) == Result({})
+    call.stop.set()  # the call has ended: must not raise
+    call.stop.set()
+
+
+def test_mock_call_whose_token_is_already_set_returns_passthrough_at_once():
+    handler = MockHandler({"positions": {"slow": {"result": {}, "delay_ms": 2000, "token": "t9"}}})
+    started = time.monotonic()
+    assert handler.call(stopped_call("slow")) == Passthrough("t9")
+    assert time.monotonic() - started < 1.0
 
 
 def test_mock_seeded_delays_are_stable_per_invocation():
@@ -175,14 +219,15 @@ def test_http_stop_call_returns_passthrough_and_replay_makes_no_request(stub_ser
     stub_server.delays["/slow"] = 0.3
     handler = HttpHandler(timeout=10)
     box = {}
+    call = make_call("s", endpoint=stub_server.url("/slow"))
 
     def blocked():
-        box["outcome"] = handler.call(make_call("s", endpoint=stub_server.url("/slow")))
+        box["outcome"] = handler.call(call)
 
     thread = threading.Thread(target=blocked)
     thread.start()
     time.sleep(0.08)
-    handler.stop_call("s")
+    call.stop.set()
     thread.join(timeout=2)
     outcome = box["outcome"]
     assert isinstance(outcome, Passthrough)
@@ -192,6 +237,16 @@ def test_http_stop_call_returns_passthrough_and_replay_makes_no_request(stub_ser
     replay = handler.call(make_call("s", endpoint=stub_server.url("/slow"), passthrough=outcome.token))
     assert replay == Result({"cost": 11})
     assert stub_server.counts["/slow"] == before
+
+
+def test_http_call_whose_token_is_already_set_returns_passthrough_at_once(stub_server):
+    stub_server.responses["/slow"] = {"cost": 11}
+    stub_server.delays["/slow"] = 0.6
+    handler = HttpHandler(timeout=10)
+    started = time.monotonic()
+    outcome = handler.call(stopped_call("s", endpoint=stub_server.url("/slow")))
+    assert isinstance(outcome, Passthrough)
+    assert time.monotonic() - started < 0.3  # well inside the response delay
 
 
 def test_http_unknown_token_is_failure(stub_server):
@@ -213,10 +268,11 @@ def wait_until(predicate, timeout=2.0):
 
 
 def call_in_thread(handler, position, key):
-    box = {}
+    call = make_call(position, parameters={"key": key})
+    box = {"stop": call.stop}
 
     def target():
-        box["outcome"] = handler.call(make_call(position, parameters={"key": key}))
+        box["outcome"] = handler.call(call)
 
     thread = threading.Thread(target=target)
     thread.start()
@@ -247,7 +303,7 @@ def test_transient_trigger_withdraws_early_event():
     assert wait_until(lambda: handler.is_waiting("t"))
     # still blocked: the pre-arrival was withdrawn
     assert thread.is_alive()
-    handler.stop_call("t")
+    box["stop"].set()
     thread.join(timeout=2)
     assert isinstance(box["outcome"], Passthrough)
 
@@ -267,9 +323,17 @@ def test_trigger_key_mismatch_does_not_fire():
     assert wait_until(lambda: handler.is_waiting("t"))
     handler.deliver("other")
     assert handler.is_waiting("t")
-    handler.stop_call("t")
+    box["stop"].set()
     thread.join(timeout=2)
     assert isinstance(box["outcome"], Passthrough)
+
+
+def test_trigger_call_whose_token_is_already_set_returns_passthrough_at_once():
+    handler = TriggerHandler("transient")
+    outcome = handler.call(stopped_call("t", parameters={"key": "go"}))
+    assert isinstance(outcome, Passthrough)
+    assert not handler.is_waiting("t")
+    assert handler.live_matches == 0
 
 
 def test_two_branches_awaiting_one_key_both_fire():
@@ -431,6 +495,16 @@ def test_recursive_call_stopped_midway_resumes_its_nested_instance():
     assert resumed.store.current_values()["total"] == 20000
     assert handler.invocations == {"count": 1}
     assert fresh.invocations == {}
+
+
+def test_recursive_call_whose_token_is_already_set_returns_passthrough_at_once():
+    handler = RecursiveHandler(source=COUNTER, max_depth=3)
+    started = time.monotonic()
+    outcome = handler.call(stopped_call("count", "local://self"))
+    assert time.monotonic() - started < 1.0
+    assert isinstance(outcome, Passthrough)
+    # the token carries the nested instance, stopped partway
+    assert json.loads(outcome.token)["saved"]["context"]["total"] < 20000
 
 
 def test_recursive_rejects_bad_passthrough_token():
