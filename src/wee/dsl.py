@@ -22,13 +22,20 @@ Grammar (whitespace-insensitive, `#` line comments):
                               [ "otherwise" "{" block "}" ] "}"
                | "cycle" "(" expr ")" "{" block "}"
                | "critical" ":" IDENT "{" block "}"
+    expr       = unary (BINARY_OP unary)*   # binding strength: _PRECEDENCE
+    unary      = ("!" | "-") unary | primary
+    primary    = INT | STRING | "true" | "false" | "null" | IDENT | "(" expr ")"
+
+INT is a run of Unicode decimal digits (so `٣` is 3); IDENT starts with a
+letter or `_`.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .expressions import Binary, Expr, Literal, Unary, Var
 
@@ -191,16 +198,49 @@ KEYWORDS = frozenset(
     }
 )
 
-_TWO_CHAR_OPS = ("==", "!=", "<=", ">=", "&&", "||")
-_ONE_CHAR_OPS = "+-*/%<>!"
-_PUNCT = {
-    "{": TokenType.LBRACE,
-    "}": TokenType.RBRACE,
-    "(": TokenType.LPAREN,
-    ")": TokenType.RPAREN,
-    ":": TokenType.COLON,
-    ",": TokenType.COMMA,
+# Binding strength of each binary operator, loosest first; the parser and
+# the printer both read it. Unary ! and - bind tightest.
+_PRECEDENCE = {
+    "||": 1,
+    "&&": 2,
+    "==": 3,
+    "!=": 3,
+    "<": 4,
+    "<=": 4,
+    ">": 4,
+    ">=": 4,
+    "+": 5,
+    "-": 5,
+    "*": 6,
+    "/": 6,
+    "%": 6,
 }
+_UNARY_PRECEDENCE = 7
+
+
+# One alternative per token class, tried in order at each position (INT
+# before NAME, two-character operators before "=" and the one-character
+# ones). A group named after a TokenType makes that token and NAME an IDENT
+# or KEYWORD; SPACE and NEWLINE make none, UNTERMINATED and UNEXPECTED are
+# errors, and the empty EOF match ends the input.
+_TOKEN = re.compile(
+    r"""
+      (?P<SPACE>[ \t\r]+ | \#[^\n]*)
+    | (?P<INT>\d+)
+    | (?P<NAME>\w+)
+    | (?P<NEWLINE>\n)
+    | (?P<LBRACE>\{) | (?P<RBRACE>\}) | (?P<LPAREN>\() | (?P<RPAREN>\))
+    | (?P<COLON>:) | (?P<COMMA>,)
+    | (?P<OP>== | != | <= | >= | && | \|\| | [-+*/%<>!])
+    | (?P<ASSIGN>=)
+    | (?P<STRING>"(?:[^"\\\n] | \\.)*")
+    | (?P<UNTERMINATED>"[^\n]*)
+    | (?P<UNEXPECTED>.)
+    | (?P<EOF>\Z)
+    """,
+    re.VERBOSE,
+)
+_ESCAPE = re.compile(r'\\(["\\])')
 
 
 @dataclass(frozen=True)
@@ -213,102 +253,30 @@ class Token:
 
 def tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(source)
-
-    def error(msg: str) -> ParseError:
-        return ParseError(msg, line, col)
-
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
+    line, line_start = 1, 0
+    for match in _TOKEN.finditer(source):
+        kind = match.lastgroup
+        if kind == "SPACE":
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
+        if kind == "NEWLINE":
+            line, line_start = line + 1, match.end()
             continue
-        if ch == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-
-        start_line, start_col = line, col
-
-        two = source[i : i + 2]
-        if two in _TWO_CHAR_OPS:
-            tokens.append(Token(TokenType.OP, two, start_line, start_col))
-            i += 2
-            col += 2
-            continue
-
-        if ch in _PUNCT:
-            tokens.append(Token(_PUNCT[ch], ch, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-
-        if ch == "=":
-            tokens.append(Token(TokenType.ASSIGN, "=", start_line, start_col))
-            i += 1
-            col += 1
-            continue
-
-        if ch in _ONE_CHAR_OPS:
-            tokens.append(Token(TokenType.OP, ch, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-
-        if ch == '"':
-            i += 1
-            col += 1
-            buf = []
-            while i < n and source[i] != '"':
-                c = source[i]
-                if c == "\n":
-                    raise error("unterminated string literal")
-                if c == "\\" and i + 1 < n and source[i + 1] in ('"', "\\"):
-                    buf.append(source[i + 1])
-                    i += 2
-                    col += 2
-                    continue
-                buf.append(c)
-                i += 1
-                col += 1
-            if i >= n:
-                raise error("unterminated string literal")
-            i += 1
-            col += 1
-            tokens.append(Token(TokenType.STRING, "".join(buf), start_line, start_col))
-            continue
-
-        if ch.isdigit():
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            tokens.append(Token(TokenType.INT, source[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            word = source[i:j]
-            ttype = TokenType.KEYWORD if word in KEYWORDS else TokenType.IDENT
-            tokens.append(Token(ttype, word, start_line, start_col))
-            col += j - i
-            i = j
-            continue
-
-        raise error(f"unexpected character {ch!r}")
-
-    tokens.append(Token(TokenType.EOF, "", line, col))
+        text = match.group()
+        col = match.start() - line_start + 1
+        if kind == "NAME" and (text[0].isalpha() or text[0] == "_"):
+            ttype = TokenType.KEYWORD if text in KEYWORDS else TokenType.IDENT
+            tokens.append(Token(ttype, text, line, col))
+        elif kind == "STRING":
+            tokens.append(Token(TokenType.STRING, _ESCAPE.sub(r"\1", text[1:-1]), line, col))
+        elif kind == "UNTERMINATED":
+            # reported where the line or the input ends
+            raise ParseError("unterminated string literal", line, col + len(text))
+        elif kind in ("NAME", "UNEXPECTED"):
+            # a name starts with a letter or "_"; a non-decimal digit such as
+            # "²" is no integer either
+            raise ParseError(f"unexpected character {text[0]!r}", line, col)
+        else:
+            tokens.append(Token(TokenType[kind], text, line, col))
     return tokens
 
 
@@ -362,6 +330,14 @@ class _Parser:
             raise self.error(f"expected {what}, got {tok.value!r}")
         return self.advance()
 
+    def integer(self) -> int:
+        """Consume an INT token; a literal int() refuses is a ParseError."""
+        tok = self.advance()
+        try:
+            return int(tok.value)
+        except ValueError as exc:  # longer than sys.get_int_max_str_digits()
+            raise self.error(f"bad integer literal: {exc}", tok) from None
+
     # -- grammar ----------------------------------------------------------
 
     def parse_workflow(self) -> WorkflowAst:
@@ -402,29 +378,12 @@ class _Parser:
 
     def parse_block(self) -> Block:
         block: Block = []
-        while self.at_keyword(
-            "call", "manipulate", "parallel", "parallel_branch", "choose", "cycle", "critical"
-        ):
-            block.append(self.parse_stmt())
-        return block
-
-    def parse_stmt(self) -> Node:
-        tok = self.peek()
-        if tok.value == "call":
-            return self.parse_call()
-        if tok.value == "manipulate":
-            return self.parse_manipulate()
-        if tok.value == "parallel":
-            return self.parse_parallel()
-        if tok.value == "parallel_branch":
-            return self.parse_parallel_branch()
-        if tok.value == "choose":
-            return self.parse_choose()
-        if tok.value == "cycle":
-            return self.parse_cycle()
-        if tok.value == "critical":
-            return self.parse_critical()
-        raise self.error(f"expected statement, got {tok.value!r}")
+        while True:
+            tok = self.peek()
+            parse_node = tok.type is TokenType.KEYWORD and self.STATEMENTS.get(tok.value)
+            if not parse_node:
+                return block
+            block.append(parse_node(self))
 
     def register_position(self, tok: Token) -> str:
         if tok.value in self.positions_seen:
@@ -479,8 +438,7 @@ class _Parser:
             self.advance()
             wait = WaitSpec(None)
         elif tok.type is TokenType.INT:
-            self.advance()
-            count = int(tok.value)
+            count = self.integer()
             if count < 1:
                 raise self.error("wait count must be ≥ 1", tok)
             wait = WaitSpec(count)
@@ -543,52 +501,19 @@ class _Parser:
         self.expect(TokenType.RBRACE)
         return Critical(section, body, kw.line, kw.col)
 
-    # -- expressions (precedence climbing) --------------------------------
+    # -- expressions ------------------------------------------------------
 
-    def parse_expr(self) -> Expr:
-        return self.parse_or()
-
-    def parse_or(self) -> Expr:
-        left = self.parse_and()
-        while self.peek().type is TokenType.OP and self.peek().value == "||":
-            self.advance()
-            left = Binary("||", left, self.parse_and())
-        return left
-
-    def parse_and(self) -> Expr:
-        left = self.parse_equality()
-        while self.peek().type is TokenType.OP and self.peek().value == "&&":
-            self.advance()
-            left = Binary("&&", left, self.parse_equality())
-        return left
-
-    def parse_equality(self) -> Expr:
-        left = self.parse_comparison()
-        while self.peek().type is TokenType.OP and self.peek().value in ("==", "!="):
-            op = self.advance().value
-            left = Binary(op, left, self.parse_comparison())
-        return left
-
-    def parse_comparison(self) -> Expr:
-        left = self.parse_additive()
-        while self.peek().type is TokenType.OP and self.peek().value in ("<", "<=", ">", ">="):
-            op = self.advance().value
-            left = Binary(op, left, self.parse_additive())
-        return left
-
-    def parse_additive(self) -> Expr:
-        left = self.parse_multiplicative()
-        while self.peek().type is TokenType.OP and self.peek().value in ("+", "-"):
-            op = self.advance().value
-            left = Binary(op, left, self.parse_multiplicative())
-        return left
-
-    def parse_multiplicative(self) -> Expr:
+    def parse_expr(self, min_prec: int = 1) -> Expr:
+        """Precedence climbing over _PRECEDENCE: the right operand binds only
+        tighter operators, so every binary operator is left-associative."""
         left = self.parse_unary()
-        while self.peek().type is TokenType.OP and self.peek().value in ("*", "/", "%"):
-            op = self.advance().value
-            left = Binary(op, left, self.parse_unary())
-        return left
+        while True:
+            tok = self.peek()
+            prec = _PRECEDENCE.get(tok.value, 0) if tok.type is TokenType.OP else 0
+            if prec < min_prec:
+                return left
+            self.advance()
+            left = Binary(tok.value, left, self.parse_expr(prec + 1))
 
     def parse_unary(self) -> Expr:
         tok = self.peek()
@@ -604,8 +529,7 @@ class _Parser:
     def parse_primary(self) -> Expr:
         tok = self.peek()
         if tok.type is TokenType.INT:
-            self.advance()
-            return Literal(int(tok.value))
+            return Literal(self.integer())
         if tok.type is TokenType.STRING:
             self.advance()
             return Literal(tok.value)
@@ -621,6 +545,17 @@ class _Parser:
             self.expect(TokenType.RPAREN)
             return inner
         raise self.error(f"expected expression, got {tok.value!r}")
+
+    # the statement keywords: parse_block loops while the next token is one
+    STATEMENTS = {
+        "call": parse_call,
+        "manipulate": parse_manipulate,
+        "parallel": parse_parallel,
+        "parallel_branch": parse_parallel_branch,
+        "choose": parse_choose,
+        "cycle": parse_cycle,
+        "critical": parse_critical,
+    }
 
 
 def parse(source: str) -> WorkflowAst:
@@ -658,39 +593,24 @@ def child_blocks(node: Node) -> list[Block]:
     return []
 
 
-def node_at(ast: WorkflowAst, path: tuple[int, ...]) -> Node:
-    block = ast.body
-    node: Optional[Node] = None
-    i = 0
-    while i < len(path):
-        idx = path[i]
-        if not 0 <= idx < len(block):
-            raise IndexError(f"path {path} leaves the workflow body")
-        node = block[idx]
-        i += 1
-        if i < len(path):
-            blocks = child_blocks(node)
-            if not 0 <= path[i] < len(blocks):
-                raise IndexError(f"path {path} selects a missing child block")
-            block = blocks[path[i]]
-            i += 1
-    if node is None:
-        raise IndexError("empty path")
-    return node
+def nodes_along(ast: WorkflowAst, path: Sequence[int]) -> list[Node]:
+    """All nodes a path descends through, outermost first.
 
-
-def nodes_along(ast: WorkflowAst, path: tuple[int, ...]) -> list[Node]:
-    """All nodes a path descends through, outermost first."""
+    Raises IndexError when a statement index is negative or past the end of
+    its block, or when a selector picks a child block the node does not have.
+    """
     out: list[Node] = []
     block = ast.body
-    i = 0
-    while i < len(path):
-        node = block[path[i]]
-        out.append(node)
-        i += 1
-        if i < len(path):
-            block = child_blocks(node)[path[i]]
-            i += 1
+    for i, index in enumerate(path):
+        if i % 2:
+            blocks = child_blocks(out[-1])
+            if not 0 <= index < len(blocks):
+                raise IndexError(f"path {path} selects a missing child block")
+            block = blocks[index]
+        elif 0 <= index < len(block):
+            out.append(block[index])
+        else:
+            raise IndexError(f"path {path} leaves the workflow body")
     return out
 
 
@@ -780,22 +700,6 @@ def validate(ast: WorkflowAst) -> list[Diagnostic]:
 # Printer
 # ---------------------------------------------------------------------------
 
-_PRECEDENCE = {
-    "||": 1,
-    "&&": 2,
-    "==": 3,
-    "!=": 3,
-    "<": 4,
-    "<=": 4,
-    ">": 4,
-    ">=": 4,
-    "+": 5,
-    "-": 5,
-    "*": 6,
-    "/": 6,
-    "%": 6,
-}
-_UNARY_PRECEDENCE = 7
 
 
 def format_value(value) -> str:

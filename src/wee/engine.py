@@ -80,7 +80,6 @@ class RunOptions:
     log_append: bool = False
     start_seq: int = 0
     clock: Optional[object] = None  # callable returning an ISO-8601 string
-    skip_positions: frozenset[str] = frozenset()
 
 
 # control-flow signals inside branch threads
@@ -218,7 +217,8 @@ class WorkflowInstance:
         # instead of calling again
         self.ended_calls: dict[str, Result | Jump] = {}
         self.branches: dict[str, _Branch] = {}
-        self.skip_positions = frozenset(self.options.skip_positions)
+        # activities a resume was told to skip
+        self.skip_positions: frozenset[str] = frozenset()
 
         self._position_paths = dsl.position_paths(ast)
         self._state_lock = threading.Lock()
@@ -399,7 +399,6 @@ class WorkflowInstance:
         unknown = sorted(skip - set(known))
         if unknown:
             raise EngineError(f"skip positions not in workflow: {unknown}")
-        options.skip_positions = skip
 
         instance = cls(
             ast,
@@ -407,6 +406,7 @@ class WorkflowInstance:
             options,
             _restored_context=(dict(saved["context"]), int(saved["version"])),
         )
+        instance.skip_positions = skip
         instance.passthroughs = dict(saved.get("passthroughs", {}))
         instance.ended_calls = {
             call_id: cls._saved_outcome(call_id, entry)
@@ -416,24 +416,32 @@ class WorkflowInstance:
         entries = saved.get("branches", [])
         by_id = {}
         for entry in entries:
-            by_id[entry["id"]] = tuple(entry["path"])
+            path = tuple(entry["path"])
+            if not all(type(index) is int for index in path):
+                raise EngineError(f"corrupt saved state: branch {entry['id']}: path {path}")
+            by_id[entry["id"]] = path
         if ROOT_BRANCH not in by_id and entries:
             raise EngineError("corrupt saved state: no root branch")
 
         for branch_id, path in by_id.items():
-            head, _, tail = branch_id.rpartition(".")
-            if head and tail.isdigit():
-                counter = instance._fork_counters.get(head, 1)
-                instance._fork_counters[head] = max(counter, int(tail) + 1)
-
-        for branch_id, path in by_id.items():
             if branch_id == ROOT_BRANCH:
+                # [len(body)]: the root had finished its body when it stopped
+                if path != (len(ast.body),):
+                    cls._saved_nodes(ast, branch_id, path)
                 instance._root_resume = path if path else None
                 continue
-            parent_id = branch_id.rpartition(".")[0]
+            parent_id, _, fork_index = branch_id.rpartition(".")
+            if not (parent_id and fork_index.isascii() and fork_index.isdigit()):
+                raise EngineError(f"corrupt saved state: branch id {branch_id!r}")
+            counter = instance._fork_counters.get(parent_id, 1)
+            instance._fork_counters[parent_id] = max(counter, int(fork_index) + 1)
             if path and path[-1] == -1:
                 parallel_path = path[:-1]
-                cls._validate_parallel_path(ast, parallel_path)
+                nodes = cls._saved_nodes(ast, branch_id, parallel_path)
+                if not nodes or not isinstance(nodes[-1], dsl.Parallel):
+                    raise EngineError(
+                        f"corrupt saved state: {parallel_path} is not a parallel block"
+                    )
                 key = (parent_id, parallel_path)
                 instance._resume_children.setdefault(key, []).append((branch_id, None))
             else:
@@ -452,23 +460,20 @@ class WorkflowInstance:
         raise EngineError(f"corrupt saved state: ended call {call_id}: {entry!r}")
 
     @staticmethod
-    def _validate_parallel_path(ast: dsl.WorkflowAst, path: tuple[int, ...]) -> None:
+    def _saved_nodes(
+        ast: dsl.WorkflowAst, branch_id: str, path: tuple[int, ...]
+    ) -> list[dsl.Node]:
         try:
-            node = dsl.node_at(ast, path)
+            return dsl.nodes_along(ast, path)
         except IndexError as exc:
-            raise EngineError(f"corrupt saved state: {exc}") from exc
-        if not isinstance(node, dsl.Parallel):
-            raise EngineError(f"corrupt saved state: {path} is not a parallel block")
+            raise EngineError(f"corrupt saved state: branch {branch_id}: {exc}") from exc
 
     @staticmethod
     def _live_child_plan(
         ast: dsl.WorkflowAst, branch_id: str, path: tuple[int, ...]
     ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
         """(owner parallel path, region branch path, relative path) for a saved child."""
-        try:
-            nodes = dsl.nodes_along(ast, path)
-        except IndexError as exc:
-            raise EngineError(f"corrupt saved state: branch {branch_id}: {exc}") from exc
+        nodes = WorkflowInstance._saved_nodes(ast, branch_id, path)
         pb_index = None
         for i, node in enumerate(nodes[:-1]):  # the final node is the PC itself
             if isinstance(node, dsl.ParallelBranch):
@@ -822,7 +827,7 @@ class WorkflowInstance:
                 group.pre_arrived += 1
                 continue
             _owner, pb_path, rel = plan
-            pb_node = dsl.node_at(self.ast, pb_path)
+            pb_node = dsl.nodes_along(self.ast, pb_path)[-1]
             child = _Branch(
                 self,
                 child_id,
@@ -974,14 +979,3 @@ class WorkflowInstance:
                 del self._section_owners[section]
                 self._cond.notify_all()
 
-
-def run_workflow(
-    ast: dsl.WorkflowAst,
-    handler: HandlerWrapper,
-    options: Optional[RunOptions] = None,
-    initial_context: Optional[Mapping[str, Value]] = None,
-) -> WorkflowInstance:
-    """Start an instance and wait for it to finish or stop."""
-    instance = WorkflowInstance(ast, handler, options, initial_context=initial_context)
-    instance.run()
-    return instance

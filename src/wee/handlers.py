@@ -214,8 +214,17 @@ class MockHandler(HandlerWrapper):
 
 @dataclass
 class _StoredResponse:
-    done: threading.Event = field(default_factory=threading.Event)
+    # a StopToken only for its on_set: set once the response is in
+    done: StopToken = field(default_factory=StopToken)
     outcome: Optional[HandlerOutcome] = None
+
+    def wait(self, stop: StopToken, timeout: Optional[float] = None) -> bool:
+        """Wait until the response is in or stop is set; True once it is in."""
+        wake = threading.Event()
+        stop.on_set(wake.set)
+        self.done.on_set(wake.set)
+        wake.wait(timeout)
+        return self.done.is_set()
 
 
 class HttpHandler(HandlerWrapper):
@@ -226,7 +235,8 @@ class HttpHandler(HandlerWrapper):
     call's stop token is set, the blocked call returns a Passthrough token
     immediately while the request finishes in the background; a later call
     with that token replays the stored response without contacting the
-    service again.
+    service again, and drops it. A replay whose stop token is set before the
+    response is in hands back the same token.
     """
 
     def __init__(self, timeout: float = 30.0):
@@ -240,13 +250,14 @@ class HttpHandler(HandlerWrapper):
                 record = self._stored.get(call.passthrough)
             if record is None:
                 return Failure(f"unknown passthrough token '{call.passthrough}'")
-            if not record.done.wait(self.timeout):
-                return Failure("stored call did not complete in time")
-            return record.outcome  # type: ignore[return-value]
+            if record.wait(call.stop, self.timeout):
+                with self._lock:
+                    self._stored.pop(call.passthrough, None)
+                return record.outcome  # type: ignore[return-value]
+            if call.stop.is_set():
+                return Passthrough(call.passthrough)
+            return Failure("stored call did not complete in time")
 
-        # set by the worker when the response is in, or by the stop token
-        wake = threading.Event()
-        call.stop.on_set(wake.set)
         record = _StoredResponse()
         body = {
             "position": call.position,
@@ -258,16 +269,14 @@ class HttpHandler(HandlerWrapper):
         def worker() -> None:
             record.outcome = self._post(call.endpoint, body)
             record.done.set()
-            wake.set()
 
         thread = threading.Thread(target=worker, name=f"http-{call.position}", daemon=True)
         thread.start()
-        wake.wait()
 
+        if record.wait(call.stop):
+            return record.outcome  # type: ignore[return-value]
+        token = uuid.uuid4().hex
         with self._lock:
-            if record.done.is_set():
-                return record.outcome  # type: ignore[return-value]
-            token = uuid.uuid4().hex
             self._stored[token] = record
         return Passthrough(token)
 

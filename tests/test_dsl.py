@@ -20,6 +20,7 @@ from wee.dsl import (
     pretty,
     validate,
 )
+from wee.expressions import Binary, Literal, Unary, Var
 
 CORPUS = Path(__file__).parent.parent / "src" / "wee" / "patterns" / "corpus"
 FIXTURES = Path(__file__).parent.parent / "src" / "wee" / "fixtures"
@@ -57,9 +58,13 @@ def test_wait_count_below_one_is_rejected():
 
 
 def test_wait_all_and_wait_k():
-    ast = parse('workflow { handler "mock" parallel wait: all { } parallel wait: 2 { } }')
+    ast = parse(
+        'workflow { handler "mock" parallel wait: all { } parallel wait: 2 { }'
+        " parallel wait: ٣ { } }"
+    )
     assert ast.body[0].wait.is_all
     assert ast.body[1].wait.count == 2
+    assert ast.body[2].wait.count == 3  # any Unicode decimal digit
 
 
 def test_duplicate_position_rejected():
@@ -165,7 +170,7 @@ def test_position_count_equals_activity_count_over_corpus():
 def test_position_paths_address_their_nodes():
     ast = parse((FIXTURES / "booking.wee").read_text())
     for name, path in position_paths(ast).items():
-        node = dsl.node_at(ast, path)
+        node = dsl.nodes_along(ast, path)[-1]
         assert node.position == name
 
 
@@ -248,7 +253,6 @@ def test_pretty_round_trip_expression_parentheses():
 @st.composite
 def ast_strategy(draw):
     from wee.dsl import Alternative, Critical, ParallelBranch, WaitSpec, WorkflowAst
-    from wee.expressions import Binary, Literal, Unary, Var
 
     var_names = [f"v{i}" for i in range(draw(st.integers(1, 3)))]
     counter = iter(range(10_000))
@@ -338,6 +342,58 @@ def test_negative_literal_round_trips():
     assert eval_expr(ast.context_decls[1][1], {}) == 5
 
 
+# -- grammar decisions -----------------------------------------------------------
+# Written by hand, not derived from the operator table: the round trips above
+# cannot catch a wrong table entry, because parser and printer read the same one.
+
+a, b, c = Var("a"), Var("b"), Var("c")
+
+
+@pytest.mark.parametrize(
+    "source, tree",
+    [
+        # each pair of adjacent levels, loosest first
+        ("a || b && c", Binary("||", a, Binary("&&", b, c))),
+        ("a && b || c", Binary("||", Binary("&&", a, b), c)),
+        ("a && b == c", Binary("&&", a, Binary("==", b, c))),
+        ("a != b && c", Binary("&&", Binary("!=", a, b), c)),
+        ("a == b < c", Binary("==", a, Binary("<", b, c))),
+        ("a >= b != c", Binary("!=", Binary(">=", a, b), c)),
+        ("a < b + c", Binary("<", a, Binary("+", b, c))),
+        ("a - b > c", Binary(">", Binary("-", a, b), c)),
+        ("a + b * c", Binary("+", a, Binary("*", b, c))),
+        ("a % b - c", Binary("-", Binary("%", a, b), c)),
+        ("-a * b", Binary("*", Unary("-", a), b)),
+        ("a / !b", Binary("/", a, Unary("!", b))),
+        # left-associativity at each binary level
+        ("a || b || c", Binary("||", Binary("||", a, b), c)),
+        ("a && b && c", Binary("&&", Binary("&&", a, b), c)),
+        ("a == b != c", Binary("!=", Binary("==", a, b), c)),
+        ("a < b >= c", Binary(">=", Binary("<", a, b), c)),
+        ("a - b - c", Binary("-", Binary("-", a, b), c)),
+        ("a / b * c", Binary("*", Binary("/", a, b), c)),
+        ("a % b % c", Binary("%", Binary("%", a, b), c)),
+        # parentheses and unary chains
+        ("a - (b - c)", Binary("-", a, Binary("-", b, c))),
+        ("!!a", Unary("!", Unary("!", a))),
+        ("- -a", Unary("-", Unary("-", a))),
+        # minus folds into an integer literal
+        ("-5", Literal(-5)),
+        ("3 - -2", Binary("-", Literal(3), Literal(-2))),
+        ("-5 * 2", Binary("*", Literal(-5), Literal(2))),
+    ],
+)
+def test_operator_precedence_and_associativity(source, tree):
+    assert dsl.parse_expression(source) == tree
+
+
+@pytest.mark.parametrize("literal", ["²", "9" * 5000], ids=["non-decimal-digit", "5000-digits"])
+def test_bad_integer_literal_is_a_parse_error_at_the_literal(literal):
+    with pytest.raises(ParseError) as info:
+        parse(f'workflow {{\n  handler "m"\n  context x: {literal}\n}}')
+    assert (info.value.line, info.value.col) == (3, 14)
+
+
 # -- totality -----------------------------------------------------------------
 
 
@@ -350,8 +406,13 @@ def test_parse_is_total_on_arbitrary_text(text):
         pass  # diagnostics are the only acceptable failure mode
 
 
+# non-decimal digits, a decimal digit int() accepts, and a literal longer than
+# int() accepts
+SOUP = list('workflow{}handler"mock:ace=+cycl()<>0123 \n²¹٣') + ["9" * 5000]
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.text(alphabet='workflow{}handler"mock:ace=+cycl()<>0123 \n', max_size=120))
+@given(st.lists(st.sampled_from(SOUP), max_size=120).map("".join))
 def test_parse_is_total_on_keyword_soup(text):
     try:
         parse(text)

@@ -10,7 +10,7 @@ import pytest
 
 from conftest import run_source, starts
 from wee import dsl
-from wee.engine import EngineError, RunOptions, WorkflowInstance, run_workflow
+from wee.engine import EngineError, RunOptions, WorkflowInstance
 from wee.events import FixedClock
 from wee.handlers import MockHandler
 
@@ -699,6 +699,21 @@ def test_resume_with_skip_region_omits_positions():
     resumed.run()
     seq = [r.position for r in resumed.log.records if r.kind == "activity_start"]
     assert seq == ["one", "fin"]
+
+
+def test_resume_leaves_the_callers_run_options_untouched():
+    instance, handler = stop_after_first_start(STOPPABLE, STOP_SCRIPT)
+    options = RunOptions()
+    resumed = WorkflowInstance.resume(
+        dsl.parse(STOPPABLE), handler, instance.save(), options, skip_positions={"two"}
+    )
+    resumed.run()
+    assert not starts(resumed, "two")
+    # a fresh instance with the same options skips nothing
+    handler = MockHandler({"default": {"result": {}}})
+    fresh = WorkflowInstance(dsl.parse(STOPPABLE), handler, options)
+    assert fresh.run() == "finished"
+    assert starts(fresh, "two")
 
 
 def test_resume_rejects_unknown_skip_position():

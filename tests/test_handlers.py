@@ -249,6 +249,40 @@ def test_http_call_whose_token_is_already_set_returns_passthrough_at_once(stub_s
     assert time.monotonic() - started < 0.3  # well inside the response delay
 
 
+def test_http_stop_during_replay_hands_back_the_same_token(stub_server):
+    stub_server.delays["/slow"] = 1.0
+    handler = HttpHandler(timeout=10)
+    first = handler.call(stopped_call("s", endpoint=stub_server.url("/slow")))
+    assert isinstance(first, Passthrough)
+    call = make_call("s", endpoint=stub_server.url("/slow"), passthrough=first.token)
+    box = {}
+    thread = threading.Thread(target=lambda: box.update(outcome=handler.call(call)))
+    thread.start()
+    time.sleep(0.05)
+    started = time.monotonic()
+    call.stop.set()
+    thread.join(timeout=5)
+    # not held until the background request ends
+    assert time.monotonic() - started < 0.1
+    assert box["outcome"] == Passthrough(first.token)
+    # the token still replays, and the service saw one POST in all
+    replay = handler.call(make_call("s", endpoint=stub_server.url("/slow"), passthrough=first.token))
+    assert replay == Result({})
+    assert stub_server.counts["/slow"] == 1
+
+
+def test_http_completed_replay_drops_the_stored_response(stub_server):
+    stub_server.responses["/slow"] = {"cost": 11}
+    stub_server.delays["/slow"] = 0.2
+    handler = HttpHandler(timeout=10)
+    first = handler.call(stopped_call("s", endpoint=stub_server.url("/slow")))
+    replay = handler.call(make_call("s", endpoint=stub_server.url("/slow"), passthrough=first.token))
+    assert replay == Result({"cost": 11})
+    assert len(handler._stored) == 0
+    again = handler.call(make_call("s", endpoint=stub_server.url("/slow"), passthrough=first.token))
+    assert isinstance(again, Failure)
+
+
 def test_http_unknown_token_is_failure(stub_server):
     handler = HttpHandler(timeout=5)
     outcome = handler.call(make_call("a", endpoint=stub_server.url("/x"), passthrough="ghost"))

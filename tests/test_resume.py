@@ -499,6 +499,66 @@ def test_resume_rejects_saved_state_without_schema():
         WorkflowInstance.resume(ast, handler, saved)
 
 
+SEQUENCE = """
+workflow {
+  handler "mock"
+  endpoint svc: "mock://svc"
+  context n: 0
+  manipulate :a { n = n + 1 }
+  call :slow, endpoint: svc
+  manipulate :b { n = n + 20 }
+}
+"""
+
+
+def stopped_in_slow_call():
+    ast = dsl.parse(SEQUENCE)
+    script = {"positions": {"slow": {"result": {}, "delay_ms": 2000, "token": "tok-slow"}}}
+    handler = MockHandler(script)  # shared: counts every invocation
+    instance = WorkflowInstance(ast, handler)
+    instance.start()
+    assert wait_for(instance, lambda rs: len(starts_of(rs, "slow")) == 1)
+    instance.deliver_stop()
+    saved = json.loads(json.dumps(instance.save()))
+    assert saved["branches"] == [{"id": "0", "path": [1]}]
+    return ast, handler, saved
+
+
+@pytest.mark.parametrize(
+    "branches, message",
+    [
+        ([{"id": "0", "path": [-1]}], "leaves the workflow body"),
+        ([{"id": "0", "path": [99]}], "leaves the workflow body"),
+        ([{"id": "0", "path": [1, 0, 5]}], "missing child block"),
+        ([{"id": "0", "path": [1.5]}], r"path \(1\.5,\)"),
+        ([{"id": "0", "path": [1]}, {"id": "0.²", "path": [1]}], "branch id '0.²'"),
+    ],
+    ids=[
+        "negative-root-index",
+        "root-index-past-the-end",
+        "root-path-into-a-call",
+        "non-integer-index",
+        "fork-index-not-ascii",
+    ],
+)
+def test_resume_rejects_a_corrupt_saved_path_or_branch_id(branches, message):
+    ast, handler, saved = stopped_in_slow_call()
+    saved["branches"] = branches
+    with pytest.raises(EngineError, match=f"corrupt saved state.*{message}"):
+        WorkflowInstance.resume(ast, handler, saved)
+    assert handler.invocations == {"slow": 1}
+
+
+def test_resume_from_the_root_end_marker_finishes_without_running_anything():
+    ast, handler, saved = stopped_in_slow_call()
+    saved["branches"] = [{"id": "0", "path": [len(ast.body)]}]
+    resumed = WorkflowInstance.resume(ast, handler, saved)
+    assert resumed.run() == "finished"
+    assert starts_of(resumed.log.records, "b") == []
+    assert handler.invocations == {"slow": 1}
+    assert resumed.store.current_values()["n"] == 1
+
+
 def test_call_that_ends_after_the_stop_is_not_called_again():
     script = {"positions": {"slow": {"result": {"done": 1}, "delay_ms": 2000, "on_stop": "finish"}}}
     ast = dsl.parse(ONE_SLOW_CALL)
