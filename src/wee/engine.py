@@ -13,16 +13,18 @@ several calls to stop and to resume.
 
 Branch coordination uses one lock and one condition built on it per
 instance. The lock guards the stop request, each branch's cancel flag and
-in-flight call, the join groups, the critical-section owners and the count
-of live branches; every change that can unblock a waiter notifies the
-condition. Handlers are never called while the lock is held.
+in-flight call, the registries of live branches and open joins, the saved
+paths and the critical-section owners; every change that can unblock a
+waiter notifies the condition. Handlers are never called while the lock is
+held. The engine keeps only live state: a branch leaves the registry when it
+arrives at its join or ends, and a join when it closes.
 """
 
 from __future__ import annotations
 
 import threading
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Optional
 
@@ -64,14 +66,6 @@ class Lifecycle(str, Enum):
     FINISHED = "finished"
 
 
-class BranchStatus(str, Enum):
-    ACTIVE = "active"
-    COMPLETED = "completed"
-    CANCELLED = "cancelled"
-    WAITING_JOIN = "waiting_join"
-    IN_CRITICAL = "in_critical"
-
-
 @dataclass
 class RunOptions:
     max_iterations: int = 1_000_000
@@ -110,7 +104,6 @@ class _JoinGroup:
         self.pre_arrived = 0  # completions restored from a saved instance
         self.spawning = True  # the parent is still executing the parallel body
         self.fired = False
-        self.closed = False
 
     def total_spawned(self) -> int:
         return len(self.children) + self.pre_arrived
@@ -126,22 +119,18 @@ class _JoinGroup:
             return not self.spawning and self.arrivals() == self.total_spawned()
         return self.arrivals() >= self.wait.count  # type: ignore[operator]
 
-    def wait_desc(self) -> object:
-        return "all" if self.wait.is_all else self.wait.count
-
 
 class _Branch:
     def __init__(
         self,
-        engine: "WorkflowInstance",
         branch_id: str,
         region_block: dsl.Block,
         region_prefix: tuple[int, ...],
         group: Optional[_JoinGroup] = None,
         group_stack: Optional[list[_JoinGroup]] = None,
         resume_path: Optional[tuple[int, ...]] = None,
+        forks: int = 1,
     ):
-        self.engine = engine
         self.id = branch_id
         self.region_block = region_block
         self.region_prefix = region_prefix
@@ -149,30 +138,9 @@ class _Branch:
         self.group_stack: list[_JoinGroup] = list(group_stack or [])
         self.resume_path = resume_path
         self.cancelled = False
-        self.status = BranchStatus.ACTIVE
         self.in_flight: Optional[HandlerCall] = None
-        self.parked = False
-        self.saved_path: Optional[tuple[int, ...]] = None
-
-    def start_thread(self) -> None:
-        threading.Thread(
-            target=self.engine._run_branch, args=(self,), name=f"wee-{self.id}", daemon=True
-        ).start()
-
-
-@dataclass
-class BranchInfo:
-    status: str
-    path: Optional[list[int]] = None
-
-
-@dataclass
-class InstanceState:
-    lifecycle: str
-    branches: dict[str, BranchInfo]
-    context: dict[str, Value]
-    version: int
-    passthroughs: dict[str, str] = field(default_factory=dict)
+        # the index of this branch's next child; only its own thread forks
+        self.forks = forks
 
 
 class WorkflowInstance:
@@ -216,6 +184,8 @@ class WorkflowInstance:
         # outcomes of calls that ended after a stop: the resume applies them
         # instead of calling again
         self.ended_calls: dict[str, Result | Jump] = {}
+        # live branches: a branch enters at fork and leaves when it arrives
+        # at its join or ends
         self.branches: dict[str, _Branch] = {}
         # activities a resume was told to skip
         self.skip_positions: frozenset[str] = frozenset()
@@ -223,16 +193,16 @@ class WorkflowInstance:
         self._position_paths = dsl.position_paths(ast)
         self._state_lock = threading.Lock()
         self._cond = threading.Condition(self._state_lock)
-        self._live_branches = 0
         self._section_owners: dict[str, str] = {}  # critical section -> branch id
         self._stop_requested = False
         self._stop_source: Optional[str] = None
         self._error: Optional[str] = None
-        self._terminal = False
-        self._groups: list[_JoinGroup] = []
-        self._fork_counters: dict[str, int] = {}
-        self._resume_children: dict[tuple[str, tuple[int, ...]], list[tuple[str, Optional[tuple]]]] = {}
-        self._root_resume: Optional[tuple[int, ...]] = None
+        self._groups: list[_JoinGroup] = []  # open joins
+        # branch id -> (path a resume restarts it at, its next fork index),
+        # for each parked branch and the root once it has run to the end
+        self._saved_paths: dict[str, tuple[tuple[int, ...], int]] = {}
+        self._root = _Branch(ROOT_BRANCH, ast.body, ())
+        self._resume_children: dict[tuple[str, tuple[int, ...]], list[tuple]] = {}
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -243,14 +213,14 @@ class WorkflowInstance:
             raise EngineError(f"instance is {self.lifecycle.value}, not ready")
         self.lifecycle = Lifecycle.RUNNING
         self.log.emit("instance_start", ROOT_BRANCH, detail={"handler": self.ast.handler_name})
-        root = _Branch(self, ROOT_BRANCH, self.ast.body, (), resume_path=self._root_resume)
-        self._register_branch(root)
-        root.start_thread()
+        with self._state_lock:
+            self.branches[ROOT_BRANCH] = self._root
+        self._start_thread(self._root)
         return self
 
     def wait(self) -> str:
         with self._state_lock:
-            while self._live_branches:
+            while self.branches:
                 self._cond.wait()
         self._finalize()
         assert self.result is not None
@@ -261,16 +231,13 @@ class WorkflowInstance:
 
     def deliver_stop(self) -> None:
         """Stop the instance and wait until every branch has parked."""
-        with self._state_lock:
-            if self._terminal:
-                return
         self.request_stop(source="controller")
         self.wait()
 
     def request_stop(self, source: str = "controller") -> None:
         """Request a stop; after this no branch starts another activity."""
         with self._state_lock:
-            if self._stop_requested or self._terminal:
+            if self._stop_requested or self.result is not None:
                 return
             self._stop_requested = True
             self._stop_source = source
@@ -302,9 +269,8 @@ class WorkflowInstance:
 
     def _finalize(self) -> None:
         with self._state_lock:
-            if self._terminal:
+            if self.result is not None:
                 return
-            self._terminal = True
             if self._error is not None:
                 self.result = "error"
                 self.lifecycle = Lifecycle.STOPPED
@@ -321,30 +287,16 @@ class WorkflowInstance:
                 self.log.emit("instance_finish", ROOT_BRANCH)
             self.log.close()
 
-    def _report_error(self, branch: _Branch, exc: Exception, position: Optional[str] = None) -> None:
+    def _report_error(self, branch: _Branch, exc: Exception) -> None:
         with self._state_lock:
             if self._error is None:
                 self._error = str(exc)
-        self.log.emit("error", branch.id, position, {"message": str(exc)})
+        self.log.emit("error", branch.id, detail={"message": str(exc)})
         self.request_stop(source="error")
 
     # ------------------------------------------------------------------
-    # State inspection / persistence
+    # Persistence
     # ------------------------------------------------------------------
-
-    def state(self) -> InstanceState:
-        with self._state_lock:
-            branches = {}
-            for b in self.branches.values():
-                path = list(b.saved_path) if b.saved_path is not None else None
-                branches[b.id] = BranchInfo(b.status.value, path)
-            return InstanceState(
-                lifecycle=self.lifecycle.value,
-                branches=branches,
-                context=dict(self.store.current_values()),
-                version=self.store.version,
-                passthroughs=dict(self.passthroughs),
-            )
 
     def save(self) -> dict:
         """Serialize a stopped instance for later resume."""
@@ -352,16 +304,12 @@ class WorkflowInstance:
             raise EngineError("only stopped instances can be saved")
         entries: list[dict] = []
         with self._state_lock:
-            for branch in self.branches.values():
-                if branch.parked and branch.saved_path is not None:
-                    entries.append({"id": branch.id, "path": list(branch.saved_path)})
-            root = self.branches.get(ROOT_BRANCH)
-            if root is not None and root.status is BranchStatus.COMPLETED:
-                # the stop came after the last activity: resume past the end
-                entries.append({"id": ROOT_BRANCH, "path": [len(self.ast.body)]})
+            for branch_id, (path, forks) in self._saved_paths.items():
+                entry: dict = {"id": branch_id, "path": list(path)}
+                if forks > 1:
+                    entry["forks"] = forks
+                entries.append(entry)
             for group in self._groups:
-                if group.closed:
-                    continue
                 for child_id in group.arrived:
                     entries.append(
                         {"id": child_id, "path": list(group.parallel_path) + [-1]}
@@ -393,48 +341,36 @@ class WorkflowInstance:
         if saved.get("lifecycle") != "stopped":
             raise EngineError("saved instance is not stopped")
         check_saved_schema(saved)
-        options = options or RunOptions()
+        cls._check_saved_shape(saved)
         known = dsl.position_paths(ast)
         skip = frozenset(skip_positions)
         unknown = sorted(skip - set(known))
         if unknown:
             raise EngineError(f"skip positions not in workflow: {unknown}")
-
-        instance = cls(
-            ast,
-            handler,
-            options,
-            _restored_context=(dict(saved["context"]), int(saved["version"])),
-        )
-        instance.skip_positions = skip
-        instance.passthroughs = dict(saved.get("passthroughs", {}))
-        instance.ended_calls = {
+        ended_calls = {
             call_id: cls._saved_outcome(call_id, entry)
             for call_id, entry in saved.get("ended_calls", {}).items()
         }
 
         entries = saved.get("branches", [])
-        by_id = {}
-        for entry in entries:
-            path = tuple(entry["path"])
-            if not all(type(index) is int for index in path):
-                raise EngineError(f"corrupt saved state: branch {entry['id']}: path {path}")
-            by_id[entry["id"]] = path
-        if ROOT_BRANCH not in by_id and entries:
+        paths = {entry["id"]: tuple(entry["path"]) for entry in entries}
+        if ROOT_BRANCH not in paths and entries:
             raise EngineError("corrupt saved state: no root branch")
-
-        for branch_id, path in by_id.items():
-            if branch_id == ROOT_BRANCH:
-                # [len(body)]: the root had finished its body when it stopped
-                if path != (len(ast.body),):
-                    cls._saved_nodes(ast, branch_id, path)
-                instance._root_resume = path if path else None
-                continue
+        root_path = paths.pop(ROOT_BRANCH, ())
+        # [len(body)]: the root had finished its body when it stopped
+        if root_path != (len(ast.body),):
+            cls._saved_nodes(ast, ROOT_BRANCH, root_path)
+        # a branch's next fork index: as saved, and past each saved child's
+        forks = {entry["id"]: entry.get("forks", 1) for entry in entries}
+        for branch_id in paths:
             parent_id, _, fork_index = branch_id.rpartition(".")
             if not (parent_id and fork_index.isascii() and fork_index.isdigit()):
                 raise EngineError(f"corrupt saved state: branch id {branch_id!r}")
-            counter = instance._fork_counters.get(parent_id, 1)
-            instance._fork_counters[parent_id] = max(counter, int(fork_index) + 1)
+            forks[parent_id] = max(forks.get(parent_id, 1), int(fork_index) + 1)
+
+        children: dict[tuple[str, tuple[int, ...]], list[tuple]] = {}
+        for branch_id, path in paths.items():
+            parent_id = branch_id.rpartition(".")[0]
             if path and path[-1] == -1:
                 parallel_path = path[:-1]
                 nodes = cls._saved_nodes(ast, branch_id, parallel_path)
@@ -442,13 +378,57 @@ class WorkflowInstance:
                     raise EngineError(
                         f"corrupt saved state: {parallel_path} is not a parallel block"
                     )
-                key = (parent_id, parallel_path)
-                instance._resume_children.setdefault(key, []).append((branch_id, None))
+                children.setdefault((parent_id, parallel_path), []).append((branch_id, None, 1))
             else:
                 plan = cls._live_child_plan(ast, branch_id, path)
-                key = (parent_id, plan[0])
-                instance._resume_children.setdefault(key, []).append((branch_id, plan))
+                children.setdefault((parent_id, plan[0]), []).append(
+                    (branch_id, plan, forks[branch_id])
+                )
+
+        instance = cls(
+            ast,
+            handler,
+            options or RunOptions(),
+            _restored_context=(dict(saved["context"]), saved["version"]),
+        )
+        instance.skip_positions = skip
+        instance.passthroughs = dict(saved.get("passthroughs", {}))
+        instance.ended_calls = ended_calls
+        instance._root.resume_path = root_path or None
+        instance._root.forks = forks.get(ROOT_BRANCH, 1)
+        instance._resume_children = children
         return instance
+
+    @staticmethod
+    def _check_saved_shape(saved: dict) -> None:
+        """Reject a saved state whose fields have the wrong JSON types."""
+
+        def corrupt(what: str) -> EngineError:
+            return EngineError(f"corrupt saved state: {what}")
+
+        if type(saved.get("version")) is not int:
+            raise corrupt(f"version {saved.get('version')!r}")
+        if not isinstance(saved.get("context"), dict):
+            raise corrupt(f"context {saved.get('context')!r}")
+        for key in ("passthroughs", "ended_calls"):
+            if not isinstance(saved.get(key, {}), dict):
+                raise corrupt(f"{key} {saved[key]!r}")
+        entries = saved.get("branches", [])
+        if not isinstance(entries, list):
+            raise corrupt(f"branches {entries!r}")
+        for entry in entries:
+            if not isinstance(entry, dict):
+                raise corrupt(f"branch entry {entry!r}")
+            branch_id, path = entry.get("id"), entry.get("path")
+            if not isinstance(branch_id, str):
+                raise corrupt(f"branch id {branch_id!r}")
+            if not isinstance(path, list):
+                raise corrupt(f"branch {branch_id}: path {path!r}")
+            if not all(type(index) is int for index in path):
+                raise corrupt(f"branch {branch_id}: path {tuple(path)}")
+            forks = entry.get("forks", 1)
+            if type(forks) is not int or forks < 1:
+                raise corrupt(f"branch {branch_id}: forks {forks!r}")
 
     @staticmethod
     def _saved_outcome(call_id: str, entry: object) -> Result | Jump:
@@ -497,18 +477,13 @@ class WorkflowInstance:
     # Branch machinery
     # ------------------------------------------------------------------
 
-    def _register_branch(self, branch: _Branch) -> None:
-        with self._state_lock:
-            self.branches[branch.id] = branch
-            self._live_branches += 1
-
-    def _next_fork_index(self, branch_id: str) -> int:
-        with self._state_lock:
-            index = self._fork_counters.get(branch_id, 1)
-            self._fork_counters[branch_id] = index + 1
-            return index
+    def _start_thread(self, branch: _Branch) -> None:
+        threading.Thread(
+            target=self._run_branch, args=(branch,), name=f"wee-{branch.id}", daemon=True
+        ).start()
 
     def _run_branch(self, branch: _Branch) -> None:
+        saved = None  # (path, next fork index) a resume restarts the branch from
         try:
             pending = branch.resume_path
             while True:
@@ -518,43 +493,50 @@ class WorkflowInstance:
                 except _JumpTo as jump:
                     pending = jump.rel_path
             if branch.group is not None:
-                self._child_finished(branch)
+                self._stop_calls(self._child_finished(branch))
             else:
-                branch.status = BranchStatus.COMPLETED
+                # the root ran to the end: a resume starts past it
+                saved = ((len(self.ast.body),), 1)
         except _Parked as parked:
-            branch.parked = True
-            branch.saved_path = parked.path
+            saved = (parked.path, branch.forks)
         except _Cancelled:
-            branch.status = BranchStatus.CANCELLED
+            pass
         except EngineError as exc:
             self._report_error(branch, exc)
-            branch.status = BranchStatus.CANCELLED
         except Exception as exc:  # engine bug: fail loudly instead of hanging
             self._report_error(branch, EngineError(f"internal error: {exc!r}"))
-            branch.status = BranchStatus.CANCELLED
         finally:
             with self._state_lock:
-                self._live_branches -= 1
+                self.branches.pop(branch.id, None)
+                if saved is not None:
+                    self._saved_paths[branch.id] = saved
                 self._cond.notify_all()
 
-    def _child_finished(self, child: _Branch) -> None:
+    def _child_finished(self, child: _Branch) -> list[_Branch]:
+        """Arrive at the child's join unless it was cancelled; returns the
+        losers whose calls the child must stop.
+
+        The child leaves the registry in the section in which it arrives, so
+        a parent cancelled while waiting cannot signal it. A child whose
+        arrival fired the join stays until it has stopped the losers' calls,
+        so wait() cannot return before; a fired join cancels no child.
+        """
         group = child.group
         assert group is not None
-        losers: list[_Branch] = []
         with self._state_lock:
             if child.cancelled:
-                child.status = BranchStatus.CANCELLED
-            else:
-                group.arrived.append(child.id)
-                child.status = BranchStatus.COMPLETED
-                self.log.emit(
-                    "branch_join",
-                    child.id,
-                    detail={"role": "arrive", "parent": group.parent.id},
-                )
-                losers = self._maybe_fire(group)
+                return []
+            group.arrived.append(child.id)
+            self.log.emit(
+                "branch_join",
+                child.id,
+                detail={"role": "arrive", "parent": group.parent.id},
+            )
+            losers = self._maybe_fire(group)
+            if not losers:
+                del self.branches[child.id]
             self._cond.notify_all()
-        self._stop_calls(losers)
+        return losers
 
     def _maybe_fire(self, group: _JoinGroup) -> list[_Branch]:
         """Fire the join if its condition holds; caller holds the state lock."""
@@ -568,7 +550,7 @@ class WorkflowInstance:
                 "role": "fire",
                 "arrived": group.arrivals(),
                 "spawned": group.total_spawned(),
-                "wait": group.wait_desc(),
+                "wait": "all" if group.wait.is_all else group.wait.count,
             },
         )
         losers: list[_Branch] = []
@@ -810,7 +792,7 @@ class WorkflowInstance:
             group.spawning = False
             spawned = group.total_spawned()
             if not node.wait.is_all and spawned < node.wait.count:  # type: ignore[operator]
-                group.closed = True
+                self._groups.remove(group)
                 raise EngineError(
                     f"unsatisfiable join: wait {node.wait.count} of {spawned} branches"
                 )
@@ -819,83 +801,70 @@ class WorkflowInstance:
         self._stop_calls(losers)
         self._await_join(branch, group, path)
 
-    def _attach_saved_children(
-        self, group: _JoinGroup, saved: list[tuple[str, Optional[tuple]]]
-    ) -> None:
-        for child_id, plan in saved:
+    def _attach_saved_children(self, group: _JoinGroup, saved: list[tuple]) -> None:
+        for child_id, plan, forks in saved:
             if plan is None:
                 group.pre_arrived += 1
                 continue
             _owner, pb_path, rel = plan
             pb_node = dsl.nodes_along(self.ast, pb_path)[-1]
             child = _Branch(
-                self,
                 child_id,
                 pb_node.body,
                 pb_path + (0,),
                 group=group,
                 group_stack=[group],
                 resume_path=rel or None,
+                forks=forks,
             )
             with self._state_lock:
                 group.children.append(child)
-            self._register_branch(child)
+                self.branches[child_id] = child
             self.log.emit("branch_fork", group.parent.id, detail={"child": child_id, "resumed": True})
-            child.start_thread()
+            self._start_thread(child)
 
     def _fork_child(self, branch: _Branch, node: dsl.ParallelBranch, path) -> None:
         if not branch.group_stack:
             raise EngineError("parallel_branch executed outside a parallel block")
         group = branch.group_stack[-1]
-        child_id = f"{branch.id}.{self._next_fork_index(branch.id)}"
+        child_id = f"{branch.id}.{branch.forks}"
+        branch.forks += 1
         child = _Branch(
-            self,
             child_id,
             node.body,
             path + (0,),
             group=group,
             group_stack=list(branch.group_stack),
         )
-        late = False
         with self._state_lock:
             group.children.append(child)
-            if group.fired and not group.wait.is_all:
-                child.cancelled = True
-                late = True
-        self._register_branch(child)
+            self.branches[child_id] = child
+            late = child.cancelled = group.fired and not group.wait.is_all
         self.log.emit("branch_fork", branch.id, detail={"child": child_id})
         if late:
             self.log.emit("signal", child_id, detail={"signal": "no_longer_necessary"})
-        child.start_thread()
+        self._start_thread(child)
 
     def _await_join(self, branch: _Branch, group: _JoinGroup, path) -> None:
-        branch.status = BranchStatus.WAITING_JOIN
-        try:
-            with self._state_lock:
-                while not group.fired:
-                    if self._stop_requested:
-                        raise _Parked(path)
-                    if branch.cancelled:
-                        break
-                    self._cond.wait()
-                group.closed = True
-                if group.fired:
-                    return
-                stopped = self._cancel_children(group)
-            self._stop_calls(stopped)
-            raise _Cancelled()
-        finally:
-            if branch.status is BranchStatus.WAITING_JOIN:
-                branch.status = BranchStatus.ACTIVE
+        with self._state_lock:
+            while not group.fired:
+                if self._stop_requested:
+                    raise _Parked(path)
+                if branch.cancelled:
+                    break
+                self._cond.wait()
+            self._groups.remove(group)
+            if group.fired:
+                return
+            stopped = self._cancel_children(group)
+        self._stop_calls(stopped)
+        raise _Cancelled()
 
     def _cancel_children(self, group: _JoinGroup) -> list[_Branch]:
         """Signal the group's live children to stand down; caller holds the state lock."""
         stopped: list[_Branch] = []
         for child in group.children:
-            if child.cancelled or child.status in (
-                BranchStatus.COMPLETED,
-                BranchStatus.CANCELLED,
-            ):
+            if child.cancelled or child.id not in self.branches:
                 continue
             child.cancelled = True
             self.log.emit("signal", child.id, detail={"signal": "no_longer_necessary"})
@@ -965,8 +934,6 @@ class WorkflowInstance:
                 self._cond.wait()
                 self._checkpoint(branch, path)
             self._section_owners[section] = branch.id
-        previous_status = branch.status
-        branch.status = BranchStatus.IN_CRITICAL
         self.log.emit("signal", branch.id, detail={"signal": "critical_enter", "section": section})
         try:
             self._exec_block(branch, node.body, path + (0,), sub[1:] if sub else None)
@@ -974,7 +941,6 @@ class WorkflowInstance:
             self.log.emit(
                 "signal", branch.id, detail={"signal": "critical_exit", "section": section}
             )
-            branch.status = previous_status
             with self._state_lock:
                 del self._section_owners[section]
                 self._cond.notify_all()

@@ -605,57 +605,40 @@ def run_case_workflow(case: PatternCase, seed: int = 0) -> RunArtifacts:
 
     scenario = case.scenario or {}
     kind = scenario.get("type", "run")
+    if kind not in ("run", "stop_resume"):
+        raise ValueError(f"{case.slug}: unknown scenario type '{kind}'")
 
-    if kind == "run":
-        instance = WorkflowInstance(ast, handler, RunOptions())
-        if isinstance(handler, TriggerHandler):
-            _start_deliveries(handler, scenario.get("deliver_after_start", []))
-        if "stop_when" in scenario:
-            # the watcher must listen before the first event can be emitted
-            _stop_watcher(instance, scenario["stop_when"])
-            instance.start()
-            result = instance.wait()
-        else:
-            result = instance.run()
-        saved = instance.save() if result == "stopped" else None
-        return RunArtifacts(
-            records=list(instance.log.records),
-            result_state=result,
-            final_context=dict(instance.store.current_values()),
-            initial_context=initial,
-            metrics=handler_metrics(handler),
-            invocations=dict(getattr(handler, "invocations", {})),
-            saved=saved,
-        )
+    instance = WorkflowInstance(ast, handler, RunOptions())
+    if isinstance(handler, TriggerHandler):
+        _start_deliveries(handler, scenario.get("deliver_after_start", []))
+    if "stop_when" in scenario:
+        # the watcher must listen before the first event can be emitted
+        _stop_watcher(instance, scenario["stop_when"])
+    result = instance.run()
+    saved = instance.save() if result == "stopped" else None
+    records = list(instance.log.records)
 
     if kind == "stop_resume":
-        instance = WorkflowInstance(ast, handler, RunOptions())
-        _stop_watcher(instance, scenario["stop_when"])
-        instance.start()
-        first_result = instance.wait()
-        if first_result != "stopped":
-            raise ValueError(f"{case.slug}: expected a stopped first phase, got {first_result}")
-        saved = instance.save()
-
+        if saved is None:
+            raise ValueError(f"{case.slug}: expected a stopped first phase, got {result}")
         skip: frozenset[str] = frozenset()
         if scenario.get("skip_region"):
             from ..cli import parse_skip_region
 
             skip = parse_skip_region(scenario["skip_region"], ast)
-        resumed = WorkflowInstance.resume(ast, handler, saved, RunOptions(), skip_positions=skip)
-        result = resumed.run()
-        combined = list(instance.log.records) + list(resumed.log.records)
-        return RunArtifacts(
-            records=combined,
-            result_state=result,
-            final_context=dict(resumed.store.current_values()),
-            initial_context=initial,
-            metrics=handler_metrics(handler),
-            invocations=dict(getattr(handler, "invocations", {})),
-            saved=saved,
-        )
+        instance = WorkflowInstance.resume(ast, handler, saved, RunOptions(), skip_positions=skip)
+        result = instance.run()
+        records += instance.log.records
 
-    raise ValueError(f"{case.slug}: unknown scenario type '{kind}'")
+    return RunArtifacts(
+        records=records,
+        result_state=result,
+        final_context=dict(instance.store.current_values()),
+        initial_context=initial,
+        metrics=handler_metrics(handler),
+        invocations=dict(getattr(handler, "invocations", {})),
+        saved=saved,
+    )
 
 
 def run_pattern(case: PatternCase, seed: int = 0) -> PatternResult:

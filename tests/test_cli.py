@@ -443,6 +443,26 @@ def test_load_saved_instance_rejects_state_without_schema(tmp_path):
         cli.load_saved_instance(path)
 
 
+def test_resume_of_a_saved_state_of_the_wrong_shape_exits_one(seq_dir):
+    saved = {
+        "schema": 2,
+        "lifecycle": "stopped",
+        "branches": [{"id": "0", "path": 0}],
+        "context": {"done": False},
+        "version": 0,
+        "passthroughs": {},
+    }
+    path = seq_dir / "seq.wee.saved.json"
+    cli.write_saved_instance(path, saved, cli.source_hash(SEQ_WEE))
+    resume = subprocess.run(
+        wee_cmd("resume", str(path), "--workflow", str(seq_dir / "seq.wee"), "--handler", "mock"),
+        capture_output=True,
+        text=True,
+    )
+    assert resume.returncode == 1
+    assert resume.stderr == "corrupt saved state: branch 0: path 0\n"
+
+
 def test_run_with_trigger_handler_and_events_file(tmp_path):
     workflow = tmp_path / "trig.wee"
     workflow.write_text(

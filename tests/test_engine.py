@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import gc
 import json
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -596,6 +598,7 @@ def test_stop_records_passthrough_of_blocked_call():
     saved = instance.save()
     assert saved["passthroughs"] == {"0/one": "p-one"}
     assert saved["lifecycle"] == "stopped"
+    assert saved["context"] == {"done": False}
 
 
 class RaisingStopHandler(MockHandler):
@@ -1015,17 +1018,39 @@ def test_independent_instances_run_concurrently():
     assert len({i.instance_id for i in instances}) == 8
 
 
-def test_instance_state_snapshot_shape():
-    ast = dsl.parse(STOPPABLE)
-    handler = MockHandler(STOP_SCRIPT)
-    instance = WorkflowInstance(ast, handler)
-    instance.start()
-    deadline = time.monotonic() + 5
-    while not starts(instance) and time.monotonic() < deadline:
-        time.sleep(0.005)
-    instance.deliver_stop()
-    state = instance.state()
-    assert state.lifecycle == "stopped"
-    assert state.context == {"done": False}
-    assert state.passthroughs == {"0/one": "p-one"}
-    assert "0" in state.branches
+FORKING_CYCLE = """
+workflow {
+  handler "mock"
+  context i: 0
+  context n: 0
+  cycle (i < n) {
+    parallel wait: all {
+      parallel_branch { }
+      parallel_branch { }
+    }
+    manipulate :bump { i = i + 1 }
+  }
+}
+"""
+
+
+def test_a_long_forking_cycle_retains_no_finished_branches_or_joins():
+    ast = dsl.parse(FORKING_CYCLE)
+
+    def retained_after(passes):
+        tracemalloc.start()
+        try:
+            instance = WorkflowInstance(
+                ast, MockHandler({"default": {"result": {}}}), initial_context={"n": passes}
+            )
+            assert instance.run() == "finished"
+            instance.log.records.clear()
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert instance.branches == {}
+        return retained
+
+    short, long = retained_after(200), retained_after(2000)
+    assert long - short < 100_000, (short, long)

@@ -344,10 +344,10 @@ def test_cancel_while_waiting_on_critical_section_stands_down_at_once():
     # the cancel wakes the queued branch; the holder keeps the section
     deadline = time.monotonic() + 0.5
     while time.monotonic() < deadline:
-        if instance.state().branches["0.2.2"].status == "cancelled":
+        if "0.2.2" not in instance.branches:
             break
         time.sleep(0.002)
-    assert instance.state().branches["0.2.2"].status == "cancelled"
+    assert "0.2.2" not in instance.branches
     assert not [
         r for r in instance.log.records if r.kind == "activity_end" and r.position == "holder"
     ]
@@ -525,13 +525,26 @@ def stopped_in_slow_call():
 
 
 @pytest.mark.parametrize(
-    "branches, message",
+    "edit, message",
     [
-        ([{"id": "0", "path": [-1]}], "leaves the workflow body"),
-        ([{"id": "0", "path": [99]}], "leaves the workflow body"),
-        ([{"id": "0", "path": [1, 0, 5]}], "missing child block"),
-        ([{"id": "0", "path": [1.5]}], r"path \(1\.5,\)"),
-        ([{"id": "0", "path": [1]}, {"id": "0.²", "path": [1]}], "branch id '0.²'"),
+        ({"branches": [{"id": "0", "path": [-1]}]}, "leaves the workflow body"),
+        ({"branches": [{"id": "0", "path": [99]}]}, "leaves the workflow body"),
+        ({"branches": [{"id": "0", "path": [1, 0, 5]}]}, "missing child block"),
+        ({"branches": [{"id": "0", "path": [1.5]}]}, r"path \(1\.5,\)"),
+        (
+            {"branches": [{"id": "0", "path": [1]}, {"id": "0.²", "path": [1]}]},
+            "branch id '0.²'",
+        ),
+        ({"branches": {"0": [1]}}, "branches"),
+        ({"branches": [["0", [1]]]}, "branch entry"),
+        ({"branches": [{"id": "0"}]}, "branch 0: path None"),
+        ({"branches": [{"id": "0", "path": 1}]}, "branch 0: path 1"),
+        ({"branches": [{"id": 0, "path": [1]}]}, "branch id 0"),
+        ({"branches": [{"id": "0", "path": [1], "forks": "2"}]}, "branch 0: forks '2'"),
+        ({"version": "1"}, "version '1'"),
+        ({"ended_calls": []}, r"ended_calls \[\]"),
+        ({"context": []}, r"context \[\]"),
+        ({"passthroughs": []}, r"passthroughs \[\]"),
     ],
     ids=[
         "negative-root-index",
@@ -539,14 +552,93 @@ def stopped_in_slow_call():
         "root-path-into-a-call",
         "non-integer-index",
         "fork-index-not-ascii",
+        "branches-not-a-list",
+        "entry-not-an-object",
+        "entry-without-path",
+        "path-not-a-list",
+        "id-not-a-string",
+        "forks-not-an-int",
+        "version-not-an-int",
+        "ended-calls-not-an-object",
+        "context-not-an-object",
+        "passthroughs-not-an-object",
     ],
 )
-def test_resume_rejects_a_corrupt_saved_path_or_branch_id(branches, message):
+def test_resume_rejects_a_corrupt_saved_path_or_branch_id(edit, message):
     ast, handler, saved = stopped_in_slow_call()
-    saved["branches"] = branches
+    saved.update(edit)
     with pytest.raises(EngineError, match=f"corrupt saved state.*{message}"):
         WorkflowInstance.resume(ast, handler, saved)
     assert handler.invocations == {"slow": 1}
+
+
+FORKS_AFTER_A_CLOSED_JOIN = {
+    "root": (
+        """
+        workflow {
+          handler "mock"
+          endpoint svc: "mock://svc"
+          parallel wait: all {
+            parallel_branch { call :a, endpoint: svc }
+            parallel_branch { call :b, endpoint: svc }
+          }
+          call :slow, endpoint: svc
+          parallel wait: all {
+            parallel_branch { call :c, endpoint: svc }
+            parallel_branch { call :d, endpoint: svc }
+          }
+        }
+        """,
+        [{"id": "0", "path": [1], "forks": 3}],
+        ["0.1", "0.2", "0.3", "0.4"],
+    ),
+    "child": (
+        """
+        workflow {
+          handler "mock"
+          endpoint svc: "mock://svc"
+          parallel wait: all {
+            parallel_branch {
+              parallel wait: all { parallel_branch { call :a, endpoint: svc } }
+              call :slow, endpoint: svc
+              parallel wait: all { parallel_branch { call :b, endpoint: svc } }
+            }
+          }
+        }
+        """,
+        [{"id": "0", "path": [0], "forks": 2}, {"id": "0.1", "path": [0, 0, 0, 0, 1], "forks": 2}],
+        ["0.1", "0.1.1", "0.1.2"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FORKS_AFTER_A_CLOSED_JOIN))
+def test_fork_numbering_continues_across_a_resume(case):
+    source, saved_branches, forked = FORKS_AFTER_A_CLOSED_JOIN[case]
+    ast = dsl.parse(source)
+    script = {
+        "positions": {"slow": {"result": {}, "delay_ms": 2000, "token": "tok-slow"}},
+        "default": {"result": {}},
+        "passthroughs": {"tok-slow": {"result": {}}},
+    }
+    handler = MockHandler(script)
+    instance = WorkflowInstance(ast, handler)
+    instance.start()
+    assert wait_for(instance, lambda rs: len(starts_of(rs, "slow")) == 1)
+    instance.deliver_stop()
+    saved = json.loads(json.dumps(instance.save()))
+    # the joins that forked the earlier children have closed: only the
+    # saved counter keeps their numbers from being handed out again
+    assert saved["branches"] == saved_branches
+
+    resumed = WorkflowInstance.resume(ast, handler, saved)
+    assert resumed.run() == "finished"
+    records = instance.log.records + resumed.log.records
+    assert [
+        r.detail["child"]
+        for r in records
+        if r.kind == "branch_fork" and not r.detail.get("resumed")
+    ] == forked
 
 
 def test_resume_from_the_root_end_marker_finishes_without_running_anything():
