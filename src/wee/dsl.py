@@ -27,7 +27,8 @@ Grammar (whitespace-insensitive, `#` line comments):
     primary    = INT | STRING | "true" | "false" | "null" | IDENT | "(" expr ")"
 
 INT is a run of Unicode decimal digits (so `٣` is 3); IDENT starts with a
-letter or `_`.
+letter or `_`. A parallel_branch's innermost enclosing parallel or
+parallel_branch must be a parallel: the branch joins that block's join.
 """
 
 from __future__ import annotations
@@ -290,7 +291,8 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.positions_seen: dict[str, Token] = {}
-        self.parallel_depth = 0
+        # the innermost enclosing "parallel" or "parallel_branch", if any
+        self.enclosing: Optional[str] = None
 
     # -- token helpers ----------------------------------------------------
 
@@ -445,20 +447,27 @@ class _Parser:
         else:
             raise self.error(f"expected 'all' or a branch count, got {tok.value!r}")
         self.expect(TokenType.LBRACE)
-        self.parallel_depth += 1
-        body = self.parse_block()
-        self.parallel_depth -= 1
+        body = self.parse_enclosed_block("parallel")
         self.expect(TokenType.RBRACE)
         return Parallel(wait, body, kw.line, kw.col)
 
     def parse_parallel_branch(self) -> ParallelBranch:
         kw = self.advance()
-        if self.parallel_depth == 0:
+        if self.enclosing is None:
             raise self.error("parallel_branch outside of a parallel block", kw)
+        if self.enclosing == "parallel_branch":
+            # its branch would join the outer parent's join, not its own parent's
+            raise self.error("parallel_branch inside a parallel_branch needs its own parallel", kw)
         self.expect(TokenType.LBRACE)
-        body = self.parse_block()
+        body = self.parse_enclosed_block("parallel_branch")
         self.expect(TokenType.RBRACE)
         return ParallelBranch(body, kw.line, kw.col)
+
+    def parse_enclosed_block(self, keyword: str) -> Block:
+        outer, self.enclosing = self.enclosing, keyword
+        body = self.parse_block()
+        self.enclosing = outer
+        return body
 
     def parse_choose(self) -> Choose:
         kw = self.advance()

@@ -3,8 +3,10 @@
 One thread of control per branch: the root branch walks the workflow body,
 and every parallel_branch forks a child thread that shares the context store
 and the critical-section registry. Joins wait for all branches or for the
-first k (the losers receive a no-longer-necessary signal and stand down at
-their next node boundary; the stop tokens of their in-flight calls are set).
+first k. The losers and every live branch below them (a branch id's prefix
+names its ancestors) receive a no-longer-necessary signal at once and stand
+down at their next node boundary; the stop tokens of their in-flight calls are
+set.
 A stop signal parks every branch at its program counter so the instance can
 be serialized and resumed later, with passthrough tokens standing in for
 interrupted service calls. Each call is named by its call id, the branch id
@@ -99,25 +101,20 @@ class _JoinGroup:
         self.wait = wait
         self.parallel_path = parallel_path
         self.parent = parent
-        self.children: list[_Branch] = []
+        # children forked or restored, and the ids of those that have arrived
+        # (a restored child may have arrived before the stop)
+        self.spawned = 0
         self.arrived: list[str] = []
-        self.pre_arrived = 0  # completions restored from a saved instance
         self.spawning = True  # the parent is still executing the parallel body
         self.fired = False
-
-    def total_spawned(self) -> int:
-        return len(self.children) + self.pre_arrived
-
-    def arrivals(self) -> int:
-        return len(self.arrived) + self.pre_arrived
 
     def ready_to_fire(self) -> bool:
         if self.fired:
             return False
         if self.wait.is_all:
             # an all-join's target is only known once spawning has finished
-            return not self.spawning and self.arrivals() == self.total_spawned()
-        return self.arrivals() >= self.wait.count  # type: ignore[operator]
+            return not self.spawning and len(self.arrived) == self.spawned
+        return len(self.arrived) >= self.wait.count  # type: ignore[operator]
 
 
 class _Branch:
@@ -127,7 +124,6 @@ class _Branch:
         region_block: dsl.Block,
         region_prefix: tuple[int, ...],
         group: Optional[_JoinGroup] = None,
-        group_stack: Optional[list[_JoinGroup]] = None,
         resume_path: Optional[tuple[int, ...]] = None,
         forks: int = 1,
     ):
@@ -135,7 +131,8 @@ class _Branch:
         self.region_block = region_block
         self.region_prefix = region_prefix
         self.group = group
-        self.group_stack: list[_JoinGroup] = list(group_stack or [])
+        # the joins this branch has open, innermost last
+        self.group_stack: list[_JoinGroup] = []
         self.resume_path = resume_path
         self.cancelled = False
         self.in_flight: Optional[HandlerCall] = None
@@ -514,12 +511,12 @@ class WorkflowInstance:
 
     def _child_finished(self, child: _Branch) -> list[_Branch]:
         """Arrive at the child's join unless it was cancelled; returns the
-        losers whose calls the child must stop.
+        cancelled branches whose calls the child must stop.
 
         The child leaves the registry in the section in which it arrives, so
-        a parent cancelled while waiting cannot signal it. A child whose
-        arrival fired the join stays until it has stopped the losers' calls,
-        so wait() cannot return before; a fired join cancels no child.
+        a cancel of its parent cannot signal it. A child whose arrival fired
+        the join stays until it has stopped the losers' calls, so wait()
+        cannot return before.
         """
         group = child.group
         assert group is not None
@@ -548,21 +545,36 @@ class WorkflowInstance:
             group.parent.id,
             detail={
                 "role": "fire",
-                "arrived": group.arrivals(),
-                "spawned": group.total_spawned(),
+                "arrived": len(group.arrived),
+                "spawned": group.spawned,
                 "wait": "all" if group.wait.is_all else group.wait.count,
             },
         )
-        losers: list[_Branch] = []
-        if not group.wait.is_all:
-            arrived = set(group.arrived)
-            for other in group.children:
-                if other.id in arrived or other.cancelled:
-                    continue
-                other.cancelled = True
-                self.log.emit("signal", other.id, detail={"signal": "no_longer_necessary"})
-                losers.append(other)
-        return losers
+        if group.wait.is_all:
+            return []
+        return self._cancel([b.id for b in self.branches.values() if b.group is group])
+
+    def _cancel(self, ids: list[str]) -> list[_Branch]:
+        """Cancel the named branches and every live branch below them; caller
+        holds the state lock. Returns the branches cancelled now, whose
+        in-flight calls the caller stops once it has released the lock.
+
+        A child that has arrived at its join is not cancelled: the one whose
+        arrival fired the join is still live, stopping the losers' calls.
+        """
+        below = tuple(f"{branch_id}." for branch_id in ids)
+        cancelled = [
+            b
+            for b in self.branches.values()
+            if (b.id in ids or b.id.startswith(below))
+            and not b.cancelled
+            and not (b.group and b.id in b.group.arrived)
+        ]
+        for b in cancelled:
+            b.cancelled = True
+            self.log.emit("signal", b.id, detail={"signal": "no_longer_necessary"})
+        self._cond.notify_all()
+        return cancelled
 
     # ------------------------------------------------------------------
     # Node execution
@@ -664,6 +676,9 @@ class WorkflowInstance:
                 name: eval_expr(expr, snap.values) for name, expr in node.parameters
             }
         except EvalError as exc:
+            # a cancelled or stopping branch stands down or parks instead
+            with self._state_lock:
+                self._checkpoint(branch, path)
             raise EngineError(f"call '{node.position}' parameters: {exc}") from exc
 
         call_id = f"{branch.id}/{node.position}"
@@ -776,101 +791,84 @@ class WorkflowInstance:
         group = _JoinGroup(node.wait, path, branch)
         with self._state_lock:
             self._groups.append(group)
-        saved = self._resume_children.pop((branch.id, path), None)
-        if saved:
-            self._attach_saved_children(group, saved)
-        rejoin = bool(saved) and sub is None
-
         branch.group_stack.append(group)
+        parked = False
         try:
-            if not rejoin:
+            saved = self._resume_children.pop((branch.id, path), None)
+            if saved:
+                self._attach_saved_children(group, saved)
+            if not (saved and sub is None):  # else the body had ended before the stop
                 self._exec_block(branch, node.body, path + (0,), sub)
+
+            with self._state_lock:
+                group.spawning = False
+                wait, spawned = node.wait.count, group.spawned
+                if wait is not None and spawned < wait:
+                    raise EngineError(f"unsatisfiable join: wait {wait} of {spawned} branches")
+                losers = self._maybe_fire(group)
+            self._stop_calls(losers)
+            with self._state_lock:
+                while not group.fired:
+                    self._checkpoint(branch, path)
+                    self._cond.wait()
+        except _Parked:
+            parked = True  # save() reads the open join
+            raise
         finally:
             branch.group_stack.pop()
-
-        with self._state_lock:
-            group.spawning = False
-            spawned = group.total_spawned()
-            if not node.wait.is_all and spawned < node.wait.count:  # type: ignore[operator]
-                self._groups.remove(group)
-                raise EngineError(
-                    f"unsatisfiable join: wait {node.wait.count} of {spawned} branches"
-                )
-            losers = self._maybe_fire(group)
-            self._cond.notify_all()
-        self._stop_calls(losers)
-        self._await_join(branch, group, path)
+            if not parked:  # the join has fired, or will never fire
+                with self._state_lock:
+                    self._groups.remove(group)
 
     def _attach_saved_children(self, group: _JoinGroup, saved: list[tuple]) -> None:
+        # every restored child is counted before any starts, so none fires the join early
+        children = []
         for child_id, plan, forks in saved:
             if plan is None:
-                group.pre_arrived += 1
+                group.arrived.append(child_id)  # it arrived before the stop
                 continue
             _owner, pb_path, rel = plan
             pb_node = dsl.nodes_along(self.ast, pb_path)[-1]
-            child = _Branch(
-                child_id,
-                pb_node.body,
-                pb_path + (0,),
-                group=group,
-                group_stack=[group],
-                resume_path=rel or None,
-                forks=forks,
+            children.append(
+                _Branch(
+                    child_id,
+                    pb_node.body,
+                    pb_path + (0,),
+                    group=group,
+                    resume_path=rel or None,
+                    forks=forks,
+                )
             )
-            with self._state_lock:
-                group.children.append(child)
-                self.branches[child_id] = child
-            self.log.emit("branch_fork", group.parent.id, detail={"child": child_id, "resumed": True})
-            self._start_thread(child)
+        group.spawned = len(group.arrived)
+        self._add_children(group, children, resumed=True)
 
     def _fork_child(self, branch: _Branch, node: dsl.ParallelBranch, path) -> None:
         if not branch.group_stack:
             raise EngineError("parallel_branch executed outside a parallel block")
         group = branch.group_stack[-1]
-        child_id = f"{branch.id}.{branch.forks}"
+        child = _Branch(f"{branch.id}.{branch.forks}", node.body, path + (0,), group=group)
         branch.forks += 1
-        child = _Branch(
-            child_id,
-            node.body,
-            path + (0,),
-            group=group,
-            group_stack=list(branch.group_stack),
-        )
-        with self._state_lock:
-            group.children.append(child)
-            self.branches[child_id] = child
-            late = child.cancelled = group.fired and not group.wait.is_all
-        self.log.emit("branch_fork", branch.id, detail={"child": child_id})
-        if late:
-            self.log.emit("signal", child_id, detail={"signal": "no_longer_necessary"})
-        self._start_thread(child)
+        self._add_children(group, [child])
 
-    def _await_join(self, branch: _Branch, group: _JoinGroup, path) -> None:
-        with self._state_lock:
-            while not group.fired:
-                if self._stop_requested:
-                    raise _Parked(path)
-                if branch.cancelled:
-                    break
-                self._cond.wait()
-            self._groups.remove(group)
-            if group.fired:
-                return
-            stopped = self._cancel_children(group)
-        self._stop_calls(stopped)
-        raise _Cancelled()
+    def _add_children(
+        self, group: _JoinGroup, children: list[_Branch], resumed: bool = False
+    ) -> None:
+        """Register children and start their threads.
 
-    def _cancel_children(self, group: _JoinGroup) -> list[_Branch]:
-        """Signal the group's live children to stand down; caller holds the state lock."""
-        stopped: list[_Branch] = []
-        for child in group.children:
-            if child.cancelled or child.id not in self.branches:
-                continue
-            child.cancelled = True
-            self.log.emit("signal", child.id, detail={"signal": "no_longer_necessary"})
-            stopped.append(child)
-        self._cond.notify_all()
-        return stopped
+        A child of a cancelled parent, or one forked into a k-join that has
+        already fired, is cancelled at once; a parent cancelled later finds
+        its children in the registry.
+        """
+        with self._state_lock:
+            for child in children:
+                group.spawned += 1
+                self.branches[child.id] = child
+                detail = {"child": child.id, "resumed": True} if resumed else {"child": child.id}
+                self.log.emit("branch_fork", group.parent.id, detail=detail)
+                if group.parent.cancelled or (group.fired and not group.wait.is_all):
+                    self._cancel([child.id])
+        for child in children:
+            self._start_thread(child)
 
     def _exec_choose(self, branch: _Branch, node: dsl.Choose, path, sub) -> None:
         blocks = dsl.child_blocks(node)

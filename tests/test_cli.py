@@ -130,6 +130,18 @@ def test_check_duplicate_position(tmp_path):
     assert "duplicate position 'a'" in proc.stderr
 
 
+def test_check_rejects_a_parallel_branch_directly_inside_another(tmp_path):
+    workflow = tmp_path / "nested.wee"
+    workflow.write_text(
+        'workflow { handler "mock"\n'
+        "parallel wait: all { parallel_branch {\n"
+        "  parallel_branch { } } } }"
+    )
+    proc = subprocess.run(wee_cmd("check", str(workflow)), capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "line 3, col 3: parallel_branch inside a parallel_branch" in proc.stderr
+
+
 def test_check_lists_every_activity_once():
     proc = subprocess.run(
         wee_cmd("check", str(FIXTURES / "booking.wee")), capture_output=True, text=True

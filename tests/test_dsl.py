@@ -111,6 +111,54 @@ def test_parallel_branch_nested_through_cycle_is_fine():
     assert positions(ast) == ["w"]
 
 
+@pytest.mark.parametrize(
+    "wrap",
+    [
+        lambda inner: inner,
+        lambda inner: f"cycle (i < 3) {{ {inner} }}",
+        lambda inner: f"choose {{ alternative (i == 0) {{ {inner} }} }}",
+        lambda inner: f"critical :gate {{ {inner} }}",
+    ],
+    ids=["direct", "cycle", "choose", "critical"],
+)
+def test_parallel_branch_inside_a_parallel_branch_is_rejected_at_the_inner_keyword(wrap):
+    # the inner branch would join its grandparent's join, so the branch ids
+    # would no longer name the join tree
+    inner = "parallel_branch { manipulate :w { i = i } }"
+    source = (
+        'workflow {\n  handler "mock"\n  context i: 0\n  parallel wait: all {\n'
+        f"    parallel_branch {{ {wrap(inner)} }}\n  }}\n}}"
+    )
+    line = source.splitlines()[4]
+    with pytest.raises(ParseError, match="parallel_branch inside a parallel_branch") as info:
+        parse(source)
+    assert (info.value.line, info.value.col) == (5, line.index("parallel_branch", 8) + 1)
+
+
+@pytest.mark.parametrize(
+    "wrap",
+    [
+        lambda inner: f"cycle (i < 3) {{ {inner} }}",
+        lambda inner: f"choose {{ alternative (i == 0) {{ {inner} }} }}",
+        lambda inner: f"critical :gate {{ {inner} }}",
+    ],
+    ids=["cycle", "choose", "critical"],
+)
+def test_parallel_branch_under_a_construct_in_its_own_parallel_parses(wrap):
+    # the multiple-instance shape: forks under a cycle, nested in a branch
+    inner = "parallel_branch { manipulate :w { i = i } }"
+    source = f"""
+    workflow {{
+      handler "mock"
+      context i: 0
+      parallel wait: all {{
+        parallel_branch {{ parallel wait: all {{ {wrap(inner)} }} }}
+      }}
+    }}
+    """
+    assert positions(parse(source)) == ["w"]
+
+
 def test_parse_error_carries_line_and_column():
     try:
         parse('workflow {\n  handler "mock"\n  manipulate a { }\n}')
@@ -308,7 +356,8 @@ def ast_strategy(draw):
                 wait = WaitSpec(draw(st.sampled_from([None, 1, 2, 3])))
                 nodes.append(Parallel(wait, block(depth + 1, True)))
             elif kind == "parallel_branch":
-                nodes.append(ParallelBranch(block(depth + 1, in_parallel)))
+                # a parallel_branch needs its own parallel to fork into
+                nodes.append(ParallelBranch(block(depth + 1, False)))
             elif kind == "choose":
                 alternatives = [
                     Alternative(expr(), block(depth + 1, in_parallel))

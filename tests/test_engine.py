@@ -1033,16 +1033,43 @@ workflow {
 }
 """
 
+# each pass cancels a loser while it is still spawning: its first child has
+# forked (and ends at once), and its call runs until the cancel stops it
+CANCELLED_WHILE_SPAWNING_CYCLE = """
+workflow {
+  handler "mock"
+  endpoint svc: "mock://svc"
+  context i: 0
+  context n: 0
+  cycle (i < n) {
+    parallel wait: 1 {
+      parallel_branch {
+        parallel wait: all {
+          parallel_branch { }
+          call :spawning, endpoint: svc
+        }
+      }
+      parallel_branch { call :fast, endpoint: svc }
+    }
+    manipulate :bump { i = i + 1 }
+  }
+}
+"""
+
+FORKING_CYCLES = {
+    "joined": (FORKING_CYCLE, {"default": {"result": {}}}),
+    "cancelled_while_spawning": (
+        CANCELLED_WHILE_SPAWNING_CYCLE,
+        {"default": {"result": {}}, "positions": {"spawning": {"result": {}, "delay_ms": 60_000}}},
+    ),
+}
+
 
 def test_a_long_forking_cycle_retains_no_finished_branches_or_joins():
-    ast = dsl.parse(FORKING_CYCLE)
-
-    def retained_after(passes):
+    def retained_after(ast, script, passes):
         tracemalloc.start()
         try:
-            instance = WorkflowInstance(
-                ast, MockHandler({"default": {"result": {}}}), initial_context={"n": passes}
-            )
+            instance = WorkflowInstance(ast, MockHandler(script), initial_context={"n": passes})
             assert instance.run() == "finished"
             instance.log.records.clear()
             gc.collect()
@@ -1052,5 +1079,68 @@ def test_a_long_forking_cycle_retains_no_finished_branches_or_joins():
         assert instance.branches == {}
         return retained
 
-    short, long = retained_after(200), retained_after(2000)
-    assert long - short < 100_000, (short, long)
+    for shape, (source, script) in FORKING_CYCLES.items():
+        ast = dsl.parse(source)
+        short, long = retained_after(ast, script, 200), retained_after(ast, script, 2000)
+        assert long - short < 100_000, (shape, short, long)
+
+
+# a k-join whose loser may be cancelled anywhere: before or while it forks,
+# in its call, or waiting on its own joins, one or two levels down
+CANCEL_RACE = """
+workflow {
+  handler "mock"
+  endpoint svc: "mock://svc"
+  context i: 0
+  cycle (i < 30) {
+    manipulate :bump { i = i + 1 }
+    parallel wait: 1 {
+      parallel_branch { call :a, endpoint: svc }
+      parallel_branch {
+        parallel wait: 1 {
+          parallel_branch { call :b, endpoint: svc }
+          call :c, endpoint: svc
+          parallel_branch {
+            parallel wait: all {
+              parallel_branch { call :d, endpoint: svc }
+              call :e, endpoint: svc
+            }
+          }
+        }
+      }
+    }
+  }
+}
+"""
+
+
+def test_racing_cancels_take_down_whole_subtrees_and_close_every_join():
+    ast = dsl.parse(CANCEL_RACE)
+    # :a wins some passes and loses others, so every call is stopped in some
+    script = {
+        "default": {"result": {}, "delay_ms": [0, 0.3]},
+        "positions": {"a": {"result": {}, "delay_ms": [0, 3]}},
+    }
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for seed in range(10):
+            instance = WorkflowInstance(ast, MockHandler(script, seed=seed))
+            runner = threading.Thread(target=instance.run)
+            runner.start()
+            runner.join(timeout=20)
+            assert not runner.is_alive()
+            assert instance.result == "finished"
+            assert instance.branches == {} and instance._groups == []
+            cancelled, arrived = set(), set()
+            for r in instance.log.records:
+                if r.detail.get("signal") == "no_longer_necessary":
+                    cancelled.add(r.branch)
+                elif r.kind == "branch_join" and r.detail["role"] == "arrive":
+                    # nobody waits on the join of a cancelled parent
+                    assert r.detail["parent"] not in cancelled, (seed, r.branch)
+                    arrived.add(r.branch)
+            forked = {r.detail["child"] for r in instance.log.records if r.kind == "branch_fork"}
+            assert forked == arrived | cancelled and not arrived & cancelled, seed
+    finally:
+        sys.setswitchinterval(previous)

@@ -135,7 +135,8 @@ def test_coverage_json_is_serializable(report, tmp_path):
 
 def test_log_completeness_across_corpus(report):
     # every activity of a finished run starts and ends pairwise; every forked
-    # branch either arrives at its join or carries a cancellation signal
+    # branch either arrives at its join or carries a cancellation signal, and
+    # none arrives at the join of a parent that was already cancelled
     for result in report.results:
         if result.records is None:
             continue
@@ -165,6 +166,12 @@ def test_log_completeness_across_corpus(report):
             )
             parked = result.result_state == "stopped"
             assert arrived or cancelled or parked, (result.slug, child)
+        cancelled_so_far = set()
+        for r in records:
+            if r.detail.get("signal") == "no_longer_necessary":
+                cancelled_so_far.add(r.branch)
+            elif r.kind == "branch_join" and r.detail.get("role") == "arrive":
+                assert r.detail["parent"] not in cancelled_so_far, (result.slug, r.branch)
 
 
 # -- the assertion engine itself, checked against synthetic traces -------------

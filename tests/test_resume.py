@@ -200,52 +200,188 @@ workflow {
 """
 
 
+# the loser is cancelled while it is still running its parallel body: it has
+# forked one grandchild and is in a call before forking the next
+SPAWNING_RACE = """
+workflow {
+  handler "mock"
+  endpoint svc: "mock://svc"
+  context done: false
+  parallel wait: 1 {
+    parallel_branch { call :outer_fast, endpoint: svc }
+    parallel_branch {
+      parallel wait: all {
+        parallel_branch { call :inner_a, endpoint: svc }
+        call :spawning, endpoint: svc
+        parallel_branch { call :inner_b, endpoint: svc }
+      }
+      manipulate :inner_done { done = done || false }
+    }
+  }
+  manipulate :after { done = true }
+}
+"""
+
+# (workflow, branches told no_longer_necessary, positions whose calls are stopped)
+LOSING_SUBTREES = {
+    "blocked_on_its_join": (NESTED_RACE, {"0.2", "0.2.1", "0.2.2"}, {"inner_a", "inner_b"}),
+    "still_spawning": (SPAWNING_RACE, {"0.2", "0.2.1"}, {"spawning", "inner_a"}),
+}
+
+
 def test_nested_join_cancellation_cascades():
-    ast = dsl.parse(NESTED_RACE)
-    handler = MockHandler(
-        {
-            "positions": {
-                "outer_fast": {"result": {}, "delay_ms": 5},
-                "inner_a": {"result": {}, "delay_ms": 400},
-                "inner_b": {"result": {}, "delay_ms": 400},
-            }
+    handler_script = {
+        "positions": {
+            "outer_fast": {"result": {}, "delay_ms": 5},
+            "spawning": {"result": {}, "delay_ms": 100},
+            "inner_a": {"result": {}, "delay_ms": 800},
+            "inner_b": {"result": {}, "delay_ms": 800},
         }
-    )
-    instance = WorkflowInstance(ast, handler)
-    assert instance.run() == "finished"
-    records = instance.log.records
-    nln_targets = {
-        r.branch for r in records if r.detail.get("signal") == "no_longer_necessary"
     }
-    # the losing subtree is cancelled all the way down
-    assert nln_targets == {"0.2", "0.2.1", "0.2.2"}
-    stop_calls = {
-        r.position for r in records if r.detail.get("signal") == "stop_call"
-    }
-    assert stop_calls == {"inner_a", "inner_b"}
-    assert not starts_of(records, "inner_done")
-    assert len(starts_of(records, "after")) == 1
-    assert instance.store.current_values()["done"] is True
+    for shape, (source, cancelled, stopped) in LOSING_SUBTREES.items():
+        instance = WorkflowInstance(dsl.parse(source), MockHandler(handler_script))
+        started = time.perf_counter()
+        assert instance.run() == "finished"
+        # no grandchild holds the instance open for its 800 ms call
+        assert time.perf_counter() - started < 0.4, shape
+        records = instance.log.records
+        nln_targets = {
+            r.branch for r in records if r.detail.get("signal") == "no_longer_necessary"
+        }
+        # the losing subtree is cancelled all the way down
+        assert nln_targets == cancelled, shape
+        stop_calls = {
+            r.position for r in records if r.detail.get("signal") == "stop_call"
+        }
+        assert stop_calls == stopped, shape
+        arrivals = {
+            r.branch for r in records if r.kind == "branch_join" and r.detail["role"] == "arrive"
+        }
+        assert arrivals == {"0.1"}, shape
+        assert not starts_of(records, "inner_done")
+        assert len(starts_of(records, "after")) == 1
+        assert instance.store.current_values()["done"] is True
+        assert instance._groups == [], shape
 
 
 def test_nested_cancellation_wakes_the_loser_blocked_on_its_own_join():
-    ast = dsl.parse(NESTED_RACE)
-    inner = {"result": {}, "delay_ms": 2000, "on_stop": "finish"}
+    slow = {"result": {}, "delay_ms": 2000, "on_stop": "finish"}
     script = {
         "positions": {
             "outer_fast": {"result": {}, "delay_ms": 5},
-            "inner_a": inner,
-            "inner_b": inner,
+            "spawning": slow,
+            "inner_a": slow,
+            "inner_b": slow,
         }
     }
-    elapsed = []
-    for _ in range(5):
-        instance = WorkflowInstance(ast, MockHandler(script))
-        started = time.perf_counter()
-        assert instance.run() == "finished"
-        elapsed.append(time.perf_counter() - started)
-    # the cancel itself must wake the loser's join wait, well before any poll
-    assert statistics.median(elapsed) < 0.025, elapsed
+    for shape, (source, _cancelled, _stopped) in LOSING_SUBTREES.items():
+        ast = dsl.parse(source)
+        elapsed = []
+        for _ in range(5):
+            instance = WorkflowInstance(ast, MockHandler(script))
+            started = time.perf_counter()
+            assert instance.run() == "finished"
+            elapsed.append(time.perf_counter() - started)
+        # the cancel itself must wake the loser's join wait, well before any
+        # poll, and reach every branch the loser forked
+        assert statistics.median(elapsed) < 0.025, (shape, elapsed)
+
+
+# the join fires during :pace, so the second branch is forked already cancelled
+LATE_BAD_PARAMETERS = """
+workflow {
+  handler "mock"
+  endpoint svc: "mock://svc"
+  context zero: 0
+  parallel wait: 1 {
+    parallel_branch { call :fast, endpoint: svc }
+    call :pace, endpoint: svc
+    parallel_branch { call :bad, endpoint: svc, parameters: { v: 1 / zero } }
+  }
+}
+"""
+
+STOPPING_BAD_PARAMETERS = """
+workflow {
+  handler "mock"
+  endpoint svc: "mock://svc"
+  endpoint halt: "wee://stop"
+  context zero: 0
+  call :halt, endpoint: halt
+  call :bad, endpoint: svc, parameters: { v: 1 / zero }
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "source, result",
+    [(LATE_BAD_PARAMETERS, "finished"), (STOPPING_BAD_PARAMETERS, "stopped")],
+    ids=["cancelled", "stopping"],
+)
+def test_failing_call_parameters_in_a_cancelled_or_stopping_branch_do_not_error(source, result):
+    script = {"default": {"result": {}}, "positions": {"pace": {"result": {}, "delay_ms": 30}}}
+    instance = WorkflowInstance(dsl.parse(source), MockHandler(script))
+    assert instance.run() == result
+    records = instance.log.records
+    assert [r for r in records if r.kind == "error"] == []
+    assert not starts_of(records, "bad")
+    if result == "finished":
+        cancelled = [r.branch for r in records if r.detail.get("signal") == "no_longer_necessary"]
+        assert cancelled == ["0.2"]
+    else:
+        # parked at the call: a resume evaluates its parameters again
+        assert instance.save()["branches"] == [{"id": "0", "path": [1]}]
+
+
+WAIT_TWO_OF_THREE = """
+workflow {
+  handler "mock"
+  endpoint svc: "mock://svc"
+  parallel wait: 2 {
+    parallel_branch { call :a, endpoint: svc }
+    parallel_branch { call :b, endpoint: svc call :b2, endpoint: svc }
+    parallel_branch { call :c, endpoint: svc call :c2, endpoint: svc }
+  }
+}
+"""
+
+WAIT_TWO_OF_THREE_SCRIPT = {
+    "positions": {
+        "a": {"result": {}},
+        "b": {"result": {}, "delay_ms": 2000, "token": "p-b"},
+        "c": {"result": {}, "delay_ms": 2000, "token": "p-c"},
+        "b2": {"result": {}, "delay_ms": 2000, "on_stop": "finish"},
+        "c2": {"result": {}, "delay_ms": 2000, "on_stop": "finish"},
+    },
+    "passthroughs": {"p-b": {"result": {}}, "p-c": {"result": {}}},
+}
+
+
+def test_a_second_stop_keeps_the_arrivals_restored_by_the_first_resume():
+    ast = dsl.parse(WAIT_TWO_OF_THREE)
+    instance = WorkflowInstance(ast, MockHandler(WAIT_TWO_OF_THREE_SCRIPT))
+    instance.start()
+    assert wait_for(instance, lambda rs: starts_of(rs, "b") and starts_of(rs, "c"))
+    assert wait_for(instance, lambda rs: any(r.detail.get("role") == "arrive" for r in rs))
+    instance.deliver_stop()
+    first = instance.save()
+    assert {"id": "0.1", "path": [0, -1]} in first["branches"]
+
+    resumed = WorkflowInstance.resume(ast, MockHandler(WAIT_TWO_OF_THREE_SCRIPT), first)
+    resumed.start()
+    assert wait_for(resumed, lambda rs: starts_of(rs, "b2") and starts_of(rs, "c2"))
+    resumed.deliver_stop()
+    second = resumed.save()
+    assert {"id": "0.1", "path": [0, -1]} in second["branches"]
+
+    last = WorkflowInstance.resume(ast, MockHandler(WAIT_TWO_OF_THREE_SCRIPT), second)
+    assert last.run() == "finished"
+    records = last.log.records
+    fire = next(r for r in records if r.detail.get("role") == "fire")
+    # 0.1's arrival still counts: the first of the other two fires the join
+    assert (fire.detail["arrived"], fire.detail["spawned"]) == (2, 3)
+    cancelled = [r.branch for r in records if r.detail.get("signal") == "no_longer_necessary"]
+    assert len(cancelled) == 1
 
 
 CONTENDED_CRITICAL = """
