@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import threading
 from types import MappingProxyType
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .expressions import Change, EvalError, Value, eval_expr
 
@@ -62,22 +62,29 @@ class ContextStore:
         """Lock granting the exclusive commit right for read-modify-write."""
         return self._lock
 
-    def commit(self, delta: Sequence[Change]) -> int:
+    def commit(
+        self, delta: Sequence[Change], new_values: Optional[dict[str, Value]] = None
+    ) -> int:
         """Apply the delta, advancing the version by one per change, and
         return the version of its last change.
 
+        A caller holding the exclusive lock that has already built the
+        values after the delta from the current ones passes them as
+        new_values; the store takes that dict over instead of copying.
         Every name is checked before anything changes: a rejected delta
         leaves the values and the version as they were.
         """
         with self._lock:
             values, version = self._state
-            new_values = dict(values)
             for change in delta:
                 if change.name not in values:
                     raise ContextError(
                         f"change to undeclared context variable '{change.name}'"
                     )
-                new_values[change.name] = change.new
+            if new_values is None:
+                new_values = dict(values)
+                for change in delta:
+                    new_values[change.name] = change.new
             version += len(delta)
             self._state = (new_values, version)
             return version

@@ -1,12 +1,14 @@
 """Workflow instance execution.
 
 One thread of control per branch: the root branch walks the workflow body,
-and every parallel_branch forks a child thread that shares the context store
-and the critical-section registry. Joins wait for all branches or for the
-first k. The losers and every live branch below them (a branch id's prefix
-names its ancestors) receive a no-longer-necessary signal at once and stand
-down at their next node boundary; the stop tokens of their in-flight calls are
-set.
+and every parallel_branch forks a child branch that shares the context store
+and the critical-section registry. Each live branch runs in a thread of its
+own; a thread whose branch has ended is reused for a later branch. Joins
+wait for all branches or for the first k. The losers and every live branch
+below them (a branch id's prefix names its ancestors) receive a
+no-longer-necessary signal at once and stand down at their next node
+boundary; the stop tokens of their in-flight calls are set. A jump out of a
+parallel body cancels the children forked so far the same way.
 A stop signal parks every branch at its program counter so the instance can
 be serialized and resumed later, with passthrough tokens standing in for
 interrupted service calls. Each call is named by its call id, the branch id
@@ -24,6 +26,7 @@ arrives at its join or ends, and a join when it closes.
 
 from __future__ import annotations
 
+import os
 import threading
 import uuid
 from dataclasses import dataclass
@@ -91,6 +94,87 @@ class _Parked(Exception):
 
 class _Cancelled(Exception):
     pass
+
+
+# Branch threads: a thread whose branch has ended waits this long for the
+# next branch, of any instance, before it exits; at most _IDLE_CAP wait at once
+_IDLE_CAP = 16
+_IDLE_KEEPALIVE_S = 5.0
+
+
+class _BranchThread:
+    """A daemon thread that runs one branch at a time.
+
+    Starting an OS thread is most of the cost of a fork, so a thread whose
+    branch has ended waits idle for the next one. The cache never limits
+    how many branches run: a branch that finds no idle thread starts a new
+    one, so every live branch has a thread of its own and no join can wait
+    for a thread. An idle thread holds no job, hence no instance.
+    """
+
+    def __init__(self, job: tuple, name: str):
+        self._job: Optional[tuple] = job
+        self._taken: Optional[threading.Lock] = None
+        self._wake = threading.Lock()
+        self._wake.acquire()
+        # the job is not passed as args: Thread keeps those until _serve returns
+        self._thread = threading.Thread(target=self._serve, name=name, daemon=True)
+        self._thread.start()
+
+    def hand(self, job: tuple, name: str) -> None:
+        """Give an idle thread its next job; returns once it has taken it,
+        as Thread.start() does."""
+        # one lock per hand-off: the thread may finish this job and be
+        # handed the next before this parent has seen the release
+        taken = threading.Lock()
+        taken.acquire()
+        self._job, self._taken = job, taken
+        self._thread.name = name
+        self._wake.release()
+        taken.acquire()
+
+    def _serve(self) -> None:
+        while True:
+            run, branch = self._job  # type: ignore[misc]
+            self._job = None
+            if self._taken is not None:
+                self._taken.release()
+                self._taken = None
+            run(branch)
+            del run, branch
+            if not self._await_job():
+                return
+
+    def _await_job(self) -> bool:
+        """Wait idle for the next job; False once this thread should exit."""
+        with _idle_lock:
+            if len(_idle) >= _IDLE_CAP:
+                return False
+            _idle.append(self)
+        if self._wake.acquire(timeout=_IDLE_KEEPALIVE_S):
+            return True
+        with _idle_lock:
+            if self in _idle:
+                _idle.remove(self)
+                return False
+        # a parent took this thread off the idle list as the keep-alive ran out
+        self._wake.acquire()
+        return True
+
+
+_idle: list[_BranchThread] = []  # idle branch threads, the most recent last
+_idle_lock = threading.Lock()
+
+
+def _forget_idle_threads() -> None:
+    # a forked child has none of its parent's threads
+    global _idle_lock
+    _idle.clear()
+    _idle_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_idle_threads)
 
 
 class _JoinGroup:
@@ -475,9 +559,14 @@ class WorkflowInstance:
     # ------------------------------------------------------------------
 
     def _start_thread(self, branch: _Branch) -> None:
-        threading.Thread(
-            target=self._run_branch, args=(branch,), name=f"wee-{branch.id}", daemon=True
-        ).start()
+        """Run the branch in an idle branch thread, or else in a new one."""
+        with _idle_lock:
+            thread = _idle.pop() if _idle else None
+        job, name = (self._run_branch, branch), f"wee-{branch.id}"
+        if thread is None:
+            _BranchThread(job, name)
+        else:
+            thread.hand(job, name)
 
     def _run_branch(self, branch: _Branch) -> None:
         saved = None  # (path, next fork index) a resume restarts the branch from
@@ -637,9 +726,15 @@ class WorkflowInstance:
             self._checkpoint(branch, path)
             self.log.emit("activity_start", branch.id, node.position, {"type": kind})
 
-    def _commit(self, branch: _Branch, position: str, delta: list[Change]) -> None:
+    def _commit(
+        self,
+        branch: _Branch,
+        position: str,
+        delta: list[Change],
+        new_values: Optional[dict[str, Value]] = None,
+    ) -> None:
         """Commit a delta and trace it; caller holds the store's exclusive lock."""
-        version = self.store.commit(delta)
+        version = self.store.commit(delta, new_values)
         self.log.emit(
             "context_change",
             branch.id,
@@ -654,9 +749,9 @@ class WorkflowInstance:
         self._begin_activity(branch, node, path, "manipulate")
         try:
             with self.store.exclusive():
-                delta = apply_assignments(node.statements, self.store.current_values())
+                delta, values = apply_assignments(node.statements, self.store.current_values())
                 if delta:
-                    self._commit(branch, node.position, delta)
+                    self._commit(branch, node.position, delta, values)
         except (EvalError, ContextError) as exc:
             raise EngineError(f"manipulate '{node.position}': {exc}") from exc
         self.log.emit("activity_end", branch.id, node.position, {"outcome": "applied"})
@@ -813,6 +908,13 @@ class WorkflowInstance:
                     self._cond.wait()
         except _Parked:
             parked = True  # save() reads the open join
+            raise
+        except _JumpTo:
+            # the jump leaves the block, so its join will never fire: the
+            # children forked so far are no longer necessary
+            with self._state_lock:
+                orphans = self._cancel([b.id for b in self.branches.values() if b.group is group])
+            self._stop_calls(orphans)
             raise
         finally:
             branch.group_stack.pop()

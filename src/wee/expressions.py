@@ -160,12 +160,13 @@ def eval_expr(expr: Expr, env: Mapping[str, Value]) -> Value:
 
 def apply_assignments(
     statements: Sequence[tuple[str, Expr]], env: Mapping[str, Value]
-) -> list[Change]:
+) -> tuple[list[Change], dict[str, Value]]:
     """Evaluate assignments left to right, each seeing earlier effects.
 
-    Returns the change list without mutating env; committing the changes is
-    the context store's job. Raising midway leaves no partial effects
-    anywhere.
+    Returns the change list and a new dict of the values after it, without
+    mutating env; committing the changes is the context store's job, and it
+    takes that dict over instead of copying env again. Raising midway leaves
+    no partial effects anywhere.
     """
     scratch = dict(env)
     changes: list[Change] = []
@@ -175,4 +176,4 @@ def apply_assignments(
         new = expr.evaluate(scratch)
         changes.append(Change(name, scratch[name], new))
         scratch[name] = new
-    return changes
+    return changes, scratch

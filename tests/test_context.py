@@ -84,6 +84,20 @@ def test_rejected_commit_leaves_no_phantom_records():
     assert dict(store.current_values()) == {"x": 2, "y": 3}
 
 
+def test_commit_takes_over_the_values_built_by_the_caller():
+    store = ContextStore({"x": 1, "y": 0})
+    snap = store.snapshot()
+    built = {"x": 2, "y": 0}
+    assert store.commit([Change("x", 1, 2)], built) == 1
+    assert store.current_values() is built
+    assert dict(snap.values) == {"x": 1, "y": 0}
+    # a rejected delta installs nothing, prebuilt values or not
+    with pytest.raises(ContextError, match="undeclared context variable 'nope'"):
+        store.commit([Change("nope", None, 1)], {"x": 2, "y": 0, "nope": 1})
+    assert store.version == 1
+    assert store.current_values() is built
+
+
 def test_snapshot_reflects_commits():
     store = ContextStore({"x": 1})
     store.commit([Change("x", 1, 2)])

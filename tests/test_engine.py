@@ -2,16 +2,19 @@ from __future__ import annotations
 
 import gc
 import json
+import os
+import signal
 import sys
 import threading
 import time
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import pytest
 
 from conftest import run_source, starts
-from wee import dsl
+from wee import dsl, engine
 from wee.engine import EngineError, RunOptions, WorkflowInstance
 from wee.events import FixedClock
 from wee.handlers import MockHandler
@@ -831,6 +834,42 @@ def test_jump_into_sibling_parallel_branch_is_illegal():
     )
 
 
+def test_a_jump_out_of_a_parallel_body_cancels_the_children_it_forked():
+    source = """
+    workflow {
+      handler "mock"
+      endpoint svc: "mock://svc"
+      context done: false
+      parallel wait: all {
+        parallel_branch { call :child, endpoint: svc }
+        call :leave, endpoint: svc
+      }
+      manipulate :skipped { done = false }
+      manipulate :after { done = true }
+    }
+    """
+    script = {
+        "positions": {
+            "child": {"result": {}, "delay_ms": 300},
+            "leave": {"jump": "after"},
+        }
+    }
+    started = time.perf_counter()
+    instance = run_source(source, MockHandler(script))
+    # the child's 300 ms call does not hold the instance open
+    assert time.perf_counter() - started < 0.15
+    assert instance.result == "finished"
+    records = instance.log.records
+    cancelled = [r.branch for r in records if r.detail.get("signal") == "no_longer_necessary"]
+    assert cancelled == ["0.1"]
+    after = next(i for i, r in enumerate(records) if r.position == "after")
+    assert not [
+        r for r in records[after:] if r.kind == "branch_join" and r.detail["role"] == "arrive"
+    ]
+    assert not starts(instance, "skipped")
+    assert instance.branches == {} and instance._groups == []
+
+
 def test_jump_to_unknown_position_is_illegal():
     instance = run_source(
         """
@@ -1142,5 +1181,185 @@ def test_racing_cancels_take_down_whole_subtrees_and_close_every_join():
                     arrived.add(r.branch)
             forked = {r.detail["child"] for r in instance.log.records if r.kind == "branch_fork"}
             assert forked == arrived | cancelled and not arrived & cancelled, seed
+    finally:
+        sys.setswitchinterval(previous)
+
+
+# -- branch threads -------------------------------------------------------------
+
+
+def wide_join(width: int) -> str:
+    return f"""
+workflow {{
+  handler "mock"
+  endpoint svc: "mock://svc"
+  context i: 0
+  parallel wait: all {{
+    cycle (i < {width}) {{
+      manipulate :bump {{ i = i + 1 }}
+      parallel_branch {{ call :work, endpoint: svc }}
+    }}
+  }}
+}}
+"""
+
+
+def settle(predicate, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not predicate() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return predicate()
+
+
+def test_a_finished_instance_is_garbage_once_its_threads_are_idle():
+    instance = run_source(wide_join(4), MockHandler({"default": {"result": {}}}))
+    assert instance.result == "finished"
+    ref = weakref.ref(instance)
+    del instance
+
+    def collected():
+        gc.collect()
+        return ref() is None
+
+    # wait() returns before the last thread is idle; idle, it holds nothing
+    # (the threads keep waiting far longer than this)
+    assert settle(collected, timeout=1.0)
+
+
+def test_a_burst_of_branches_leaves_at_most_the_cap_idle():
+    with engine._idle_lock:
+        idle_before = len(engine._idle)
+    others = threading.active_count() - idle_before
+    # every branch is in its call at once, so the burst needs 40 threads
+    instance = run_source(wide_join(40), MockHandler({"default": {"result": {}, "delay_ms": 50}}))
+    assert instance.result == "finished"
+    # well before the keep-alive runs out, only the cap's worth still wait
+    assert settle(lambda: threading.active_count() <= others + engine._IDLE_CAP, timeout=1.0)
+    assert len(engine._idle) <= engine._IDLE_CAP
+
+
+def test_branch_threads_exit_once_the_keep_alive_runs_out(monkeypatch):
+    from wee.patterns.harness import run_all
+
+    monkeypatch.setattr(engine, "_IDLE_KEEPALIVE_S", 0.05)
+    baseline = threading.active_count()
+    assert run_all().all_passed
+    # threads idle since earlier tests were counted in the baseline
+    assert settle(lambda: threading.active_count() <= baseline), threading.enumerate()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_does_not_wait_for_its_parents_idle_threads():
+    source = wide_join(2)
+    run_source(source, MockHandler({"default": {"result": {}}}))
+    assert settle(lambda: len(engine._idle) > 0, timeout=1.0)
+    pid = os.fork()
+    if pid == 0:  # the child has none of the parent's threads
+        try:
+            instance = run_source(source, MockHandler({"default": {"result": {}}}))
+            os._exit(0 if instance.result == "finished" else 1)
+        finally:
+            os._exit(2)
+    deadline = time.monotonic() + 10
+    while time.monotonic() < deadline:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            assert os.waitstatus_to_exitcode(status) == 0
+            return
+        time.sleep(0.01)
+    os.kill(pid, signal.SIGKILL)
+    os.waitpid(pid, 0)
+    pytest.fail("the forked child hung handing a branch to a thread it does not have")
+
+
+class BarrierHandler(MockHandler):
+    """Each call returns only once `parties` calls are in flight at once."""
+
+    def __init__(self, parties: int):
+        super().__init__({"default": {"result": {}}})
+        self.barrier = threading.Barrier(parties, timeout=5)
+
+    def call(self, call):
+        self.barrier.wait()
+        return super().call(call)
+
+
+def test_a_join_wider_than_the_idle_cap_gets_a_thread_per_branch():
+    width = engine._IDLE_CAP + 8
+    instance = run_source(wide_join(width), BarrierHandler(width))
+    # a branch left without a thread would break the barrier: a failed call
+    assert instance.result == "finished"
+    arrivals = [r for r in instance.log.records if r.detail.get("role") == "arrive"]
+    assert len(arrivals) == width
+
+
+# four short branches, two of them racing in a wait: 1 one level down
+MANY_PARENTS = """
+workflow {
+  handler "mock"
+  endpoint svc: "mock://svc"
+  parallel wait: all {
+    parallel_branch { call :a, endpoint: svc }
+    parallel_branch {
+      parallel wait: 1 {
+        parallel_branch { call :b, endpoint: svc }
+        parallel_branch { call :c, endpoint: svc }
+      }
+    }
+    parallel_branch { call :d, endpoint: svc }
+  }
+}
+"""
+
+
+class CountingHandler(MockHandler):
+    def __init__(self, script, seed):
+        super().__init__(script, seed=seed)
+        self.calls: dict[str, int] = {}
+        self._count_lock = threading.Lock()
+
+    def call(self, call):
+        with self._count_lock:
+            self.calls[call.call_id] = self.calls.get(call.call_id, 0) + 1
+        return super().call(call)
+
+
+def test_many_parents_forking_at_once_run_every_branch_exactly_once():
+    ast = dsl.parse(MANY_PARENTS)
+    # calls of at most 0.2 ms, so threads go idle and are handed on while
+    # other parents are still forking
+    script = {"default": {"result": {}, "delay_ms": [0, 0.2]}}
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for seed in range(20):
+            instances = [
+                WorkflowInstance(ast, CountingHandler(script, seed * 10 + i)) for i in range(6)
+            ]
+            runners = [
+                threading.Thread(target=instance.run, daemon=True) for instance in instances
+            ]
+            for runner in runners:
+                runner.start()
+            for runner in runners:
+                runner.join(timeout=20)
+                assert not runner.is_alive()
+            for instance in instances:
+                assert instance.result == "finished"
+                records = instance.log.records
+                forked = {r.detail["child"] for r in records if r.kind == "branch_fork"}
+                arrived = {
+                    r.branch
+                    for r in records
+                    if r.kind == "branch_join" and r.detail["role"] == "arrive"
+                }
+                cancelled = {
+                    r.branch for r in records if r.detail.get("signal") == "no_longer_necessary"
+                }
+                assert forked == arrived | cancelled and not arrived & cancelled, seed
+                # no branch ran twice; every branch that arrived made its call
+                assert set(instance.handler.calls.values()) == {1}, seed
+                called = {call_id.partition("/")[0] for call_id in instance.handler.calls}
+                assert arrived - {"0.2"} <= called, seed
     finally:
         sys.setswitchinterval(previous)

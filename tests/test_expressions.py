@@ -133,15 +133,16 @@ def test_short_circuit_skips_a_failing_right_side():
 
 
 def test_apply_assignments_sequential_effects():
-    changes = apply_assignments(
-        [("x", parse_expression("x + 1")), ("y", parse_expression("x * 2"))],
-        {"x": 1, "y": 0},
+    env = {"x": 1, "y": 0}
+    changes, values = apply_assignments(
+        [("x", parse_expression("x + 1")), ("y", parse_expression("x * 2"))], env
     )
     assert changes == [Change("x", 1, 2), Change("y", 0, 4)]
+    assert values == {"x": 2, "y": 4} and env == {"x": 1, "y": 0}
 
 
 def test_apply_assignments_empty_is_identity():
-    assert apply_assignments([], {"x": 1}) == []
+    assert apply_assignments([], {"x": 1}) == ([], {"x": 1})
 
 
 def test_apply_assignments_failure_leaves_no_changes():
@@ -157,7 +158,7 @@ def test_apply_assignments_undeclared_target():
 
 
 def test_reassignment_is_left_to_right():
-    changes = apply_assignments(
+    changes, _ = apply_assignments(
         [("x", parse_expression("1")), ("x", parse_expression("x + 1"))],
         {"x": 10},
     )
@@ -182,12 +183,12 @@ def test_apply_assignments_matches_sequential_fold(env, statements):
     for name, expr in parsed:
         expected_env[name] = eval_expr(expr, expected_env)
 
-    changes = apply_assignments(parsed, env)
+    changes, values = apply_assignments(parsed, env)
     folded = dict(env)
     for change in changes:
         assert folded[change.name] == change.old
         folded[change.name] = change.new
-    assert folded == expected_env
+    assert folded == expected_env == values
 
 
 @given(st.dictionaries(_names, st.integers(-50, 50), min_size=3, max_size=3))

@@ -229,6 +229,27 @@ LOSING_SUBTREES = {
 }
 
 
+class GatedFastHandler(MockHandler):
+    """`outer_fast` returns only once the calls in `gated` are all in flight,
+    so the join it fires finds them to stop however slow the host is."""
+
+    def __init__(self, script: dict, gated: set[str]):
+        super().__init__(script)
+        self._gated = set(gated)
+        self._gate_lock = threading.Lock()
+        self._all_in_flight = threading.Event()
+
+    def call(self, call):
+        if call.position == "outer_fast":
+            assert self._all_in_flight.wait(timeout=5)
+        else:
+            with self._gate_lock:
+                self._gated.discard(call.position)
+                if not self._gated:
+                    self._all_in_flight.set()
+        return super().call(call)
+
+
 def test_nested_join_cancellation_cascades():
     handler_script = {
         "positions": {
@@ -239,7 +260,7 @@ def test_nested_join_cancellation_cascades():
         }
     }
     for shape, (source, cancelled, stopped) in LOSING_SUBTREES.items():
-        instance = WorkflowInstance(dsl.parse(source), MockHandler(handler_script))
+        instance = WorkflowInstance(dsl.parse(source), GatedFastHandler(handler_script, stopped))
         started = time.perf_counter()
         assert instance.run() == "finished"
         # no grandchild holds the instance open for its 800 ms call
