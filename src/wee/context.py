@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import threading
 from types import MappingProxyType
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .expressions import Change, EvalError, Value, eval_expr
 
@@ -62,17 +62,14 @@ class ContextStore:
         """Lock granting the exclusive commit right for read-modify-write."""
         return self._lock
 
-    def commit(
-        self, delta: Sequence[Change], new_values: Optional[dict[str, Value]] = None
-    ) -> int:
-        """Apply the delta, advancing the version by one per change, and
-        return the version of its last change.
+    def commit(self, delta: Sequence[Change], new_values: dict[str, Value]) -> int:
+        """Install new_values, the values after the delta, advancing the
+        version by one per change, and return the version of its last change.
 
-        A caller holding the exclusive lock that has already built the
-        values after the delta from the current ones passes them as
-        new_values; the store takes that dict over instead of copying.
-        Every name is checked before anything changes: a rejected delta
-        leaves the values and the version as they were.
+        The caller holds the exclusive lock and builds new_values as a fresh
+        dict from the current ones; the store takes that dict over without
+        copying it. Every name is checked before anything changes: a
+        rejected delta leaves the values and the version as they were.
         """
         with self._lock:
             values, version = self._state
@@ -81,10 +78,6 @@ class ContextStore:
                     raise ContextError(
                         f"change to undeclared context variable '{change.name}'"
                     )
-            if new_values is None:
-                new_values = dict(values)
-                for change in delta:
-                    new_values[change.name] = change.new
             version += len(delta)
             self._state = (new_values, version)
             return version

@@ -727,11 +727,7 @@ class WorkflowInstance:
             self.log.emit("activity_start", branch.id, node.position, {"type": kind})
 
     def _commit(
-        self,
-        branch: _Branch,
-        position: str,
-        delta: list[Change],
-        new_values: Optional[dict[str, Value]] = None,
+        self, branch: _Branch, position: str, delta: list[Change], new_values: dict[str, Value]
     ) -> None:
         """Commit a delta and trace it; caller holds the store's exclusive lock."""
         version = self.store.commit(delta, new_values)
@@ -846,6 +842,7 @@ class WorkflowInstance:
         try:
             with self.store.exclusive():
                 current = self.store.current_values()
+                values = dict(current)
                 delta = []
                 for name, value in outcome.values.items():
                     if name not in current:
@@ -855,7 +852,8 @@ class WorkflowInstance:
                     if not is_value(value):
                         raise ContextError(f"handler result for '{name}' is not a value")
                     delta.append(Change(name, current[name], value))
-                self._commit(branch, node.position, delta)
+                    values[name] = value
+                self._commit(branch, node.position, delta, values)
         except ContextError as exc:
             raise EngineError(f"call '{node.position}': {exc}") from exc
 

@@ -42,7 +42,7 @@ def test_init_unbound_reference():
 
 def test_commit_appends_and_advances_version():
     store = ContextStore({"x": 1}, version=5)
-    new_version = store.commit([Change("x", 1, 2)])
+    new_version = store.commit([Change("x", 1, 2)], {"x": 2})
     assert new_version == 6
     assert store.version == 6
     assert dict(store.current_values()) == {"x": 2}
@@ -50,7 +50,7 @@ def test_commit_appends_and_advances_version():
 
 def test_commit_empty_delta_is_identity():
     store = ContextStore({"x": 1})
-    assert store.commit([]) == 0
+    assert store.commit([], {"x": 1}) == 0
     assert store.version == 0
     assert dict(store.current_values()) == {"x": 1}
 
@@ -59,7 +59,7 @@ def test_commit_consecutive_seq_numbers_and_replay():
     store = ContextStore({"x": 0, "y": 0, "z": 0})
     delta = [Change("x", 0, 1), Change("y", 0, 2), Change("z", 0, 3)]
     # one version per change: the delta's changes are numbered 1, 2, 3
-    assert store.commit(delta) == 3
+    assert store.commit(delta, {"x": 1, "y": 2, "z": 3}) == 3
     assert store.version == 3
     replayed = dict(store.initial_values)
     for change in delta:
@@ -70,17 +70,17 @@ def test_commit_consecutive_seq_numbers_and_replay():
 def test_commit_rejects_undeclared_names():
     store = ContextStore({"x": 1})
     with pytest.raises(ContextError, match="undeclared context variable 'nope'"):
-        store.commit([Change("nope", None, 1)])
+        store.commit([Change("nope", None, 1)], {"x": 1, "nope": 1})
 
 
 def test_rejected_commit_leaves_no_phantom_records():
     store = ContextStore({"x": 1, "y": 0})
     with pytest.raises(ContextError, match="undeclared context variable 'nope'"):
-        store.commit([Change("x", 1, 2), Change("nope", None, 1)])
+        store.commit([Change("x", 1, 2), Change("nope", None, 1)], {"x": 2, "y": 0, "nope": 1})
     assert store.version == 0
     assert dict(store.current_values()) == {"x": 1, "y": 0}
 
-    assert store.commit([Change("x", 1, 2), Change("y", 0, 3)]) == 2
+    assert store.commit([Change("x", 1, 2), Change("y", 0, 3)], {"x": 2, "y": 3}) == 2
     assert dict(store.current_values()) == {"x": 2, "y": 3}
 
 
@@ -100,7 +100,7 @@ def test_commit_takes_over_the_values_built_by_the_caller():
 
 def test_snapshot_reflects_commits():
     store = ContextStore({"x": 1})
-    store.commit([Change("x", 1, 2)])
+    store.commit([Change("x", 1, 2)], {"x": 2})
     snap = store.snapshot()
     assert snap.values["x"] == 2
     assert snap.version == 1
@@ -143,7 +143,8 @@ def test_snapshot_never_sees_partial_delta():
                         Change("a", current["a"], i),
                         Change("b", current["b"], i),
                         Change("c", current["c"], i),
-                    ]
+                    ],
+                    {"a": i, "b": i, "c": i},
                 )
     finally:
         stop.set()
@@ -159,7 +160,7 @@ def test_concurrent_commits_form_gap_free_total_order():
         for _ in range(500):
             with store.exclusive():
                 current = store.current_values()["x"]
-                version = store.commit([Change("x", current, current + 1)])
+                version = store.commit([Change("x", current, current + 1)], {"x": current + 1})
                 commits.append((version, current, current + 1))
 
     threads = [threading.Thread(target=writer) for _ in range(4)]

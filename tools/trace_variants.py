@@ -1,6 +1,6 @@
 """Count the distinct --fixed-clock traces of each runnable corpus case.
 
-    python tools/trace_variants.py run [--runs N] [--seed S] [--out FILE]
+    python tools/trace_variants.py run [--runs N] > REPORT.json
     python tools/trace_variants.py compare BASE.json CHANGE.json
 
 `run` runs every runnable case of the pattern corpus N times in this
@@ -53,8 +53,8 @@ def runnable_cases() -> list[harness.PatternCase]:
     return [case for case in cases if case.source is not None]
 
 
-def run(runs: int, seed: int) -> dict:
-    report: dict = {"runs": runs, "seed": seed, "cases": {}}
+def run(runs: int) -> dict:
+    report: dict = {"runs": runs, "cases": {}}
     # the harness builds RunOptions() for each phase of a case; swapping in
     # a fixed clock and id here keeps that knob out of the library
     with mock.patch.object(harness, "RunOptions", fixed_options):
@@ -62,7 +62,7 @@ def run(runs: int, seed: int) -> dict:
             digests: collections.Counter[str] = collections.Counter()
             try:
                 for _ in range(runs):
-                    digests[trace_digest(harness.run_case_workflow(case, seed).records)] += 1
+                    digests[trace_digest(harness.run_case_workflow(case, 0).records)] += 1
             except Exception as exc:  # a case that raises is the finding
                 report["cases"][case.slug] = {"error": f"{type(exc).__name__}: {exc}"}
                 continue
@@ -97,8 +97,6 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     run_parser = sub.add_parser("run", help="run every runnable case N times")
     run_parser.add_argument("--runs", type=int, default=30)
-    run_parser.add_argument("--seed", type=int, default=0)
-    run_parser.add_argument("--out", help="write the report here instead of stdout")
     compare_parser = sub.add_parser("compare", help="compare two reports")
     compare_parser.add_argument("base")
     compare_parser.add_argument("change")
@@ -112,12 +110,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{len(moved)} case(s) changed their most frequent trace")
         return 1 if moved else 0
 
-    report = run(args.runs, args.seed)
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    report = run(args.runs)
+    sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     errors = [slug for slug, entry in report["cases"].items() if "error" in entry]
     for slug in errors:
         print(f"{slug}: {report['cases'][slug]['error']}", file=sys.stderr)
