@@ -22,16 +22,24 @@ paths and the critical-section owners; every change that can unblock a
 waiter notifies the condition. Handlers are never called while the lock is
 held. The engine keeps only live state: a branch leaves the registry when it
 arrives at its join or ends, and a join when it closes.
+
+Under RunOptions(virtual_time=True) the branch threads take turns on a
+virtual clock instead (see _Timeline): the same workflow, handler script and
+seed then give the same trace on every run, and a scripted wait takes no
+wall time.
 """
 
 from __future__ import annotations
 
+import functools
+import heapq
+import itertools
 import os
 import threading
 import uuid
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 from . import dsl
 from .context import ContextError, ContextStore
@@ -79,6 +87,9 @@ class RunOptions:
     log_append: bool = False
     start_seq: int = 0
     clock: Optional[object] = None  # callable returning an ISO-8601 string
+    # one branch runs at a time and scripted waits are simulated: only for
+    # handlers whose every wait goes through the call's stop token
+    virtual_time: bool = False
 
 
 # control-flow signals inside branch threads
@@ -177,6 +188,183 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_idle_threads)
 
 
+def _fork_order(branch_id: str) -> tuple[int, ...]:
+    # "0.10" was forked after "0.9"
+    return tuple(map(int, branch_id.split(".")))
+
+
+class _Timeline:
+    """Virtual time for one instance: its branch threads take turns.
+
+    The branch that holds the baton runs until it blocks: on the instance
+    condition, on its call's stop token, or by ending. Releasing the baton
+    first runs, in the releasing thread, every timer that is due; then the
+    baton goes to the runnable branch forked earliest. When no branch can
+    run, the clock jumps to the next timer. A forked child is runnable at
+    once, but its parent keeps the baton until it blocks. The timers are the
+    timeouts of token waits and the instance's delayed actions; once no
+    branch is live, none runs. A thread outside the instance (a controller's
+    stop, a trigger delivery) may make a branch runnable at any time; if the
+    baton is free, that branch gets it at once.
+    """
+
+    def __init__(self) -> None:
+        self.now = 0.0  # virtual seconds since the instance was built
+        # guards every field below; no other lock is taken while it is held
+        self._lock = threading.Lock()
+        self._holder: Optional[_Branch] = None  # the branch with the baton
+        self._ready: list[tuple[tuple[int, ...], _Branch]] = []  # heap, by fork order
+        self._live = 0  # branches added that have not ended
+        self._cond_waiters: list[_Branch] = []
+        # blocked in a token wait: token -> (branch, its timeout's timer)
+        self._token_waiters: dict[StopToken, tuple[_Branch, Optional[list]]] = {}
+        # heap of [due, seq, action]; a withdrawn timer's action is None
+        self._timers: list[list] = []
+        self._seq = itertools.count()
+
+    def add(self, branch: _Branch) -> None:
+        """Make a new branch runnable; its thread waits in enter()."""
+        branch.baton = threading.Lock()
+        branch.baton.acquire()
+        with self._lock:
+            self._live += 1
+            self._make_ready(branch)
+
+    def enter(self, branch: _Branch) -> None:
+        branch.baton.acquire()  # type: ignore[union-attr]
+
+    def leave(self, branch: _Branch) -> None:
+        """The branch has ended: give the baton away for good."""
+        with self._lock:
+            self._live -= 1
+        self._release()
+
+    def call_later(self, delay: float, action: Callable[[], object]) -> None:
+        with self._lock:
+            heapq.heappush(self._timers, [self.now + delay, next(self._seq), action])
+
+    def wait_cond(self, branch: _Branch, state_lock: threading.Lock) -> None:
+        """Wait on the instance condition; caller holds the state lock and the baton."""
+        with self._lock:
+            self._cond_waiters.append(branch)
+        state_lock.release()
+        try:
+            self._pass(branch)
+        finally:
+            state_lock.acquire()
+
+    def notify(self) -> None:
+        """Make every branch waiting on the instance condition runnable."""
+        with self._lock:
+            for branch in self._cond_waiters:
+                self._make_ready(branch)
+            self._cond_waiters.clear()
+
+    def wait_token(self, token: _TimedToken, timeout: Optional[float]) -> bool:
+        with self._lock:
+            # set() and wake() change the flags before they call token_changed
+            blocked = not (token.is_set() or token._woken)
+            if blocked:
+                timer = None
+                if timeout is not None:
+                    expire = functools.partial(self.token_changed, token)
+                    timer = [self.now + timeout, next(self._seq), expire]
+                    heapq.heappush(self._timers, timer)
+                self._token_waiters[token] = (token.branch, timer)
+        if blocked:
+            self._pass(token.branch)
+        return token.is_set()
+
+    def token_changed(self, token: StopToken) -> None:
+        """The token was set, woken or timed out: its waiter may run."""
+        with self._lock:
+            waiter = self._token_waiters.pop(token, None)
+            if waiter is not None:
+                branch, timer = waiter
+                if timer is not None:
+                    timer[2] = None
+                self._make_ready(branch)
+
+    def _make_ready(self, branch: _Branch) -> None:
+        # caller holds self._lock
+        heapq.heappush(self._ready, (_fork_order(branch.id), branch))
+        if self._holder is None:
+            self._grant()
+
+    def _grant(self) -> None:
+        # caller holds self._lock; the baton is free and a branch is ready
+        branch = heapq.heappop(self._ready)[1]
+        self._holder = branch
+        branch.baton.release()  # type: ignore[union-attr]
+
+    def _pass(self, branch: _Branch) -> None:
+        """Give up the baton and wait until it comes back."""
+        self._release()
+        branch.baton.acquire()  # type: ignore[union-attr]
+
+    def _release(self) -> None:
+        """Run the due timers, then hand the baton to the next branch.
+
+        The holder keeps the baton while the timers run, so a branch that
+        one of them makes runnable waits its turn.
+        """
+        while True:
+            with self._lock:
+                action = self._next_due()
+                if action is None:
+                    self._holder = None
+                    if self._ready:
+                        self._grant()
+                    return
+            action()
+
+    def _next_due(self) -> Optional[Callable[[], object]]:
+        # caller holds self._lock
+        while self._timers and self._live:
+            due, _, action = self._timers[0]
+            if action is not None and self._ready and due > self.now:
+                return None
+            heapq.heappop(self._timers)
+            if action is not None:
+                self.now = max(self.now, due)
+                return action
+        return None
+
+
+class _TimedToken(StopToken):
+    """A call's stop token under virtual time: a wait on it blocks the
+    call's branch on the instance's timeline."""
+
+    def __init__(self, timeline: _Timeline, branch: _Branch):
+        super().__init__()
+        self.timeline = timeline
+        self.branch = branch
+
+    def set(self) -> None:
+        super().set()
+        self.timeline.token_changed(self)
+
+    def wake(self) -> None:
+        super().wake()
+        self.timeline.token_changed(self)
+
+    def wait(self, timeout: Optional[float] = None) -> bool:
+        return self.timeline.wait_token(self, timeout)
+
+
+class _TimelineCondition(threading.Condition):
+    """The instance condition under virtual time: a notify also makes the
+    branches waiting on it through the timeline runnable."""
+
+    def __init__(self, lock: threading.Lock, timeline: _Timeline):
+        super().__init__(lock)
+        self._timeline = timeline
+
+    def notify_all(self) -> None:
+        super().notify_all()
+        self._timeline.notify()
+
+
 class _JoinGroup:
     """Join bookkeeping for one execution of a parallel block; guarded by the
     instance's state lock."""
@@ -222,6 +410,8 @@ class _Branch:
         self.in_flight: Optional[HandlerCall] = None
         # the index of this branch's next child; only its own thread forks
         self.forks = forks
+        # under virtual time: released to let this branch's thread run
+        self.baton: Optional[threading.Lock] = None
 
 
 class WorkflowInstance:
@@ -273,7 +463,11 @@ class WorkflowInstance:
 
         self._position_paths = dsl.position_paths(ast)
         self._state_lock = threading.Lock()
-        self._cond = threading.Condition(self._state_lock)
+        self._timeline = _Timeline() if self.options.virtual_time else None
+        if self._timeline is None:
+            self._cond = threading.Condition(self._state_lock)
+        else:
+            self._cond = _TimelineCondition(self._state_lock, self._timeline)
         self._section_owners: dict[str, str] = {}  # critical section -> branch id
         self._stop_requested = False
         self._stop_source: Optional[str] = None
@@ -309,6 +503,29 @@ class WorkflowInstance:
 
     def run(self) -> str:
         return self.start().wait()
+
+    def call_later(self, delay: float, action: Callable[[], object]) -> None:
+        """Run action after delay seconds: of virtual time under virtual
+        time, where it runs on the thread that hands the baton on, or else
+        on a timer thread of its own. The action must not block; one that
+        raises leaves a timer_failed signal in the trace. Under virtual time
+        an action still pending when the last branch ends never runs.
+        """
+
+        def run() -> None:
+            try:
+                action()
+            except Exception as exc:
+                self.log.emit(
+                    "signal", ROOT_BRANCH, detail={"signal": "timer_failed", "message": repr(exc)}
+                )
+
+        if self._timeline is not None:
+            self._timeline.call_later(delay, run)
+            return
+        timer = threading.Timer(delay, run)
+        timer.daemon = True
+        timer.start()
 
     def deliver_stop(self) -> None:
         """Stop the instance and wait until every branch has parked."""
@@ -560,6 +777,8 @@ class WorkflowInstance:
 
     def _start_thread(self, branch: _Branch) -> None:
         """Run the branch in an idle branch thread, or else in a new one."""
+        if self._timeline is not None:
+            self._timeline.add(branch)
         with _idle_lock:
             thread = _idle.pop() if _idle else None
         job, name = (self._run_branch, branch), f"wee-{branch.id}"
@@ -569,6 +788,8 @@ class WorkflowInstance:
             thread.hand(job, name)
 
     def _run_branch(self, branch: _Branch) -> None:
+        if self._timeline is not None:
+            self._timeline.enter(branch)
         saved = None  # (path, next fork index) a resume restarts the branch from
         try:
             pending = branch.resume_path
@@ -597,6 +818,8 @@ class WorkflowInstance:
                 if saved is not None:
                     self._saved_paths[branch.id] = saved
                 self._cond.notify_all()
+            if self._timeline is not None:
+                self._timeline.leave(branch)
 
     def _child_finished(self, child: _Branch) -> list[_Branch]:
         """Arrive at the child's join unless it was cancelled; returns the
@@ -714,6 +937,13 @@ class WorkflowInstance:
         else:
             raise EngineError(f"unknown node {node!r}")
 
+    def _block(self, branch: _Branch) -> None:
+        """Wait on the instance condition; caller holds the state lock."""
+        if self._timeline is None:
+            self._cond.wait()
+        else:
+            self._timeline.wait_cond(branch, self._state_lock)
+
     def _checkpoint(self, branch: _Branch, path: tuple[int, ...]) -> None:
         """Park on a stop request, stand down on cancel; caller holds the state lock."""
         if self._stop_requested:
@@ -787,7 +1017,7 @@ class WorkflowInstance:
                     parameters,
                     snap.values,
                     snap.version,
-                    StopToken(),
+                    StopToken() if self._timeline is None else _TimedToken(self._timeline, branch),
                     token,
                 )
             self.log.emit("activity_start", branch.id, node.position, {"type": "call"})
@@ -903,7 +1133,7 @@ class WorkflowInstance:
             with self._state_lock:
                 while not group.fired:
                     self._checkpoint(branch, path)
-                    self._cond.wait()
+                    self._block(branch)
         except _Parked:
             parked = True  # save() reads the open join
             raise
@@ -1029,7 +1259,7 @@ class WorkflowInstance:
             # the holder may have released by parking: don't enter once stopping
             self._checkpoint(branch, path)
             while section in self._section_owners:
-                self._cond.wait()
+                self._block(branch)
                 self._checkpoint(branch, path)
             self._section_owners[section] = branch.id
         self.log.emit("signal", branch.id, detail={"signal": "critical_enter", "section": section})

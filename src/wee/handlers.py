@@ -34,10 +34,13 @@ class StopToken(threading.Event):
     a join no longer needs the call's branch. A handler waits on it, or
     registers a callback with on_set; a callback registered after the token
     was set runs at once, so a stop that lands before the handler looks is
-    not lost.
+    not lost. A handler that also waits for something else waits on the
+    token and has wake() end the wait; under virtual time every wait a
+    handler makes must go through its token.
     """
 
     _callbacks: tuple = ()  # no allocation for calls that register none
+    _woken = False
 
     def set(self) -> None:
         """Set the token, then run each registered callback once in this
@@ -51,6 +54,19 @@ class StopToken(threading.Event):
             callbacks, self._callbacks = self._callbacks, ()
         for fn in callbacks:
             fn()
+
+    def wake(self) -> None:
+        """End the wait on the token, or the next one, without setting it."""
+        with self._cond:
+            self._woken = True
+            self._cond.notify_all()
+
+    def wait(self, timeout: Optional[float] = None) -> bool:
+        """Wait until the token is set or woken, or the timeout runs out;
+        True if the token is set."""
+        with self._cond:
+            self._cond.wait_for(lambda: self._flag or self._woken, timeout)
+            return self._flag
 
     def on_set(self, fn: Callable[[], object]) -> None:
         """Run fn when the token is set, or now if it already is."""
@@ -320,21 +336,14 @@ def load_trigger_events(path: str | Path) -> list[TriggerEvent]:
     return events
 
 
-class _Waiter:
-    def __init__(self, key: str):
-        self.key = key
-        self.fired = threading.Event()
-        self.stopped = False
-        self.matched_live = False
-
-
 class TriggerHandler(HandlerWrapper):
     """Blocks a call until a matching trigger event is available.
 
     Persistent mode stores events until some call consumes them, so arrival
     order does not matter. Transient mode withdraws events that arrive while
     no call is waiting; only a delivery during the blocked call fires it.
-    The awaited key comes from the call's ``key`` parameter.
+    The awaited key comes from the call's ``key`` parameter. A blocked call
+    waits on its stop token, which a matching delivery wakes.
     """
 
     def __init__(self, mode: str, events: Optional[list[TriggerEvent]] = None):
@@ -343,7 +352,9 @@ class TriggerHandler(HandlerWrapper):
         self.mode = mode
         self._lock = threading.Lock()
         self._stored: list[str] = []
-        self._waiters: dict[str, _Waiter] = {}
+        # blocked calls: call id -> (awaited key, stop token); a delivery
+        # takes its match out
+        self._waiting: dict[str, tuple[str, StopToken]] = {}
         self.stored_matches = 0
         self.live_matches = 0
         self.withdrawn = 0
@@ -352,10 +363,11 @@ class TriggerHandler(HandlerWrapper):
 
     def deliver(self, key: str) -> None:
         with self._lock:
-            for waiter in self._waiters.values():
-                if waiter.key == key and not waiter.fired.is_set():
-                    waiter.matched_live = True
-                    waiter.fired.set()
+            for call_id, (awaited, stop) in self._waiting.items():
+                if awaited == key and not stop.is_set():
+                    del self._waiting[call_id]
+                    self.live_matches += 1
+                    stop.wake()
                     return
             if self.mode == "persistent":
                 self._stored.append(key)
@@ -364,8 +376,7 @@ class TriggerHandler(HandlerWrapper):
 
     def is_waiting(self, call_id: str) -> bool:
         with self._lock:
-            waiter = self._waiters.get(call_id)
-            return waiter is not None and not waiter.fired.is_set()
+            return call_id in self._waiting
 
     def call(self, call: HandlerCall) -> HandlerOutcome:
         key = call.parameters.get("key")
@@ -377,25 +388,13 @@ class TriggerHandler(HandlerWrapper):
                 self._stored.remove(key)
                 self.stored_matches += 1
                 return Result({})
-            waiter = _Waiter(key)
-            self._waiters[call.call_id] = waiter
+            self._waiting[call.call_id] = (key, call.stop)
 
-        def release() -> None:
-            with self._lock:
-                if not waiter.fired.is_set():
-                    waiter.stopped = True
-                    waiter.fired.set()
-
-        call.stop.on_set(release)
-        waiter.fired.wait()
-
+        call.stop.wait()  # until a delivery wakes it or a stop sets it
         with self._lock:
-            self._waiters.pop(call.call_id, None)
-        if waiter.stopped:
-            return Passthrough(f"trigger-{call.position}-{uuid.uuid4().hex[:8]}")
-        if waiter.matched_live:
-            self.live_matches += 1
-        return Result({})
+            if self._waiting.pop(call.call_id, None) is None:
+                return Result({})  # matched
+        return Passthrough(f"trigger-{call.position}-{uuid.uuid4().hex[:8]}")
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@ so rather than papering over it.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import threading
 import time
@@ -171,6 +173,15 @@ class PatternCase:
     scenario: Optional[dict]
     note: str = ""
 
+    @property
+    def handler_kind(self) -> str:
+        return self.script.get("handler", "mock")
+
+    @property
+    def virtual_time(self) -> bool:
+        # these handlers wait only through the call's stop token
+        return self.handler_kind in ("mock", "trigger", "jump")
+
 
 @dataclass
 class PatternResult:
@@ -295,7 +306,7 @@ def load_case(corpus: Path, pattern_class: str, name: str, slug: str, support: s
 
 
 def build_case_handler(case: PatternCase, seed: int) -> HandlerWrapper:
-    kind = case.script.get("handler", "mock")
+    kind = case.handler_kind
     if kind == "mock":
         return MockHandler(case.script.get("script", {}), seed=seed)
     if kind == "jump":
@@ -554,41 +565,18 @@ def replay_context(records: list[EventRecord], initial: dict[str, Value]) -> dic
 # ---------------------------------------------------------------------------
 
 
-def _stop_watcher(instance: WorkflowInstance, matcher: dict) -> None:
-    """Deliver a stop as soon as the trace matches; runs on its own thread."""
+def _stop_when(instance: WorkflowInstance, matcher: dict) -> None:
+    """Request a stop as soon as the trace matches."""
     wanted = int(matcher.get("occurrence", 1))
-    seen = 0
-    hit = threading.Event()
-    lock = threading.Lock()
+    plain = {k: v for k, v in matcher.items() if k != "occurrence"}
+    seen = itertools.count(1)
 
     def listen(record: EventRecord) -> None:
-        nonlocal seen
-        plain = {k: v for k, v in matcher.items() if k != "occurrence"}
-        if _matches(record, plain):
-            with lock:
-                seen += 1
-                if seen >= wanted:
-                    hit.set()
+        # the engine emits under its state lock, so the stop waits for a timer
+        if _matches(record, plain) and next(seen) == wanted:
+            instance.call_later(0, functools.partial(instance.request_stop, source="controller"))
 
     instance.log.add_listener(listen)
-
-    def stopper() -> None:
-        if hit.wait(timeout=30):
-            instance.request_stop(source="controller")
-
-    threading.Thread(target=stopper, daemon=True).start()
-
-
-def _start_deliveries(handler: TriggerHandler, deliveries: list[dict]) -> None:
-    for item in deliveries:
-        delay = float(item.get("at_ms", 0)) / 1000.0
-        key = str(item["key"])
-
-        def fire(delay=delay, key=key) -> None:
-            time.sleep(delay)
-            handler.deliver(key)
-
-        threading.Thread(target=fire, daemon=True).start()
 
 
 def run_case_workflow(case: PatternCase, seed: int = 0) -> RunArtifacts:
@@ -608,12 +596,14 @@ def run_case_workflow(case: PatternCase, seed: int = 0) -> RunArtifacts:
     if kind not in ("run", "stop_resume"):
         raise ValueError(f"{case.slug}: unknown scenario type '{kind}'")
 
-    instance = WorkflowInstance(ast, handler, RunOptions())
+    instance = WorkflowInstance(ast, handler, RunOptions(virtual_time=case.virtual_time))
     if isinstance(handler, TriggerHandler):
-        _start_deliveries(handler, scenario.get("deliver_after_start", []))
+        for item in scenario.get("deliver_after_start", []):
+            delay = float(item.get("at_ms", 0)) / 1000.0
+            instance.call_later(delay, functools.partial(handler.deliver, str(item["key"])))
     if "stop_when" in scenario:
-        # the watcher must listen before the first event can be emitted
-        _stop_watcher(instance, scenario["stop_when"])
+        # the listener must be in place before the first event is emitted
+        _stop_when(instance, scenario["stop_when"])
     result = instance.run()
     saved = instance.save() if result == "stopped" else None
     records = list(instance.log.records)
@@ -626,7 +616,9 @@ def run_case_workflow(case: PatternCase, seed: int = 0) -> RunArtifacts:
             from ..cli import parse_skip_region
 
             skip = parse_skip_region(scenario["skip_region"], ast)
-        instance = WorkflowInstance.resume(ast, handler, saved, RunOptions(), skip_positions=skip)
+        instance = WorkflowInstance.resume(
+            ast, handler, saved, RunOptions(virtual_time=case.virtual_time), skip_positions=skip
+        )
         result = instance.run()
         records += instance.log.records
 

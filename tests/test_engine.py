@@ -17,7 +17,7 @@ from conftest import run_source, starts
 from wee import dsl, engine
 from wee.engine import EngineError, RunOptions, WorkflowInstance
 from wee.events import FixedClock
-from wee.handlers import MockHandler
+from wee.handlers import MockHandler, TriggerHandler
 
 FIXTURES = Path(__file__).parent.parent / "src" / "wee" / "fixtures"
 
@@ -1363,3 +1363,271 @@ def test_many_parents_forking_at_once_run_every_branch_exactly_once():
                 assert arrived - {"0.2"} <= called, seed
     finally:
         sys.setswitchinterval(previous)
+
+
+# -- virtual time ---------------------------------------------------------------------
+
+
+def finish(instance: WorkflowInstance, timeout=5.0) -> str:
+    """Run the instance; fail instead of hanging if a baton is lost."""
+    runner = threading.Thread(target=instance.run, daemon=True)
+    runner.start()
+    runner.join(timeout)
+    assert not runner.is_alive(), "the instance did not end"
+    return instance.result
+
+
+def run_virtual(source, handler, **options) -> WorkflowInstance:
+    options = RunOptions(virtual_time=True, **options)
+    instance = WorkflowInstance(dsl.parse(source), handler, options)
+    finish(instance)
+    return instance
+
+
+def trace_lines(instance: WorkflowInstance) -> str:
+    return "".join(json.dumps(r.to_json(), sort_keys=True) + "\n" for r in instance.log.records)
+
+
+CRITICAL_RACE = """
+workflow {
+  handler "mock"
+  endpoint svc: "mock://svc"
+  context i: 0
+  context held: 0
+  parallel wait: 1 {
+    cycle (i < 4) {
+      manipulate :launch { i = i + 1 }
+      parallel_branch {
+        call :work, endpoint: svc
+        critical :ledger {
+          manipulate :hold { held = held + 1 }
+          call :book, endpoint: svc
+        }
+      }
+    }
+  }
+  manipulate :after { held = held * 10 }
+}
+"""
+
+
+def test_virtual_time_gives_one_trace_for_a_racing_k_join():
+    script = {
+        "positions": {
+            "work": {"result": {}, "delay_ms": [0, 2]},
+            "book": {"result": {}, "delay_ms": [0, 1]},
+        }
+    }
+    traces = set()
+    for _ in range(50):
+        instance = run_virtual(
+            CRITICAL_RACE,
+            MockHandler(script, seed=3),
+            clock=FixedClock(),
+            instance_id="i-00000000",
+        )
+        assert instance.result == "finished"
+        traces.add(trace_lines(instance))
+    assert len(traces) == 1
+    records = instance.log.records
+    assert len([r for r in records if r.detail.get("signal") == "no_longer_necessary"]) == 3
+
+
+def test_a_scripted_delay_takes_virtual_not_wall_time():
+    started = time.monotonic()
+    instance = run_virtual(
+        STOPPABLE,
+        MockHandler({"positions": {"one": {"result": {}, "delay_ms": 10_000}}, "default": {}}),
+    )
+    assert time.monotonic() - started < 0.5
+    assert instance.result == "finished"
+    assert instance._timeline.now == 10.0
+
+
+TRIGGER_ONE = """
+workflow {
+  handler "trigger"
+  endpoint bus: "trigger://bus"
+  context got: 0
+  call :await, endpoint: bus, parameters: { key: "go" }
+  manipulate :proceed { got = got + 1 }
+}
+"""
+
+
+def test_a_stop_from_outside_reaches_a_branch_waiting_on_a_trigger():
+    handler = TriggerHandler("transient")
+    ast = dsl.parse(TRIGGER_ONE)
+    instance = WorkflowInstance(ast, handler, RunOptions(virtual_time=True)).start()
+    deadline = time.monotonic() + 5
+    while not handler.is_waiting("0/await") and time.monotonic() < deadline:
+        time.sleep(0.001)
+    assert handler.is_waiting("0/await")
+    # no timer is pending and the baton is free: the stop alone wakes the branch
+    instance.request_stop()
+    waiter = threading.Thread(target=instance.wait, daemon=True)
+    waiter.start()
+    waiter.join(5)
+    assert instance.result == "stopped"
+    assert list(instance.passthroughs) == ["0/await"]
+    assert not starts(instance, "proceed")
+
+
+def test_a_delivery_timer_wakes_a_trigger_under_virtual_time():
+    handler = TriggerHandler("transient")
+    instance = WorkflowInstance(dsl.parse(TRIGGER_ONE), handler, RunOptions(virtual_time=True))
+    instance.call_later(60.0, lambda: handler.deliver("go"))
+    instance.call_later(0.0, lambda: 1 / 0)
+    started = time.monotonic()
+    assert finish(instance) == "finished"
+    assert time.monotonic() - started < 0.5
+    assert handler.live_matches == 1
+    assert instance._timeline.now == 60.0
+    failed = [r.detail for r in instance.log.records if r.detail.get("signal") == "timer_failed"]
+    message = "ZeroDivisionError('division by zero')"
+    assert failed == [{"signal": "timer_failed", "message": message}]
+
+
+class RaisingHandler(MockHandler):
+    def call(self, call):
+        if call.position == "boom":
+            raise RuntimeError("boom")
+        return super().call(call)
+
+
+BOOM_BESIDE_SLOW = """
+workflow {
+  handler "mock"
+  endpoint svc: "mock://svc"
+  context done: false
+  parallel wait: all {
+    parallel_branch { call :slow, endpoint: svc }
+    parallel_branch { manipulate :first { done = true } call :boom, endpoint: svc }
+  }
+  manipulate :after { done = false }
+}
+"""
+
+
+def test_a_raising_handler_under_virtual_time_leaves_an_error_and_ends():
+    handler = RaisingHandler({"positions": {"slow": {"result": {}, "delay_ms": 60_000}}})
+    instance = run_virtual(BOOM_BESIDE_SLOW, handler)
+    assert instance.result == "error"
+    errors = [r for r in instance.log.records if r.kind == "error"]
+    assert len(errors) == 1 and "handler raised" in errors[0].detail["message"]
+    assert "0.1/slow" in instance.passthroughs
+    # the stop cut the 60 s call short at once
+    assert instance._timeline.now == 0.0
+
+
+def test_every_exit_of_a_branch_hands_the_baton_on(monkeypatch):
+    # an engine bug in one branch: the internal-error path must release too
+    original = WorkflowInstance._exec_manipulate
+
+    def broken(self, branch, node, path):
+        if node.position == "first":
+            raise RuntimeError("engine bug")
+        return original(self, branch, node, path)
+
+    monkeypatch.setattr(WorkflowInstance, "_exec_manipulate", broken)
+    script = {"positions": {"slow": {"result": {}, "delay_ms": 60_000}}}
+    instance = run_virtual(BOOM_BESIDE_SLOW, MockHandler(script))
+    assert instance.result == "error"
+    assert "internal error" in instance.log.records[-1].detail["error"]
+    monkeypatch.undo()
+
+    # cancelled losers, and branches parked by a stop
+    script = {
+        "positions": {
+            "left": {"result": {}, "delay_ms": 1},
+            "right": {"result": {}, "delay_ms": 400},
+        }
+    }
+    instance = run_virtual(PARALLEL_TWO.replace("wait: all", "wait: 1"), MockHandler(script))
+    assert instance.result == "finished"
+    instance = WorkflowInstance(
+        dsl.parse(PARALLEL_TWO), MockHandler(script), RunOptions(virtual_time=True)
+    )
+    instance.call_later(0.1, instance.request_stop)
+    assert finish(instance) == "stopped"
+    assert list(instance.passthroughs) == ["0.2/right"]
+
+
+THREE_CALLS = """
+workflow {
+  handler "mock"
+  endpoint svc: "mock://svc"
+  context done: false
+  parallel wait: all {
+    parallel_branch { call :a, endpoint: svc call :a2, endpoint: svc }
+    parallel_branch { call :b, endpoint: svc }
+    parallel_branch { call :c, endpoint: svc }
+  }
+  call :after, endpoint: svc
+  manipulate :fin { done = true }
+}
+"""
+
+
+def test_stop_save_and_resume_under_virtual_time_repeat_no_call():
+    script = {
+        "positions": {
+            "a": {"result": {}, "delay_ms": 10},
+            "a2": {"result": {}, "delay_ms": 100, "token": "p-a2"},
+            "b": {"result": {}, "delay_ms": 80, "on_stop": "finish"},
+            "c": {"result": {}, "delay_ms": 200, "token": "p-c"},
+            "after": {"result": {}},
+        },
+        "passthroughs": {"p-a2": {"result": {}}, "p-c": {"result": {}}},
+    }
+    ast = dsl.parse(THREE_CALLS)
+    handler = MockHandler(script)
+    instance = WorkflowInstance(ast, handler, RunOptions(virtual_time=True))
+    instance.call_later(0.05, instance.request_stop)
+    assert finish(instance) == "stopped"
+    saved = json.loads(json.dumps(instance.save()))
+    assert saved["passthroughs"] == {"0.1/a2": "p-a2", "0.3/c": "p-c"}
+    assert list(saved["ended_calls"]) == ["0.2/b"]
+
+    resumed = WorkflowInstance.resume(ast, handler, saved, RunOptions(virtual_time=True))
+    assert finish(resumed) == "finished"
+    assert handler.invocations == {"a": 1, "a2": 1, "b": 1, "c": 1, "after": 1}
+    assert resumed.store.current_values()["done"] is True
+
+
+def test_runnable_branches_go_in_fork_order_with_ids_compared_as_numbers():
+    instance = run_virtual(
+        """
+        workflow {
+          handler "mock"
+          endpoint svc: "mock://svc"
+          context i: 0
+          parallel wait: all {
+            cycle (i < 11) {
+              manipulate :launch { i = i + 1 }
+              parallel_branch { call :work, endpoint: svc }
+            }
+          }
+        }
+        """,
+        MockHandler({"default": {"result": {}}}),
+    )
+    arrivals = [r.branch for r in instance.log.records if r.detail.get("role") == "arrive"]
+    assert arrivals == [f"0.{n}" for n in range(1, 12)]
+
+
+def test_a_due_timer_runs_before_the_next_runnable_branch():
+    instance = WorkflowInstance(
+        dsl.parse(THREE_CALLS),
+        MockHandler({"default": {"result": {}, "delay_ms": 10}}),
+        RunOptions(virtual_time=True),
+    )
+
+    def stop_at_first_call(record):
+        if record.kind == "activity_start" and record.branch == "0.1":
+            instance.call_later(0, instance.request_stop)
+
+    instance.log.add_listener(stop_at_first_call)
+    assert finish(instance) == "stopped"
+    # 0.2 and 0.3 were runnable when 0.1 blocked, but the stop came first
+    assert [r.branch for r in starts(instance)] == ["0.1"]

@@ -2,10 +2,13 @@ from __future__ import annotations
 
 import json
 import statistics
+import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from wee.engine import RunOptions
 from wee.events import EventRecord
 from wee.patterns import harness
 from wee.patterns.harness import (
@@ -22,7 +25,17 @@ from wee.patterns.harness import (
     run_pattern,
 )
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+import trace_variants  # noqa: E402
+
 CORPUS = harness.DEFAULT_CORPUS
+GOLDEN = Path(__file__).parent / "golden" / "corpus"
+
+
+def real_time():
+    """Run the harness's cases on real threads and real time, whatever their
+    handler: the harness builds RunOptions(...) for each phase of a case."""
+    return mock.patch.object(harness, "RunOptions", lambda **options: RunOptions())
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +130,30 @@ def test_parallel_mode_matches_sequential(report):
     assert {r.slug: r.achieved_support for r in parallel_report.results} == {
         r.slug: r.achieved_support for r in report.results
     }
+
+
+def test_every_runnable_case_passes_on_real_threads_and_real_time():
+    with real_time():
+        cases = trace_variants.runnable_cases()
+        failed = [(r.slug, r.failures) for r in map(run_pattern, cases) if not r.passed]
+    assert failed == []
+
+
+VIRTUAL_TIME_CASES = [case for case in trace_variants.runnable_cases() if case.virtual_time]
+
+
+def test_every_virtual_time_case_has_one_golden_trace():
+    assert sorted(path.stem for path in GOLDEN.glob("*.jsonl")) == sorted(
+        case.slug for case in VIRTUAL_TIME_CASES
+    )
+
+
+@pytest.mark.parametrize("case", VIRTUAL_TIME_CASES, ids=lambda case: case.slug)
+def test_virtual_time_case_trace_matches_golden(case):
+    # the files `python tools/trace_variants.py golden tests/golden/corpus` writes
+    with mock.patch.object(harness, "RunOptions", trace_variants.fixed_options):
+        records = harness.run_case_workflow(case, 0).records
+    assert trace_variants.trace_bytes(records) == (GOLDEN / f"{case.slug}.jsonl").read_bytes()
 
 
 def test_run_single_pattern():
@@ -287,9 +324,10 @@ def test_cancelled_instances_of_one_activity_end_at_once(slug):
     level = next(level for level in REFERENCE_LEVELS if level[2] == slug)
     case = load_case(CORPUS, *level)
     elapsed = []
-    for _ in range(3):
-        result = run_pattern(case)
-        assert result.passed, result.failures
-        elapsed.append(result.elapsed)
+    with real_time():
+        for _ in range(3):
+            result = run_pattern(case)
+            assert result.passed, result.failures
+            elapsed.append(result.elapsed)
     # every forked instance's scripted 400 ms delay is cut short by stop_call
     assert statistics.median(elapsed) < 0.1, elapsed

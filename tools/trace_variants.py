@@ -2,17 +2,22 @@
 
     python tools/trace_variants.py run [--runs N] > REPORT.json
     python tools/trace_variants.py compare BASE.json CHANGE.json
+    python tools/trace_variants.py golden tests/golden/corpus
 
 `run` runs every runnable case of the pattern corpus N times in this
 process, the way `wee patterns` runs it, but under a FixedClock and with a
 fixed instance id, so two runs that take the same steps write the same
-trace. Per case it reports the number of distinct traces, and the digest
-(SHA-256 of the JSONL lines) and count of the most frequent one, as JSON.
-A case that raises is reported with its error and makes the exit status 1.
+trace. Per case it reports whether the case runs under virtual time, the
+number of distinct traces, and the digest (SHA-256 of the JSONL lines) and
+count of the most frequent one, as JSON. A case that raises, or a
+virtual-time case that gives more than one trace, makes the exit status 1.
 
 `compare` reads two such reports and names each case whose most frequent
 trace differs between them, or whose variant counts do; it exits 1 if a
 case's most frequent trace differs.
+
+`golden` writes the trace of each virtual-time case to DIR/<slug>.jsonl,
+the files `tests/test_patterns.py` compares byte for byte.
 """
 
 from __future__ import annotations
@@ -34,15 +39,17 @@ from wee.patterns import harness  # noqa: E402
 INSTANCE_ID = "i-00000000"
 
 
-def fixed_options() -> RunOptions:
-    return RunOptions(clock=FixedClock(), instance_id=INSTANCE_ID)
+def fixed_options(**options) -> RunOptions:
+    """The harness's RunOptions(...), under a fixed clock and instance id."""
+    return RunOptions(clock=FixedClock(), instance_id=INSTANCE_ID, **options)
+
+
+def trace_bytes(records) -> bytes:
+    return "".join(json.dumps(r.to_json(), sort_keys=True) + "\n" for r in records).encode()
 
 
 def trace_digest(records) -> str:
-    digest = hashlib.sha256()
-    for record in records:
-        digest.update(json.dumps(record.to_json(), sort_keys=True).encode() + b"\n")
-    return digest.hexdigest()
+    return hashlib.sha256(trace_bytes(records)).hexdigest()
 
 
 def runnable_cases() -> list[harness.PatternCase]:
@@ -68,11 +75,21 @@ def run(runs: int) -> dict:
                 continue
             top, count = digests.most_common(1)[0]
             report["cases"][case.slug] = {
+                "virtual_time": case.virtual_time,
                 "variants": len(digests),
                 "top": top,
                 "top_count": count,
             }
     return report
+
+
+def write_golden(directory: Path) -> None:
+    directory.mkdir(parents=True, exist_ok=True)
+    with mock.patch.object(harness, "RunOptions", fixed_options):
+        for case in runnable_cases():
+            if case.virtual_time:
+                records = harness.run_case_workflow(case, 0).records
+                (directory / f"{case.slug}.jsonl").write_bytes(trace_bytes(records))
 
 
 def compare(base: dict, change: dict) -> list[str]:
@@ -100,7 +117,13 @@ def main(argv: list[str] | None = None) -> int:
     compare_parser = sub.add_parser("compare", help="compare two reports")
     compare_parser.add_argument("base")
     compare_parser.add_argument("change")
+    golden_parser = sub.add_parser("golden", help="write each virtual-time case's trace")
+    golden_parser.add_argument("directory", type=Path)
     args = parser.parse_args(argv)
+
+    if args.command == "golden":
+        write_golden(args.directory)
+        return 0
 
     if args.command == "compare":
         base, change = (
@@ -112,10 +135,15 @@ def main(argv: list[str] | None = None) -> int:
 
     report = run(args.runs)
     sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    errors = [slug for slug, entry in report["cases"].items() if "error" in entry]
-    for slug in errors:
-        print(f"{slug}: {report['cases'][slug]['error']}", file=sys.stderr)
-    return 1 if errors else 0
+    failed = False
+    for slug, entry in report["cases"].items():
+        if "error" in entry:
+            print(f"{slug}: {entry['error']}", file=sys.stderr)
+            failed = True
+        elif entry["virtual_time"] and entry["variants"] > 1:
+            print(f"{slug}: {entry['variants']} traces under virtual time", file=sys.stderr)
+            failed = True
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
