@@ -17,6 +17,7 @@ import itertools
 import json
 import threading
 import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -570,11 +571,13 @@ def _stop_when(instance: WorkflowInstance, matcher: dict) -> None:
     wanted = int(matcher.get("occurrence", 1))
     plain = {k: v for k, v in matcher.items() if k != "occurrence"}
     seen = itertools.count(1)
+    emitter = weakref.ref(instance)  # the log holds the listener: no cycle
 
     def listen(record: EventRecord) -> None:
         # the engine emits under its state lock, so the stop waits for a timer
         if _matches(record, plain) and next(seen) == wanted:
-            instance.call_later(0, functools.partial(instance.request_stop, source="controller"))
+            live = emitter()
+            live.call_later(0, functools.partial(live.request_stop, source="controller"))
 
     instance.log.add_listener(listen)
 
