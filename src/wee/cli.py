@@ -70,24 +70,27 @@ def build_handler(
     workflow_source: Optional[str] = None,
     timeout: float = 30.0,
 ) -> HandlerWrapper:
-    script = None
+    config: dict = {}
     if script_path is not None:
-        with open(script_path, encoding="utf-8") as fh:
-            script = json.load(fh)
+        try:
+            with open(script_path, encoding="utf-8") as fh:
+                config = json.load(fh)
+        except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
+            raise ControllerError(f"cannot read script {script_path}: {exc}") from exc
+        if not isinstance(config, dict):
+            raise ControllerError(f"script {script_path} is not a JSON object")
     if name == "mock":
-        return MockHandler(script or {}, seed=seed)
+        return MockHandler(config, seed=seed)
     if name == "http":
-        return HttpHandler(timeout=(script or {}).get("timeout", timeout))
+        return HttpHandler(timeout=config.get("timeout", timeout))
     if name == "trigger":
-        config = script or {}
         events = None
         if "events_file" in config:
             events = load_trigger_events(config["events_file"])
         return TriggerHandler(config.get("mode", "persistent"), events=events)
     if name == "jump":
-        return JumpHandler((script or {}).get("table", script or {}))
+        return JumpHandler(config.get("table", config))
     if name == "recursive":
-        config = script or {}
         return RecursiveHandler(
             source=workflow_source, max_depth=config.get("max_depth", 16)
         )
@@ -330,7 +333,11 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_patterns(args: argparse.Namespace) -> int:
     from .patterns import harness
 
-    report = harness.run_all(args.corpus, parallel=args.parallel, seed=args.seed or 0)
+    try:
+        report = harness.run_all(args.corpus, parallel=args.parallel, seed=args.seed or 0)
+    except (OSError, ValueError) as exc:  # a case file missing, unreadable or malformed
+        print(exc, file=sys.stderr)
+        return EXIT_ERROR
     if args.report:
         Path(args.report).write_text(
             json.dumps(report.to_json(), indent=2) + "\n", encoding="utf-8"

@@ -36,7 +36,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 from .expressions import Binary, Expr, Literal, Unary, Var
 
@@ -244,8 +244,11 @@ _TOKEN = re.compile(
 _ESCAPE = re.compile(r'\\(["\\])')
 
 
-@dataclass(frozen=True)
-class Token:
+# the TokenType of each group that makes a token without looking at its text
+_GROUP_TYPES = {ttype.name: ttype for ttype in TokenType}
+
+
+class Token(NamedTuple):
     type: TokenType
     value: str
     line: int
@@ -277,7 +280,7 @@ def tokenize(source: str) -> list[Token]:
             # "²" is no integer either
             raise ParseError(f"unexpected character {text[0]!r}", line, col)
         else:
-            tokens.append(Token(TokenType[kind], text, line, col))
+            tokens.append(Token(_GROUP_TYPES[kind], text, line, col))
     return tokens
 
 

@@ -21,8 +21,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Optional, Union
 
-import requests
-
 from . import dsl
 from .expressions import EvalError, Expr, Value, eval_expr, is_value
 
@@ -256,6 +254,10 @@ class HttpHandler(HandlerWrapper):
     """
 
     def __init__(self, timeout: float = 30.0):
+        # the HTTP stack is about half of a cold start: only HTTP runs load it
+        import requests
+
+        self._requests = requests
         self.timeout = timeout
         self._lock = threading.Lock()
         self._stored: dict[str, _StoredResponse] = {}
@@ -297,6 +299,7 @@ class HttpHandler(HandlerWrapper):
         return Passthrough(token)
 
     def _post(self, endpoint: str, body: dict) -> HandlerOutcome:
+        requests = self._requests
         try:
             response = requests.post(endpoint, json=body, timeout=self.timeout)
         except requests.RequestException as exc:

@@ -18,7 +18,6 @@ import json
 import threading
 import time
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -271,12 +270,17 @@ class CoverageReport:
 # ---------------------------------------------------------------------------
 
 
+def _read_case_file(path: Path, missing: str) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise FileNotFoundError(f"{missing} {path}") from None
+
+
 def load_case(corpus: Path, pattern_class: str, name: str, slug: str, support: str) -> PatternCase:
     class_dir = corpus / CLASS_DIRS[pattern_class]
     assert_path = class_dir / f"{slug}.assert.json"
-    if not assert_path.exists():
-        raise FileNotFoundError(f"missing case file {assert_path}")
-    spec = json.loads(assert_path.read_text(encoding="utf-8"))
+    spec = json.loads(_read_case_file(assert_path, "missing case file"))
 
     for key, expected in (("pattern", name), ("class", pattern_class), ("support", support)):
         if spec.get(key) != expected:
@@ -285,12 +289,12 @@ def load_case(corpus: Path, pattern_class: str, name: str, slug: str, support: s
     workflow_path = class_dir / f"{slug}.wee"
     source = None
     if support != ORCHESTRATED:
-        if not workflow_path.exists():
-            raise FileNotFoundError(f"missing workflow {workflow_path}")
-        source = workflow_path.read_text(encoding="utf-8")
+        source = _read_case_file(workflow_path, "missing workflow")
 
-    script_path = class_dir / f"{slug}.script.json"
-    script = json.loads(script_path.read_text(encoding="utf-8")) if script_path.exists() else {}
+    try:
+        script = json.loads((class_dir / f"{slug}.script.json").read_text(encoding="utf-8"))
+    except FileNotFoundError:  # the script file is optional
+        script = {}
 
     return PatternCase(
         slug=slug,
@@ -699,6 +703,8 @@ def run_all(
     ]
 
     if parallel:
+        from concurrent.futures import ThreadPoolExecutor  # only this mode needs it
+
         with ThreadPoolExecutor(max_workers=8) as pool:
             results = list(pool.map(lambda c: run_pattern(c, seed=seed), cases))
     else:

@@ -102,6 +102,55 @@ def test_run_invalid_workflow_exit_one(tmp_path):
     assert "undefined variable 'ghost'" in proc.stderr
 
 
+# a script file that is missing, is not JSON, or holds JSON that is not an object
+BAD_SCRIPTS = [
+    pytest.param(None, "cannot read script", id="missing"),
+    pytest.param("{not json", "cannot read script", id="malformed"),
+    pytest.param("[1, 2]", "is not a JSON object", id="not-an-object"),
+]
+
+
+def bad_script(tmp_path: Path, content) -> Path:
+    script = tmp_path / "script.json"
+    if content is not None:
+        script.write_text(content)
+    return script
+
+
+@pytest.mark.parametrize("content, message", BAD_SCRIPTS)
+def test_run_with_a_bad_script_exits_one_with_one_line(tmp_path, capsys, content, message):
+    log = tmp_path / "run.log"
+    script = bad_script(tmp_path, content)
+    code = cli.main(
+        ["run", str(FIXTURES / "booking.wee"), "--script", str(script), "--log", str(log)]
+    )
+    assert code == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert message in err and err.count("\n") == 1, err
+    assert not log.exists()
+
+
+@pytest.mark.parametrize("content, message", BAD_SCRIPTS)
+def test_resume_with_a_bad_script_exits_one_with_one_line(seq_dir, capsys, content, message):
+    saved = {
+        "schema": 2,
+        "lifecycle": "stopped",
+        "branches": [{"id": "0", "path": [1]}],
+        "context": {"done": False},
+        "version": 0,
+        "passthroughs": {},
+    }
+    path = seq_dir / "seq.wee.saved.json"
+    cli.write_saved_instance(path, saved, cli.source_hash(SEQ_WEE))
+    script = bad_script(seq_dir, content)
+    code = cli.main(
+        ["resume", str(path), "--workflow", str(seq_dir / "seq.wee"), "--script", str(script)]
+    )
+    assert code == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert message in err and err.count("\n") == 1, err
+
+
 def test_run_iteration_cap_exit_one(tmp_path):
     loop = tmp_path / "loop.wee"
     loop.write_text(
@@ -513,6 +562,13 @@ def test_patterns_subcommand_writes_coverage(tmp_path):
     payload = json.loads(report.read_text())
     assert len(payload["patterns"]) == 43
     assert payload["summary_matches_cells"] is False
+
+
+def test_patterns_with_a_missing_case_file_exits_one_with_one_line(tmp_path, capsys):
+    corpus = tmp_path / "nonexistent"
+    assert cli.main(["patterns", "--corpus", str(corpus)]) == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(f"missing case file {corpus}") and err.count("\n") == 1, err
 
 
 def test_exit_code_contract_mapping(tmp_path):

@@ -174,6 +174,83 @@ def test_comments_and_whitespace_are_ignored():
     assert parse(source).handler_name == "mock"
 
 
+# -- tokenizer ----------------------------------------------------------------
+
+TOKEN_SOURCE = (
+    "workflow {  # a comment\n"
+    '  handler "say \\"hi\\" \\\\ bye"\n'
+    "  context n: 1\n"
+    "  # a whole-line comment\n"
+    "  cycle (n <= 2 && !(n == 0) || n != -1) {\n"
+    "    manipulate :step { n = n + 1 }\n"
+    "  }\n"
+    "}\n"
+)
+
+T = dsl.TokenType
+TOKEN_SOURCE_TOKENS = [
+    (T.KEYWORD, "workflow", 1, 1),
+    (T.LBRACE, "{", 1, 10),
+    (T.KEYWORD, "handler", 2, 3),
+    (T.STRING, 'say "hi" \\ bye', 2, 11),
+    (T.KEYWORD, "context", 3, 3),
+    (T.IDENT, "n", 3, 11),
+    (T.COLON, ":", 3, 12),
+    (T.INT, "1", 3, 14),
+    (T.KEYWORD, "cycle", 5, 3),
+    (T.LPAREN, "(", 5, 9),
+    (T.IDENT, "n", 5, 10),
+    (T.OP, "<=", 5, 12),
+    (T.INT, "2", 5, 15),
+    (T.OP, "&&", 5, 17),
+    (T.OP, "!", 5, 20),
+    (T.LPAREN, "(", 5, 21),
+    (T.IDENT, "n", 5, 22),
+    (T.OP, "==", 5, 24),
+    (T.INT, "0", 5, 27),
+    (T.RPAREN, ")", 5, 28),
+    (T.OP, "||", 5, 30),
+    (T.IDENT, "n", 5, 33),
+    (T.OP, "!=", 5, 35),
+    (T.OP, "-", 5, 38),
+    (T.INT, "1", 5, 39),
+    (T.RPAREN, ")", 5, 40),
+    (T.LBRACE, "{", 5, 42),
+    (T.KEYWORD, "manipulate", 6, 5),
+    (T.COLON, ":", 6, 16),
+    (T.IDENT, "step", 6, 17),
+    (T.LBRACE, "{", 6, 22),
+    (T.IDENT, "n", 6, 24),
+    (T.ASSIGN, "=", 6, 26),
+    (T.IDENT, "n", 6, 28),
+    (T.OP, "+", 6, 30),
+    (T.INT, "1", 6, 32),
+    (T.RBRACE, "}", 6, 34),
+    (T.RBRACE, "}", 7, 3),
+    (T.RBRACE, "}", 8, 1),
+    (T.EOF, "", 9, 1),
+]
+
+
+def test_tokenize_pins_type_value_line_and_column_of_every_token():
+    tokens = dsl.tokenize(TOKEN_SOURCE)
+    assert [(t.type, t.value, t.line, t.col) for t in tokens] == TOKEN_SOURCE_TOKENS
+
+
+@pytest.mark.parametrize(
+    "source, line, col, message",
+    [
+        ('workflow {\n  handler "mock\n}', 2, 16, "unterminated string literal"),
+        ("workflow { context x: ²2 }", 1, 23, "unexpected character '²'"),
+    ],
+    ids=["unterminated-string", "non-decimal-digit"],
+)
+def test_tokenize_error_position(source, line, col, message):
+    with pytest.raises(ParseError) as info:
+        dsl.tokenize(source)
+    assert (info.value.line, info.value.col, info.value.message) == (line, col, message)
+
+
 # -- positions ---------------------------------------------------------------
 
 

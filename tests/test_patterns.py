@@ -68,7 +68,15 @@ def test_corpus_is_complete():
 
 
 def test_missing_case_raises(tmp_path):
-    with pytest.raises(FileNotFoundError):
+    with pytest.raises(FileNotFoundError, match="^missing case file "):
+        load_case(tmp_path, "Basic", "Sequence", "sequence", DIRECT)
+
+
+def test_missing_workflow_raises(tmp_path):
+    (tmp_path / "basic").mkdir()
+    spec = (CORPUS / "basic" / "sequence.assert.json").read_text()
+    (tmp_path / "basic" / "sequence.assert.json").write_text(spec)
+    with pytest.raises(FileNotFoundError, match="^missing workflow "):
         load_case(tmp_path, "Basic", "Sequence", "sequence", DIRECT)
 
 
