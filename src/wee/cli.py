@@ -79,21 +79,34 @@ def build_handler(
             raise ControllerError(f"cannot read script {script_path}: {exc}") from exc
         if not isinstance(config, dict):
             raise ControllerError(f"script {script_path} is not a JSON object")
-    if name == "mock":
-        return MockHandler(config, seed=seed)
-    if name == "http":
-        return HttpHandler(timeout=config.get("timeout", timeout))
-    if name == "trigger":
-        events = None
-        if "events_file" in config:
-            events = load_trigger_events(config["events_file"])
-        return TriggerHandler(config.get("mode", "persistent"), events=events)
-    if name == "jump":
-        return JumpHandler(config.get("table", config))
-    if name == "recursive":
-        return RecursiveHandler(
-            source=workflow_source, max_depth=config.get("max_depth", 16)
-        )
+    try:
+        if name == "mock":
+            return MockHandler(config, seed=seed)
+        if name == "http":
+            return HttpHandler(timeout=config.get("timeout", timeout))
+        if name == "trigger":
+            events = None
+            if "events_file" in config:
+                path = config["events_file"]
+                if not isinstance(path, str):  # open() reads an int as a descriptor
+                    raise TypeError(f"events_file {path!r} is not a path string")
+                try:
+                    events = load_trigger_events(path)
+                except (OSError, TypeError, ValueError, KeyError) as exc:
+                    # missing, not JSONL, or a record without "t" or "key"
+                    raise ControllerError(
+                        f"bad events file {path}: {type(exc).__name__}: {exc}"
+                    ) from exc
+            return TriggerHandler(config.get("mode", "persistent"), events=events)
+        if name == "jump":
+            return JumpHandler(config.get("table", config))
+        if name == "recursive":
+            return RecursiveHandler(
+                source=workflow_source, max_depth=config.get("max_depth", 16)
+            )
+    # a script field of the wrong type or shape
+    except (TypeError, ValueError, KeyError, dsl.ParseError) as exc:
+        raise ControllerError(f"bad script {script_path}: {type(exc).__name__}: {exc}") from exc
     raise ControllerError(f"unknown handler '{name}' (expected one of {HANDLER_NAMES})")
 
 

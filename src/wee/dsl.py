@@ -33,7 +33,9 @@ parallel_branch must be a parallel: the branch joins that block's join.
 
 from __future__ import annotations
 
+import functools
 import re
+import string
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, NamedTuple, Optional, Sequence, Union
@@ -176,27 +178,10 @@ class TokenType(Enum):
 
 
 KEYWORDS = frozenset(
-    {
-        "workflow",
-        "handler",
-        "endpoint",
-        "context",
-        "call",
-        "manipulate",
-        "parallel",
-        "parallel_branch",
-        "wait",
-        "parameters",
-        "choose",
-        "alternative",
-        "otherwise",
-        "cycle",
-        "critical",
-        "all",
-        "true",
-        "false",
-        "null",
-    }
+    """
+    workflow handler endpoint context call manipulate parallel parallel_branch
+    wait parameters choose alternative otherwise cycle critical all true false null
+    """.split()
 )
 
 # Binding strength of each binary operator, loosest first; the parser and
@@ -219,33 +204,24 @@ _PRECEDENCE = {
 _UNARY_PRECEDENCE = 7
 
 
-# One alternative per token class, tried in order at each position (INT
-# before NAME, two-character operators before "=" and the one-character
-# ones). A group named after a TokenType makes that token and NAME an IDENT
-# or KEYWORD; SPACE and NEWLINE make none, UNTERMINATED and UNEXPECTED are
-# errors, and the empty EOF match ends the input.
+# One match per token: group 1 is the whitespace, newlines and `#` comments
+# skipped before the token, group 2 the token, whose alternatives are tried
+# in order (INT before a name, two-character operators before one-character
+# ones). No token spans a newline, so line and column follow from the
+# skipped text. The alternatives after the string are errors or, matching
+# empty, the end of input.
 _TOKEN = re.compile(
     r"""
-      (?P<SPACE>[ \t\r]+ | \#[^\n]*)
-    | (?P<INT>\d+)
-    | (?P<NAME>\w+)
-    | (?P<NEWLINE>\n)
-    | (?P<LBRACE>\{) | (?P<RBRACE>\}) | (?P<LPAREN>\() | (?P<RPAREN>\))
-    | (?P<COLON>:) | (?P<COMMA>,)
-    | (?P<OP>== | != | <= | >= | && | \|\| | [-+*/%<>!])
-    | (?P<ASSIGN>=)
-    | (?P<STRING>"(?:[^"\\\n] | \\.)*")
-    | (?P<UNTERMINATED>"[^\n]*)
-    | (?P<UNEXPECTED>.)
-    | (?P<EOF>\Z)
+    ( [ \t\r\n]* (?: \#[^\n]* [ \t\r\n]* )* )
+    ( \d+ | \w+
+    | == | != | <= | >= | && | \|\| | [-+*/%<>!=(){}:,]
+    | "(?: [^"\\\n] | \\. )*"
+    | "[^\n]* | . | \Z )
     """,
     re.VERBOSE,
 )
+_STRING = re.compile(r'"(?:[^"\\\n]|\\.)*"')  # _TOKEN's string alternative
 _ESCAPE = re.compile(r'\\(["\\])')
-
-
-# the TokenType of each group that makes a token without looking at its text
-_GROUP_TYPES = {ttype.name: ttype for ttype in TokenType}
 
 
 class Token(NamedTuple):
@@ -255,33 +231,58 @@ class Token(NamedTuple):
     col: int
 
 
+# Token(...) without the NamedTuple's Python-level __new__
+_new_token = functools.partial(tuple.__new__, Token)
+
+# the type of each token whose text alone decides it: keywords, operators,
+# the one-character types ({ } ( ) : , =) and "", the end of input
+_FIXED_TOKENS = {
+    **dict.fromkeys(KEYWORDS, TokenType.KEYWORD),
+    **dict.fromkeys((*_PRECEDENCE, "!"), TokenType.OP),
+    **{ttype.value: ttype for ttype in TokenType if len(ttype.value) == 1},
+    "": TokenType.EOF,
+}
+# the type of an ASCII name or integer, by its first character
+_TYPE_BY_FIRST = {
+    **dict.fromkeys(string.ascii_letters + "_", TokenType.IDENT),
+    **dict.fromkeys(string.digits, TokenType.INT),
+}
+
+
 def tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
-    line, line_start = 1, 0
-    for match in _TOKEN.finditer(source):
-        kind = match.lastgroup
-        if kind == "SPACE":
-            continue
-        if kind == "NEWLINE":
-            line, line_start = line + 1, match.end()
-            continue
-        text = match.group()
-        col = match.start() - line_start + 1
-        if kind == "NAME" and (text[0].isalpha() or text[0] == "_"):
-            ttype = TokenType.KEYWORD if text in KEYWORDS else TokenType.IDENT
-            tokens.append(Token(ttype, text, line, col))
-        elif kind == "STRING":
-            tokens.append(Token(TokenType.STRING, _ESCAPE.sub(r"\1", text[1:-1]), line, col))
-        elif kind == "UNTERMINATED":
-            # reported where the line or the input ends
-            raise ParseError("unterminated string literal", line, col + len(text))
-        elif kind in ("NAME", "UNEXPECTED"):
-            # a name starts with a letter or "_"; a non-decimal digit such as
-            # "²" is no integer either
-            raise ParseError(f"unexpected character {text[0]!r}", line, col)
-        else:
-            tokens.append(Token(_GROUP_TYPES[kind], text, line, col))
+    line, line_start, pos = 1, 0, 0
+    for skipped, text in _TOKEN.findall(source):
+        if "\n" in skipped:
+            line += skipped.count("\n")
+            line_start = pos + skipped.rindex("\n") + 1
+        pos += len(skipped)
+        col = pos - line_start + 1
+        pos += len(text)
+        ttype = _FIXED_TOKENS.get(text) or _TYPE_BY_FIRST.get(text[:1])
+        if ttype is None:
+            ttype, text = _rare_token(text, line, col)
+        tokens.append(_new_token((ttype, text, line, col)))
+        if ttype is TokenType.EOF:  # findall can match the empty end twice
+            break
     return tokens
+
+
+def _rare_token(text: str, line: int, col: int) -> tuple[TokenType, str]:
+    """A string, a non-ASCII name or integer, or an error."""
+    first = text[0]
+    if first.isdecimal():  # matched \d+
+        return TokenType.INT, text
+    if first.isalpha():  # "_" and ASCII letters have _TYPE_BY_FIRST
+        return TokenType.IDENT, text
+    if _STRING.fullmatch(text):
+        return TokenType.STRING, _ESCAPE.sub(r"\1", text[1:-1])
+    if first == '"':
+        # reported where the line or the input ends
+        raise ParseError("unterminated string literal", line, col + len(text))
+    # a name starts with a letter or "_"; a non-decimal digit such as "²" is
+    # no integer either
+    raise ParseError(f"unexpected character {first!r}", line, col)
 
 
 # ---------------------------------------------------------------------------
@@ -298,46 +299,41 @@ class _Parser:
         self.enclosing: Optional[str] = None
 
     # -- token helpers ----------------------------------------------------
+    # The grammar reads self.tokens[self.pos] and steps with self.pos += 1.
+    # Only a parse's last step expects EOF, so stepping past it is never read.
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.type is not TokenType.EOF:
-            self.pos += 1
-        return tok
-
-    def error(self, message: str, tok: Optional[Token] = None) -> ParseError:
-        tok = tok or self.peek()
+    @staticmethod
+    def error(message: str, tok: Token) -> ParseError:
         return ParseError(message, tok.line, tok.col)
 
     def expect(self, ttype: TokenType, what: str = "") -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.type is not ttype:
-            expected = what or ttype.value
-            raise self.error(f"expected {expected}, got {tok.value!r}")
-        return self.advance()
+            raise self.error(f"expected {what or ttype.value}, got {tok.value!r}", tok)
+        self.pos += 1
+        return tok
 
     def expect_keyword(self, word: str) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.type is not TokenType.KEYWORD or tok.value != word:
-            raise self.error(f"expected '{word}', got {tok.value!r}")
-        return self.advance()
+            raise self.error(f"expected '{word}', got {tok.value!r}", tok)
+        self.pos += 1
+        return tok
 
     def at_keyword(self, *words: str) -> bool:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         return tok.type is TokenType.KEYWORD and tok.value in words
 
     def expect_ident(self, what: str) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.type is not TokenType.IDENT:
-            raise self.error(f"expected {what}, got {tok.value!r}")
-        return self.advance()
+            raise self.error(f"expected {what}, got {tok.value!r}", tok)
+        self.pos += 1
+        return tok
 
-    def integer(self) -> int:
-        """Consume an INT token; a literal int() refuses is a ParseError."""
-        tok = self.advance()
+    def integer(self, tok: Token) -> int:
+        """Step past the INT token tok; a literal int() refuses is a ParseError."""
+        self.pos += 1
         try:
             return int(tok.value)
         except ValueError as exc:  # longer than sys.get_int_max_str_digits()
@@ -352,9 +348,11 @@ class _Parser:
         handler_name: Optional[str] = None
         endpoints: dict[str, str] = {}
         context_decls: list[tuple[str, Expr]] = []
+        context_names: set[str] = set()
 
         while self.at_keyword("handler", "endpoint", "context"):
-            kw = self.advance()
+            kw = self.tokens[self.pos]
+            self.pos += 1
             if kw.value == "handler":
                 if handler_name is not None:
                     raise self.error("duplicate handler declaration", kw)
@@ -368,8 +366,9 @@ class _Parser:
                 endpoints[name_tok.value] = uri
             else:
                 name_tok = self.expect_ident("context variable name")
-                if any(name_tok.value == n for n, _ in context_decls):
+                if name_tok.value in context_names:
                     raise self.error(f"duplicate context variable '{name_tok.value}'", name_tok)
+                context_names.add(name_tok.value)
                 self.expect(TokenType.COLON)
                 context_decls.append((name_tok.value, self.parse_expr()))
 
@@ -384,11 +383,12 @@ class _Parser:
     def parse_block(self) -> Block:
         block: Block = []
         while True:
-            tok = self.peek()
-            parse_node = tok.type is TokenType.KEYWORD and self.STATEMENTS.get(tok.value)
+            kw = self.tokens[self.pos]
+            parse_node = kw.type is TokenType.KEYWORD and self.STATEMENTS.get(kw.value)
             if not parse_node:
                 return block
-            block.append(parse_node(self))
+            self.pos += 1
+            block.append(parse_node(self, kw))
 
     def register_position(self, tok: Token) -> str:
         if tok.value in self.positions_seen:
@@ -396,8 +396,9 @@ class _Parser:
         self.positions_seen[tok.value] = tok
         return tok.value
 
-    def parse_call(self) -> CallActivity:
-        kw = self.advance()
+    # Each statement parser starts past its keyword kw.
+
+    def parse_call(self, kw: Token) -> CallActivity:
         self.expect(TokenType.COLON)
         position = self.register_position(self.expect_ident("position label"))
         self.expect(TokenType.COMMA)
@@ -405,14 +406,14 @@ class _Parser:
         self.expect(TokenType.COLON)
         endpoint = self.expect_ident("endpoint name").value
         parameters: list[tuple[str, Expr]] = []
-        if self.peek().type is TokenType.COMMA:
-            self.advance()
+        if self.tokens[self.pos].type is TokenType.COMMA:
+            self.pos += 1
             self.expect_keyword("parameters")
             self.expect(TokenType.COLON)
             self.expect(TokenType.LBRACE)
             seen: set[str] = set()
-            while self.peek().type is TokenType.IDENT:
-                name_tok = self.advance()
+            while (name_tok := self.tokens[self.pos]).type is TokenType.IDENT:
+                self.pos += 1
                 if name_tok.value in seen:
                     raise self.error(f"duplicate parameter '{name_tok.value}'", name_tok)
                 seen.add(name_tok.value)
@@ -421,41 +422,38 @@ class _Parser:
             self.expect(TokenType.RBRACE)
         return CallActivity(position, endpoint, parameters, kw.line, kw.col)
 
-    def parse_manipulate(self) -> ManipulateActivity:
-        kw = self.advance()
+    def parse_manipulate(self, kw: Token) -> ManipulateActivity:
         self.expect(TokenType.COLON)
         position = self.register_position(self.expect_ident("position label"))
         self.expect(TokenType.LBRACE)
         statements: list[tuple[str, Expr]] = []
-        while self.peek().type is TokenType.IDENT:
-            name = self.advance().value
+        while (name_tok := self.tokens[self.pos]).type is TokenType.IDENT:
+            self.pos += 1
             self.expect(TokenType.ASSIGN)
-            statements.append((name, self.parse_expr()))
+            statements.append((name_tok.value, self.parse_expr()))
         self.expect(TokenType.RBRACE)
         return ManipulateActivity(position, statements, kw.line, kw.col)
 
-    def parse_parallel(self) -> Parallel:
-        kw = self.advance()
+    def parse_parallel(self, kw: Token) -> Parallel:
         self.expect_keyword("wait")
         self.expect(TokenType.COLON)
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if self.at_keyword("all"):
-            self.advance()
+            self.pos += 1
             wait = WaitSpec(None)
         elif tok.type is TokenType.INT:
-            count = self.integer()
+            count = self.integer(tok)
             if count < 1:
                 raise self.error("wait count must be ≥ 1", tok)
             wait = WaitSpec(count)
         else:
-            raise self.error(f"expected 'all' or a branch count, got {tok.value!r}")
+            raise self.error(f"expected 'all' or a branch count, got {tok.value!r}", tok)
         self.expect(TokenType.LBRACE)
         body = self.parse_enclosed_block("parallel")
         self.expect(TokenType.RBRACE)
         return Parallel(wait, body, kw.line, kw.col)
 
-    def parse_parallel_branch(self) -> ParallelBranch:
-        kw = self.advance()
+    def parse_parallel_branch(self, kw: Token) -> ParallelBranch:
         if self.enclosing is None:
             raise self.error("parallel_branch outside of a parallel block", kw)
         if self.enclosing == "parallel_branch":
@@ -472,12 +470,11 @@ class _Parser:
         self.enclosing = outer
         return body
 
-    def parse_choose(self) -> Choose:
-        kw = self.advance()
+    def parse_choose(self, kw: Token) -> Choose:
         self.expect(TokenType.LBRACE)
         alternatives: list[Alternative] = []
         while self.at_keyword("alternative"):
-            self.advance()
+            self.pos += 1
             self.expect(TokenType.LPAREN)
             guard = self.parse_expr()
             self.expect(TokenType.RPAREN)
@@ -487,15 +484,14 @@ class _Parser:
             alternatives.append(Alternative(guard, block))
         otherwise: Optional[Block] = None
         if self.at_keyword("otherwise"):
-            self.advance()
+            self.pos += 1
             self.expect(TokenType.LBRACE)
             otherwise = self.parse_block()
             self.expect(TokenType.RBRACE)
         self.expect(TokenType.RBRACE)
         return Choose(alternatives, otherwise, kw.line, kw.col)
 
-    def parse_cycle(self) -> Cycle:
-        kw = self.advance()
+    def parse_cycle(self, kw: Token) -> Cycle:
         self.expect(TokenType.LPAREN)
         condition = self.parse_expr()
         self.expect(TokenType.RPAREN)
@@ -504,8 +500,7 @@ class _Parser:
         self.expect(TokenType.RBRACE)
         return Cycle(condition, body, kw.line, kw.col)
 
-    def parse_critical(self) -> Critical:
-        kw = self.advance()
+    def parse_critical(self, kw: Token) -> Critical:
         self.expect(TokenType.COLON)
         section = self.expect_ident("section name").value
         self.expect(TokenType.LBRACE)
@@ -520,43 +515,43 @@ class _Parser:
         tighter operators, so every binary operator is left-associative."""
         left = self.parse_unary()
         while True:
-            tok = self.peek()
+            tok = self.tokens[self.pos]
             prec = _PRECEDENCE.get(tok.value, 0) if tok.type is TokenType.OP else 0
             if prec < min_prec:
                 return left
-            self.advance()
+            self.pos += 1
             left = Binary(tok.value, left, self.parse_expr(prec + 1))
 
     def parse_unary(self) -> Expr:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.type is TokenType.OP and tok.value in ("!", "-"):
-            self.advance()
+            self.pos += 1
             operand = self.parse_unary()
             # fold minus into integer literals so `-5` has one canonical form
             if tok.value == "-" and isinstance(operand, Literal) and type(operand.value) is int:
                 return Literal(-operand.value)
             return Unary(tok.value, operand)
-        return self.parse_primary()
+        return self.parse_primary(tok)
 
-    def parse_primary(self) -> Expr:
-        tok = self.peek()
+    def parse_primary(self, tok: Token) -> Expr:
+        """The primary that starts at tok, the current token."""
+        if tok.type is TokenType.IDENT:
+            self.pos += 1
+            return Var(tok.value, tok.line, tok.col)
         if tok.type is TokenType.INT:
-            return Literal(self.integer())
+            return Literal(self.integer(tok))
         if tok.type is TokenType.STRING:
-            self.advance()
+            self.pos += 1
             return Literal(tok.value)
         if tok.type is TokenType.KEYWORD and tok.value in ("true", "false", "null"):
-            self.advance()
+            self.pos += 1
             return Literal({"true": True, "false": False, "null": None}[tok.value])
-        if tok.type is TokenType.IDENT:
-            self.advance()
-            return Var(tok.value, tok.line, tok.col)
         if tok.type is TokenType.LPAREN:
-            self.advance()
+            self.pos += 1
             inner = self.parse_expr()
             self.expect(TokenType.RPAREN)
             return inner
-        raise self.error(f"expected expression, got {tok.value!r}")
+        raise self.error(f"expected expression, got {tok.value!r}", tok)
 
     # the statement keywords: parse_block loops while the next token is one
     STATEMENTS = {
@@ -711,7 +706,6 @@ def validate(ast: WorkflowAst) -> list[Diagnostic]:
 # ---------------------------------------------------------------------------
 # Printer
 # ---------------------------------------------------------------------------
-
 
 
 def format_value(value) -> str:

@@ -461,7 +461,8 @@ class WorkflowInstance:
         # activities a resume was told to skip
         self.skip_positions: frozenset[str] = frozenset()
 
-        self._position_paths = dsl.position_paths(ast)
+        # position -> path, built by the first jump
+        self._position_paths: Optional[dict[str, tuple[int, ...]]] = None
         self._state_lock = threading.Lock()
         self._timeline = _Timeline() if self.options.virtual_time else None
         if self._timeline is None:
@@ -640,9 +641,8 @@ class WorkflowInstance:
             raise EngineError("saved instance is not stopped")
         check_saved_schema(saved)
         cls._check_saved_shape(saved)
-        known = dsl.position_paths(ast)
         skip = frozenset(skip_positions)
-        unknown = sorted(skip - set(known))
+        unknown = sorted(skip - set(dsl.positions(ast))) if skip else []
         if unknown:
             raise EngineError(f"skip positions not in workflow: {unknown}")
         ended_calls = {
@@ -1088,6 +1088,8 @@ class WorkflowInstance:
             raise EngineError(f"call '{node.position}': {exc}") from exc
 
     def _apply_jump(self, branch: _Branch, node, target: str) -> None:
+        if self._position_paths is None:  # racing first jumps build equal dicts
+            self._position_paths = dsl.position_paths(self.ast)
         target_path = self._position_paths.get(target)
         if target_path is None:
             raise EngineError(f"illegal jump: unknown position '{target}'")

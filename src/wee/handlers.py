@@ -285,7 +285,10 @@ class HttpHandler(HandlerWrapper):
         }
 
         def worker() -> None:
-            record.outcome = self._post(call.endpoint, body)
+            try:
+                record.outcome = self._post(call.endpoint, body)
+            except Exception as exc:  # the call must end: a failure, not a hang
+                record.outcome = Failure(f"request failed: {exc!r}")
             record.done.set()
 
         thread = threading.Thread(target=worker, name=f"http-{call.position}", daemon=True)
@@ -415,12 +418,10 @@ class JumpHandler(HandlerWrapper):
     """
 
     def __init__(self, table: Mapping[str, Mapping[str, str]]):
-        self._table: dict[str, tuple[Expr, str]] = {}
-        for position, entry in table.items():
-            self._table[position] = (
-                dsl.parse_expression(entry["condition"]),
-                entry["target"],
-            )
+        self._table: dict[str, tuple[Expr, str]] = {
+            position: (dsl.parse_expression(entry["condition"]), entry["target"])
+            for position, entry in table.items()
+        }
         self.invocations: dict[str, int] = {}
         self._lock = threading.Lock()
 
@@ -450,23 +451,25 @@ class JumpHandler(HandlerWrapper):
 class RecursiveHandler(HandlerWrapper):
     """Runs a call as a fresh nested instance of a workflow.
 
-    The nested workflow defaults to the one this handler was built with; a
-    string ``workflow`` parameter overrides it. Remaining parameters override
-    the nested instance's declared context initials, and the nested final
-    context is returned as the Result. The ``depth`` parameter (default:
-    max_depth) must stay positive: recursion without an exit condition fails
-    once the budget is exhausted. When the call's stop token is set, the
-    nested instance stops and the call returns a Passthrough token holding
-    the nested saved state, its source and its depth budget as JSON; a later
+    The nested workflow defaults to the one this handler was built with,
+    parsed once or handed down as ``ast``; a string ``workflow`` parameter
+    overrides it for one call. Remaining parameters override the nested
+    instance's declared context initials, and the nested final context is
+    returned as the Result. The ``depth`` parameter (default: max_depth)
+    must stay positive: recursion without an exit condition fails once the
+    budget is exhausted. When the call's stop token is set, the nested
+    instance stops and the call returns a Passthrough token holding the
+    nested saved state, its source and its depth budget as JSON; a later
     call with that token, in this process or another, resumes the nested
     instance where it stopped.
     """
 
     RESERVED = ("workflow", "depth")
 
-    def __init__(self, source: Optional[str] = None, max_depth: int = 16):
+    def __init__(self, source: Optional[str] = None, max_depth: int = 16, ast=None):
         self.source = source
         self.max_depth = max_depth
+        self.ast: Optional[dsl.WorkflowAst] = ast  # source parsed
         self._lock = threading.Lock()
         self.invocations: dict[str, int] = {}
 
@@ -478,9 +481,8 @@ class RecursiveHandler(HandlerWrapper):
             try:
                 parked = json.loads(call.passthrough)
                 source, depth = parked["source"], parked["max_depth"]
-                instance = WorkflowInstance.resume(
-                    dsl.parse(source), RecursiveHandler(source, depth), parked["saved"]
-                )
+                nested = RecursiveHandler(source, depth, dsl.parse(source))
+                instance = WorkflowInstance.resume(nested.ast, nested, parked["saved"])
             except (ValueError, KeyError, TypeError, dsl.ParseError, EngineError) as exc:
                 return Failure(f"bad passthrough token: {exc!r}")
             return self._run(call, instance)
@@ -488,6 +490,7 @@ class RecursiveHandler(HandlerWrapper):
         with self._lock:
             self.invocations[call.position] = self.invocations.get(call.position, 0) + 1
 
+        own = "workflow" not in call.parameters
         source = call.parameters.get("workflow", self.source)
         if not isinstance(source, str):
             return Failure("no workflow source for recursive call")
@@ -497,22 +500,22 @@ class RecursiveHandler(HandlerWrapper):
         if depth <= 0:
             return Failure("recursion depth exhausted")
 
-        try:
-            ast = dsl.parse(source)
-        except dsl.ParseError as exc:
-            return Failure(f"nested workflow does not parse: {exc}")
+        ast = self.ast if own else None
+        if ast is None:
+            try:
+                ast = dsl.parse(source)
+            except dsl.ParseError as exc:
+                return Failure(f"nested workflow does not parse: {exc}")
+            if own:  # racing first calls each parse it: either AST serves
+                self.ast = ast
 
-        overrides = {
-            name: value
-            for name, value in call.parameters.items()
-            if name not in self.RESERVED
-        }
+        overrides = {k: v for k, v in call.parameters.items() if k not in self.RESERVED}
         declared = {name for name, _ in ast.context_decls}
         unknown = sorted(set(overrides) - declared)
         if unknown:
             return Failure(f"parameters not declared in nested workflow: {unknown}")
 
-        nested_handler = RecursiveHandler(source=source, max_depth=depth - 1)
+        nested_handler = RecursiveHandler(source, depth - 1, ast)
         return self._run(call, WorkflowInstance(ast, nested_handler, initial_context=overrides))
 
     def _run(self, call: HandlerCall, instance) -> HandlerOutcome:
@@ -520,12 +523,9 @@ class RecursiveHandler(HandlerWrapper):
         call.stop.on_set(instance.request_stop)
         result = instance.wait()
         if result == "error":
-            messages = [
-                r.detail.get("message", "")
-                for r in instance.log.records
-                if r.kind == "error"
-            ]
-            return Failure(f"nested instance failed: {'; '.join(messages)}")
+            errors = (r for r in instance.log.records if r.kind == "error")
+            messages = "; ".join(r.detail.get("message", "") for r in errors)
+            return Failure(f"nested instance failed: {messages}")
         if result == "stopped" and call.stop.is_set():
             # the partial context is no result: the token carries the nested
             # instance, so it survives the outer instance's saved file

@@ -137,7 +137,7 @@ class SpawnerHandler(HandlerWrapper):
 
     def __init__(self, count: int, nested_source: Optional[str] = None):
         self.count = count
-        self.nested_source = nested_source or _TINY_WORKFLOW
+        self.ast = dsl.parse(nested_source or _TINY_WORKFLOW)
         self.spawned = 0
         self.completed = 0
         self._lock = threading.Lock()
@@ -146,10 +146,9 @@ class SpawnerHandler(HandlerWrapper):
     def call(self, call):
         with self._lock:
             self.invocations[call.position] = self.invocations.get(call.position, 0) + 1
-        ast = dsl.parse(self.nested_source)
 
         def run_detached() -> None:
-            WorkflowInstance(ast, MockHandler()).run()
+            WorkflowInstance(self.ast, MockHandler()).run()
             with self._lock:
                 self.completed += 1
 
@@ -594,16 +593,13 @@ def run_case_workflow(case: PatternCase, seed: int = 0) -> RunArtifacts:
     if diagnostics:
         raise ValueError(f"{case.slug}: invalid workflow: {diagnostics[0]}")
     handler = build_case_handler(case, seed)
-    from ..context import ContextStore
-
-    initial = dict(ContextStore.from_decls(ast.context_decls).initial_values)
-
     scenario = case.scenario or {}
     kind = scenario.get("type", "run")
     if kind not in ("run", "stop_resume"):
         raise ValueError(f"{case.slug}: unknown scenario type '{kind}'")
 
     instance = WorkflowInstance(ast, handler, RunOptions(virtual_time=case.virtual_time))
+    initial = dict(instance.store.initial_values)
     if isinstance(handler, TriggerHandler):
         for item in scenario.get("deliver_after_start", []):
             delay = float(item.get("at_ms", 0)) / 1000.0

@@ -130,8 +130,8 @@ def test_run_with_a_bad_script_exits_one_with_one_line(tmp_path, capsys, content
     assert not log.exists()
 
 
-@pytest.mark.parametrize("content, message", BAD_SCRIPTS)
-def test_resume_with_a_bad_script_exits_one_with_one_line(seq_dir, capsys, content, message):
+def write_stopped_seq(seq_dir: Path) -> Path:
+    """A saved seq.wee instance stopped after its first call."""
     saved = {
         "schema": 2,
         "lifecycle": "stopped",
@@ -142,6 +142,12 @@ def test_resume_with_a_bad_script_exits_one_with_one_line(seq_dir, capsys, conte
     }
     path = seq_dir / "seq.wee.saved.json"
     cli.write_saved_instance(path, saved, cli.source_hash(SEQ_WEE))
+    return path
+
+
+@pytest.mark.parametrize("content, message", BAD_SCRIPTS)
+def test_resume_with_a_bad_script_exits_one_with_one_line(seq_dir, capsys, content, message):
+    path = write_stopped_seq(seq_dir)
     script = bad_script(seq_dir, content)
     code = cli.main(
         ["resume", str(path), "--workflow", str(seq_dir / "seq.wee"), "--script", str(script)]
@@ -149,6 +155,58 @@ def test_resume_with_a_bad_script_exits_one_with_one_line(seq_dir, capsys, conte
     assert code == cli.EXIT_ERROR
     err = capsys.readouterr().err
     assert message in err and err.count("\n") == 1, err
+
+
+# a script object with a field of the wrong type, or whose events file is
+# missing, is not JSONL, or has a record without "t" or "key"
+BAD_FIELDS = [
+    pytest.param("mock", {"positions": 5}, None, "bad script", id="mock-positions"),
+    pytest.param("jump", {"positions": 5}, None, "bad script", id="jump-positions"),
+    pytest.param("trigger", {"events_file": 1}, None, "bad script", id="events-file-not-a-path"),
+    pytest.param("trigger", {}, None, "bad events file", id="events-missing"),
+    pytest.param("trigger", {}, "not json\n", "bad events file", id="events-not-jsonl"),
+    pytest.param("trigger", {}, '{"key": "go"}\n', "bad events file", id="events-without-t"),
+    pytest.param("trigger", {}, '{"t": 0}\n', "bad events file", id="events-without-key"),
+]
+
+
+def bad_field_script(directory: Path, handler: str, config: dict, events) -> Path:
+    if handler == "trigger":
+        config = {"events_file": str(directory / "events.jsonl"), **config}
+        if events is not None:
+            (directory / "events.jsonl").write_text(events)
+    return bad_script(directory, json.dumps(config))
+
+
+@pytest.mark.parametrize("handler, config, events, message", BAD_FIELDS)
+def test_run_with_a_bad_script_field_exits_one_with_one_line(
+    tmp_path, capsys, handler, config, events, message
+):
+    log = tmp_path / "run.log"
+    script = bad_field_script(tmp_path, handler, config, events)
+    code = cli.main(
+        ["run", str(FIXTURES / "booking.wee"), "--handler", handler, "--script", str(script)]
+        + ["--log", str(log)]
+    )
+    assert code == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1, err
+    assert not log.exists()
+
+
+@pytest.mark.parametrize("handler, config, events, message", BAD_FIELDS)
+def test_resume_with_a_bad_script_field_exits_one_with_one_line(
+    seq_dir, capsys, handler, config, events, message
+):
+    path = write_stopped_seq(seq_dir)
+    script = bad_field_script(seq_dir, handler, config, events)
+    code = cli.main(
+        ["resume", str(path), "--workflow", str(seq_dir / "seq.wee"), "--handler", handler]
+        + ["--script", str(script)]
+    )
+    assert code == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1, err
 
 
 def test_run_iteration_cap_exit_one(tmp_path):

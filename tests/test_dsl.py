@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import re
+import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wee import dsl
@@ -75,6 +77,18 @@ def test_duplicate_position_rejected():
 def test_duplicate_context_rejected():
     with pytest.raises(ParseError, match="duplicate context variable 'x'"):
         parse('workflow { handler "mock" context x: 0 context x: 1 }')
+    with pytest.raises(ParseError) as info:
+        parse('workflow {\n  handler "m"\n  context x: 0\n  context y: x\n  context x: 1\n}')
+    assert (info.value.line, info.value.col) == (5, 11)
+
+
+def test_a_20000_declaration_context_parses_in_linear_time():
+    decls = "".join(f"  context v{i}: {i}\n" for i in range(20000))
+    source = f'workflow {{\n  handler "mock"\n{decls}}}\n'
+    started = time.process_time()
+    ast = parse(source)
+    assert time.process_time() - started < 2.0
+    assert len(ast.context_decls) == 20000
 
 
 def test_duplicate_endpoint_rejected():
@@ -249,6 +263,92 @@ def test_tokenize_error_position(source, line, col, message):
     with pytest.raises(ParseError) as info:
         dsl.tokenize(source)
     assert (info.value.line, info.value.col, info.value.message) == (line, col, message)
+
+
+# The regex tokenizer that tokenize replaced, kept as its reference: one
+# match per token, space, newline or comment, and the line counted at each
+# newline.
+_REFERENCE_TOKEN = re.compile(
+    r"""
+      (?P<SPACE>[ \t\r]+ | \#[^\n]*)
+    | (?P<INT>\d+)
+    | (?P<NAME>\w+)
+    | (?P<NEWLINE>\n)
+    | (?P<LBRACE>\{) | (?P<RBRACE>\}) | (?P<LPAREN>\() | (?P<RPAREN>\))
+    | (?P<COLON>:) | (?P<COMMA>,)
+    | (?P<OP>== | != | <= | >= | && | \|\| | [-+*/%<>!])
+    | (?P<ASSIGN>=)
+    | (?P<STRING>"(?:[^"\\\n] | \\.)*")
+    | (?P<UNTERMINATED>"[^\n]*)
+    | (?P<UNEXPECTED>.)
+    | (?P<EOF>\Z)
+    """,
+    re.VERBOSE,
+)
+
+
+def reference_tokenize(source: str) -> list[tuple]:
+    tokens: list[tuple] = []
+    line, line_start = 1, 0
+    for match in _REFERENCE_TOKEN.finditer(source):
+        kind, text = match.lastgroup, match.group()
+        col = match.start() - line_start + 1
+        if kind == "NEWLINE":
+            line, line_start = line + 1, match.end()
+        elif kind == "NAME" and (text[0].isalpha() or text[0] == "_"):
+            tokens.append((T.KEYWORD if text in dsl.KEYWORDS else T.IDENT, text, line, col))
+        elif kind == "STRING":
+            tokens.append((T.STRING, re.sub(r'\\(["\\])', r"\1", text[1:-1]), line, col))
+        elif kind == "UNTERMINATED":
+            raise ParseError("unterminated string literal", line, col + len(text))
+        elif kind in ("NAME", "UNEXPECTED"):
+            raise ParseError(f"unexpected character {text[0]!r}", line, col)
+        elif kind != "SPACE":
+            tokens.append((T[kind], text, line, col))
+    return tokens
+
+
+def _tokens_or_error(tokenizer, source: str):
+    try:
+        return [tuple(token) for token in tokenizer(source)]
+    except ParseError as exc:
+        return ("error", exc.message, exc.line, exc.col)
+
+
+# keywords, punctuation and operators, with non-decimal digits, a decimal
+# digit int() accepts, a literal longer than int() accepts, escapes,
+# unterminated strings and comments that no newline ends
+LEXER_SOUP = (
+    sorted(dsl.KEYWORDS)
+    + list("{}():,=+-*/%<>!&|_\"'#xy07 \t\r\n²٣§")
+    + ["==", "<=", "&&", "||", "9" * 5000, '"a\\"b"', '"open', "# note", "\n# note"]
+)
+SHIPPED_SOURCES = sorted(
+    path.read_text() for path in (*CORPUS.rglob("*.wee"), *FIXTURES.glob("*.wee"))
+)
+
+
+@st.composite
+def mutated_source(draw):
+    """A shipped workflow with a slice replaced by keyword soup."""
+    source = draw(st.sampled_from(SHIPPED_SOURCES))
+    start = draw(st.integers(0, len(source)))
+    end = draw(st.integers(start, min(len(source), start + 40)))
+    patch = "".join(draw(st.lists(st.sampled_from(LEXER_SOUP), max_size=6)))
+    return source[:start] + patch + source[end:]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.one_of(
+        st.lists(st.sampled_from(LEXER_SOUP), max_size=80).map("".join),
+        mutated_source(),
+        st.text(max_size=200),
+    )
+)
+@example(TOKEN_SOURCE)
+def test_tokenize_matches_the_reference_tokenizer(source):
+    assert _tokens_or_error(dsl.tokenize, source) == _tokens_or_error(reference_tokenize, source)
 
 
 # -- positions ---------------------------------------------------------------

@@ -199,6 +199,21 @@ def test_http_connection_failure_is_failure():
     assert isinstance(outcome, Failure)
 
 
+@pytest.mark.parametrize("timeout", ["x", -1], ids=["not-a-number", "negative"])
+def test_http_request_that_raises_outside_requests_is_failure(timeout):
+    # requests rejects the timeout with ValueError before it connects
+    outcomes = []
+    handler = HttpHandler(timeout=timeout)
+    caller = threading.Thread(
+        target=lambda: outcomes.append(handler.call(make_call("a", endpoint="http://127.0.0.1:9/"))),
+        daemon=True,
+    )
+    caller.start()
+    caller.join(timeout=5)
+    assert not caller.is_alive(), "the call hung"
+    assert isinstance(outcomes[0], Failure) and "ValueError" in outcomes[0].message
+
+
 def test_http_timeout_is_failure(stub_server):
     stub_server.delays["/slow"] = 0.5
     handler = HttpHandler(timeout=0.1)
@@ -468,6 +483,30 @@ def test_recursive_base_case_makes_no_nested_call():
     instance = WorkflowInstance(dsl.parse(FACTORIAL), handler, initial_context={"n": 1})
     assert instance.run() == "finished"
     assert handler.invocations == {}
+
+
+def test_recursive_handler_parses_its_workflow_once_at_every_depth(monkeypatch):
+    ast = dsl.parse(FACTORIAL)
+    parsed = []
+    real_parse = dsl.parse
+    monkeypatch.setattr(dsl, "parse", lambda source: parsed.append(source) or real_parse(source))
+    handler = RecursiveHandler(source=FACTORIAL, max_depth=10)
+    for _ in range(2):
+        instance = WorkflowInstance(ast, handler, initial_context={"n": 5})
+        assert instance.run() == "finished"
+        assert instance.store.current_values()["acc"] == 120
+    # the first call parses; the nested handlers it builds get the parse
+    assert parsed == [FACTORIAL]
+
+
+def test_spawner_parses_its_nested_workflow_once(monkeypatch):
+    from wee.patterns.harness import SpawnerHandler
+
+    handler = SpawnerHandler(2)
+    monkeypatch.setattr(dsl, "parse", lambda source: pytest.fail("a spawning call parsed"))
+    for _ in range(2):
+        assert handler.call(make_call("spawn")) == Result({})
+    assert wait_until(lambda: handler.completed == 4)
 
 
 def test_recursive_depth_exhaustion_is_failure():
