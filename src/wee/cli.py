@@ -127,6 +127,25 @@ def parse_skip_region(spec: str, ast: dsl.WorkflowAst) -> frozenset[str]:
     return frozenset(ordered[lo : hi + 1])
 
 
+def prior_log_end(path: str) -> tuple[int, Optional[str]]:
+    """The last seq and the instance id of the trace a resume appends to;
+    (0, None) for an empty trace."""
+    try:
+        prior = read_jsonl(path)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        # a directory, not UTF-8, not JSONL, or a line that is not a record
+        raise ControllerError(f"cannot continue log {path}: {exc}") from exc
+    if not prior:
+        return 0, None
+    last = prior[-1]
+    if type(last.seq) is not int or not isinstance(last.instance, str):
+        raise ControllerError(
+            f"cannot continue log {path}: last record has seq {last.seq!r}, "
+            f"instance {last.instance!r}"
+        )
+    return last.seq, last.instance
+
+
 def default_save_path(workflow_path: str | Path) -> Path:
     return Path(str(workflow_path) + ".saved.json")
 
@@ -137,8 +156,13 @@ def write_saved_instance(path: str | Path, saved: dict, src_hash: str) -> None:
 
 
 def load_saved_instance(path: str | Path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        saved = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            saved = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
+        raise ControllerError(f"cannot read saved instance {path}: {exc}") from exc
+    if not isinstance(saved, dict):
+        raise ControllerError(f"saved instance {path} is not a JSON object")
     for key in ("hash", "lifecycle", "branches", "context", "version", "passthroughs"):
         if key not in saved:
             raise ControllerError(f"saved instance is missing '{key}'")
@@ -283,21 +307,12 @@ def cmd_resume(args: argparse.Namespace) -> int:
             handler_name, args.script, seed=args.seed, workflow_source=source
         )
         skip = parse_skip_region(args.skip_region, ast) if args.skip_region else frozenset()
-    except (ControllerError, json.JSONDecodeError, OSError) as exc:
+        start_seq, instance_id = 0, None
+        if args.log and Path(args.log).exists():
+            start_seq, instance_id = prior_log_end(args.log)
+    except ControllerError as exc:
         print(exc, file=sys.stderr)
         return EXIT_ERROR
-
-    start_seq = 0
-    instance_id = None
-    if args.log and Path(args.log).exists():
-        try:
-            prior = read_jsonl(args.log)
-            if prior:
-                start_seq = prior[-1].seq
-                instance_id = prior[-1].instance
-        except (json.JSONDecodeError, KeyError) as exc:
-            print(f"cannot continue log {args.log}: {exc}", file=sys.stderr)
-            return EXIT_ERROR
 
     options = RunOptions(
         max_iterations=args.max_iterations,

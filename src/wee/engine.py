@@ -20,8 +20,11 @@ instance. The lock guards the stop request, each branch's cancel flag and
 in-flight call, the registries of live branches and open joins, the saved
 paths and the critical-section owners; every change that can unblock a
 waiter notifies the condition. Handlers are never called while the lock is
-held. The engine keeps only live state: a branch leaves the registry when it
-arrives at its join or ends, and a join when it closes.
+held; stop tokens are set under it. The engine keeps only live state: a
+branch leaves the registry when it arrives at its join or ends, and a join
+when it closes. The branch that leaves the registry last emits the terminal
+record and closes the trace in the same locked section, so an instance ends
+whether or not anyone waits on it, and no record follows its terminal one.
 
 Under RunOptions(virtual_time=True) the branch threads take turns on a
 virtual clock instead (see _Timeline): the same workflow, handler script and
@@ -87,8 +90,8 @@ class RunOptions:
     log_append: bool = False
     start_seq: int = 0
     clock: Optional[object] = None  # callable returning an ISO-8601 string
-    # one branch runs at a time and scripted waits are simulated: only for
-    # handlers whose every wait goes through the call's stop token
+    # one branch runs at a time and scripted waits are simulated; every
+    # wait a handler makes must go through its call's stop token
     virtual_time: bool = False
 
 
@@ -204,8 +207,9 @@ class _Timeline:
     once, but its parent keeps the baton until it blocks. The timers are the
     timeouts of token waits and the instance's delayed actions; once no
     branch is live, none runs. A thread outside the instance (a controller's
-    stop, a trigger delivery) may make a branch runnable at any time; if the
-    baton is free, that branch gets it at once.
+    stop, a trigger delivery, an HTTP response, a nested instance's end) may
+    make a branch runnable at any time; if the baton is free, that branch
+    gets it at once.
     """
 
     def __init__(self) -> None:
@@ -495,12 +499,13 @@ class WorkflowInstance:
         return self
 
     def wait(self) -> str:
+        """Wait until the instance has ended; its result."""
         with self._state_lock:
-            while self.branches:
+            if self.lifecycle is Lifecycle.READY:
+                raise EngineError("instance is ready, not started")
+            while self.result is None:
                 self._cond.wait()
-        self._finalize()
-        assert self.result is not None
-        return self.result
+            return self.result
 
     def run(self) -> str:
         return self.start().wait()
@@ -534,57 +539,42 @@ class WorkflowInstance:
         self.wait()
 
     def request_stop(self, source: str = "controller") -> None:
-        """Request a stop; after this no branch starts another activity."""
+        """Request a stop; after this no branch starts another activity. An
+        instance that has ended ignores it."""
         with self._state_lock:
             if self._stop_requested or self.result is not None:
                 return
             self._stop_requested = True
             self._stop_source = source
-            branches = list(self.branches.values())
+            self.log.emit("signal", ROOT_BRANCH, detail={"signal": "stop", "source": source})
+            self.log.emit("stop_acknowledged", ROOT_BRANCH)
+            self._stop_calls(self.branches.values())
             self._cond.notify_all()
-        self.log.emit("signal", ROOT_BRANCH, detail={"signal": "stop", "source": source})
-        self.log.emit("stop_acknowledged", ROOT_BRANCH)
-        self._stop_calls(branches)
 
     def _stop_calls(self, branches: Iterable[_Branch]) -> None:
-        """Set the stop token of each branch's in-flight call.
+        """Set the stop token of each branch's in-flight call; caller holds
+        the state lock."""
+        for b in branches:
+            if b.in_flight is not None:
+                self.log.emit("signal", b.id, b.in_flight.position, {"signal": "stop_call"})
+                b.in_flight.stop.set()
 
-        Called without the state lock held; a stop callback that raises
-        leaves a stop_call_failed signal in the trace.
-        """
-        with self._state_lock:
-            calls = [(b.id, b.in_flight) for b in branches if b.in_flight is not None]
-        for branch_id, call in calls:
-            self.log.emit("signal", branch_id, call.position, {"signal": "stop_call"})
-            try:
-                call.stop.set()
-            except Exception as exc:
-                self.log.emit(
-                    "signal",
-                    branch_id,
-                    call.position,
-                    {"signal": "stop_call_failed", "message": repr(exc)},
-                )
-
-    def _finalize(self) -> None:
-        with self._state_lock:
-            if self.result is not None:
-                return
-            if self._error is not None:
-                self.result = "error"
-                self.lifecycle = Lifecycle.STOPPED
-                self.log.emit("instance_stop", ROOT_BRANCH, detail={"error": self._error})
-            elif self._stop_requested:
-                self.result = "stopped"
-                self.lifecycle = Lifecycle.STOPPED
-                self.log.emit(
-                    "instance_stop", ROOT_BRANCH, detail={"source": self._stop_source}
-                )
-            else:
-                self.result = "finished"
-                self.lifecycle = Lifecycle.FINISHED
-                self.log.emit("instance_finish", ROOT_BRANCH)
-            self.log.close()
+    def _end(self) -> None:
+        """Emit the terminal record and close the trace; caller holds the
+        state lock, and the last branch has just left the registry."""
+        if self._error is not None:
+            self.result = "error"
+            self.lifecycle = Lifecycle.STOPPED
+            self.log.emit("instance_stop", ROOT_BRANCH, detail={"error": self._error})
+        elif self._stop_requested:
+            self.result = "stopped"
+            self.lifecycle = Lifecycle.STOPPED
+            self.log.emit("instance_stop", ROOT_BRANCH, detail={"source": self._stop_source})
+        else:
+            self.result = "finished"
+            self.lifecycle = Lifecycle.FINISHED
+            self.log.emit("instance_finish", ROOT_BRANCH)
+        self.log.close()
 
     def _report_error(self, branch: _Branch, exc: Exception) -> None:
         with self._state_lock:
@@ -800,7 +790,7 @@ class WorkflowInstance:
                 except _JumpTo as jump:
                     pending = jump.rel_path
             if branch.group is not None:
-                self._stop_calls(self._child_finished(branch))
+                self._child_finished(branch)
             else:
                 # the root ran to the end: a resume starts past it
                 saved = ((len(self.ast.body),), 1)
@@ -817,40 +807,38 @@ class WorkflowInstance:
                 self.branches.pop(branch.id, None)
                 if saved is not None:
                     self._saved_paths[branch.id] = saved
+                if not self.branches and self.result is None:
+                    self._end()
                 self._cond.notify_all()
             if self._timeline is not None:
                 self._timeline.leave(branch)
 
-    def _child_finished(self, child: _Branch) -> list[_Branch]:
-        """Arrive at the child's join unless it was cancelled; returns the
-        cancelled branches whose calls the child must stop.
+    def _child_finished(self, child: _Branch) -> None:
+        """Arrive at the child's join unless it was cancelled.
 
         The child leaves the registry in the section in which it arrives, so
-        a cancel of its parent cannot signal it. A child whose arrival fired
-        the join stays until it has stopped the losers' calls, so wait()
-        cannot return before.
+        a cancel of its parent cannot signal it.
         """
         group = child.group
         assert group is not None
         with self._state_lock:
             if child.cancelled:
-                return []
+                return
             group.arrived.append(child.id)
             self.log.emit(
                 "branch_join",
                 child.id,
                 detail={"role": "arrive", "parent": group.parent.id},
             )
-            losers = self._maybe_fire(group)
-            if not losers:
-                del self.branches[child.id]
+            del self.branches[child.id]
+            self._maybe_fire(group)
             self._cond.notify_all()
-        return losers
 
-    def _maybe_fire(self, group: _JoinGroup) -> list[_Branch]:
-        """Fire the join if its condition holds; caller holds the state lock."""
+    def _maybe_fire(self, group: _JoinGroup) -> None:
+        """Fire the join if its condition holds, cancelling the losers of a
+        k-join; caller holds the state lock."""
         if not group.ready_to_fire():
-            return []
+            return
         group.fired = True
         self.log.emit(
             "branch_join",
@@ -862,31 +850,23 @@ class WorkflowInstance:
                 "wait": "all" if group.wait.is_all else group.wait.count,
             },
         )
-        if group.wait.is_all:
-            return []
-        return self._cancel([b.id for b in self.branches.values() if b.group is group])
+        if not group.wait.is_all:
+            self._cancel([b.id for b in self.branches.values() if b.group is group])
 
-    def _cancel(self, ids: list[str]) -> list[_Branch]:
-        """Cancel the named branches and every live branch below them; caller
-        holds the state lock. Returns the branches cancelled now, whose
-        in-flight calls the caller stops once it has released the lock.
-
-        A child that has arrived at its join is not cancelled: the one whose
-        arrival fired the join is still live, stopping the losers' calls.
-        """
+    def _cancel(self, ids: list[str]) -> None:
+        """Cancel the named branches and every live branch below them, and
+        stop their in-flight calls; caller holds the state lock."""
         below = tuple(f"{branch_id}." for branch_id in ids)
         cancelled = [
             b
             for b in self.branches.values()
-            if (b.id in ids or b.id.startswith(below))
-            and not b.cancelled
-            and not (b.group and b.id in b.group.arrived)
+            if (b.id in ids or b.id.startswith(below)) and not b.cancelled
         ]
         for b in cancelled:
             b.cancelled = True
             self.log.emit("signal", b.id, detail={"signal": "no_longer_necessary"})
+        self._stop_calls(cancelled)
         self._cond.notify_all()
-        return cancelled
 
     # ------------------------------------------------------------------
     # Node execution
@@ -1130,9 +1110,7 @@ class WorkflowInstance:
                 wait, spawned = node.wait.count, group.spawned
                 if wait is not None and spawned < wait:
                     raise EngineError(f"unsatisfiable join: wait {wait} of {spawned} branches")
-                losers = self._maybe_fire(group)
-            self._stop_calls(losers)
-            with self._state_lock:
+                self._maybe_fire(group)
                 while not group.fired:
                     self._checkpoint(branch, path)
                     self._block(branch)
@@ -1143,8 +1121,7 @@ class WorkflowInstance:
             # the jump leaves the block, so its join will never fire: the
             # children forked so far are no longer necessary
             with self._state_lock:
-                orphans = self._cancel([b.id for b in self.branches.values() if b.group is group])
-            self._stop_calls(orphans)
+                self._cancel([b.id for b in self.branches.values() if b.group is group])
             raise
         finally:
             branch.group_stack.pop()

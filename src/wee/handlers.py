@@ -19,7 +19,7 @@ import threading
 import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping, NamedTuple, Optional, Union
+from typing import Mapping, NamedTuple, Optional, Union
 
 from . import dsl
 from .expressions import EvalError, Expr, Value, eval_expr, is_value
@@ -29,29 +29,14 @@ class StopToken(threading.Event):
     """The engine's request that one call wind down.
 
     The engine creates a token with each call and sets it on a stop, or when
-    a join no longer needs the call's branch. A handler waits on it, or
-    registers a callback with on_set; a callback registered after the token
-    was set runs at once, so a stop that lands before the handler looks is
-    not lost. A handler that also waits for something else waits on the
-    token and has wake() end the wait; under virtual time every wait a
-    handler makes must go through its token.
+    a join no longer needs the call's branch; a token set before the handler
+    looks at it stays set. A handler waits only on its call's token: one
+    that also waits for something else, such as a response or an event, has
+    wake() end the wait. Under virtual time every wait of a branch goes
+    through its call's token.
     """
 
-    _callbacks: tuple = ()  # no allocation for calls that register none
     _woken = False
-
-    def set(self) -> None:
-        """Set the token, then run each registered callback once in this
-        thread; an exception from a callback propagates to the caller."""
-        # the Event's own condition guards the flag and the callbacks together
-        with self._cond:
-            if self._flag:
-                return
-            self._flag = True
-            self._cond.notify_all()
-            callbacks, self._callbacks = self._callbacks, ()
-        for fn in callbacks:
-            fn()
 
     def wake(self) -> None:
         """End the wait on the token, or the next one, without setting it."""
@@ -65,14 +50,6 @@ class StopToken(threading.Event):
         with self._cond:
             self._cond.wait_for(lambda: self._flag or self._woken, timeout)
             return self._flag
-
-    def on_set(self, fn: Callable[[], object]) -> None:
-        """Run fn when the token is set, or now if it already is."""
-        with self._cond:
-            if not self._flag:
-                self._callbacks += (fn,)
-                return
-        fn()
 
 
 class HandlerCall(NamedTuple):
@@ -228,29 +205,24 @@ class MockHandler(HandlerWrapper):
 
 @dataclass
 class _StoredResponse:
-    # a StopToken only for its on_set: set once the response is in
-    done: StopToken = field(default_factory=StopToken)
+    # both guarded by the handler's lock
     outcome: Optional[HandlerOutcome] = None
-
-    def wait(self, stop: StopToken, timeout: Optional[float] = None) -> bool:
-        """Wait until the response is in or stop is set; True once it is in."""
-        wake = threading.Event()
-        stop.on_set(wake.set)
-        self.done.on_set(wake.set)
-        wake.wait(timeout)
-        return self.done.is_set()
+    # the token of the call waiting for the response: the first call, then a
+    # replay; the request thread wakes it once the response is in
+    waiter: Optional[StopToken] = None
 
 
 class HttpHandler(HandlerWrapper):
     """POSTs calls to their endpoint and maps the JSON response.
 
     Request body: ``{"position", "parameters", "context", "passthrough"}``.
-    A 2xx response must carry ``{"result": {name: value, ...}}``. Once the
-    call's stop token is set, the blocked call returns a Passthrough token
-    immediately while the request finishes in the background; a later call
-    with that token replays the stored response without contacting the
-    service again, and drops it. A replay whose stop token is set before the
-    response is in hands back the same token.
+    A 2xx response must carry ``{"result": {name: value, ...}}``. The request
+    runs in a thread of its own, which wakes the waiting call's stop token
+    once the response is in. Once the token is set, the blocked call returns
+    a Passthrough token immediately while the request finishes in the
+    background; a later call with that token replays the stored response
+    without contacting the service again, and drops it. A replay whose stop
+    token is set before the response is in hands back the same token.
     """
 
     def __init__(self, timeout: float = 30.0):
@@ -268,13 +240,12 @@ class HttpHandler(HandlerWrapper):
                 record = self._stored.get(call.passthrough)
             if record is None:
                 return Failure(f"unknown passthrough token '{call.passthrough}'")
-            if record.wait(call.stop, self.timeout):
-                with self._lock:
-                    self._stored.pop(call.passthrough, None)
-                return record.outcome  # type: ignore[return-value]
-            if call.stop.is_set():
+            outcome = self._await(record, call.stop)
+            if outcome is None:
                 return Passthrough(call.passthrough)
-            return Failure("stored call did not complete in time")
+            with self._lock:
+                self._stored.pop(call.passthrough, None)
+            return outcome
 
         record = _StoredResponse()
         body = {
@@ -286,20 +257,35 @@ class HttpHandler(HandlerWrapper):
 
         def worker() -> None:
             try:
-                record.outcome = self._post(call.endpoint, body)
+                outcome = self._post(call.endpoint, body)
             except Exception as exc:  # the call must end: a failure, not a hang
-                record.outcome = Failure(f"request failed: {exc!r}")
-            record.done.set()
+                outcome = Failure(f"request failed: {exc!r}")
+            with self._lock:
+                record.outcome, waiter = outcome, record.waiter
+            if waiter is not None:
+                waiter.wake()
 
         thread = threading.Thread(target=worker, name=f"http-{call.position}", daemon=True)
         thread.start()
 
-        if record.wait(call.stop):
-            return record.outcome  # type: ignore[return-value]
+        outcome = self._await(record, call.stop)
+        if outcome is not None:
+            return outcome
         token = uuid.uuid4().hex
         with self._lock:
             self._stored[token] = record
         return Passthrough(token)
+
+    def _await(self, record: _StoredResponse, stop: StopToken) -> Optional[HandlerOutcome]:
+        """Wait until the response is in or stop is set; the response, or None."""
+        with self._lock:
+            record.waiter = stop
+            outcome = record.outcome
+        if outcome is None:
+            stop.wait()  # until the request thread wakes it or a stop sets it
+            with self._lock:
+                outcome = record.outcome
+        return outcome
 
     def _post(self, endpoint: str, body: dict) -> HandlerOutcome:
         requests = self._requests
@@ -457,7 +443,8 @@ class RecursiveHandler(HandlerWrapper):
     instance's declared context initials, and the nested final context is
     returned as the Result. The ``depth`` parameter (default: max_depth)
     must stay positive: recursion without an exit condition fails once the
-    budget is exhausted. When the call's stop token is set, the nested
+    budget is exhausted. The call waits on its stop token, which the nested
+    instance's terminal record wakes. When the token is set, the nested
     instance stops and the call returns a Passthrough token holding the
     nested saved state, its source and its depth budget as JSON; a later
     call with that token, in this process or another, resumes the nested
@@ -519,8 +506,15 @@ class RecursiveHandler(HandlerWrapper):
         return self._run(call, WorkflowInstance(ast, nested_handler, initial_context=overrides))
 
     def _run(self, call: HandlerCall, instance) -> HandlerOutcome:
+        def ended(record) -> None:
+            if record.kind in ("instance_finish", "instance_stop"):
+                call.stop.wake()
+
+        instance.log.add_listener(ended)
         instance.start()
-        call.stop.on_set(instance.request_stop)
+        # until the nested terminal record wakes the token or a stop sets it
+        if call.stop.wait():
+            instance.request_stop()
         result = instance.wait()
         if result == "error":
             errors = (r for r in instance.log.records if r.kind == "error")

@@ -131,8 +131,10 @@ workflow {
 class SpawnerHandler(HandlerWrapper):
     """Launches fire-and-forget engine instances, one per requested copy.
 
-    The spawning call returns immediately; the outer workflow gets no say
-    over (and no report of) the detached instances.
+    The spawning call starts them and returns; the outer workflow gets no
+    say over (and no report of) the detached instances. Each one runs on
+    the engine's branch threads and ends itself: its last branch emits its
+    terminal record, and `completed` counts their instance_finish records.
     """
 
     def __init__(self, count: int, nested_source: Optional[str] = None):
@@ -146,17 +148,18 @@ class SpawnerHandler(HandlerWrapper):
     def call(self, call):
         with self._lock:
             self.invocations[call.position] = self.invocations.get(call.position, 0) + 1
-
-        def run_detached() -> None:
-            WorkflowInstance(self.ast, MockHandler()).run()
-            with self._lock:
-                self.completed += 1
-
         for _ in range(self.count):
+            instance = WorkflowInstance(self.ast, MockHandler())
+            instance.log.add_listener(self._count_finish)
             with self._lock:
                 self.spawned += 1
-            threading.Thread(target=run_detached, daemon=True).start()
+            instance.start()
         return Result({})
+
+    def _count_finish(self, record: EventRecord) -> None:
+        if record.kind == "instance_finish":
+            with self._lock:
+                self.completed += 1
 
 
 @dataclass
@@ -175,11 +178,6 @@ class PatternCase:
     @property
     def handler_kind(self) -> str:
         return self.script.get("handler", "mock")
-
-    @property
-    def virtual_time(self) -> bool:
-        # these handlers wait only through the call's stop token
-        return self.handler_kind in ("mock", "trigger", "jump")
 
 
 @dataclass
@@ -598,7 +596,7 @@ def run_case_workflow(case: PatternCase, seed: int = 0) -> RunArtifacts:
     if kind not in ("run", "stop_resume"):
         raise ValueError(f"{case.slug}: unknown scenario type '{kind}'")
 
-    instance = WorkflowInstance(ast, handler, RunOptions(virtual_time=case.virtual_time))
+    instance = WorkflowInstance(ast, handler, RunOptions(virtual_time=True))
     initial = dict(instance.store.initial_values)
     if isinstance(handler, TriggerHandler):
         for item in scenario.get("deliver_after_start", []):
@@ -620,7 +618,7 @@ def run_case_workflow(case: PatternCase, seed: int = 0) -> RunArtifacts:
 
             skip = parse_skip_region(scenario["skip_region"], ast)
         instance = WorkflowInstance.resume(
-            ast, handler, saved, RunOptions(virtual_time=case.virtual_time), skip_positions=skip
+            ast, handler, saved, RunOptions(virtual_time=True), skip_positions=skip
         )
         result = instance.run()
         records += instance.log.records

@@ -79,6 +79,15 @@ def run_source(source: str, handler, **options) -> WorkflowInstance:
     return instance
 
 
+def finish(instance: WorkflowInstance, timeout=5.0) -> str:
+    """Run the instance; fail instead of hanging if a baton is lost."""
+    runner = threading.Thread(target=instance.run, daemon=True)
+    runner.start()
+    runner.join(timeout)
+    assert not runner.is_alive(), "the instance did not end"
+    return instance.result
+
+
 def starts(instance: WorkflowInstance, position: str | None = None) -> list:
     return [
         r

@@ -209,6 +209,44 @@ def test_resume_with_a_bad_script_field_exits_one_with_one_line(
     assert err.startswith(message) and err.count("\n") == 1, err
 
 
+def prior_record(**fields) -> str:
+    record = {"seq": 3, "wall_time": "t", "instance": "i-1", "branch": "0", "kind": "signal"}
+    return json.dumps({**record, **fields}) + "\n"
+
+
+# a prior --log that is a directory, is not UTF-8, has a line that is not a
+# record, or whose last record has a seq or instance of the wrong type; a
+# saved file that is not UTF-8 or not a JSON object
+BAD_RESUME_FILES = [
+    pytest.param("log", None, "cannot continue log", id="log-is-a-directory"),
+    pytest.param("log", b"\xff\xfe\n", "cannot continue log", id="log-not-utf8"),
+    pytest.param("log", b"[1]\n", "cannot continue log", id="log-line-not-a-record"),
+    pytest.param("log", prior_record(seq="3").encode(), "seq '3'", id="log-seq-not-int"),
+    pytest.param("log", prior_record(instance=7).encode(), "instance 7", id="log-instance-not-str"),
+    pytest.param("saved", b"\xff{}", "cannot read saved instance", id="saved-not-utf8"),
+    pytest.param("saved", b"5", "is not a JSON object", id="saved-not-an-object"),
+]
+
+
+@pytest.mark.parametrize("which, content, message", BAD_RESUME_FILES)
+def test_resume_with_a_bad_log_or_saved_file_exits_one_with_one_line(
+    seq_dir, capsys, which, content, message
+):
+    path = write_stopped_seq(seq_dir)
+    log = seq_dir / "run.log"
+    bad = log if which == "log" else path
+    if content is None:
+        bad.mkdir()
+    else:
+        bad.write_bytes(content)
+    code = cli.main(
+        ["resume", str(path), "--workflow", str(seq_dir / "seq.wee"), "--log", str(log)]
+    )
+    assert code == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert message in err and err.count("\n") == 1, err
+
+
 def test_run_iteration_cap_exit_one(tmp_path):
     loop = tmp_path / "loop.wee"
     loop.write_text(

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import run_source, starts
+from conftest import finish, run_source, starts
 from wee import dsl, engine
 from wee.engine import EngineError, RunOptions, WorkflowInstance
 from wee.events import FixedClock
@@ -119,6 +119,39 @@ def test_handler_result_for_undeclared_variable_is_an_error():
     )
     assert instance.result == "error"
     assert any("ghost" in r.detail.get("message", "") for r in instance.log.records if r.kind == "error")
+
+
+ONE_STEP = 'workflow { handler "mock" context x: 0 manipulate :a { x = x + 1 } }'
+
+
+def test_an_instance_nobody_waits_on_ends_itself_and_closes_its_trace(tmp_path):
+    log = tmp_path / "run.jsonl"
+    instance = WorkflowInstance(dsl.parse(ONE_STEP), MockHandler(), RunOptions(log_path=str(log)))
+    instance.start()
+    # the last branch to leave writes the terminal record and closes the file
+    assert settle(lambda: instance.log._fh is None, timeout=2.0)
+    assert instance.result == "finished"
+    assert json.loads(log.read_text().splitlines()[-1])["kind"] == "instance_finish"
+
+
+def test_a_stop_after_the_last_branch_has_left_is_ignored():
+    instance = WorkflowInstance(dsl.parse(ONE_STEP), MockHandler()).start()
+    assert settle(lambda: not instance.branches)
+    instance.request_stop()
+    assert instance.wait() == "finished"
+    assert [r.kind for r in instance.log.records] == [
+        "instance_start",
+        "activity_start",
+        "context_change",
+        "activity_end",
+        "instance_finish",
+    ]
+
+
+def test_wait_on_an_instance_never_started_raises():
+    instance = WorkflowInstance(dsl.parse(ONE_STEP), MockHandler())
+    with pytest.raises(EngineError, match="not started"):
+        instance.wait()
 
 
 # -- parallel -------------------------------------------------------------------
@@ -602,40 +635,6 @@ def test_stop_records_passthrough_of_blocked_call():
     assert saved["passthroughs"] == {"0/one": "p-one"}
     assert saved["lifecycle"] == "stopped"
     assert saved["context"] == {"done": False}
-
-
-class RaisingStopHandler(MockHandler):
-    """Registers a stop callback that raises, then runs the scripted call."""
-
-    def __init__(self, script):
-        super().__init__(script)
-        self.registered = threading.Event()
-
-    def call(self, call):
-        call.stop.on_set(self._refuse)
-        self.registered.set()
-        return super().call(call)
-
-    @staticmethod
-    def _refuse():
-        raise RuntimeError("stop refused")
-
-
-def test_raising_stop_call_is_traced_and_instance_settles():
-    ast = dsl.parse(STOPPABLE)
-    handler = RaisingStopHandler({"positions": {"one": {"result": {}, "delay_ms": 100}}})
-    instance = WorkflowInstance(ast, handler)
-    instance.start()
-    assert handler.registered.wait(5)
-    instance.deliver_stop()
-    assert instance.result == "stopped"
-    assert not starts(instance, "two")
-    failed = [
-        (r.branch, r.position, r.detail["message"])
-        for r in instance.log.records
-        if r.detail.get("signal") == "stop_call_failed"
-    ]
-    assert failed == [("0", "one", "RuntimeError('stop refused')")]
 
 
 class EntersAfterStopHandler(MockHandler):
@@ -1248,6 +1247,48 @@ def test_branch_threads_exit_once_the_keep_alive_runs_out(monkeypatch):
     assert settle(lambda: threading.active_count() <= baseline), threading.enumerate()
 
 
+def test_a_stop_racing_the_last_branch_leaves_no_record_after_the_terminal_one():
+    ast = dsl.parse(wide_join(3))
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(150):
+            instance = WorkflowInstance(ast, MockHandler({"default": {"result": {}}}))
+            stopper = threading.Thread(target=instance.request_stop)
+            instance.start()
+            stopper.start()
+            result = instance.wait()
+            stopper.join(timeout=5)
+            assert not stopper.is_alive()
+            records = instance.log.records
+            terminal = "instance_finish" if result == "finished" else "instance_stop"
+            assert [r.kind for r in records].index(terminal) == len(records) - 1
+            assert [r.seq for r in records] == list(range(1, len(records) + 1))
+    finally:
+        sys.setswitchinterval(previous)
+
+
+def test_a_warm_corpus_pass_starts_no_thread_outside_the_branch_thread_cache(monkeypatch):
+    from wee.patterns.harness import run_all
+
+    assert run_all().all_passed
+    started = []
+    real_start = threading.Thread.start
+
+    def start(thread):
+        started.append(thread)
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    assert run_all().all_passed
+    others = [
+        t.name
+        for t in started
+        if not isinstance(getattr(t._target, "__self__", None), engine._BranchThread)
+    ]
+    assert others == []
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_a_forked_child_does_not_wait_for_its_parents_idle_threads():
     source = wide_join(2)
@@ -1366,15 +1407,6 @@ def test_many_parents_forking_at_once_run_every_branch_exactly_once():
 
 
 # -- virtual time ---------------------------------------------------------------------
-
-
-def finish(instance: WorkflowInstance, timeout=5.0) -> str:
-    """Run the instance; fail instead of hanging if a baton is lost."""
-    runner = threading.Thread(target=instance.run, daemon=True)
-    runner.start()
-    runner.join(timeout)
-    assert not runner.is_alive(), "the instance did not end"
-    return instance.result
 
 
 def run_virtual(source, handler, **options) -> WorkflowInstance:

@@ -1,14 +1,14 @@
 from __future__ import annotations
 
 import json
-import sys
 import threading
 import time
 
 import pytest
 
+from conftest import finish
 from wee import dsl
-from wee.engine import WorkflowInstance
+from wee.engine import RunOptions, WorkflowInstance
 from wee.handlers import (
     Failure,
     HandlerCall,
@@ -46,28 +46,6 @@ def stopped_call(*args, **kwargs):
     call = make_call(*args, **kwargs)
     call.stop.set()
     return call
-
-
-# -- stop token -------------------------------------------------------------------
-
-
-def test_stop_token_runs_each_callback_once_when_set_races_on_set():
-    previous = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(200):
-            token = StopToken()
-            ran = []
-            setters = [threading.Thread(target=token.set) for _ in range(2)]
-            for setter in setters:
-                setter.start()
-            token.on_set(lambda: ran.append(1))
-            for setter in setters:
-                setter.join(timeout=2)
-                assert not setter.is_alive()
-            assert token.is_set() and ran == [1]
-    finally:
-        sys.setswitchinterval(previous)
 
 
 # -- mock -----------------------------------------------------------------------
@@ -302,6 +280,44 @@ def test_http_unknown_token_is_failure(stub_server):
     handler = HttpHandler(timeout=5)
     outcome = handler.call(make_call("a", endpoint=stub_server.url("/x"), passthrough="ghost"))
     assert isinstance(outcome, Failure)
+
+
+def http_workflow(url: str) -> dsl.WorkflowAst:
+    return dsl.parse(
+        f"""
+        workflow {{
+          handler "http"
+          endpoint svc: "{url}"
+          context cost: 0
+          call :book, endpoint: svc
+        }}
+        """
+    )
+
+
+def test_http_call_under_virtual_time_commits_its_result(stub_server):
+    stub_server.responses["/book"] = {"cost": 7}
+    ast = http_workflow(stub_server.url("/book"))
+    instance = WorkflowInstance(ast, HttpHandler(timeout=5), RunOptions(virtual_time=True))
+    assert finish(instance) == "finished"
+    assert instance.store.current_values()["cost"] == 7
+
+
+def test_http_stop_under_virtual_time_gives_a_passthrough_the_resume_replays(stub_server):
+    stub_server.responses["/slow"] = {"cost": 11}
+    stub_server.delays["/slow"] = 0.3
+    ast = http_workflow(stub_server.url("/slow"))
+    handler = HttpHandler(timeout=5)
+    instance = WorkflowInstance(ast, handler, RunOptions(virtual_time=True))
+    # the timer runs once the branch waits on its token, the request out
+    instance.call_later(0, instance.request_stop)
+    assert finish(instance) == "stopped"
+    saved = json.loads(json.dumps(instance.save()))
+    assert list(saved["passthroughs"]) == ["0/book"]
+    resumed = WorkflowInstance.resume(ast, handler, saved, RunOptions(virtual_time=True))
+    assert finish(resumed) == "finished"
+    assert resumed.store.current_values()["cost"] == 11
+    assert stub_server.counts["/slow"] == 1
 
 
 # -- trigger ---------------------------------------------------------------------
@@ -568,6 +584,29 @@ def test_recursive_call_stopped_midway_resumes_its_nested_instance():
     assert resumed.store.current_values()["total"] == 20000
     assert handler.invocations == {"count": 1}
     assert fresh.invocations == {}
+
+
+def test_recursive_call_stopped_under_virtual_time_resumes_to_the_unstopped_context():
+    ast = dsl.parse(CALLS_COUNTER)
+    unstopped = WorkflowInstance(
+        ast, RecursiveHandler(source=COUNTER, max_depth=3), RunOptions(virtual_time=True)
+    )
+    assert finish(unstopped, timeout=20) == "finished"
+
+    instance = WorkflowInstance(
+        ast, RecursiveHandler(source=COUNTER, max_depth=3), RunOptions(virtual_time=True)
+    )
+    # the timer runs once the branch waits on its token, the nested instance started
+    instance.call_later(0, instance.request_stop)
+    assert finish(instance, timeout=20) == "stopped"
+    saved = json.loads(json.dumps(instance.save()))
+    parked = json.loads(saved["passthroughs"]["0/count"])
+    assert parked["saved"]["context"]["total"] < 20000
+    resumed = WorkflowInstance.resume(
+        ast, RecursiveHandler(source=COUNTER, max_depth=3), saved, RunOptions(virtual_time=True)
+    )
+    assert finish(resumed, timeout=20) == "finished"
+    assert resumed.store.current_values() == unstopped.store.current_values() == {"total": 20000}
 
 
 def test_recursive_call_whose_token_is_already_set_returns_passthrough_at_once():

@@ -147,10 +147,13 @@ def test_every_runnable_case_passes_on_real_threads_and_real_time():
     assert failed == []
 
 
-VIRTUAL_TIME_CASES = [case for case in trace_variants.runnable_cases() if case.virtual_time]
+# the harness runs every runnable case under virtual time
+VIRTUAL_TIME_CASES = trace_variants.runnable_cases()
 
 
 def test_every_virtual_time_case_has_one_golden_trace():
+    # exactly the runnable cases have a golden file
+    assert len(VIRTUAL_TIME_CASES) == 32
     assert sorted(path.stem for path in GOLDEN.glob("*.jsonl")) == sorted(
         case.slug for case in VIRTUAL_TIME_CASES
     )

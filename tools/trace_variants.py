@@ -5,19 +5,19 @@
     python tools/trace_variants.py golden tests/golden/corpus
 
 `run` runs every runnable case of the pattern corpus N times in this
-process, the way `wee patterns` runs it, but under a FixedClock and with a
-fixed instance id, so two runs that take the same steps write the same
-trace. Per case it reports whether the case runs under virtual time, the
-number of distinct traces, and the digest (SHA-256 of the JSONL lines) and
-count of the most frequent one, as JSON. A case that raises, or a
-virtual-time case that gives more than one trace, makes the exit status 1.
+process, the way `wee patterns` runs it (under virtual time), but under a
+FixedClock and with a fixed instance id, so two runs that take the same
+steps write the same trace. Per case it reports the number of distinct
+traces, and the digest (SHA-256 of the JSONL lines) and count of the most
+frequent one, as JSON. A case that raises, or that gives more than one
+trace, makes the exit status 1.
 
 `compare` reads two such reports and names each case whose most frequent
 trace differs between them, or whose variant counts do; it exits 1 if a
 case's most frequent trace differs.
 
-`golden` writes the trace of each virtual-time case to DIR/<slug>.jsonl,
-the files `tests/test_patterns.py` compares byte for byte.
+`golden` writes the trace of each runnable case to DIR/<slug>.jsonl, the
+files `tests/test_patterns.py` compares byte for byte.
 """
 
 from __future__ import annotations
@@ -75,7 +75,6 @@ def run(runs: int) -> dict:
                 continue
             top, count = digests.most_common(1)[0]
             report["cases"][case.slug] = {
-                "virtual_time": case.virtual_time,
                 "variants": len(digests),
                 "top": top,
                 "top_count": count,
@@ -87,9 +86,8 @@ def write_golden(directory: Path) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     with mock.patch.object(harness, "RunOptions", fixed_options):
         for case in runnable_cases():
-            if case.virtual_time:
-                records = harness.run_case_workflow(case, 0).records
-                (directory / f"{case.slug}.jsonl").write_bytes(trace_bytes(records))
+            records = harness.run_case_workflow(case, 0).records
+            (directory / f"{case.slug}.jsonl").write_bytes(trace_bytes(records))
 
 
 def compare(base: dict, change: dict) -> list[str]:
@@ -117,7 +115,7 @@ def main(argv: list[str] | None = None) -> int:
     compare_parser = sub.add_parser("compare", help="compare two reports")
     compare_parser.add_argument("base")
     compare_parser.add_argument("change")
-    golden_parser = sub.add_parser("golden", help="write each virtual-time case's trace")
+    golden_parser = sub.add_parser("golden", help="write each runnable case's trace")
     golden_parser.add_argument("directory", type=Path)
     args = parser.parse_args(argv)
 
@@ -140,8 +138,8 @@ def main(argv: list[str] | None = None) -> int:
         if "error" in entry:
             print(f"{slug}: {entry['error']}", file=sys.stderr)
             failed = True
-        elif entry["virtual_time"] and entry["variants"] > 1:
-            print(f"{slug}: {entry['variants']} traces under virtual time", file=sys.stderr)
+        elif entry["variants"] > 1:
+            print(f"{slug}: {entry['variants']} traces", file=sys.stderr)
             failed = True
     return 1 if failed else 0
 
