@@ -7,7 +7,7 @@ wrappers, and check control-flow pattern coverage with the bundled harness.
 
 from .context import ContextStore
 from .dsl import Diagnostic, ParseError, WorkflowAst, parse, positions, pretty, validate
-from .engine import EngineError, Lifecycle, RunOptions, WorkflowInstance
+from .engine import EngineError, RunOptions, WorkflowInstance
 from .events import EventLog, EventRecord, FixedClock, read_jsonl
 from .expressions import EvalError, Value, apply_assignments, eval_expr
 from .handlers import (
@@ -43,7 +43,6 @@ __all__ = [
     "HttpHandler",
     "Jump",
     "JumpHandler",
-    "Lifecycle",
     "MockHandler",
     "ParseError",
     "Passthrough",

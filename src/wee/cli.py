@@ -4,7 +4,9 @@
 event log; exit code 0 means finished, 2 stopped, 1 error. A run started
 with --control listens on a unix socket so `wee stop` can park the instance;
 the saved state file can then be handed to `wee resume`, optionally skipping
-a region of positions (`--skip-region first..last`).
+a region of positions (`--skip-region first..last`). The resumed instance
+keeps the stopped one's id and continues its seq, in the --log file it
+appends to or on stdout; the engine alone checks the saved state.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from pathlib import Path
 from typing import Optional
 
 from . import dsl
-from .engine import EngineError, RunOptions, WorkflowInstance, check_saved_schema
-from .events import FixedClock, read_jsonl
+from .engine import EngineError, RunOptions, WorkflowInstance
+from .events import FixedClock
 from .handlers import (
     HandlerWrapper,
     HttpHandler,
@@ -127,25 +129,6 @@ def parse_skip_region(spec: str, ast: dsl.WorkflowAst) -> frozenset[str]:
     return frozenset(ordered[lo : hi + 1])
 
 
-def prior_log_end(path: str) -> tuple[int, Optional[str]]:
-    """The last seq and the instance id of the trace a resume appends to;
-    (0, None) for an empty trace."""
-    try:
-        prior = read_jsonl(path)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        # a directory, not UTF-8, not JSONL, or a line that is not a record
-        raise ControllerError(f"cannot continue log {path}: {exc}") from exc
-    if not prior:
-        return 0, None
-    last = prior[-1]
-    if type(last.seq) is not int or not isinstance(last.instance, str):
-        raise ControllerError(
-            f"cannot continue log {path}: last record has seq {last.seq!r}, "
-            f"instance {last.instance!r}"
-        )
-    return last.seq, last.instance
-
-
 def default_save_path(workflow_path: str | Path) -> Path:
     return Path(str(workflow_path) + ".saved.json")
 
@@ -163,13 +146,9 @@ def load_saved_instance(path: str | Path) -> dict:
         raise ControllerError(f"cannot read saved instance {path}: {exc}") from exc
     if not isinstance(saved, dict):
         raise ControllerError(f"saved instance {path} is not a JSON object")
-    for key in ("hash", "lifecycle", "branches", "context", "version", "passthroughs"):
-        if key not in saved:
-            raise ControllerError(f"saved instance is missing '{key}'")
-    try:
-        check_saved_schema(saved)
-    except EngineError as exc:
-        raise ControllerError(str(exc)) from exc
+    # the rest of the state is WorkflowInstance.resume's to check
+    if not isinstance(saved.get("hash"), str):
+        raise ControllerError(f"saved instance {path} has no source hash")
     return saved
 
 
@@ -251,9 +230,8 @@ def execute_instance(
         return EXIT_STOPPED
     if result == "finished":
         return EXIT_FINISHED
-    for record in instance.log.records:
-        if record.kind == "error":
-            print(f"error: {record.detail.get('message')}", file=sys.stderr)
+    for message in instance.errors:
+        print(f"error: {message}", file=sys.stderr)
     return EXIT_ERROR
 
 
@@ -273,7 +251,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         log_path=args.log or "-",  # events stream to stdout unless redirected
         clock=FixedClock() if args.fixed_clock else None,
     )
-    instance = WorkflowInstance(ast, handler, options)
+    try:
+        instance = WorkflowInstance(ast, handler, options)
+    except OSError as exc:  # the log: a missing directory, a directory, unwritable
+        print(f"cannot open log {args.log}: {exc}", file=sys.stderr)
+        return EXIT_ERROR
     save_path = args.save or default_save_path(args.workflow)
     return execute_instance(instance, args.control, save_path, source_hash(source))
 
@@ -307,27 +289,25 @@ def cmd_resume(args: argparse.Namespace) -> int:
             handler_name, args.script, seed=args.seed, workflow_source=source
         )
         skip = parse_skip_region(args.skip_region, ast) if args.skip_region else frozenset()
-        start_seq, instance_id = 0, None
-        if args.log and Path(args.log).exists():
-            start_seq, instance_id = prior_log_end(args.log)
     except ControllerError as exc:
         print(exc, file=sys.stderr)
         return EXIT_ERROR
 
+    # the trace continues the stopped instance's id and seq, and its file
     options = RunOptions(
         max_iterations=args.max_iterations,
         log_path=args.log or "-",
-        log_append=True,
-        start_seq=start_seq,
-        instance_id=instance_id,
         clock=FixedClock() if args.fixed_clock else None,
     )
     try:
         instance = WorkflowInstance.resume(
             ast, handler, saved, options, skip_positions=skip
         )
-    except EngineError as exc:
+    except EngineError as exc:  # a state the engine refuses: the log is untouched
         print(exc, file=sys.stderr)
+        return EXIT_ERROR
+    except OSError as exc:
+        print(f"cannot open log {args.log}: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
     return execute_instance(instance, args.control, args.save or args.saved, saved["hash"])

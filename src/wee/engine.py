@@ -10,10 +10,13 @@ no-longer-necessary signal at once and stand down at their next node
 boundary; the stop tokens of their in-flight calls are set. A jump out of a
 parallel body cancels the children forked so far the same way.
 A stop signal parks every branch at its program counter so the instance can
-be serialized and resumed later, with passthrough tokens standing in for
-interrupted service calls. Each call is named by its call id, the branch id
-and position, so one position running in several branches at once is still
-several calls to stop and to resume.
+be serialized and resumed later. The saved state keeps one map of the calls
+the stop caught in flight: each left a passthrough token, or the result or
+jump it ended with, and the resume replays or applies it instead of calling
+the service again. Each call is named by its call id, the branch id and
+position, so one position running in several branches at once is still
+several calls to stop and to resume. resume() alone checks a saved state,
+and the resumed instance continues the stopped one's id and seq.
 
 Branch coordination uses one lock and one condition built on it per
 instance. The lock guards the stop request, each branch's cancel flag and
@@ -40,8 +43,7 @@ import itertools
 import os
 import threading
 import uuid
-from dataclasses import dataclass
-from enum import Enum
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Mapping, Optional
 
 from . import dsl
@@ -52,34 +54,14 @@ from .handlers import Failure, HandlerCall, HandlerWrapper, Jump, Passthrough, R
 
 ROOT_BRANCH = "0"
 STOP_ENDPOINT = "wee://stop"
-# version of the saved-state format: 2 keys passthroughs by call id and adds
-# ended_calls; a state without a schema was written by an older wee, which
-# keyed passthroughs by position
-SAVED_SCHEMA = 2
+# version of the saved-state format: 3 keeps one map of interrupted calls
+# and the trace position; a state without a schema was written by an older
+# wee, which keyed passthroughs by position
+SAVED_SCHEMA = 3
 
 
 class EngineError(Exception):
     """Runtime failure of a workflow instance (aborts the run)."""
-
-
-def check_saved_schema(saved: Mapping) -> None:
-    """Reject a saved state that was not written in the current schema."""
-    schema = saved.get("schema")
-    if schema == SAVED_SCHEMA:
-        return
-    if schema is None:
-        raise EngineError(
-            "saved state has no schema: it was written by an older wee, whose "
-            "passthroughs are keyed by position, not by call id; it cannot be resumed"
-        )
-    raise EngineError(f"saved state has schema {schema!r}, expected {SAVED_SCHEMA}")
-
-
-class Lifecycle(str, Enum):
-    READY = "ready"
-    RUNNING = "running"
-    STOPPED = "stopped"
-    FINISHED = "finished"
 
 
 @dataclass
@@ -87,8 +69,7 @@ class RunOptions:
     max_iterations: int = 1_000_000
     instance_id: Optional[str] = None
     log_path: Optional[str] = None
-    log_append: bool = False
-    start_seq: int = 0
+    start_seq: int = 0  # a trace file is appended to when this is positive
     clock: Optional[object] = None  # callable returning an ISO-8601 string
     # one branch runs at a time and scripted waits are simulated; every
     # wait a handler makes must go through its call's stop token
@@ -438,7 +419,6 @@ class WorkflowInstance:
             path=self.options.log_path,
             clock=self.options.clock,  # type: ignore[arg-type]
             start_seq=self.options.start_seq,
-            append=self.options.log_append,
         )
         if _restored_context is not None:
             values, version = _restored_context
@@ -453,12 +433,14 @@ class WorkflowInstance:
                 merged.update(initial_context)
                 self.store = ContextStore(merged)
 
-        self.lifecycle = Lifecycle.READY
+        # how the instance ended: "finished", "stopped" or "error"
         self.result: Optional[str] = None
-        self.passthroughs: dict[str, str] = {}
-        # outcomes of calls that ended after a stop: the resume applies them
-        # instead of calling again
-        self.ended_calls: dict[str, Result | Jump] = {}
+        # the message of each error record, in trace order
+        self.errors: list[str] = []
+        # call id -> what a call the stop caught in flight left: its token,
+        # or the result or jump it ended with; the resume replays the token
+        # or applies the outcome instead of calling the service again
+        self.interrupted: dict[str, Passthrough | Result | Jump] = {}
         # live branches: a branch enters at fork and leaves when it arrives
         # at its join or ends
         self.branches: dict[str, _Branch] = {}
@@ -476,7 +458,7 @@ class WorkflowInstance:
         self._section_owners: dict[str, str] = {}  # critical section -> branch id
         self._stop_requested = False
         self._stop_source: Optional[str] = None
-        self._error: Optional[str] = None
+        self._started = False
         self._groups: list[_JoinGroup] = []  # open joins
         # branch id -> (path a resume restarts it at, its next fork index),
         # for each parked branch and the root once it has run to the end
@@ -485,13 +467,13 @@ class WorkflowInstance:
         self._resume_children: dict[tuple[str, tuple[int, ...]], list[tuple]] = {}
 
     # ------------------------------------------------------------------
-    # Lifecycle
+    # Start, wait and stop
     # ------------------------------------------------------------------
 
     def start(self) -> "WorkflowInstance":
-        if self.lifecycle is not Lifecycle.READY:
-            raise EngineError(f"instance is {self.lifecycle.value}, not ready")
-        self.lifecycle = Lifecycle.RUNNING
+        if self._started:
+            raise EngineError("instance already started")
+        self._started = True
         self.log.emit("instance_start", ROOT_BRANCH, detail={"handler": self.ast.handler_name})
         with self._state_lock:
             self.branches[ROOT_BRANCH] = self._root
@@ -501,8 +483,8 @@ class WorkflowInstance:
     def wait(self) -> str:
         """Wait until the instance has ended; its result."""
         with self._state_lock:
-            if self.lifecycle is Lifecycle.READY:
-                raise EngineError("instance is ready, not started")
+            if not self._started:
+                raise EngineError("instance is not started")
             while self.result is None:
                 self._cond.wait()
             return self.result
@@ -562,25 +544,21 @@ class WorkflowInstance:
     def _end(self) -> None:
         """Emit the terminal record and close the trace; caller holds the
         state lock, and the last branch has just left the registry."""
-        if self._error is not None:
+        if self.errors:
             self.result = "error"
-            self.lifecycle = Lifecycle.STOPPED
-            self.log.emit("instance_stop", ROOT_BRANCH, detail={"error": self._error})
+            self.log.emit("instance_stop", ROOT_BRANCH, detail={"error": self.errors[0]})
         elif self._stop_requested:
             self.result = "stopped"
-            self.lifecycle = Lifecycle.STOPPED
             self.log.emit("instance_stop", ROOT_BRANCH, detail={"source": self._stop_source})
         else:
             self.result = "finished"
-            self.lifecycle = Lifecycle.FINISHED
             self.log.emit("instance_finish", ROOT_BRANCH)
         self.log.close()
 
     def _report_error(self, branch: _Branch, exc: Exception) -> None:
         with self._state_lock:
-            if self._error is None:
-                self._error = str(exc)
-        self.log.emit("error", branch.id, detail={"message": str(exc)})
+            self.errors.append(str(exc))
+            self.log.emit("error", branch.id, detail={"message": str(exc)})
         self.request_stop(source="error")
 
     # ------------------------------------------------------------------
@@ -588,10 +566,13 @@ class WorkflowInstance:
     # ------------------------------------------------------------------
 
     def save(self) -> dict:
-        """Serialize a stopped instance for later resume."""
-        if self.lifecycle is not Lifecycle.STOPPED:
+        """Serialize a stopped instance for later resume: its id and the last
+        seq of its trace, the branches with the path each restarts at, the
+        context and its version, and the calls the stop interrupted."""
+        if self.result not in ("stopped", "error"):
             raise EngineError("only stopped instances can be saved")
         entries: list[dict] = []
+        interrupted: dict[str, dict] = {}
         with self._state_lock:
             for branch_id, (path, forks) in self._saved_paths.items():
                 entry: dict = {"id": branch_id, "path": list(path)}
@@ -603,18 +584,22 @@ class WorkflowInstance:
                     entries.append(
                         {"id": child_id, "path": list(group.parallel_path) + [-1]}
                     )
+            for call_id, outcome in self.interrupted.items():
+                if isinstance(outcome, Passthrough):
+                    interrupted[call_id] = {"passthrough": outcome.token}
+                elif isinstance(outcome, Result):
+                    interrupted[call_id] = {"result": outcome.values}
+                else:
+                    interrupted[call_id] = {"jump": outcome.target}
         entries.sort(key=lambda e: e["id"])
         return {
             "schema": SAVED_SCHEMA,
-            "lifecycle": "stopped",
+            "instance": self.instance_id,
+            "seq": self.log.seq,
             "branches": entries,
             "context": dict(self.store.current_values()),
             "version": self.store.version,
-            "passthroughs": dict(self.passthroughs),
-            "ended_calls": {
-                call_id: {"result": o.values} if isinstance(o, Result) else {"jump": o.target}
-                for call_id, o in self.ended_calls.items()
-            },
+            "interrupted": interrupted,
         }
 
     @classmethod
@@ -626,21 +611,23 @@ class WorkflowInstance:
         options: Optional[RunOptions] = None,
         skip_positions: Iterable[str] = (),
     ) -> "WorkflowInstance":
-        """Rebuild a stopped instance; branches restart at their saved paths."""
-        if saved.get("lifecycle") != "stopped":
-            raise EngineError("saved instance is not stopped")
-        check_saved_schema(saved)
-        cls._check_saved_shape(saved)
+        """Rebuild a stopped instance; branches restart at their saved paths.
+
+        This is the one check of a saved state: one it refuses raises
+        EngineError before the instance or its trace exists. The instance
+        continues the stopped one's id and seq unless options set them.
+        """
+        cls._check_saved(saved)
         skip = frozenset(skip_positions)
         unknown = sorted(skip - set(dsl.positions(ast))) if skip else []
         if unknown:
             raise EngineError(f"skip positions not in workflow: {unknown}")
-        ended_calls = {
-            call_id: cls._saved_outcome(call_id, entry)
-            for call_id, entry in saved.get("ended_calls", {}).items()
+        interrupted = {
+            call_id: cls._interrupted_outcome(call_id, entry)
+            for call_id, entry in saved["interrupted"].items()
         }
 
-        entries = saved.get("branches", [])
+        entries = saved["branches"]
         paths = {entry["id"]: tuple(entry["path"]) for entry in entries}
         if ROOT_BRANCH not in paths and entries:
             raise EngineError("corrupt saved state: no root branch")
@@ -673,38 +660,58 @@ class WorkflowInstance:
                     (branch_id, plan, forks[branch_id])
                 )
 
+        options = options or RunOptions()
+        options = replace(
+            options,
+            instance_id=options.instance_id or saved["instance"],
+            start_seq=options.start_seq or saved["seq"],
+        )
         instance = cls(
             ast,
             handler,
-            options or RunOptions(),
+            options,
             _restored_context=(dict(saved["context"]), saved["version"]),
         )
         instance.skip_positions = skip
-        instance.passthroughs = dict(saved.get("passthroughs", {}))
-        instance.ended_calls = ended_calls
+        instance.interrupted = interrupted
         instance._root.resume_path = root_path or None
         instance._root.forks = forks.get(ROOT_BRANCH, 1)
         instance._resume_children = children
         return instance
 
     @staticmethod
-    def _check_saved_shape(saved: dict) -> None:
-        """Reject a saved state whose fields have the wrong JSON types."""
+    def _check_saved(saved: object) -> None:
+        """Reject a saved state not in the current schema, or whose keys or
+        branch entries are missing or have the wrong JSON types."""
 
         def corrupt(what: str) -> EngineError:
             return EngineError(f"corrupt saved state: {what}")
 
-        if type(saved.get("version")) is not int:
-            raise corrupt(f"version {saved.get('version')!r}")
-        if not isinstance(saved.get("context"), dict):
-            raise corrupt(f"context {saved.get('context')!r}")
-        for key in ("passthroughs", "ended_calls"):
-            if not isinstance(saved.get(key, {}), dict):
+        if not isinstance(saved, dict):
+            raise corrupt(f"a {type(saved).__name__}, not an object")
+        schema = saved.get("schema")
+        if schema is None:
+            raise EngineError(
+                "saved state has no schema: it was written by an older wee, whose "
+                "passthroughs are keyed by position, not by call id; it cannot be resumed"
+            )
+        if schema != SAVED_SCHEMA:
+            raise EngineError(f"saved state has schema {schema!r}, expected {SAVED_SCHEMA}")
+        for key, kind in (
+            ("instance", str),
+            ("seq", int),
+            ("branches", list),
+            ("context", dict),
+            ("version", int),
+            ("interrupted", dict),
+        ):
+            if key not in saved:
+                raise corrupt(f"no {key}")
+            if not isinstance(saved[key], kind) or isinstance(saved[key], bool):
                 raise corrupt(f"{key} {saved[key]!r}")
-        entries = saved.get("branches", [])
-        if not isinstance(entries, list):
-            raise corrupt(f"branches {entries!r}")
-        for entry in entries:
+        if saved["seq"] < 1:  # a stopped instance has traced its start and stop
+            raise corrupt(f"seq {saved['seq']!r}")
+        for entry in saved["branches"]:
             if not isinstance(entry, dict):
                 raise corrupt(f"branch entry {entry!r}")
             branch_id, path = entry.get("id"), entry.get("path")
@@ -719,13 +726,16 @@ class WorkflowInstance:
                 raise corrupt(f"branch {branch_id}: forks {forks!r}")
 
     @staticmethod
-    def _saved_outcome(call_id: str, entry: object) -> Result | Jump:
-        if isinstance(entry, dict):
-            if isinstance(entry.get("result"), dict):
-                return Result(dict(entry["result"]))
-            if isinstance(entry.get("jump"), str):
-                return Jump(entry["jump"])
-        raise EngineError(f"corrupt saved state: ended call {call_id}: {entry!r}")
+    def _interrupted_outcome(call_id: str, entry: object) -> Passthrough | Result | Jump:
+        if isinstance(entry, dict) and len(entry) == 1:
+            ((kind, value),) = entry.items()
+            if kind == "passthrough" and isinstance(value, str):
+                return Passthrough(value)
+            if kind == "result" and isinstance(value, dict):
+                return Result(dict(value))
+            if kind == "jump" and isinstance(value, str):
+                return Jump(value)
+        raise EngineError(f"corrupt saved state: interrupted call {call_id}: {entry!r}")
 
     @staticmethod
     def _saved_nodes(
@@ -985,10 +995,12 @@ class WorkflowInstance:
         call_id = f"{branch.id}/{node.position}"
         with self._state_lock:
             self._checkpoint(branch, path)
-            # a stored token or outcome leaves the saved state only once the
-            # call is sure to begin: a branch parked by the checkpoint keeps it
-            token = self.passthroughs.pop(call_id, None)
-            outcome = self.ended_calls.pop(call_id, None)
+            # an interrupted call leaves the saved state only once it is sure
+            # to begin again: a branch parked by the checkpoint keeps it
+            outcome = self.interrupted.pop(call_id, None)
+            token = None
+            if isinstance(outcome, Passthrough):
+                token, outcome = outcome.token, None
             if outcome is None:
                 call = branch.in_flight = HandlerCall(
                     call_id,
@@ -1017,14 +1029,13 @@ class WorkflowInstance:
         if stopped:
             # the branch parks at the call; the resume applies a result or
             # jump it already has and replays a passthrough, so the service
-            # is not called again; a failed call runs again
-            with self._state_lock:
-                if isinstance(outcome, Passthrough):
-                    self.passthroughs[call_id] = outcome.token
-                elif isinstance(outcome, (Result, Jump)):
-                    self.ended_calls[call_id] = outcome
-                elif token is not None:
-                    self.passthroughs[call_id] = token
+            # is not called again; a failed call runs again, and a failed
+            # replay keeps its token
+            if isinstance(outcome, Failure):
+                outcome = None if token is None else Passthrough(token)
+            if outcome is not None:
+                with self._state_lock:
+                    self.interrupted[call_id] = outcome
             raise _Parked(path)
 
         if isinstance(outcome, Result):

@@ -141,13 +141,12 @@ class EventLog:
         path: Optional[str | Path] = None,
         clock: Optional[Callable[[], str]] = None,
         start_seq: int = 0,
-        append: bool = False,
     ):
         self.instance_id = instance_id
         self._instance_json = _escape(instance_id)
         self._clock = clock or wall_clock
         self._lock = threading.Lock()
-        self._seq = start_seq
+        self.seq = start_seq  # the last seq emitted
         self.records: list[EventRecord] = []
         self._listeners: list[Callable[[EventRecord], None]] = []
         self._fh = None
@@ -155,7 +154,8 @@ class EventLog:
         if path == "-":
             self._fh = sys.stdout
         elif path is not None:
-            self._fh = open(path, "a" if append else "w", encoding="utf-8")
+            # a trace that continues at start_seq continues its file
+            self._fh = open(path, "a" if start_seq > 0 else "w", encoding="utf-8")
             self._owns_fh = True
 
     def add_listener(self, fn: Callable[[EventRecord], None]) -> None:
@@ -184,9 +184,9 @@ class EventLog:
                 "null" if position is None else _escape(position),
             )
         with self._lock:
-            self._seq += 1
+            self.seq += 1
             record = EventRecord(
-                self._seq, self._clock(), self.instance_id, branch, position, kind, detail
+                self.seq, self._clock(), self.instance_id, branch, position, kind, detail
             )
             self.records.append(record)
             if head is not None and self._fh is not None:  # close() may have run since

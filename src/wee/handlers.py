@@ -517,9 +517,7 @@ class RecursiveHandler(HandlerWrapper):
             instance.request_stop()
         result = instance.wait()
         if result == "error":
-            errors = (r for r in instance.log.records if r.kind == "error")
-            messages = "; ".join(r.detail.get("message", "") for r in errors)
-            return Failure(f"nested instance failed: {messages}")
+            return Failure(f"nested instance failed: {'; '.join(instance.errors)}")
         if result == "stopped" and call.stop.is_set():
             # the partial context is no result: the token carries the nested
             # instance, so it survives the outer instance's saved file

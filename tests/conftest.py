@@ -88,6 +88,16 @@ def finish(instance: WorkflowInstance, timeout=5.0) -> str:
     return instance.result
 
 
+def wait_until(predicate, timeout=2.0) -> bool:
+    """Poll until predicate() holds; False if it still fails after timeout seconds."""
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() >= deadline:
+            return False
+        time.sleep(0.002)
+    return True
+
+
 def starts(instance: WorkflowInstance, position: str | None = None) -> list:
     return [
         r

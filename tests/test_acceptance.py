@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import CountingStubServer
+from conftest import CountingStubServer, wait_until
 from wee import cli, dsl
 from wee.engine import RunOptions, WorkflowInstance
 from wee.events import FixedClock
@@ -237,7 +237,9 @@ def test_criterion_5_cancel_region_round_trip():
         interrupted.deliver_stop()
         assert interrupted.result == "stopped"
         saved = interrupted.save()
-        assert saved["passthroughs"].get("0/prepare"), "the in-flight call must leave a passthrough"
+        assert "passthrough" in saved["interrupted"].get("0/prepare", {}), (
+            "the in-flight call must leave a passthrough"
+        )
 
         skip = cli.parse_skip_region("zone_a..zone_b", ast)
         resumed = WorkflowInstance.resume(ast, handler, saved, skip_positions=skip)
@@ -315,15 +317,6 @@ def test_criterion_7_context_replay_over_corpus(coverage_report):
 
 
 # -- 8. trigger semantics ---------------------------------------------------------------
-
-
-def wait_until(predicate, timeout=2.0):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(0.001)
-    return False
 
 
 def run_trigger_schedule(mode: str, before: list[str], during: list[str]):

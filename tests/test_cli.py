@@ -130,16 +130,19 @@ def test_run_with_a_bad_script_exits_one_with_one_line(tmp_path, capsys, content
     assert not log.exists()
 
 
-def write_stopped_seq(seq_dir: Path) -> Path:
-    """A saved seq.wee instance stopped after its first call."""
-    saved = {
-        "schema": 2,
-        "lifecycle": "stopped",
-        "branches": [{"id": "0", "path": [1]}],
-        "context": {"done": False},
-        "version": 0,
-        "passthroughs": {},
-    }
+# a seq.wee instance stopped after its first call, its trace at seq 6
+STOPPED_SEQ = {
+    "schema": 3,
+    "instance": "i-seq",
+    "seq": 6,
+    "branches": [{"id": "0", "path": [1]}],
+    "context": {"done": False},
+    "version": 0,
+    "interrupted": {},
+}
+
+
+def write_stopped_seq(seq_dir: Path, saved: dict = STOPPED_SEQ) -> Path:
     path = seq_dir / "seq.wee.saved.json"
     cli.write_saved_instance(path, saved, cli.source_hash(SEQ_WEE))
     return path
@@ -209,20 +212,9 @@ def test_resume_with_a_bad_script_field_exits_one_with_one_line(
     assert err.startswith(message) and err.count("\n") == 1, err
 
 
-def prior_record(**fields) -> str:
-    record = {"seq": 3, "wall_time": "t", "instance": "i-1", "branch": "0", "kind": "signal"}
-    return json.dumps({**record, **fields}) + "\n"
-
-
-# a prior --log that is a directory, is not UTF-8, has a line that is not a
-# record, or whose last record has a seq or instance of the wrong type; a
-# saved file that is not UTF-8 or not a JSON object
+# a --log that is a directory; a saved file that is not UTF-8 or not a JSON object
 BAD_RESUME_FILES = [
-    pytest.param("log", None, "cannot continue log", id="log-is-a-directory"),
-    pytest.param("log", b"\xff\xfe\n", "cannot continue log", id="log-not-utf8"),
-    pytest.param("log", b"[1]\n", "cannot continue log", id="log-line-not-a-record"),
-    pytest.param("log", prior_record(seq="3").encode(), "seq '3'", id="log-seq-not-int"),
-    pytest.param("log", prior_record(instance=7).encode(), "instance 7", id="log-instance-not-str"),
+    pytest.param("log", None, "cannot open log", id="log-is-a-directory"),
     pytest.param("saved", b"\xff{}", "cannot read saved instance", id="saved-not-utf8"),
     pytest.param("saved", b"5", "is not a JSON object", id="saved-not-an-object"),
 ]
@@ -343,8 +335,8 @@ def test_stop_resume_round_trip(seq_dir):
     assert proc.wait(timeout=10) == 2
 
     payload = json.loads(saved.read_text())
-    assert payload["lifecycle"] == "stopped"
-    assert payload["passthroughs"] == {"0/one": "p-one"}
+    assert payload["schema"] == 3
+    assert payload["interrupted"] == {"0/one": {"passthrough": "p-one"}}
     assert payload["hash"] == cli.source_hash((seq_dir / "seq.wee").read_text())
 
     pre_records = read_jsonl(log)
@@ -466,8 +458,8 @@ def test_stop_resume_recursive_call_across_processes(tmp_path):
 
     # the token carries the stopped nested instance into the saved file
     payload = json.loads(saved.read_text())
-    token = json.loads(payload["passthroughs"]["0/nest"])
-    assert token["saved"]["lifecycle"] == "stopped"
+    token = json.loads(payload["interrupted"]["0/nest"]["passthrough"])
+    assert token["saved"]["schema"] == 3
     assert 0 < token["saved"]["context"]["total"] < 40000
     assert payload["context"]["total"] == 0
 
@@ -566,58 +558,72 @@ def test_parse_skip_region_expands_source_range():
 
 
 def test_saved_instance_schema_round_trip(tmp_path):
-    saved = {
-        "schema": 2,
-        "lifecycle": "stopped",
-        "branches": [{"id": "0", "path": [1]}],
-        "context": {"done": False},
-        "version": 0,
-        "passthroughs": {},
-    }
     path = tmp_path / "s.json"
-    cli.write_saved_instance(path, saved, "ff" * 32)
+    cli.write_saved_instance(path, STOPPED_SEQ, "ff" * 32)
     loaded = cli.load_saved_instance(path)
-    assert loaded["hash"] == "ff" * 32
-    assert loaded["branches"] == [{"id": "0", "path": [1]}]
-    with pytest.raises(cli.ControllerError, match="missing"):
+    assert loaded == {"hash": "ff" * 32, **STOPPED_SEQ}
+    with pytest.raises(cli.ControllerError, match="has no source hash"):
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"lifecycle": "stopped"}))
+        bad.write_text(json.dumps(STOPPED_SEQ))
         cli.load_saved_instance(bad)
 
 
-def test_load_saved_instance_rejects_state_without_schema(tmp_path):
-    # as an older wee wrote it: no schema, passthroughs keyed by position
-    saved = {
-        "lifecycle": "stopped",
-        "branches": [{"id": "0", "path": [0]}],
-        "context": {"done": False},
-        "version": 0,
-        "passthroughs": {"one": "p-one"},
+def test_resume_of_a_saved_state_of_the_wrong_shape_exits_one(seq_dir, capsys):
+    # a state the engine refuses, as this wee and as the previous format wrote it
+    refused = {
+        "corrupt saved state: branch 0: path 0": {
+            **STOPPED_SEQ,
+            "branches": [{"id": "0", "path": 0}],
+        },
+        "saved state has schema 2, expected 3": {
+            "schema": 2,
+            "lifecycle": "stopped",
+            "branches": [{"id": "0", "path": [1]}],
+            "context": {"done": False},
+            "version": 0,
+            "passthroughs": {},
+            "ended_calls": {},
+        },
     }
-    path = tmp_path / "old.json"
-    cli.write_saved_instance(path, saved, "ff" * 32)
-    with pytest.raises(cli.ControllerError, match="older wee.*keyed by position"):
-        cli.load_saved_instance(path)
+    prior = seq_dir / "prior.jsonl"
+    prior.write_text('{"seq": 1}\n')
+    for message, saved in refused.items():
+        path = write_stopped_seq(seq_dir, saved)
+        for log in (prior, seq_dir / "fresh.jsonl"):
+            code = cli.main(
+                ["resume", str(path), "--workflow", str(seq_dir / "seq.wee"), "--handler", "mock"]
+                + ["--log", str(log)]
+            )
+            assert code == cli.EXIT_ERROR
+            assert capsys.readouterr().err == message + "\n"
+        assert prior.read_text() == '{"seq": 1}\n'
+        assert not (seq_dir / "fresh.jsonl").exists()
 
 
-def test_resume_of_a_saved_state_of_the_wrong_shape_exits_one(seq_dir):
-    saved = {
-        "schema": 2,
-        "lifecycle": "stopped",
-        "branches": [{"id": "0", "path": 0}],
-        "context": {"done": False},
-        "version": 0,
-        "passthroughs": {},
-    }
-    path = seq_dir / "seq.wee.saved.json"
-    cli.write_saved_instance(path, saved, cli.source_hash(SEQ_WEE))
-    resume = subprocess.run(
-        wee_cmd("resume", str(path), "--workflow", str(seq_dir / "seq.wee"), "--handler", "mock"),
-        capture_output=True,
-        text=True,
+def test_a_resume_to_stdout_or_to_a_fresh_file_continues_the_id_and_seq(seq_dir, capsys):
+    path, fresh = write_stopped_seq(seq_dir), seq_dir / "fresh.jsonl"
+    for log in (["--log", str(fresh)], []):  # a new file, then stdout
+        code = cli.main(
+            ["resume", str(path), "--workflow", str(seq_dir / "seq.wee"), "--handler", "mock"]
+            + ["--script", str(seq_dir / "seq.script.json"), "--fixed-clock", *log]
+        )
+        assert code == cli.EXIT_FINISHED
+    to_file = [r.to_json() for r in read_jsonl(fresh)]
+    assert [json.loads(line) for line in capsys.readouterr().out.splitlines()] == to_file
+    assert [r["seq"] for r in to_file] == list(range(7, 7 + len(to_file)))
+    assert {r["instance"] for r in to_file} == {"i-seq"}
+    assert to_file[-1]["kind"] == "instance_finish"
+
+
+def test_run_with_a_log_in_a_missing_directory_exits_one_with_one_line(tmp_path, capsys):
+    log = tmp_path / "missing" / "run.log"
+    code = cli.main(
+        ["run", str(FIXTURES / "booking.wee"), "--script", str(FIXTURES / "booking_under.json")]
+        + ["--log", str(log)]
     )
-    assert resume.returncode == 1
-    assert resume.stderr == "corrupt saved state: branch 0: path 0\n"
+    assert code == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot open log {log}: ") and err.count("\n") == 1, err
 
 
 def test_run_with_trigger_handler_and_events_file(tmp_path):

@@ -13,11 +13,11 @@ from pathlib import Path
 
 import pytest
 
-from conftest import finish, run_source, starts
+from conftest import finish, run_source, starts, wait_until
 from wee import dsl, engine
 from wee.engine import EngineError, RunOptions, WorkflowInstance
 from wee.events import FixedClock
-from wee.handlers import MockHandler, TriggerHandler
+from wee.handlers import MockHandler, Passthrough, TriggerHandler
 
 FIXTURES = Path(__file__).parent.parent / "src" / "wee" / "fixtures"
 
@@ -43,7 +43,6 @@ def test_single_manipulate_trace_shape():
         "activity_end",
         "instance_finish",
     ]
-    assert instance.lifecycle.value == "finished"
 
 
 def test_booking_over_limit_runs_inform_once():
@@ -100,10 +99,10 @@ def test_failed_call_aborts_before_next_activity():
         MockHandler({"positions": {"a": {"error": "boom"}}}),
     )
     assert instance.result == "error"
-    assert instance.lifecycle.value == "stopped"
     assert not starts(instance, "b")
     errors = [r for r in instance.log.records if r.kind == "error"]
     assert errors and "boom" in errors[0].detail["message"]
+    assert instance.errors == [r.detail["message"] for r in errors]
 
 
 def test_handler_result_for_undeclared_variable_is_an_error():
@@ -129,14 +128,14 @@ def test_an_instance_nobody_waits_on_ends_itself_and_closes_its_trace(tmp_path):
     instance = WorkflowInstance(dsl.parse(ONE_STEP), MockHandler(), RunOptions(log_path=str(log)))
     instance.start()
     # the last branch to leave writes the terminal record and closes the file
-    assert settle(lambda: instance.log._fh is None, timeout=2.0)
+    assert wait_until(lambda: instance.log._fh is None, timeout=2.0)
     assert instance.result == "finished"
     assert json.loads(log.read_text().splitlines()[-1])["kind"] == "instance_finish"
 
 
 def test_a_stop_after_the_last_branch_has_left_is_ignored():
     instance = WorkflowInstance(dsl.parse(ONE_STEP), MockHandler()).start()
-    assert settle(lambda: not instance.branches)
+    assert wait_until(lambda: not instance.branches, timeout=5.0)
     instance.request_stop()
     assert instance.wait() == "finished"
     assert [r.kind for r in instance.log.records] == [
@@ -620,7 +619,6 @@ def stop_after_first_start(source, script, seed=None):
 def test_stop_mid_sequence_prevents_later_activities():
     instance, _ = stop_after_first_start(STOPPABLE, STOP_SCRIPT)
     assert instance.result == "stopped"
-    assert instance.lifecycle.value == "stopped"
     assert not starts(instance, "two")
     ack = next(i for i, r in enumerate(instance.log.records) if r.kind == "stop_acknowledged")
     assert not [
@@ -630,11 +628,18 @@ def test_stop_mid_sequence_prevents_later_activities():
 
 def test_stop_records_passthrough_of_blocked_call():
     instance, _ = stop_after_first_start(STOPPABLE, STOP_SCRIPT)
-    assert instance.passthroughs == {"0/one": "p-one"}
+    assert instance.interrupted == {"0/one": Passthrough("p-one")}
     saved = instance.save()
-    assert saved["passthroughs"] == {"0/one": "p-one"}
-    assert saved["lifecycle"] == "stopped"
-    assert saved["context"] == {"done": False}
+    assert saved == {
+        "schema": 3,
+        "instance": instance.instance_id,
+        "seq": instance.log.records[-1].seq,
+        "branches": [{"id": "0", "path": [0]}],
+        "context": {"done": False},
+        "version": 0,
+        "interrupted": {"0/one": {"passthrough": "p-one"}},
+    }
+    assert json.loads(json.dumps(saved)) == saved
 
 
 class EntersAfterStopHandler(MockHandler):
@@ -664,8 +669,7 @@ def test_stop_before_the_handler_looks_still_interrupts_the_call():
     started = time.monotonic()
     assert instance.wait() == "stopped"
     assert time.monotonic() - started < 1.0
-    assert instance.passthroughs == {"0/one": "p-one"}
-    assert instance.ended_calls == {}
+    assert instance.interrupted == {"0/one": Passthrough("p-one")}
 
 
 def test_stop_is_idempotent():
@@ -731,7 +735,11 @@ def test_resume_rejects_unknown_skip_position():
 
 
 def test_resume_rejects_non_stopped_state():
-    with pytest.raises(EngineError, match="not stopped"):
+    finished = run_source(ONE_STEP, MockHandler())
+    with pytest.raises(EngineError, match="only stopped instances can be saved"):
+        finished.save()
+    # the state an older wee saved of a finished instance
+    with pytest.raises(EngineError, match="no schema"):
         WorkflowInstance.resume(
             dsl.parse(STOPPABLE), MockHandler(), {"lifecycle": "finished"}
         )
@@ -751,7 +759,6 @@ def test_workflow_raised_stop_ends_stopped():
         MockHandler(),
     )
     assert instance.result == "stopped"
-    assert instance.lifecycle.value == "stopped"
     assert not starts(instance, "never")
     terminal = instance.log.records[-1]
     assert terminal.kind == "instance_stop"
@@ -974,7 +981,7 @@ def test_stop_inside_parallel_saves_arrivals_and_live_branches():
     assert len(completed) == 1  # the quick branch already arrived
     live = [p for bid, p in by_id.items() if bid != "0" and (not p or p[-1] != -1)]
     assert len(live) == 1
-    assert saved["passthroughs"] == {"0.2/slow": "p-slow"}
+    assert saved["interrupted"] == {"0.2/slow": {"passthrough": "p-slow"}}
 
 
 def test_resume_mid_parallel_completes_join():
@@ -1203,13 +1210,6 @@ workflow {{
 """
 
 
-def settle(predicate, timeout=5.0):
-    deadline = time.monotonic() + timeout
-    while not predicate() and time.monotonic() < deadline:
-        time.sleep(0.01)
-    return predicate()
-
-
 def test_a_finished_instance_is_garbage_once_its_threads_are_idle():
     instance = run_source(wide_join(4), MockHandler({"default": {"result": {}}}))
     assert instance.result == "finished"
@@ -1222,7 +1222,7 @@ def test_a_finished_instance_is_garbage_once_its_threads_are_idle():
 
     # wait() returns before the last thread is idle; idle, it holds nothing
     # (the threads keep waiting far longer than this)
-    assert settle(collected, timeout=1.0)
+    assert wait_until(collected, timeout=1.0)
 
 
 def test_a_burst_of_branches_leaves_at_most_the_cap_idle():
@@ -1233,7 +1233,7 @@ def test_a_burst_of_branches_leaves_at_most_the_cap_idle():
     instance = run_source(wide_join(40), MockHandler({"default": {"result": {}, "delay_ms": 50}}))
     assert instance.result == "finished"
     # well before the keep-alive runs out, only the cap's worth still wait
-    assert settle(lambda: threading.active_count() <= others + engine._IDLE_CAP, timeout=1.0)
+    assert wait_until(lambda: threading.active_count() <= others + engine._IDLE_CAP, timeout=1.0)
     assert len(engine._idle) <= engine._IDLE_CAP
 
 
@@ -1244,7 +1244,9 @@ def test_branch_threads_exit_once_the_keep_alive_runs_out(monkeypatch):
     baseline = threading.active_count()
     assert run_all().all_passed
     # threads idle since earlier tests were counted in the baseline
-    assert settle(lambda: threading.active_count() <= baseline), threading.enumerate()
+    assert wait_until(lambda: threading.active_count() <= baseline, timeout=5.0), (
+        threading.enumerate()
+    )
 
 
 def test_a_stop_racing_the_last_branch_leaves_no_record_after_the_terminal_one():
@@ -1293,7 +1295,7 @@ def test_a_warm_corpus_pass_starts_no_thread_outside_the_branch_thread_cache(mon
 def test_a_forked_child_does_not_wait_for_its_parents_idle_threads():
     source = wide_join(2)
     run_source(source, MockHandler({"default": {"result": {}}}))
-    assert settle(lambda: len(engine._idle) > 0, timeout=1.0)
+    assert wait_until(lambda: len(engine._idle) > 0, timeout=1.0)
     pid = os.fork()
     if pid == 0:  # the child has none of the parent's threads
         try:
@@ -1501,7 +1503,7 @@ def test_a_stop_from_outside_reaches_a_branch_waiting_on_a_trigger():
     waiter.start()
     waiter.join(5)
     assert instance.result == "stopped"
-    assert list(instance.passthroughs) == ["0/await"]
+    assert list(instance.interrupted) == ["0/await"]
     assert not starts(instance, "proceed")
 
 
@@ -1547,7 +1549,7 @@ def test_a_raising_handler_under_virtual_time_leaves_an_error_and_ends():
     assert instance.result == "error"
     errors = [r for r in instance.log.records if r.kind == "error"]
     assert len(errors) == 1 and "handler raised" in errors[0].detail["message"]
-    assert "0.1/slow" in instance.passthroughs
+    assert "0.1/slow" in instance.interrupted
     # the stop cut the 60 s call short at once
     assert instance._timeline.now == 0.0
 
@@ -1582,7 +1584,7 @@ def test_every_exit_of_a_branch_hands_the_baton_on(monkeypatch):
     )
     instance.call_later(0.1, instance.request_stop)
     assert finish(instance) == "stopped"
-    assert list(instance.passthroughs) == ["0.2/right"]
+    assert list(instance.interrupted) == ["0.2/right"]
 
 
 THREE_CALLS = """
@@ -1618,8 +1620,11 @@ def test_stop_save_and_resume_under_virtual_time_repeat_no_call():
     instance.call_later(0.05, instance.request_stop)
     assert finish(instance) == "stopped"
     saved = json.loads(json.dumps(instance.save()))
-    assert saved["passthroughs"] == {"0.1/a2": "p-a2", "0.3/c": "p-c"}
-    assert list(saved["ended_calls"]) == ["0.2/b"]
+    assert saved["interrupted"] == {
+        "0.1/a2": {"passthrough": "p-a2"},
+        "0.2/b": {"result": {}},
+        "0.3/c": {"passthrough": "p-c"},
+    }
 
     resumed = WorkflowInstance.resume(ast, handler, saved, RunOptions(virtual_time=True))
     assert finish(resumed) == "finished"

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from conftest import finish
+from conftest import finish, wait_until
 from wee import dsl
 from wee.engine import RunOptions, WorkflowInstance
 from wee.handlers import (
@@ -313,7 +313,7 @@ def test_http_stop_under_virtual_time_gives_a_passthrough_the_resume_replays(stu
     instance.call_later(0, instance.request_stop)
     assert finish(instance) == "stopped"
     saved = json.loads(json.dumps(instance.save()))
-    assert list(saved["passthroughs"]) == ["0/book"]
+    assert list(saved["interrupted"]) == ["0/book"]
     resumed = WorkflowInstance.resume(ast, handler, saved, RunOptions(virtual_time=True))
     assert finish(resumed) == "finished"
     assert resumed.store.current_values()["cost"] == 11
@@ -321,15 +321,6 @@ def test_http_stop_under_virtual_time_gives_a_passthrough_the_resume_replays(stu
 
 
 # -- trigger ---------------------------------------------------------------------
-
-
-def wait_until(predicate, timeout=2.0):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(0.002)
-    return False
 
 
 def call_in_thread(handler, position, key):
@@ -573,8 +564,8 @@ def test_recursive_call_stopped_midway_resumes_its_nested_instance():
     saved = json.loads(json.dumps(instance.save()))
     # the nested instance stopped partway: its partial count is no result
     assert instance.store.current_values()["total"] == 0
-    assert saved["ended_calls"] == {}
-    assert list(saved["passthroughs"]) == ["0/count"]
+    assert list(saved["interrupted"]) == ["0/count"]
+    assert list(saved["interrupted"]["0/count"]) == ["passthrough"]
 
     # a fresh handler, as `wee resume` builds in a new process: the token
     # alone carries the stopped nested instance
@@ -600,7 +591,7 @@ def test_recursive_call_stopped_under_virtual_time_resumes_to_the_unstopped_cont
     instance.call_later(0, instance.request_stop)
     assert finish(instance, timeout=20) == "stopped"
     saved = json.loads(json.dumps(instance.save()))
-    parked = json.loads(saved["passthroughs"]["0/count"])
+    parked = json.loads(saved["interrupted"]["0/count"]["passthrough"])
     assert parked["saved"]["context"]["total"] < 20000
     resumed = WorkflowInstance.resume(
         ast, RecursiveHandler(source=COUNTER, max_depth=3), saved, RunOptions(virtual_time=True)

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from wee import dsl
 from wee.engine import EngineError, WorkflowInstance
-from wee.handlers import MockHandler
+from wee.handlers import Failure, MockHandler, Passthrough
 
 
 def wait_for(instance, predicate, timeout=5.0):
@@ -70,7 +70,7 @@ def test_resume_inside_critical_within_cycle():
     instance.deliver_stop()
     assert instance.store.current_values()["i"] == 1
     saved = instance.save()
-    assert saved["passthroughs"] == {"0/step": "p-step"}
+    assert saved["interrupted"] == {"0/step": {"passthrough": "p-step"}}
     # parked inside the critical body, second loop pass
     assert saved["branches"] == [{"id": "0", "path": [0, 0, 0, 0, 0]}]
 
@@ -574,7 +574,7 @@ def test_stop_before_a_resumed_call_begins_keeps_its_passthrough():
     assert wait_for(instance, lambda rs: len(starts_of(rs, "slow")) == 1)
     instance.deliver_stop()
     saved = instance.save()
-    assert saved["passthroughs"] == {"0/slow": "tok-slow"}
+    assert saved["interrupted"] == {"0/slow": {"passthrough": "tok-slow"}}
 
     # stopped before the resumed call begins: it parks at the call and the
     # token stays in the saved state
@@ -584,7 +584,7 @@ def test_stop_before_a_resumed_call_begins_keeps_its_passthrough():
     assert parked.wait() == "stopped"
     assert starts_of(parked.log.records, "slow") == []
     saved = parked.save()
-    assert saved["passthroughs"] == {"0/slow": "tok-slow"}
+    assert saved["interrupted"] == {"0/slow": {"passthrough": "tok-slow"}}
 
     resumed = WorkflowInstance.resume(ast, handler, saved)
     assert resumed.run() == "finished"
@@ -633,7 +633,9 @@ def test_stop_interrupts_every_call_at_one_forked_position():
     # every call is interrupted at once, none waits out its 3 s delay
     assert time.perf_counter() - started < 0.2
     saved = json.loads(json.dumps(instance.save()))
-    assert saved["passthroughs"] == {f"0.{k}/task_instance": "tok-task" for k in range(1, 5)}
+    assert saved["interrupted"] == {
+        f"0.{k}/task_instance": {"passthrough": "tok-task"} for k in range(1, 5)
+    }
 
     resumed = WorkflowInstance.resume(ast, handler, saved)
     assert resumed.run() == "finished"
@@ -648,9 +650,9 @@ def test_resume_rejects_saved_state_without_schema():
     assert wait_for(instance, lambda rs: len(starts_of(rs, "slow")) == 1)
     instance.deliver_stop()
     saved = instance.save()
-    assert saved["schema"] == 2
+    assert saved["schema"] == 3
     # as an older wee wrote it: no schema, passthroughs keyed by position
-    del saved["schema"]
+    del saved["schema"], saved["interrupted"]
     saved["passthroughs"] = {"slow": "tok-slow"}
     with pytest.raises(EngineError, match="older wee.*keyed by position"):
         WorkflowInstance.resume(ast, handler, saved)
@@ -699,9 +701,7 @@ def stopped_in_slow_call():
         ({"branches": [{"id": 0, "path": [1]}]}, "branch id 0"),
         ({"branches": [{"id": "0", "path": [1], "forks": "2"}]}, "branch 0: forks '2'"),
         ({"version": "1"}, "version '1'"),
-        ({"ended_calls": []}, r"ended_calls \[\]"),
         ({"context": []}, r"context \[\]"),
-        ({"passthroughs": []}, r"passthroughs \[\]"),
     ],
     ids=[
         "negative-root-index",
@@ -716,9 +716,7 @@ def stopped_in_slow_call():
         "id-not-a-string",
         "forks-not-an-int",
         "version-not-an-int",
-        "ended-calls-not-an-object",
         "context-not-an-object",
-        "passthroughs-not-an-object",
     ],
 )
 def test_resume_rejects_a_corrupt_saved_path_or_branch_id(edit, message):
@@ -727,6 +725,98 @@ def test_resume_rejects_a_corrupt_saved_path_or_branch_id(edit, message):
     with pytest.raises(EngineError, match=f"corrupt saved state.*{message}"):
         WorkflowInstance.resume(ast, handler, saved)
     assert handler.invocations == {"slow": 1}
+
+
+def as_schema_2(saved: dict) -> dict:
+    """The state as the previous format kept it."""
+    return {
+        "schema": 2,
+        "lifecycle": "stopped",
+        "branches": saved["branches"],
+        "context": saved["context"],
+        "version": saved["version"],
+        "passthroughs": {"0/slow": "tok-slow"},
+        "ended_calls": {},
+    }
+
+
+def without(key: str):
+    return lambda saved: {k: v for k, v in saved.items() if k != key}
+
+
+def replaced(key: str, value):
+    return lambda saved: {**saved, key: value}
+
+
+def bad_entry(entry, case_id: str):
+    return pytest.param(
+        replaced("interrupted", {"0/slow": entry}),
+        f"corrupt saved state: interrupted call 0/slow: {entry!r}",
+        id=case_id,
+    )
+
+
+# Refused elsewhere: a state with no schema by
+# test_resume_rejects_saved_state_without_schema, and branches, context or
+# version of the wrong type by test_resume_rejects_a_corrupt_saved_path_or_branch_id.
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        pytest.param(as_schema_2, "saved state has schema 2, expected 3", id="schema-2"),
+        *(
+            pytest.param(without(key), f"corrupt saved state: no {key}", id=f"no-{key}")
+            for key in ("instance", "seq", "branches", "context", "version", "interrupted")
+        ),
+        pytest.param(
+            replaced("instance", 7), "corrupt saved state: instance 7", id="instance-not-a-string"
+        ),
+        pytest.param(replaced("seq", "9"), "corrupt saved state: seq '9'", id="seq-not-an-int"),
+        pytest.param(replaced("seq", True), "corrupt saved state: seq True", id="seq-a-bool"),
+        pytest.param(replaced("seq", 0), "corrupt saved state: seq 0", id="seq-not-positive"),
+        pytest.param(
+            replaced("interrupted", []),
+            "corrupt saved state: interrupted []",
+            id="interrupted-not-an-object",
+        ),
+        bad_entry("tok-slow", "entry-not-an-object"),
+        bad_entry({}, "entry-empty"),
+        bad_entry({"passthrough": "t", "result": {}}, "entry-two-kinds"),
+        bad_entry({"token": "t"}, "entry-unknown-kind"),
+        bad_entry({"passthrough": 5}, "passthrough-not-a-string"),
+        bad_entry({"result": [1]}, "result-not-an-object"),
+        bad_entry({"jump": None}, "jump-not-a-string"),
+    ],
+)
+def test_resume_refuses_a_malformed_saved_state(edit, message):
+    ast, handler, saved = stopped_in_slow_call()
+    with pytest.raises(EngineError) as refused:
+        WorkflowInstance.resume(ast, handler, edit(saved))
+    refusal = str(refused.value)
+    assert refusal.startswith(message) and "\n" not in refusal, refusal
+    assert handler.invocations == {"slow": 1}
+
+
+class FailingReplay(MockHandler):
+    """Stops the instance from inside a replay, which then fails."""
+
+    instance = None
+
+    def call(self, call):
+        if call.passthrough is None:
+            return super().call(call)
+        self.instance.request_stop()
+        return Failure("the service went away")
+
+
+def test_a_replay_that_fails_after_a_stop_keeps_its_token():
+    ast, handler, saved = stopped_in_slow_call()
+    saved["interrupted"] = {"0/slow": {"passthrough": "tok-slow"}}
+    failing = FailingReplay()
+    failing.instance = WorkflowInstance.resume(ast, failing, saved)
+    assert failing.instance.run() == "stopped"
+    assert failing.instance.interrupted == {"0/slow": Passthrough("tok-slow")}
+    assert failing.instance.save()["interrupted"] == {"0/slow": {"passthrough": "tok-slow"}}
+    assert failing.invocations == {}
 
 
 FORKS_AFTER_A_CLOSED_JOIN = {
@@ -818,7 +908,7 @@ def test_call_that_ends_after_the_stop_is_not_called_again():
     instance.deliver_stop()
     # the handler finished the call instead of handing out a token
     saved = json.loads(json.dumps(instance.save()))
-    assert saved["ended_calls"] == {"0/slow": {"result": {"done": 1}}}
+    assert saved["interrupted"] == {"0/slow": {"result": {"done": 1}}}
     assert saved["branches"] == [{"id": "0", "path": [0]}]
 
     resumed = WorkflowInstance.resume(ast, handler, saved)

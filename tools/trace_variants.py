@@ -1,7 +1,6 @@
 """Count the distinct --fixed-clock traces of each runnable corpus case.
 
     python tools/trace_variants.py run [--runs N] > REPORT.json
-    python tools/trace_variants.py compare BASE.json CHANGE.json
     python tools/trace_variants.py golden tests/golden/corpus
 
 `run` runs every runnable case of the pattern corpus N times in this
@@ -11,10 +10,6 @@ steps write the same trace. Per case it reports the number of distinct
 traces, and the digest (SHA-256 of the JSONL lines) and count of the most
 frequent one, as JSON. A case that raises, or that gives more than one
 trace, makes the exit status 1.
-
-`compare` reads two such reports and names each case whose most frequent
-trace differs between them, or whose variant counts do; it exits 1 if a
-case's most frequent trace differs.
 
 `golden` writes the trace of each runnable case to DIR/<slug>.jsonl, the
 files `tests/test_patterns.py` compares byte for byte.
@@ -90,31 +85,11 @@ def write_golden(directory: Path) -> None:
             (directory / f"{case.slug}.jsonl").write_bytes(trace_bytes(records))
 
 
-def compare(base: dict, change: dict) -> list[str]:
-    """Print how each case moved; return the cases whose top trace differs."""
-    moved = []
-    for slug in sorted(base["cases"].keys() | change["cases"].keys()):
-        a, b = base["cases"].get(slug, {}), change["cases"].get(slug, {})
-        if "top" not in a or "top" not in b or a["top"] != b["top"]:
-            moved.append(slug)
-            print(f"{slug}: most frequent trace differs ({a} -> {b})")
-        elif (a["variants"], a["top_count"]) != (b["variants"], b["top_count"]):
-            print(
-                f"{slug}: same most frequent trace; variants {a['variants']} -> "
-                f"{b['variants']}, its count {a['top_count']}/{base['runs']} -> "
-                f"{b['top_count']}/{change['runs']}"
-            )
-    return moved
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     run_parser = sub.add_parser("run", help="run every runnable case N times")
     run_parser.add_argument("--runs", type=int, default=30)
-    compare_parser = sub.add_parser("compare", help="compare two reports")
-    compare_parser.add_argument("base")
-    compare_parser.add_argument("change")
     golden_parser = sub.add_parser("golden", help="write each runnable case's trace")
     golden_parser.add_argument("directory", type=Path)
     args = parser.parse_args(argv)
@@ -122,14 +97,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "golden":
         write_golden(args.directory)
         return 0
-
-    if args.command == "compare":
-        base, change = (
-            json.loads(Path(path).read_text(encoding="utf-8")) for path in (args.base, args.change)
-        )
-        moved = compare(base, change)
-        print(f"{len(moved)} case(s) changed their most frequent trace")
-        return 1 if moved else 0
 
     report = run(args.runs)
     sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
