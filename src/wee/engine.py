@@ -46,7 +46,7 @@ import uuid
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Mapping, Optional
 
-from . import dsl
+from . import dsl, events
 from .context import ContextError, ContextStore
 from .events import EventLog
 from .expressions import Change, EvalError, Value, apply_assignments, eval_expr, is_value
@@ -70,7 +70,7 @@ class RunOptions:
     instance_id: Optional[str] = None
     log_path: Optional[str] = None
     start_seq: int = 0  # a trace file is appended to when this is positive
-    clock: Optional[object] = None  # callable returning an ISO-8601 string
+    clock: Optional[Callable[[], str]] = None  # returns an ISO-8601 string
     # one branch runs at a time and scripted waits are simulated; every
     # wait a handler makes must go through its call's stop token
     virtual_time: bool = False
@@ -414,12 +414,6 @@ class WorkflowInstance:
         self.handler = handler
         self.options = options or RunOptions()
         self.instance_id = self.options.instance_id or f"i-{uuid.uuid4().hex[:8]}"
-        self.log = EventLog(
-            self.instance_id,
-            path=self.options.log_path,
-            clock=self.options.clock,  # type: ignore[arg-type]
-            start_seq=self.options.start_seq,
-        )
         if _restored_context is not None:
             values, version = _restored_context
             self.store = ContextStore(values, version)
@@ -432,6 +426,10 @@ class WorkflowInstance:
                 merged = dict(self.store.current_values())
                 merged.update(initial_context)
                 self.store = ContextStore(merged)
+        # opened once the context is accepted, so a refused one leaves the file be
+        self.log = EventLog(
+            self.instance_id, self.options.log_path, self.options.clock, self.options.start_seq
+        )
 
         # how the instance ended: "finished", "stopped" or "error"
         self.result: Optional[str] = None
@@ -941,10 +939,10 @@ class WorkflowInstance:
         if branch.cancelled:
             raise _Cancelled()
 
-    def _begin_activity(self, branch: _Branch, node, path: tuple[int, ...], kind: str) -> None:
+    def _begin_activity(self, branch: _Branch, node, path: tuple[int, ...], detail: dict) -> None:
         with self._state_lock:
             self._checkpoint(branch, path)
-            self.log.emit("activity_start", branch.id, node.position, {"type": kind})
+            self.log.emit("activity_start", branch.id, node.position, detail)
 
     def _commit(
         self, branch: _Branch, position: str, delta: list[Change], new_values: dict[str, Value]
@@ -962,7 +960,7 @@ class WorkflowInstance:
         )
 
     def _exec_manipulate(self, branch: _Branch, node: dsl.ManipulateActivity, path) -> None:
-        self._begin_activity(branch, node, path, "manipulate")
+        self._begin_activity(branch, node, path, events.START_MANIPULATE)
         try:
             with self.store.exclusive():
                 delta, values = apply_assignments(node.statements, self.store.current_values())
@@ -970,7 +968,7 @@ class WorkflowInstance:
                     self._commit(branch, node.position, delta, values)
         except (EvalError, ContextError) as exc:
             raise EngineError(f"manipulate '{node.position}': {exc}") from exc
-        self.log.emit("activity_end", branch.id, node.position, {"outcome": "applied"})
+        self.log.emit("activity_end", branch.id, node.position, events.END_APPLIED)
 
     def _exec_call(self, branch: _Branch, node: dsl.CallActivity, path) -> None:
         uri = self.ast.endpoints.get(node.endpoint)
@@ -1012,7 +1010,7 @@ class WorkflowInstance:
                     StopToken() if self._timeline is None else _TimedToken(self._timeline, branch),
                     token,
                 )
-            self.log.emit("activity_start", branch.id, node.position, {"type": "call"})
+            self.log.emit("activity_start", branch.id, node.position, events.START_CALL)
         try:
             if outcome is None:
                 outcome = self.handler.call(call)
@@ -1040,7 +1038,7 @@ class WorkflowInstance:
 
         if isinstance(outcome, Result):
             self._commit_result(branch, node, outcome)
-            self.log.emit("activity_end", branch.id, node.position, {"outcome": "result"})
+            self.log.emit("activity_end", branch.id, node.position, events.END_RESULT)
         elif isinstance(outcome, Jump):
             self._apply_jump(branch, node, outcome.target)
         elif isinstance(outcome, Passthrough):
@@ -1051,10 +1049,10 @@ class WorkflowInstance:
             raise EngineError(f"call '{node.position}': {outcome.message}")
 
     def _exec_engine_call(self, branch: _Branch, node, path, uri: str) -> None:
-        self._begin_activity(branch, node, path, "call")
+        self._begin_activity(branch, node, path, events.START_CALL)
         if uri != STOP_ENDPOINT:
             raise EngineError(f"call '{node.position}': unknown engine endpoint '{uri}'")
-        self.log.emit("activity_end", branch.id, node.position, {"outcome": "stop_signal"})
+        self.log.emit("activity_end", branch.id, node.position, events.END_STOP_SIGNAL)
         self.request_stop(source="workflow")
 
     def _commit_result(self, branch: _Branch, node, outcome: Result) -> None:
@@ -1095,12 +1093,9 @@ class WorkflowInstance:
                     f"illegal jump: '{target}' is inside a parallel block this branch has not entered"
                 )
         self.log.emit(
-            "signal",
-            branch.id,
-            node.position,
-            {"signal": "jump", "target": target},
+            "signal", branch.id, node.position, {"signal": "jump", "target": target}
         )
-        self.log.emit("activity_end", branch.id, node.position, {"outcome": "jump"})
+        self.log.emit("activity_end", branch.id, node.position, events.END_JUMP)
         raise _JumpTo(target_path[len(prefix) :])
 
     def _exec_parallel(self, branch: _Branch, node: dsl.Parallel, path, sub) -> None:

@@ -7,11 +7,16 @@ injected to make whole traces byte-identical across runs.
 Each line is exactly ``json.dumps(record.to_json(), sort_keys=True)``: the
 seven keys in sorted order, ``", "`` and ``": "`` separators and ASCII
 escapes. The writer builds it from a fixed template instead of encoding the
-whole record, and flushes it before the next record is written.
+whole record. The details the engine emits with every activity are shared
+module-level dicts whose JSON text is encoded once, at import; any other
+detail goes through one prebuilt encoder. The file is written through: each
+line reaches the OS in one write, and is flushed before the next record is
+written.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import sys
 import threading
@@ -131,6 +136,19 @@ if c_make_encoder is not None:
 else:  # pragma: no cover - interpreters without the _json accelerator
     _encode_detail = json.JSONEncoder(sort_keys=True).encode
 
+# The details of every activity_start and activity_end record. Each is one
+# object shared by all the records that carry it, so nothing may change it;
+# emit() writes the text stored here when it is given one of these very
+# objects (they live as long as the module, so their ids stay theirs).
+START_CALL = {"type": "call"}
+START_MANIPULATE = {"type": "manipulate"}
+END_APPLIED = {"outcome": "applied"}
+END_RESULT = {"outcome": "result"}
+END_JUMP = {"outcome": "jump"}
+END_STOP_SIGNAL = {"outcome": "stop_signal"}
+SHARED_DETAILS = (START_CALL, START_MANIPULATE, END_APPLIED, END_RESULT, END_JUMP, END_STOP_SIGNAL)
+_SHARED_JSON = {id(detail): _encode_detail(detail) for detail in SHARED_DETAILS}
+
 
 class EventLog:
     """Thread-safe trace writer; one seq counter per instance."""
@@ -154,8 +172,10 @@ class EventLog:
         if path == "-":
             self._fh = sys.stdout
         elif path is not None:
-            # a trace that continues at start_seq continues its file
-            self._fh = open(path, "a" if start_seq > 0 else "w", encoding="utf-8")
+            # a trace that continues at start_seq continues its file; each
+            # line goes to the OS in one write, with no buffer in between
+            raw = open(path, "ab" if start_seq > 0 else "wb", buffering=0)
+            self._fh = io.TextIOWrapper(raw, encoding="utf-8", write_through=True)
             self._owns_fh = True
 
     def add_listener(self, fn: Callable[[EventRecord], None]) -> None:
@@ -178,7 +198,7 @@ class EventLog:
             # taken in seq order
             head = '{"branch": %s, "detail": %s, "instance": %s, "kind": %s, "position": %s' % (
                 _escape(branch),
-                _encode_detail(detail),
+                _SHARED_JSON.get(id(detail)) or _encode_detail(detail),
                 self._instance_json,
                 _escape(kind),
                 "null" if position is None else _escape(position),

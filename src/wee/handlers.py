@@ -25,7 +25,7 @@ from . import dsl
 from .expressions import EvalError, Expr, Value, eval_expr, is_value
 
 
-class StopToken(threading.Event):
+class StopToken:
     """The engine's request that one call wind down.
 
     The engine creates a token with each call and sets it on a stop, or when
@@ -34,20 +34,40 @@ class StopToken(threading.Event):
     that also waits for something else, such as a response or an event, has
     wake() end the wait. Under virtual time every wait of a branch goes
     through its call's token.
+
+    Most calls never wait on their token, so its condition is built on its
+    lock by the first wait().
     """
 
-    _woken = False
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._flag = False
+        self._woken = False
+        self._cond: Optional[threading.Condition] = None
+
+    def is_set(self) -> bool:
+        return self._flag
+
+    def set(self) -> None:
+        """Set the token; it stays set."""
+        with self._lock:
+            self._flag = True
+            if self._cond is not None:
+                self._cond.notify_all()
 
     def wake(self) -> None:
         """End the wait on the token, or the next one, without setting it."""
-        with self._cond:
+        with self._lock:
             self._woken = True
-            self._cond.notify_all()
+            if self._cond is not None:
+                self._cond.notify_all()
 
     def wait(self, timeout: Optional[float] = None) -> bool:
         """Wait until the token is set or woken, or the timeout runs out;
         True if the token is set."""
-        with self._cond:
+        with self._lock:
+            if self._cond is None:
+                self._cond = threading.Condition(self._lock)
             self._cond.wait_for(lambda: self._flag or self._woken, timeout)
             return self._flag
 

@@ -15,6 +15,7 @@ import pytest
 
 from conftest import finish, run_source, starts, wait_until
 from wee import dsl, engine
+from wee.context import ContextError
 from wee.engine import EngineError, RunOptions, WorkflowInstance
 from wee.events import FixedClock
 from wee.handlers import MockHandler, Passthrough, TriggerHandler
@@ -131,6 +132,19 @@ def test_an_instance_nobody_waits_on_ends_itself_and_closes_its_trace(tmp_path):
     assert wait_until(lambda: instance.log._fh is None, timeout=2.0)
     assert instance.result == "finished"
     assert json.loads(log.read_text().splitlines()[-1])["kind"] == "instance_finish"
+
+
+def test_a_refused_initial_context_leaves_the_trace_file_as_it_was(tmp_path):
+    log = tmp_path / "run.jsonl"
+    log.write_bytes(b"precious\n")
+    with pytest.raises(ContextError, match="undeclared initial context"):
+        WorkflowInstance(
+            dsl.parse(ONE_STEP),
+            MockHandler(),
+            RunOptions(log_path=str(log)),
+            initial_context={"ghost": 1},
+        )
+    assert log.read_bytes() == b"precious\n"
 
 
 def test_a_stop_after_the_last_branch_has_left_is_ignored():

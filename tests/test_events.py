@@ -58,13 +58,20 @@ def test_wall_clock_is_isoformat_utc_now():
     assert abs(datetime.fromisoformat(stamp) - datetime.now(timezone.utc)) < timedelta(seconds=5)
 
 
-def test_each_record_is_flushed_before_emit_returns(tmp_path):
+@pytest.mark.parametrize("start_seq", [0, 7], ids=["fresh", "continued"])
+def test_each_record_is_flushed_before_emit_returns(tmp_path, start_seq):
     path = tmp_path / "trace.jsonl"
-    log = EventLog("i-flush", path)
+    # a continued trace appends to what its file already holds
+    before = "earlier line\n" * start_seq
+    path.write_text("left over\n" if start_seq == 0 else before, encoding="utf-8")
+    log = EventLog("i-flush", path, start_seq=start_seq)
     try:
         for n in range(1, 4):
             log.emit("signal", "0", detail={"n": n})
-            assert len(path.read_text(encoding="utf-8").splitlines()) == n
+            lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+            assert len(lines) == start_seq + n
+            assert "".join(lines[:start_seq]) == before
+            assert json.loads(lines[-1])["seq"] == start_seq + n
     finally:
         log.close()
 
@@ -117,7 +124,13 @@ DETAIL = st.dictionaries(
     max_size=4,
 )
 EMITS = st.lists(
-    st.tuples(st.sampled_from(KINDS), TEXT, st.none() | TEXT, st.none() | DETAIL),
+    st.tuples(
+        st.sampled_from(KINDS),
+        TEXT,
+        st.none() | TEXT,
+        # the shared details are written from their stored text
+        st.none() | DETAIL | st.sampled_from(events.SHARED_DETAILS),
+    ),
     min_size=1,
     max_size=6,
 )
@@ -178,6 +191,11 @@ CHANGES = st.lists(
 def test_context_change_detail_equals_json_dumps(changes, version):
     detail = {"changes": changes, "version": version}
     assert events._encode_detail(detail) == json.dumps(detail, sort_keys=True)
+
+
+def test_each_shared_detail_is_stored_as_json_dumps_writes_it():
+    for detail in events.SHARED_DETAILS:
+        assert events._SHARED_JSON[id(detail)] == json.dumps(detail, sort_keys=True)
 
 
 # the engine's flat details, and shapes close to a context change

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import time
 
@@ -46,6 +47,81 @@ def stopped_call(*args, **kwargs):
     call = make_call(*args, **kwargs)
     call.stop.set()
     return call
+
+
+# -- stop token -----------------------------------------------------------------
+
+
+def test_a_token_set_before_the_wait_returns_true_at_once():
+    token = StopToken()
+    assert not token.is_set()
+    token.set()
+    started = time.monotonic()
+    assert token.wait(5) is True
+    assert token.is_set()
+    assert time.monotonic() - started < 1.0
+
+
+def test_a_token_woken_before_the_wait_returns_false_at_once():
+    token = StopToken()
+    token.wake()
+    started = time.monotonic()
+    assert token.wait(5) is False
+    assert not token.is_set()
+    assert time.monotonic() - started < 1.0
+
+
+def test_a_wait_that_times_out_returns_false():
+    token = StopToken()
+    started = time.monotonic()
+    assert token.wait(0.05) is False
+    assert time.monotonic() - started >= 0.04
+
+
+def test_a_set_from_another_thread_ends_a_blocked_wait():
+    token = StopToken()
+    outcome = []
+    waiter = threading.Thread(target=lambda: outcome.append(token.wait(10)))
+    started = time.monotonic()
+    waiter.start()
+    time.sleep(0.05)  # let the waiter block
+    token.set()
+    waiter.join(5)
+    assert not waiter.is_alive()
+    assert outcome == [True]
+    assert time.monotonic() - started < 5
+
+
+def test_racing_sets_and_wakes_end_every_wait_at_once():
+    # a set or wake that lost its notify would leave its wait to time out
+    tokens = [StopToken() for _ in range(400)]
+    results: list = [None] * len(tokens)
+
+    def waiter(first: int) -> None:
+        for i in range(first, len(tokens), 4):
+            results[i] = tokens[i].wait(5)
+
+    def setter(first: int) -> None:
+        for i in range(first, len(tokens), 4):
+            if i % 2:
+                tokens[i].set()
+            else:
+                tokens[i].wake()
+
+    threads = [threading.Thread(target=f, args=(k,)) for f in (waiter, setter) for k in range(4)]
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        started = time.monotonic()
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(20)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(thread.is_alive() for thread in threads)
+    assert time.monotonic() - started < 4
+    assert results == [bool(i % 2) for i in range(len(tokens))]
 
 
 # -- mock -----------------------------------------------------------------------
