@@ -2,18 +2,23 @@
 
 `wee run` executes a workflow to its terminal state and writes the JSONL
 event log; exit code 0 means finished, 2 stopped, 1 error. A run started
-with --control listens on a unix socket so `wee stop` can park the instance;
-the saved state file can then be handed to `wee resume`, optionally skipping
-a region of positions (`--skip-region first..last`). The resumed instance
-keeps the stopped one's id and continues its seq, in the --log file it
-appends to or on stdout; the engine alone checks the saved state.
+with --control listens on a unix socket so `wee stop` can park the instance.
+A stopped instance's last record carries its saved state, so `wee resume
+LOG` reads only that line and appends the resumed trace to LOG, optionally
+skipping a region of positions (`--skip-region first..last`). The resumed
+instance keeps the stopped one's id and continues its seq. Once it has
+written a record, LOG no longer ends in a resumable stop, so a stop is
+resumed once; an exclusive lock on LOG keeps two resumes from racing. The
+engine alone checks the saved state.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
+import contextlib
+import fcntl
 import json
+import os
 import socket
 import sys
 import threading
@@ -42,10 +47,6 @@ HANDLER_NAMES = ("mock", "http", "trigger", "jump", "recursive")
 
 class ControllerError(Exception):
     pass
-
-
-def source_hash(source: str) -> str:
-    return hashlib.sha256(source.encode("utf-8")).hexdigest()
 
 
 def load_workflow(path: str | Path) -> tuple[str, dsl.WorkflowAst]:
@@ -129,36 +130,44 @@ def parse_skip_region(spec: str, ast: dsl.WorkflowAst) -> frozenset[str]:
     return frozenset(ordered[lo : hi + 1])
 
 
-def default_save_path(workflow_path: str | Path) -> Path:
-    return Path(str(workflow_path) + ".saved.json")
-
-
-def write_saved_instance(path: str | Path, saved: dict, src_hash: str) -> None:
-    payload = {"hash": src_hash, **saved}
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-
-
-def load_saved_instance(path: str | Path) -> dict:
+def claim_stop(path: str, held: contextlib.ExitStack) -> dict:
+    """Lock the log until held closes; the saved state that its last line,
+    read backwards from the end, carries as a stop record."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            saved = json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
-        raise ControllerError(f"cannot read saved instance {path}: {exc}") from exc
-    if not isinstance(saved, dict):
-        raise ControllerError(f"saved instance {path} is not a JSON object")
+        fh = held.enter_context(open(path, "rb"))
+        fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except BlockingIOError as exc:
+        raise ControllerError(f"{path} is being resumed by another process") from exc
+    except OSError as exc:  # missing, a directory, unreadable
+        raise ControllerError(f"cannot open log {path}: {exc}") from exc
+    pos, line = fh.seek(0, os.SEEK_END), b""
+    # a newline before the final byte ends the line before the last
+    while pos > 0 and line.rfind(b"\n", 0, len(line) - 1) < 0:
+        step = min(pos, 1 << 16)
+        pos -= step
+        fh.seek(pos)
+        line = fh.read(step) + line
+    line = line[line.rfind(b"\n", 0, len(line) - 1) + 1 :]
+    if not line.endswith(b"\n"):  # empty, or cut short by a killed writer
+        raise ControllerError(f"{path} does not end in a whole line: nothing to resume")
+    try:
+        record = json.loads(line)
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ControllerError(f"{path}: its last line is not a record: {exc}") from exc
+    stop = isinstance(record, dict) and record.get("kind") == "instance_stop"
+    detail = record.get("detail") if stop else None
+    if not isinstance(detail, dict) or "saved" not in detail:
+        raise ControllerError(f"{path}: its last record is not a resumable stop")
     # the rest of the state is WorkflowInstance.resume's to check
-    if not isinstance(saved.get("hash"), str):
-        raise ControllerError(f"saved instance {path} has no source hash")
-    return saved
+    return detail["saved"]
 
 
 class _ControlServer:
     """Unix-socket listener accepting stop requests for a running instance."""
 
-    def __init__(self, path: str, instance: WorkflowInstance, on_stop):
+    def __init__(self, path: str, instance: WorkflowInstance):
         self.path = path
         self.instance = instance
-        self.on_stop = on_stop
         Path(path).unlink(missing_ok=True)
         self._sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         self._sock.bind(path)
@@ -176,19 +185,14 @@ class _ControlServer:
                 try:
                     command = conn.recv(4096).decode("utf-8").strip()
                     if command == "stop":
-                        reply = self._handle_stop()
+                        # decided by how the instance ended: it may end first
+                        result = self.instance.deliver_stop()
+                        reply = "stopped" if result == "stopped" else f"already-terminal {result}"
                     else:
                         reply = f"error unknown command {command!r}"
                     conn.sendall((reply + "\n").encode("utf-8"))
                 except OSError:
                     pass
-
-    def _handle_stop(self) -> str:
-        if self.instance.result is not None:
-            return f"already-terminal {self.instance.result}"
-        self.instance.deliver_stop()
-        saved_to = self.on_stop()
-        return f"stopped {saved_to}"
 
     def close(self) -> None:
         # wakes the blocked accept(); an accepted stop request still finishes
@@ -201,32 +205,18 @@ class _ControlServer:
             Path(self.path).unlink(missing_ok=True)
 
 
-def execute_instance(
-    instance: WorkflowInstance,
-    control_path: Optional[str],
-    save_path: str | Path,
-    src_hash: str,
-) -> int:
-    """Run an instance under optional control, saving it to save_path when stopped."""
-    persisted = threading.Event()
-
-    def persist() -> str:
-        if instance.result in ("stopped", "error") and not persisted.is_set():
-            persisted.set()
-            write_saved_instance(save_path, instance.save(), src_hash)
-        return str(save_path)
-
+def execute_instance(instance: WorkflowInstance, control_path: Optional[str]) -> int:
+    """Run an instance under optional control; its exit code."""
     server = None
     try:
         instance.start()
         if control_path:
-            server = _ControlServer(control_path, instance, persist)
+            server = _ControlServer(control_path, instance)
         result = instance.wait()
     finally:
         if server is not None:
             server.close()
     if result == "stopped":
-        persist()
         return EXIT_STOPPED
     if result == "finished":
         return EXIT_FINISHED
@@ -235,29 +225,30 @@ def execute_instance(
     return EXIT_ERROR
 
 
-def cmd_run(args: argparse.Namespace) -> int:
-    try:
-        source, ast = load_workflow(args.workflow)
-        handler_name = args.handler or ast.handler_name
-        handler = build_handler(
-            handler_name, args.script, seed=args.seed, workflow_source=source
-        )
-    except ControllerError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_ERROR
-
+def load_run(args: argparse.Namespace) -> tuple[dsl.WorkflowAst, HandlerWrapper, RunOptions]:
+    """The workflow, handler and options a run or resume names; raises ControllerError."""
+    source, ast = load_workflow(args.workflow)
+    handler = build_handler(
+        args.handler or ast.handler_name, args.script, seed=args.seed, workflow_source=source
+    )
     options = RunOptions(
         max_iterations=args.max_iterations,
         log_path=args.log or "-",  # events stream to stdout unless redirected
         clock=FixedClock() if args.fixed_clock else None,
     )
+    return ast, handler, options
+
+
+def cmd_run(args: argparse.Namespace) -> int:
     try:
-        instance = WorkflowInstance(ast, handler, options)
+        instance = WorkflowInstance(*load_run(args))
+    except ControllerError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_ERROR
     except OSError as exc:  # the log: a missing directory, a directory, unwritable
         print(f"cannot open log {args.log}: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    save_path = args.save or default_save_path(args.workflow)
-    return execute_instance(instance, args.control, save_path, source_hash(source))
+    return execute_instance(instance, args.control)
 
 
 def cmd_stop(args: argparse.Namespace) -> int:
@@ -271,46 +262,29 @@ def cmd_stop(args: argparse.Namespace) -> int:
         print(f"cannot reach instance at {args.control}: {exc}", file=sys.stderr)
         return EXIT_ERROR
     print(reply)
-    if reply.startswith("stopped") or reply.startswith("already-terminal"):
-        return 0
-    return EXIT_ERROR
+    return 0 if reply.startswith(("stopped", "already-terminal")) else EXIT_ERROR
 
 
 def cmd_resume(args: argparse.Namespace) -> int:
-    try:
-        saved = load_saved_instance(args.saved)
-        if not args.workflow:
-            raise ControllerError("resume needs --workflow pointing at the original source")
-        source, ast = load_workflow(args.workflow)
-        if source_hash(source) != saved["hash"]:
-            raise ControllerError("workflow source hash mismatch: refusing to resume")
-        handler_name = args.handler or ast.handler_name
-        handler = build_handler(
-            handler_name, args.script, seed=args.seed, workflow_source=source
-        )
-        skip = parse_skip_region(args.skip_region, ast) if args.skip_region else frozenset()
-    except ControllerError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_ERROR
-
-    # the trace continues the stopped instance's id and seq, and its file
-    options = RunOptions(
-        max_iterations=args.max_iterations,
-        log_path=args.log or "-",
-        clock=FixedClock() if args.fixed_clock else None,
-    )
-    try:
-        instance = WorkflowInstance.resume(
-            ast, handler, saved, options, skip_positions=skip
-        )
-    except EngineError as exc:  # a state the engine refuses: the log is untouched
-        print(exc, file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
-        print(f"cannot open log {args.log}: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-
-    return execute_instance(instance, args.control, args.save or args.saved, saved["hash"])
+    # the log stays locked until the resumed instance has ended: a second
+    # resume finds it locked, or finds its stop resumed
+    with contextlib.ExitStack() as held:
+        try:
+            if not args.workflow:
+                raise ControllerError("resume needs --workflow pointing at the original source")
+            saved = claim_stop(args.log, held)
+            ast, handler, options = load_run(args)
+            skip = parse_skip_region(args.skip_region, ast) if args.skip_region else frozenset()
+            # the trace continues the stopped instance's id and seq in its log
+            instance = WorkflowInstance.resume(ast, handler, saved, options, skip_positions=skip)
+        # EngineError: a state the engine refuses, which leaves the log untouched
+        except (ControllerError, EngineError) as exc:
+            print(exc, file=sys.stderr)
+            return EXIT_ERROR
+        except OSError as exc:
+            print(f"cannot open log {args.log}: {exc}", file=sys.stderr)
+            return EXIT_ERROR
+        return execute_instance(instance, args.control)
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -361,15 +335,14 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--handler", choices=HANDLER_NAMES, default=None)
         p.add_argument("--script", default=None, help="handler script/config JSON")
-        p.add_argument("--log", default=None, help="event log JSONL path")
         p.add_argument("--control", default=None, help="control socket path")
-        p.add_argument("--save", default=None, help="saved-instance path (on stop)")
         p.add_argument("--max-iterations", type=int, default=1_000_000)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--fixed-clock", action="store_true", help="deterministic timestamps")
 
     run_p = sub.add_parser("run", help="execute a workflow file")
     run_p.add_argument("workflow")
+    run_p.add_argument("--log", default=None, help="event log JSONL path")
     add_common(run_p)
     run_p.set_defaults(func=cmd_run)
 
@@ -378,9 +351,9 @@ def build_parser() -> argparse.ArgumentParser:
     stop_p.add_argument("--timeout", type=float, default=30.0)
     stop_p.set_defaults(func=cmd_stop)
 
-    resume_p = sub.add_parser("resume", help="resume a stopped instance")
-    resume_p.add_argument("saved")
-    resume_p.add_argument("--workflow", required=False, default=None)
+    resume_p = sub.add_parser("resume", help="resume the stop a log ends with")
+    resume_p.add_argument("log", help="the stopped instance's event log, appended to")
+    resume_p.add_argument("--workflow", default=None, help="the workflow source it ran")
     resume_p.add_argument("--skip-region", default=None, help="positions first..last to skip")
     add_common(resume_p)
     resume_p.set_defaults(func=cmd_resume)

@@ -38,6 +38,14 @@ import re
 import string
 from dataclasses import dataclass, field
 from enum import Enum
+
+try:  # a builtin sha256: importing hashlib loads OpenSSL, about 3.5 MB of memory
+    from _sha2 import sha256  # Python 3.12 on
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:  # a build without its own hashes
+        from hashlib import sha256
 from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 from .expressions import Binary, Expr, Literal, Unary, Var
@@ -142,6 +150,7 @@ class WorkflowAst:
     endpoints: dict[str, str]
     context_decls: list[tuple[str, Expr]]
     body: Block
+    source_hash: str = field(default="", compare=False, repr=False)  # set by parse()
 
 
 @dataclass(frozen=True)
@@ -566,8 +575,11 @@ class _Parser:
 
 
 def parse(source: str) -> WorkflowAst:
-    """Parse a workflow source text; raises ParseError with line/column."""
-    return _Parser(tokenize(source)).parse_workflow()
+    """Parse a workflow source text, which a saved state names by its SHA-256,
+    the AST's source_hash; raises ParseError with line/column."""
+    ast = _Parser(tokenize(source)).parse_workflow()
+    ast.source_hash = sha256(source.encode("utf-8", "surrogatepass")).hexdigest()
+    return ast
 
 
 def parse_expression(source: str) -> Expr:

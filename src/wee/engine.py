@@ -10,10 +10,11 @@ no-longer-necessary signal at once and stand down at their next node
 boundary; the stop tokens of their in-flight calls are set. A jump out of a
 parallel body cancels the children forked so far the same way.
 A stop signal parks every branch at its program counter so the instance can
-be serialized and resumed later. The saved state keeps one map of the calls
-the stop caught in flight: each left a passthrough token, or the result or
-jump it ended with, and the resume replays or applies it instead of calling
-the service again. Each call is named by its call id, the branch id and
+be resumed later; the terminal instance_stop record carries the saved state.
+It names the workflow by its source hash and keeps one map of the calls the
+stop caught in flight: each left a passthrough token, or the result or jump
+it ended with, and the resume replays or applies it instead of calling the
+service again. Each call is named by its call id, the branch id and
 position, so one position running in several branches at once is still
 several calls to stop and to resume. resume() alone checks a saved state,
 and the resumed instance continues the stopped one's id and seq.
@@ -54,10 +55,10 @@ from .handlers import Failure, HandlerCall, HandlerWrapper, Jump, Passthrough, R
 
 ROOT_BRANCH = "0"
 STOP_ENDPOINT = "wee://stop"
-# version of the saved-state format: 3 keeps one map of interrupted calls
-# and the trace position; a state without a schema was written by an older
-# wee, which keyed passthroughs by position
-SAVED_SCHEMA = 3
+# version of the saved-state format: 4 keeps one map of interrupted calls,
+# the trace position and the workflow's source hash; a state without a
+# schema was written by an older wee, which keyed passthroughs by position
+SAVED_SCHEMA = 4
 
 
 class EngineError(Exception):
@@ -502,9 +503,9 @@ class WorkflowInstance:
             try:
                 action()
             except Exception as exc:
-                self.log.emit(
-                    "signal", ROOT_BRANCH, detail={"signal": "timer_failed", "message": repr(exc)}
-                )
+                detail = {"signal": "timer_failed", "message": repr(exc)}
+                with self._state_lock:  # as every emit outside a branch is
+                    self.log.emit("signal", ROOT_BRANCH, detail=detail)
 
         if self._timeline is not None:
             self._timeline.call_later(delay, run)
@@ -513,10 +514,10 @@ class WorkflowInstance:
         timer.daemon = True
         timer.start()
 
-    def deliver_stop(self) -> None:
-        """Stop the instance and wait until every branch has parked."""
+    def deliver_stop(self) -> str:
+        """Stop the instance and wait until it has ended; its result."""
         self.request_stop(source="controller")
-        self.wait()
+        return self.wait()
 
     def request_stop(self, source: str = "controller") -> None:
         """Request a stop; after this no branch starts another activity. An
@@ -547,7 +548,10 @@ class WorkflowInstance:
             self.log.emit("instance_stop", ROOT_BRANCH, detail={"error": self.errors[0]})
         elif self._stop_requested:
             self.result = "stopped"
-            self.log.emit("instance_stop", ROOT_BRANCH, detail={"source": self._stop_source})
+            # no branch is left to emit, so this record takes the next seq
+            saved = self._saved_state(self.log.seq + 1)
+            detail = {"source": self._stop_source, "saved": saved}
+            self.log.emit("instance_stop", ROOT_BRANCH, detail=detail)
         else:
             self.result = "finished"
             self.log.emit("instance_finish", ROOT_BRANCH)
@@ -564,36 +568,37 @@ class WorkflowInstance:
     # ------------------------------------------------------------------
 
     def save(self) -> dict:
-        """Serialize a stopped instance for later resume: its id and the last
-        seq of its trace, the branches with the path each restarts at, the
-        context and its version, and the calls the stop interrupted."""
+        """The saved state of a stopped instance, as its instance_stop record carries it."""
         if self.result not in ("stopped", "error"):
             raise EngineError("only stopped instances can be saved")
-        entries: list[dict] = []
-        interrupted: dict[str, dict] = {}
         with self._state_lock:
-            for branch_id, (path, forks) in self._saved_paths.items():
-                entry: dict = {"id": branch_id, "path": list(path)}
-                if forks > 1:
-                    entry["forks"] = forks
-                entries.append(entry)
-            for group in self._groups:
-                for child_id in group.arrived:
-                    entries.append(
-                        {"id": child_id, "path": list(group.parallel_path) + [-1]}
-                    )
-            for call_id, outcome in self.interrupted.items():
-                if isinstance(outcome, Passthrough):
-                    interrupted[call_id] = {"passthrough": outcome.token}
-                elif isinstance(outcome, Result):
-                    interrupted[call_id] = {"result": outcome.values}
-                else:
-                    interrupted[call_id] = {"jump": outcome.target}
+            return self._saved_state(self.log.seq)
+
+    def _saved_state(self, seq: int) -> dict:
+        """The workflow's source hash, the instance id, seq, the branches with
+        the path each restarts at, the context and its version, and the calls
+        the stop interrupted; caller holds the state lock."""
+        entries: list[dict] = []
+        for branch_id, (path, forks) in self._saved_paths.items():
+            entry: dict = {"id": branch_id, "path": list(path)}
+            if forks > 1:
+                entry["forks"] = forks
+            entries.append(entry)
+        for group in self._groups:
+            for child_id in group.arrived:
+                entries.append({"id": child_id, "path": list(group.parallel_path) + [-1]})
         entries.sort(key=lambda e: e["id"])
+        interrupted = {
+            call_id: {"passthrough": o.token} if isinstance(o, Passthrough)
+            else {"result": o.values} if isinstance(o, Result)
+            else {"jump": o.target}
+            for call_id, o in self.interrupted.items()
+        }
         return {
             "schema": SAVED_SCHEMA,
+            "workflow": self.ast.source_hash,
             "instance": self.instance_id,
-            "seq": self.log.seq,
+            "seq": seq,
             "branches": entries,
             "context": dict(self.store.current_values()),
             "version": self.store.version,
@@ -611,11 +616,13 @@ class WorkflowInstance:
     ) -> "WorkflowInstance":
         """Rebuild a stopped instance; branches restart at their saved paths.
 
-        This is the one check of a saved state: one it refuses raises
-        EngineError before the instance or its trace exists. The instance
-        continues the stopped one's id and seq unless options set them.
+        This is the one check of a saved state, its workflow hash included:
+        one it refuses raises EngineError before the instance or its trace
+        exists. It continues the stopped one's id and seq unless options do.
         """
         cls._check_saved(saved)
+        if saved["workflow"] != ast.source_hash:
+            raise EngineError("workflow source hash mismatch: refusing to resume")
         skip = frozenset(skip_positions)
         unknown = sorted(skip - set(dsl.positions(ast))) if skip else []
         if unknown:
@@ -696,6 +703,7 @@ class WorkflowInstance:
         if schema != SAVED_SCHEMA:
             raise EngineError(f"saved state has schema {schema!r}, expected {SAVED_SCHEMA}")
         for key, kind in (
+            ("workflow", str),
             ("instance", str),
             ("seq", int),
             ("branches", list),
@@ -1031,6 +1039,9 @@ class WorkflowInstance:
             # replay keeps its token
             if isinstance(outcome, Failure):
                 outcome = None if token is None else Passthrough(token)
+            # the stop record carries the result, so it must be values as a commit's are
+            if isinstance(outcome, Result) and not all(map(is_value, outcome.values.values())):
+                raise EngineError(f"call '{node.position}': handler result is not a value")
             if outcome is not None:
                 with self._state_lock:
                     self.interrupted[call_id] = outcome

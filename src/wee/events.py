@@ -180,7 +180,9 @@ class EventLog:
 
     def add_listener(self, fn: Callable[[EventRecord], None]) -> None:
         """Register a per-record callback; it runs on the emitting thread and
-        must not block (set an event and do real work elsewhere)."""
+        must not block (set an event and do real work elsewhere). It runs
+        after the record is written, outside the log's lock, so it may emit;
+        listeners of two branches may see their records out of seq order."""
         self._listeners.append(fn)
 
     def emit(

@@ -466,9 +466,10 @@ class RecursiveHandler(HandlerWrapper):
     budget is exhausted. The call waits on its stop token, which the nested
     instance's terminal record wakes. When the token is set, the nested
     instance stops and the call returns a Passthrough token holding the
-    nested saved state, its source and its depth budget as JSON; a later
-    call with that token, in this process or another, resumes the nested
-    instance where it stopped.
+    nested saved state, its source and its depth budget as JSON, which the
+    outer instance's instance_stop record keeps; a later call with that
+    token, in this process or another (`wee resume LOG`), resumes the
+    nested instance where it stopped.
     """
 
     RESERVED = ("workflow", "depth")
@@ -540,7 +541,7 @@ class RecursiveHandler(HandlerWrapper):
             return Failure(f"nested instance failed: {'; '.join(instance.errors)}")
         if result == "stopped" and call.stop.is_set():
             # the partial context is no result: the token carries the nested
-            # instance, so it survives the outer instance's saved file
+            # instance, so it survives in the outer instance's saved state
             nested = instance.handler
             parked = {
                 "source": nested.source,

@@ -1,17 +1,23 @@
 from __future__ import annotations
 
+import collections
 import json
 import socket
 import statistics
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
 import pytest
+from conftest import starts, wait_until
 
 from wee import cli, dsl
+from wee.engine import WorkflowInstance
 from wee.events import read_jsonl
+from wee.handlers import HandlerWrapper, MockHandler, Result
+from wee.patterns.harness import replay_context
 
 FIXTURES = Path(__file__).parent.parent / "src" / "wee" / "fixtures"
 
@@ -130,34 +136,71 @@ def test_run_with_a_bad_script_exits_one_with_one_line(tmp_path, capsys, content
     assert not log.exists()
 
 
-# a seq.wee instance stopped after its first call, its trace at seq 6
-STOPPED_SEQ = {
-    "schema": 3,
-    "instance": "i-seq",
-    "seq": 6,
-    "branches": [{"id": "0", "path": [1]}],
-    "context": {"done": False},
-    "version": 0,
-    "interrupted": {},
+# stops through wee://stop before its slow call, which a resume runs
+HALT_WEE = """
+workflow {
+  handler "mock"
+  endpoint svc: "mock://svc"
+  endpoint halt: "wee://stop"
+  context done: false
+  call :halt_here, endpoint: halt
+  call :slow, endpoint: svc
+  manipulate :fin { done = true }
 }
+"""
 
 
-def write_stopped_seq(seq_dir: Path, saved: dict = STOPPED_SEQ) -> Path:
-    path = seq_dir / "seq.wee.saved.json"
-    cli.write_saved_instance(path, saved, cli.source_hash(SEQ_WEE))
-    return path
+def halt_script(directory: Path, slow: dict) -> Path:
+    script = directory / "halt.script.json"
+    script.write_text(json.dumps({"positions": {"slow": slow}}))
+    return script
+
+
+def stopped_log(directory: Path) -> Path:
+    """The log of a halt.wee run, which ends in a stop at its slow call."""
+    workflow, log = directory / "halt.wee", directory / "halt.log"
+    workflow.write_text(HALT_WEE)
+    assert cli.main(["run", str(workflow), "--log", str(log), "--fixed-clock"]) == cli.EXIT_STOPPED
+    return log
+
+
+def resume_halted(log: Path, *options: str) -> int:
+    return cli.main(
+        ["resume", str(log), "--workflow", str(log.parent / "halt.wee"), *options]
+    )
+
+
+def edit_saved(log: Path, edit) -> None:
+    """Rewrite the saved state the log's last record carries."""
+    *head, last = log.read_text().splitlines(keepends=True)
+    record = json.loads(last)
+    record["detail"]["saved"] = edit(record["detail"]["saved"])
+    log.write_text("".join(head) + json.dumps(record, sort_keys=True) + "\n")
+
+
+@pytest.fixture
+def calls(monkeypatch) -> list[str]:
+    """The position of each call a mock handler in this process starts."""
+    started: list[str] = []
+    original = MockHandler.call
+
+    def call(self, call):
+        started.append(call.position)
+        return original(self, call)
+
+    monkeypatch.setattr(MockHandler, "call", call)
+    return started
 
 
 @pytest.mark.parametrize("content, message", BAD_SCRIPTS)
-def test_resume_with_a_bad_script_exits_one_with_one_line(seq_dir, capsys, content, message):
-    path = write_stopped_seq(seq_dir)
-    script = bad_script(seq_dir, content)
-    code = cli.main(
-        ["resume", str(path), "--workflow", str(seq_dir / "seq.wee"), "--script", str(script)]
-    )
-    assert code == cli.EXIT_ERROR
+def test_resume_with_a_bad_script_exits_one_with_one_line(tmp_path, capsys, content, message):
+    log = stopped_log(tmp_path)
+    before = log.read_bytes()
+    script = bad_script(tmp_path, content)
+    assert resume_halted(log, "--script", str(script)) == cli.EXIT_ERROR
     err = capsys.readouterr().err
     assert message in err and err.count("\n") == 1, err
+    assert log.read_bytes() == before
 
 
 # a script object with a field of the wrong type, or whose events file is
@@ -199,44 +242,133 @@ def test_run_with_a_bad_script_field_exits_one_with_one_line(
 
 @pytest.mark.parametrize("handler, config, events, message", BAD_FIELDS)
 def test_resume_with_a_bad_script_field_exits_one_with_one_line(
-    seq_dir, capsys, handler, config, events, message
+    tmp_path, capsys, handler, config, events, message
 ):
-    path = write_stopped_seq(seq_dir)
-    script = bad_field_script(seq_dir, handler, config, events)
-    code = cli.main(
-        ["resume", str(path), "--workflow", str(seq_dir / "seq.wee"), "--handler", handler]
-        + ["--script", str(script)]
-    )
-    assert code == cli.EXIT_ERROR
+    log = stopped_log(tmp_path)
+    before = log.read_bytes()
+    script = bad_field_script(tmp_path, handler, config, events)
+    assert resume_halted(log, "--handler", handler, "--script", str(script)) == cli.EXIT_ERROR
     err = capsys.readouterr().err
     assert err.startswith(message) and err.count("\n") == 1, err
+    assert log.read_bytes() == before
 
 
-# a --log that is a directory; a saved file that is not UTF-8 or not a JSON object
+def append_line(content: bytes):
+    return lambda log: log.write_bytes(log.read_bytes() + content)
+
+
+def make_directory(log: Path) -> None:
+    log.unlink()
+    log.mkdir()
+
+
+# a log that is a directory; a last line, where the saved state would be,
+# that is not UTF-8 or not a JSON object
 BAD_RESUME_FILES = [
-    pytest.param("log", None, "cannot open log", id="log-is-a-directory"),
-    pytest.param("saved", b"\xff{}", "cannot read saved instance", id="saved-not-utf8"),
-    pytest.param("saved", b"5", "is not a JSON object", id="saved-not-an-object"),
+    pytest.param(make_directory, "cannot open log", id="log-is-a-directory"),
+    pytest.param(append_line(b"\xff{}\n"), "its last line is not a record", id="saved-not-utf8"),
+    pytest.param(
+        append_line(b"5\n"), "its last record is not a resumable stop", id="saved-not-an-object"
+    ),
 ]
 
 
-@pytest.mark.parametrize("which, content, message", BAD_RESUME_FILES)
+@pytest.mark.parametrize("spoil, message", BAD_RESUME_FILES)
 def test_resume_with_a_bad_log_or_saved_file_exits_one_with_one_line(
-    seq_dir, capsys, which, content, message
+    tmp_path, capsys, calls, spoil, message
 ):
-    path = write_stopped_seq(seq_dir)
-    log = seq_dir / "run.log"
-    bad = log if which == "log" else path
-    if content is None:
-        bad.mkdir()
-    else:
-        bad.write_bytes(content)
-    code = cli.main(
-        ["resume", str(path), "--workflow", str(seq_dir / "seq.wee"), "--log", str(log)]
-    )
-    assert code == cli.EXIT_ERROR
+    log = stopped_log(tmp_path)
+    spoil(log)
+    before = None if log.is_dir() else log.read_bytes()
+    assert resume_halted(log) == cli.EXIT_ERROR
     err = capsys.readouterr().err
     assert message in err and err.count("\n") == 1, err
+    assert (None if log.is_dir() else log.read_bytes()) == before
+    assert calls == []
+
+
+def resumed_once(script: dict, code: int):
+    def resume(log: Path) -> None:
+        assert resume_halted(log, "--script", str(halt_script(log.parent, script))) == code
+
+    return resume
+
+
+def cut_short(log: Path) -> None:
+    log.write_bytes(log.read_bytes()[:-40])  # as a killed writer leaves it
+
+
+def old_saved_file(log: Path) -> None:
+    # what `wee run --save` wrote before the trace carried the saved state
+    saved = json.loads(log.read_text().splitlines()[-1])["detail"]["saved"]
+    saved = {k: v for k, v in saved.items() if k != "workflow"}
+    payload = {"hash": dsl.parse(HALT_WEE).source_hash, **saved, "schema": 3}
+    log.write_text(json.dumps(payload, indent=2) + "\n")
+
+
+def other_workflow(log: Path) -> None:
+    other = dsl.parse(HALT_WEE.replace(":fin", ":renamed")).source_hash
+    edit_saved(log, lambda saved: {**saved, "workflow": other})
+
+
+NOT_A_RESUMABLE_STOP = [
+    pytest.param(
+        resumed_once({"result": {}}, cli.EXIT_FINISHED),
+        "its last record is not a resumable stop",
+        id="finished",
+    ),
+    pytest.param(
+        resumed_once({"error": "down"}, cli.EXIT_ERROR),
+        "its last record is not a resumable stop",
+        id="error-stop",
+    ),
+    pytest.param(cut_short, "does not end in a whole line", id="last-line-cut-short"),
+    pytest.param(lambda log: log.write_bytes(b""), "does not end in a whole line", id="empty"),
+    pytest.param(Path.unlink, "cannot open log", id="missing"),
+    pytest.param(old_saved_file, "its last line is not a record", id="a-saved-json-file"),
+    pytest.param(
+        other_workflow, "workflow source hash mismatch: refusing to resume", id="another-workflow"
+    ),
+]
+
+
+@pytest.mark.parametrize("make, message", NOT_A_RESUMABLE_STOP)
+def test_resume_refuses_a_log_that_does_not_end_in_a_resumable_stop(
+    tmp_path, capsys, calls, make, message
+):
+    log = stopped_log(tmp_path)
+    make(log)
+    capsys.readouterr()
+    calls.clear()
+    before = log.read_bytes() if log.exists() else None
+    assert resume_halted(log) == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert message in err and err.count("\n") == 1, err
+    assert (log.read_bytes() if log.exists() else None) == before
+    assert calls == []
+
+
+def test_two_resumes_started_together_run_once(tmp_path):
+    log = stopped_log(tmp_path)
+    script = halt_script(tmp_path, {"result": {}, "delay_ms": 1000})
+    command = wee_cmd(
+        "resume", str(log), "--workflow", str(tmp_path / "halt.wee"), "--script", str(script)
+    )
+    procs = [
+        subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        for _ in range(2)
+    ]
+    errs = [proc.communicate(timeout=20)[1] for proc in procs]
+    outcomes = sorted(zip([proc.returncode for proc in procs], errs))
+    assert [code for code, _ in outcomes] == [cli.EXIT_FINISHED, cli.EXIT_ERROR], outcomes
+    refusal = outcomes[1][1]
+    assert refusal.count("\n") == 1, refusal
+    assert "is being resumed by another process" in refusal or "not a resumable stop" in refusal
+    records = read_jsonl(log)
+    assert [r.seq for r in records] == list(range(1, len(records) + 1))
+    positions = [r.position for r in records if r.kind == "activity_start"]
+    assert positions == ["halt_here", "slow", "fin"]
+    assert records[-1].kind == "instance_finish"
 
 
 def test_run_iteration_cap_exit_one(tmp_path):
@@ -288,77 +420,66 @@ def test_check_lists_every_activity_once():
         assert proc.stdout.count(f"\n{name} ") == 1
 
 
-def _start_run(seq_dir: Path):
-    control = seq_dir / "ctl.sock"
-    log = seq_dir / "seq.log"
-    saved = seq_dir / "seq.saved.json"
+def started(log: Path, position: str, after: int) -> bool:
+    """Whether position has started in the log past its first `after` records."""
+    return log.exists() and any(
+        r.kind == "activity_start" and r.position == position for r in read_jsonl(log)[after:]
+    )
+
+
+def start_controlled(command: list[str], control: Path, log: Path, position: str):
+    """Start `wee <command> --control CONTROL`; return once position is in flight."""
+    after = len(read_jsonl(log)) if log.exists() else 0
     proc = subprocess.Popen(
-        wee_cmd(
-            "run",
-            str(seq_dir / "seq.wee"),
-            "--handler",
-            "mock",
-            "--script",
-            str(seq_dir / "seq.script.json"),
-            "--log",
-            str(log),
-            "--control",
-            str(control),
-            "--save",
-            str(saved),
-        ),
+        wee_cmd(*command, "--control", str(control)),
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
     )
-    deadline = time.monotonic() + 5
-    while time.monotonic() < deadline and not control.exists():
-        time.sleep(0.01)
-    # wait for the first call to be in flight
-    deadline = time.monotonic() + 5
-    while time.monotonic() < deadline:
-        if log.exists() and any(
-            r.kind == "activity_start" for r in read_jsonl(log)
-        ):
-            break
-        time.sleep(0.01)
-    return proc, control, log, saved
+    in_flight = wait_until(lambda: control.exists() and started(log, position, after), 10)
+    assert in_flight, f"{position} did not start"
+    return proc
 
 
-def test_stop_resume_round_trip(seq_dir):
-    proc, control, log, saved = _start_run(seq_dir)
-
+def stop_controlled(control: Path, proc) -> None:
     stop = subprocess.run(
         wee_cmd("stop", "--control", str(control)), capture_output=True, text=True
     )
-    assert stop.returncode == 0, stop.stderr
-    assert stop.stdout.startswith("stopped")
-    assert proc.wait(timeout=10) == 2
+    assert (stop.returncode, stop.stdout) == (0, "stopped\n"), stop
+    assert proc.wait(timeout=10) == cli.EXIT_STOPPED
 
-    payload = json.loads(saved.read_text())
-    assert payload["schema"] == 3
-    assert payload["interrupted"] == {"0/one": {"passthrough": "p-one"}}
-    assert payload["hash"] == cli.source_hash((seq_dir / "seq.wee").read_text())
+
+def _start_run(seq_dir: Path):
+    control, log = seq_dir / "ctl.sock", seq_dir / "seq.log"
+    command = ["run", str(seq_dir / "seq.wee"), "--handler", "mock"]
+    command += ["--script", str(seq_dir / "seq.script.json"), "--log", str(log)]
+    return start_controlled(command, control, log, "one"), control, log
+
+
+def resume_seq(seq_dir: Path, log: Path, *options: str):
+    return subprocess.run(
+        wee_cmd("resume", str(log), "--workflow", str(seq_dir / "seq.wee"), "--handler", "mock")
+        + ["--script", str(seq_dir / "seq.script.json"), *options],
+        capture_output=True,
+        text=True,
+    )
+
+
+def test_stop_resume_round_trip(seq_dir):
+    proc, control, log = _start_run(seq_dir)
+    stop_controlled(control, proc)
 
     pre_records = read_jsonl(log)
     ack = next(i for i, r in enumerate(pre_records) if r.kind == "stop_acknowledged")
     assert not [r for r in pre_records[ack + 1 :] if r.kind == "activity_start"]
+    # the log's last record is the stop, and carries the saved state
+    stop = pre_records[-1]
+    assert stop.kind == "instance_stop" and stop.detail["source"] == "controller"
+    saved = stop.detail["saved"]
+    assert saved["schema"] == 4 and saved["seq"] == stop.seq
+    assert saved["interrupted"] == {"0/one": {"passthrough": "p-one"}}
+    assert saved["workflow"] == dsl.parse(SEQ_WEE).source_hash
 
-    resume = subprocess.run(
-        wee_cmd(
-            "resume",
-            str(saved),
-            "--workflow",
-            str(seq_dir / "seq.wee"),
-            "--handler",
-            "mock",
-            "--script",
-            str(seq_dir / "seq.script.json"),
-            "--log",
-            str(log),
-        ),
-        capture_output=True,
-        text=True,
-    )
+    resume = resume_seq(seq_dir, log)
     assert resume.returncode == 0, resume.stderr
 
     records = read_jsonl(log)
@@ -368,30 +489,19 @@ def test_stop_resume_round_trip(seq_dir):
     post = records[len(pre_records) :]
     assert [r.position for r in post if r.kind == "activity_start"] == ["one", "two", "fin"]
 
+    # the stop is resumed once
+    finished = log.read_bytes()
+    again = resume_seq(seq_dir, log)
+    assert again.returncode == 1
+    assert again.stderr == f"{log}: its last record is not a resumable stop\n"
+    assert log.read_bytes() == finished
+
 
 def test_resume_with_skip_region(seq_dir):
-    proc, control, log, saved = _start_run(seq_dir)
-    subprocess.run(wee_cmd("stop", "--control", str(control)), capture_output=True)
-    proc.wait(timeout=10)
+    proc, control, log = _start_run(seq_dir)
+    stop_controlled(control, proc)
 
-    resume = subprocess.run(
-        wee_cmd(
-            "resume",
-            str(saved),
-            "--workflow",
-            str(seq_dir / "seq.wee"),
-            "--handler",
-            "mock",
-            "--script",
-            str(seq_dir / "seq.script.json"),
-            "--log",
-            str(log),
-            "--skip-region",
-            "one..two",
-        ),
-        capture_output=True,
-        text=True,
-    )
+    resume = resume_seq(seq_dir, log, "--skip-region", "one..two")
     assert resume.returncode == 0, resume.stderr
     pre_count = next(
         i for i, r in enumerate(read_jsonl(log)) if r.kind == "instance_stop"
@@ -402,19 +512,94 @@ def test_resume_with_skip_region(seq_dir):
 
 
 def test_resume_rejects_edited_source(seq_dir):
-    proc, control, log, saved = _start_run(seq_dir)
-    subprocess.run(wee_cmd("stop", "--control", str(control)), capture_output=True)
-    proc.wait(timeout=10)
+    proc, control, log = _start_run(seq_dir)
+    stop_controlled(control, proc)
+    stopped = log.read_bytes()
 
     edited = seq_dir / "edited.wee"
     edited.write_text(SEQ_WEE.replace(":fin", ":renamed"))
     resume = subprocess.run(
-        wee_cmd("resume", str(saved), "--workflow", str(edited), "--handler", "mock"),
+        wee_cmd("resume", str(log), "--workflow", str(edited), "--handler", "mock"),
         capture_output=True,
         text=True,
     )
     assert resume.returncode == 1
-    assert "hash mismatch" in resume.stderr
+    assert resume.stderr == "workflow source hash mismatch: refusing to resume\n"
+    assert log.read_bytes() == stopped
+
+
+CHAIN_WEE = """
+workflow {
+  handler "mock"
+  endpoint svc: "mock://svc"
+  context a: 0
+  context b: 0
+  context done: false
+  call :one, endpoint: svc
+  call :two, endpoint: svc
+  manipulate :fin { done = true }
+}
+"""
+
+
+def chain_script(directory: Path, delay_ms: int) -> Path:
+    script = directory / f"chain{delay_ms}.json"
+    script.write_text(
+        json.dumps(
+            {
+                "positions": {
+                    "one": {"result": {"a": 1}, "delay_ms": delay_ms, "token": "p-one"},
+                    "two": {"result": {"b": 2}, "delay_ms": delay_ms, "token": "p-two"},
+                },
+                "passthroughs": {"p-one": {"result": {"a": 1}}, "p-two": {"result": {"b": 2}}},
+            }
+        )
+    )
+    return script
+
+
+def test_a_stop_resume_stop_resume_chain_keeps_one_log(tmp_path):
+    workflow, log, control = tmp_path / "chain.wee", tmp_path / "chain.log", tmp_path / "c.sock"
+    workflow.write_text(CHAIN_WEE)
+    slow = str(chain_script(tmp_path, 5000))
+    resume = ["resume", str(log), "--workflow", str(workflow), "--script", slow]
+    stop_controlled(
+        control, start_controlled(["run", str(workflow), "--script", slow, "--log", str(log)],
+                                  control, log, "one")
+    )
+    # the resume replays one, then the second stop catches two
+    stop_controlled(control, start_controlled(resume, control, log, "two"))
+    assert cli.main(resume) == cli.EXIT_FINISHED
+
+    reference = tmp_path / "reference.log"
+    fast = str(chain_script(tmp_path, 0))
+    assert cli.main(["run", str(workflow), "--script", fast, "--log", str(reference)]) == 0
+
+    records = read_jsonl(log)
+    assert [r.seq for r in records] == list(range(1, len(records) + 1))
+    assert len({r.instance for r in records}) == 1
+    assert records[-1].kind == "instance_finish"
+    initial = {"a": 0, "b": 0, "done": False}
+    final = replay_context(records, initial)
+    assert final == replay_context(read_jsonl(reference), initial) == {
+        "a": 1, "b": 2, "done": True
+    }
+    # each call starts once, apart from the replays of the calls a stop interrupted
+    replays: set[str] = set()
+    fresh: collections.Counter[str] = collections.Counter()
+    for r in records:
+        if r.kind == "instance_stop":
+            replays |= set(r.detail["saved"]["interrupted"])
+        elif r.kind == "activity_start":
+            call_id = f"{r.branch}/{r.position}"
+            if call_id in replays:
+                replays.remove(call_id)
+            else:
+                fresh[call_id] += 1
+    assert fresh == {"0/one": 1, "0/two": 1, "0/fin": 1}
+    assert replays == set()
+    stops = [r.detail["saved"]["interrupted"] for r in records if r.kind == "instance_stop"]
+    assert stops == [{"0/one": {"passthrough": "p-one"}}, {"0/two": {"passthrough": "p-two"}}]
 
 
 NESTED_COUNT_WEE = """
@@ -434,37 +619,21 @@ workflow {
 def test_stop_resume_recursive_call_across_processes(tmp_path):
     workflow = tmp_path / "nest.wee"
     workflow.write_text(NESTED_COUNT_WEE)
-    log, control, saved = tmp_path / "log.jsonl", tmp_path / "ctl.sock", tmp_path / "s.json"
-    proc = subprocess.Popen(
-        wee_cmd(
-            "run", str(workflow), "--log", str(log), "--control", str(control), "--save", str(saved)
-        ),
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
-    )
-    deadline = time.monotonic() + 5
-    while time.monotonic() < deadline and not (
-        control.exists()
-        and log.exists()
-        and any(r.kind == "activity_start" for r in read_jsonl(log))
-    ):
-        time.sleep(0.01)
+    log, control = tmp_path / "log.jsonl", tmp_path / "ctl.sock"
+    proc = start_controlled(["run", str(workflow), "--log", str(log)], control, log, "nest")
     time.sleep(0.1)  # the nested instance is counting
-    stop = subprocess.run(
-        wee_cmd("stop", "--control", str(control)), capture_output=True, text=True
-    )
-    assert stop.stdout.startswith("stopped"), stop.stderr
-    assert proc.wait(timeout=10) == 2
+    stop_controlled(control, proc)
 
-    # the token carries the stopped nested instance into the saved file
-    payload = json.loads(saved.read_text())
-    token = json.loads(payload["interrupted"]["0/nest"]["passthrough"])
-    assert token["saved"]["schema"] == 3
+    # the token carries the stopped nested instance into the stop record
+    saved = read_jsonl(log)[-1].detail["saved"]
+    token = json.loads(saved["interrupted"]["0/nest"]["passthrough"])
+    assert token["saved"]["schema"] == 4
+    assert token["saved"]["workflow"] == saved["workflow"]
     assert 0 < token["saved"]["context"]["total"] < 40000
-    assert payload["context"]["total"] == 0
+    assert saved["context"]["total"] == 0
 
     resume = subprocess.run(
-        wee_cmd("resume", str(saved), "--workflow", str(workflow), "--log", str(log)),
+        wee_cmd("resume", str(log), "--workflow", str(workflow)),
         capture_output=True,
         text=True,
     )
@@ -486,12 +655,8 @@ def test_stop_unknown_instance_errors(tmp_path):
 
 
 def test_stop_after_terminal_is_noop(seq_dir):
-    proc, control, log, saved = _start_run(seq_dir)
-    # stop while the instance is live, keep the process around long enough to
-    # answer a second stop: use the python API against the same socket twice
-    first = subprocess.run(wee_cmd("stop", "--control", str(control)), capture_output=True, text=True)
-    assert first.returncode == 0
-    proc.wait(timeout=10)
+    proc, control, log = _start_run(seq_dir)
+    stop_controlled(control, proc)
     # the process has exited: a later stop is an unknown instance
     second = subprocess.run(
         wee_cmd("stop", "--control", str(control), "--timeout", "0.5"),
@@ -504,25 +669,62 @@ def test_stop_after_terminal_is_noop(seq_dir):
 # -- unit-level helpers -------------------------------------------------------
 
 
-def test_control_server_reports_already_terminal(tmp_path):
-    from wee.engine import WorkflowInstance
-    from wee.handlers import MockHandler
+def control_reply(control: Path) -> str:
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+        sock.settimeout(5)
+        sock.connect(str(control))
+        sock.sendall(b"stop\n")
+        return sock.makefile().readline().strip()
 
+
+def test_control_server_reports_already_terminal(tmp_path):
     instance = WorkflowInstance(
         dsl.parse('workflow { handler "mock" manipulate :a { } }'), MockHandler()
     )
     instance.run()
     control = tmp_path / "ctl.sock"
-    server = cli._ControlServer(str(control), instance, lambda: "unused")
+    server = cli._ControlServer(str(control), instance)
     try:
-        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
-            sock.settimeout(5)
-            sock.connect(str(control))
-            sock.sendall(b"stop\n")
-            reply = sock.makefile().readline().strip()
-        assert reply == "already-terminal finished"
+        assert control_reply(control) == "already-terminal finished"
     finally:
         server.close()
+
+
+class Gated(HandlerWrapper):
+    """Answers each call once released."""
+
+    def __init__(self):
+        self.release = threading.Event()
+
+    def call(self, call):
+        self.release.wait(5)
+        return Result({})
+
+
+def test_a_stop_that_the_instance_outruns_replies_already_terminal(tmp_path):
+    handler = Gated()
+    instance = WorkflowInstance(
+        dsl.parse('workflow { handler "mock" endpoint s: "mock://s" call :c, endpoint: s }'),
+        handler,
+    )
+    instance.start()
+    assert wait_until(lambda: starts(instance, "c"))
+    request_stop = instance.request_stop
+
+    def finish_first(source="controller"):
+        # the instance ends between the control server's request and its stop
+        handler.release.set()
+        assert instance.wait() == "finished"
+        request_stop(source)
+
+    instance.request_stop = finish_first
+    control = tmp_path / "ctl.sock"
+    server = cli._ControlServer(str(control), instance)
+    try:
+        assert control_reply(control) == "already-terminal finished"
+    finally:
+        server.close()
+    assert instance.result == "finished"
 
 
 def test_run_with_control_socket_exits_promptly(tmp_path):
@@ -557,25 +759,14 @@ def test_parse_skip_region_expands_source_range():
         cli.parse_skip_region("ghost..two", ast)
 
 
-def test_saved_instance_schema_round_trip(tmp_path):
-    path = tmp_path / "s.json"
-    cli.write_saved_instance(path, STOPPED_SEQ, "ff" * 32)
-    loaded = cli.load_saved_instance(path)
-    assert loaded == {"hash": "ff" * 32, **STOPPED_SEQ}
-    with pytest.raises(cli.ControllerError, match="has no source hash"):
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(STOPPED_SEQ))
-        cli.load_saved_instance(bad)
-
-
-def test_resume_of_a_saved_state_of_the_wrong_shape_exits_one(seq_dir, capsys):
+def test_resume_of_a_saved_state_of_the_wrong_shape_exits_one(tmp_path, capsys):
     # a state the engine refuses, as this wee and as the previous format wrote it
     refused = {
-        "corrupt saved state: branch 0: path 0": {
-            **STOPPED_SEQ,
+        "corrupt saved state: branch 0: path 0": lambda saved: {
+            **saved,
             "branches": [{"id": "0", "path": 0}],
         },
-        "saved state has schema 2, expected 3": {
+        "saved state has schema 2, expected 4": lambda saved: {
             "schema": 2,
             "lifecycle": "stopped",
             "branches": [{"id": "0", "path": [1]}],
@@ -585,34 +776,14 @@ def test_resume_of_a_saved_state_of_the_wrong_shape_exits_one(seq_dir, capsys):
             "ended_calls": {},
         },
     }
-    prior = seq_dir / "prior.jsonl"
-    prior.write_text('{"seq": 1}\n')
-    for message, saved in refused.items():
-        path = write_stopped_seq(seq_dir, saved)
-        for log in (prior, seq_dir / "fresh.jsonl"):
-            code = cli.main(
-                ["resume", str(path), "--workflow", str(seq_dir / "seq.wee"), "--handler", "mock"]
-                + ["--log", str(log)]
-            )
-            assert code == cli.EXIT_ERROR
-            assert capsys.readouterr().err == message + "\n"
-        assert prior.read_text() == '{"seq": 1}\n'
-        assert not (seq_dir / "fresh.jsonl").exists()
-
-
-def test_a_resume_to_stdout_or_to_a_fresh_file_continues_the_id_and_seq(seq_dir, capsys):
-    path, fresh = write_stopped_seq(seq_dir), seq_dir / "fresh.jsonl"
-    for log in (["--log", str(fresh)], []):  # a new file, then stdout
-        code = cli.main(
-            ["resume", str(path), "--workflow", str(seq_dir / "seq.wee"), "--handler", "mock"]
-            + ["--script", str(seq_dir / "seq.script.json"), "--fixed-clock", *log]
-        )
-        assert code == cli.EXIT_FINISHED
-    to_file = [r.to_json() for r in read_jsonl(fresh)]
-    assert [json.loads(line) for line in capsys.readouterr().out.splitlines()] == to_file
-    assert [r["seq"] for r in to_file] == list(range(7, 7 + len(to_file)))
-    assert {r["instance"] for r in to_file} == {"i-seq"}
-    assert to_file[-1]["kind"] == "instance_finish"
+    for message, edit in refused.items():
+        log = stopped_log(tmp_path)
+        edit_saved(log, edit)
+        before = log.read_bytes()
+        capsys.readouterr()
+        assert resume_halted(log, "--handler", "mock") == cli.EXIT_ERROR
+        assert capsys.readouterr().err == message + "\n"
+        assert log.read_bytes() == before
 
 
 def test_run_with_a_log_in_a_missing_directory_exits_one_with_one_line(tmp_path, capsys):
@@ -679,10 +850,12 @@ def test_exit_code_contract_mapping(tmp_path):
     workflow.write_text(
         'workflow { handler "mock" endpoint h: "wee://stop" call :q, endpoint: h }'
     )
+    log = tmp_path / "halt.log"
     proc = subprocess.run(
-        wee_cmd("run", str(workflow), "--handler", "mock", "--save", str(tmp_path / "s.json")),
+        wee_cmd("run", str(workflow), "--handler", "mock", "--log", str(log)),
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 2
-    assert (tmp_path / "s.json").exists()
+    stop = read_jsonl(log)[-1]
+    assert stop.kind == "instance_stop" and stop.detail["saved"]["seq"] == stop.seq

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import json
 import os
 import signal
@@ -645,7 +646,8 @@ def test_stop_records_passthrough_of_blocked_call():
     assert instance.interrupted == {"0/one": Passthrough("p-one")}
     saved = instance.save()
     assert saved == {
-        "schema": 3,
+        "schema": 4,
+        "workflow": hashlib.sha256(STOPPABLE.encode()).hexdigest(),
         "instance": instance.instance_id,
         "seq": instance.log.records[-1].seq,
         "branches": [{"id": "0", "path": [0]}],
@@ -654,6 +656,8 @@ def test_stop_records_passthrough_of_blocked_call():
         "interrupted": {"0/one": {"passthrough": "p-one"}},
     }
     assert json.loads(json.dumps(saved)) == saved
+    # the terminal record carries the same state
+    assert instance.log.records[-1].detail == {"source": "controller", "saved": saved}
 
 
 class EntersAfterStopHandler(MockHandler):

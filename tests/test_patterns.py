@@ -8,6 +8,7 @@ from unittest import mock
 
 import pytest
 
+from wee import dsl
 from wee.engine import RunOptions
 from wee.events import EventRecord
 from wee.patterns import harness
@@ -165,6 +166,24 @@ def test_virtual_time_case_trace_matches_golden(case):
     with mock.patch.object(harness, "RunOptions", trace_variants.fixed_options):
         records = harness.run_case_workflow(case, 0).records
     assert trace_variants.trace_bytes(records) == (GOLDEN / f"{case.slug}.jsonl").read_bytes()
+
+
+# the runnable cases whose first phase stops
+STOPPED_SLUGS = {
+    "cancel_case", "cancel_mi_activity", "cancel_region", "cancel_task", "explicit_termination"
+}
+STOPPED_CASES = [case for case in VIRTUAL_TIME_CASES if case.slug in STOPPED_SLUGS]
+
+
+@pytest.mark.parametrize("case", STOPPED_CASES, ids=lambda case: case.slug)
+def test_a_stopped_case_s_stop_record_carries_what_save_returns(case):
+    assert len(STOPPED_CASES) == len(STOPPED_SLUGS)
+    run = harness.run_case_workflow(case, 0)
+    stop = next(r for r in run.records if r.kind == "instance_stop")
+    assert run.saved is not None  # the harness's instance.save() after the stop
+    assert stop.detail["saved"] == run.saved
+    assert run.saved["seq"] == stop.seq
+    assert run.saved["workflow"] == dsl.parse(case.source).source_hash
 
 
 def test_run_single_pattern():

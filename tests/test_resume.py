@@ -18,8 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wee import dsl
-from wee.engine import EngineError, WorkflowInstance
-from wee.handlers import Failure, MockHandler, Passthrough
+from wee.engine import EngineError, RunOptions, WorkflowInstance
+from wee.events import read_jsonl
+from wee.handlers import Failure, MockHandler, Passthrough, Result
 
 
 def wait_for(instance, predicate, timeout=5.0):
@@ -650,7 +651,7 @@ def test_resume_rejects_saved_state_without_schema():
     assert wait_for(instance, lambda rs: len(starts_of(rs, "slow")) == 1)
     instance.deliver_stop()
     saved = instance.save()
-    assert saved["schema"] == 3
+    assert saved["schema"] == 4
     # as an older wee wrote it: no schema, passthroughs keyed by position
     del saved["schema"], saved["interrupted"]
     saved["passthroughs"] = {"slow": "tok-slow"}
@@ -762,10 +763,22 @@ def bad_entry(entry, case_id: str):
 @pytest.mark.parametrize(
     "edit, message",
     [
-        pytest.param(as_schema_2, "saved state has schema 2, expected 3", id="schema-2"),
+        pytest.param(as_schema_2, "saved state has schema 2, expected 4", id="schema-2"),
         *(
             pytest.param(without(key), f"corrupt saved state: no {key}", id=f"no-{key}")
-            for key in ("instance", "seq", "branches", "context", "version", "interrupted")
+            for key in (
+                "workflow", "instance", "seq", "branches", "context", "version", "interrupted"
+            )
+        ),
+        pytest.param(
+            replaced("workflow", None),
+            "corrupt saved state: workflow None",
+            id="workflow-not-a-string",
+        ),
+        pytest.param(
+            replaced("workflow", "0" * 64),
+            "workflow source hash mismatch: refusing to resume",
+            id="workflow-of-another-source",
         ),
         pytest.param(
             replaced("instance", 7), "corrupt saved state: instance 7", id="instance-not-a-string"
@@ -915,6 +928,28 @@ def test_call_that_ends_after_the_stop_is_not_called_again():
     assert resumed.run() == "finished"
     assert handler.invocations == {"slow": 1}
     assert resumed.store.current_values()["done"] == 1
+
+
+class EndsWithASet(MockHandler):
+    """Ends its call, once the stop token is set, with a result that is not a value."""
+
+    def call(self, call):
+        call.stop.wait(5)
+        return Result({"done": {1, 2}})
+
+
+def test_a_result_the_stop_catches_that_is_not_a_value_ends_the_instance_in_an_error(tmp_path):
+    log = tmp_path / "trace.jsonl"
+    instance = WorkflowInstance(
+        dsl.parse(ONE_SLOW_CALL), EndsWithASet(), RunOptions(log_path=str(log))
+    )
+    instance.start()
+    assert wait_for(instance, lambda rs: len(starts_of(rs, "slow")) == 1)
+    # the stop record could not carry the result: the instance ends, in an error
+    assert instance.deliver_stop() == "error"
+    assert instance.errors == ["call 'slow': handler result is not a value"]
+    stop = read_jsonl(log)[-1]
+    assert stop.kind == "instance_stop" and "saved" not in stop.detail
 
 
 def test_stop_after_the_last_activity_resumes_to_finished():
