@@ -1,15 +1,15 @@
 """Command-line controller: run, stop, resume, and check workflows.
 
 `wee run` executes a workflow to its terminal state and writes the JSONL
-event log; exit code 0 means finished, 2 stopped, 1 error. A run started
-with --control listens on a unix socket so `wee stop` can park the instance.
-A stopped instance's last record carries its saved state, so `wee resume
-LOG` reads only that line and appends the resumed trace to LOG, optionally
-skipping a region of positions (`--skip-region first..last`). The resumed
-instance keeps the stopped one's id and continues its seq. Once it has
-written a record, LOG no longer ends in a resumable stop, so a stop is
-resumed once; an exclusive lock on LOG keeps two resumes from racing. The
-engine alone checks the saved state.
+event log; exit code 0 means finished, 2 stopped, 1 error, a usage error
+included. A run started with --control listens on a unix socket so `wee
+stop` can park the instance. A stopped instance's last record carries its
+saved state, so `wee resume LOG` reads only that line and appends the
+resumed trace to LOG, optionally skipping a region of positions
+(`--skip-region first..last`). The resumed instance keeps the stopped one's
+id and continues its seq. Once it has written a record, LOG no longer ends
+in a resumable stop, so a stop is resumed once; an exclusive lock on LOG
+keeps two resumes from racing. The engine alone checks the saved state.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import socket
 import sys
 import threading
 from pathlib import Path
-from typing import Optional
+from typing import NoReturn, Optional
 
 from . import dsl
 from .engine import EngineError, RunOptions, WorkflowInstance
@@ -328,8 +328,17 @@ def cmd_patterns(args: argparse.Namespace) -> int:
     return EXIT_FINISHED if report.all_passed else EXIT_ERROR
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error, as on any other: 2 means stopped. The
+    subcommands' parsers are of this class too."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="wee", description="workflow execution engine")
+    parser = _Parser(prog="wee", description="workflow execution engine")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser) -> None:

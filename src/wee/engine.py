@@ -19,15 +19,18 @@ position, so one position running in several branches at once is still
 several calls to stop and to resume. resume() alone checks a saved state,
 and the resumed instance continues the stopped one's id and seq.
 
-Branch coordination uses one lock and one condition built on it per
-instance. The lock guards the stop request, each branch's cancel flag and
-in-flight call, the registries of live branches and open joins, the saved
-paths and the critical-section owners; every change that can unblock a
-waiter notifies the condition. Handlers are never called while the lock is
-held; stop tokens are set under it. The engine keeps only live state: a
-branch leaves the registry when it arrives at its join or ends, and a join
-when it closes. The branch that leaves the registry last emits the terminal
-record and closes the trace in the same locked section, so an instance ends
+Branch coordination uses one lock per instance. It guards the stop request,
+each branch's cancel flag, in-flight call and what it is blocked on, the
+registries of live branches and open joins, the saved paths and the
+critical-section owners. A blocked branch waits on a baton of its own, and
+only what can unblock it wakes it: a join that fires wakes its parent, a
+cancel the branches it cancels, a stop every live branch, and a section's
+exit its earliest-forked waiter, which passes the wake on if it parks or
+stands down instead. Handlers are never called while the lock is held; stop
+tokens are set under it. The engine keeps only live state: a branch leaves
+the registry when it arrives at its join or ends, and a join when it closes.
+The branch that leaves the registry last emits the terminal record, closes
+the trace and wakes wait() in the same locked section, so an instance ends
 whether or not anyone waits on it, and no record follows its terminal one.
 
 Under RunOptions(virtual_time=True) the branch threads take turns on a
@@ -181,8 +184,8 @@ def _fork_order(branch_id: str) -> tuple[int, ...]:
 class _Timeline:
     """Virtual time for one instance: its branch threads take turns.
 
-    The branch that holds the baton runs until it blocks: on the instance
-    condition, on its call's stop token, or by ending. Releasing the baton
+    The branch that holds the baton runs until it blocks, on a join, a
+    critical section or its call's stop token, or ends. Releasing the baton
     first runs, in the releasing thread, every timer that is due; then the
     baton goes to the runnable branch forked earliest. When no branch can
     run, the clock jumps to the next timer. A forked child is runnable at
@@ -201,7 +204,6 @@ class _Timeline:
         self._holder: Optional[_Branch] = None  # the branch with the baton
         self._ready: list[tuple[tuple[int, ...], _Branch]] = []  # heap, by fork order
         self._live = 0  # branches added that have not ended
-        self._cond_waiters: list[_Branch] = []
         # blocked in a token wait: token -> (branch, its timeout's timer)
         self._token_waiters: dict[StopToken, tuple[_Branch, Optional[list]]] = {}
         # heap of [due, seq, action]; a withdrawn timer's action is None
@@ -209,15 +211,10 @@ class _Timeline:
         self._seq = itertools.count()
 
     def add(self, branch: _Branch) -> None:
-        """Make a new branch runnable; its thread waits in enter()."""
-        branch.baton = threading.Lock()
-        branch.baton.acquire()
+        """Make a new branch runnable; its thread first waits for its baton."""
         with self._lock:
             self._live += 1
             self._make_ready(branch)
-
-    def enter(self, branch: _Branch) -> None:
-        branch.baton.acquire()  # type: ignore[union-attr]
 
     def leave(self, branch: _Branch) -> None:
         """The branch has ended: give the baton away for good."""
@@ -229,22 +226,10 @@ class _Timeline:
         with self._lock:
             heapq.heappush(self._timers, [self.now + delay, next(self._seq), action])
 
-    def wait_cond(self, branch: _Branch, state_lock: threading.Lock) -> None:
-        """Wait on the instance condition; caller holds the state lock and the baton."""
+    def wake(self, branch: _Branch) -> None:
+        """Make a branch blocked in pass_baton() runnable."""
         with self._lock:
-            self._cond_waiters.append(branch)
-        state_lock.release()
-        try:
-            self._pass(branch)
-        finally:
-            state_lock.acquire()
-
-    def notify(self) -> None:
-        """Make every branch waiting on the instance condition runnable."""
-        with self._lock:
-            for branch in self._cond_waiters:
-                self._make_ready(branch)
-            self._cond_waiters.clear()
+            self._make_ready(branch)
 
     def wait_token(self, token: _TimedToken, timeout: Optional[float]) -> bool:
         with self._lock:
@@ -258,7 +243,7 @@ class _Timeline:
                     heapq.heappush(self._timers, timer)
                 self._token_waiters[token] = (token.branch, timer)
         if blocked:
-            self._pass(token.branch)
+            self.pass_baton(token.branch)
         return token.is_set()
 
     def token_changed(self, token: StopToken) -> None:
@@ -281,12 +266,12 @@ class _Timeline:
         # caller holds self._lock; the baton is free and a branch is ready
         branch = heapq.heappop(self._ready)[1]
         self._holder = branch
-        branch.baton.release()  # type: ignore[union-attr]
+        branch.baton.release()
 
-    def _pass(self, branch: _Branch) -> None:
+    def pass_baton(self, branch: _Branch) -> None:
         """Give up the baton and wait until it comes back."""
         self._release()
-        branch.baton.acquire()  # type: ignore[union-attr]
+        branch.baton.acquire()
 
     def _release(self) -> None:
         """Run the due timers, then hand the baton to the next branch.
@@ -338,19 +323,6 @@ class _TimedToken(StopToken):
         return self.timeline.wait_token(self, timeout)
 
 
-class _TimelineCondition(threading.Condition):
-    """The instance condition under virtual time: a notify also makes the
-    branches waiting on it through the timeline runnable."""
-
-    def __init__(self, lock: threading.Lock, timeline: _Timeline):
-        super().__init__(lock)
-        self._timeline = timeline
-
-    def notify_all(self) -> None:
-        super().notify_all()
-        self._timeline.notify()
-
-
 class _JoinGroup:
     """Join bookkeeping for one execution of a parallel block; guarded by the
     instance's state lock."""
@@ -396,8 +368,12 @@ class _Branch:
         self.in_flight: Optional[HandlerCall] = None
         # the index of this branch's next child; only its own thread forks
         self.forks = forks
-        # under virtual time: released to let this branch's thread run
-        self.baton: Optional[threading.Lock] = None
+        # what the branch is blocked on, a join's group or a section's name,
+        # until a wake clears it and releases the baton, which under virtual
+        # time also gives the branch its turns
+        self.waits_on: Optional[_JoinGroup | str] = None
+        self.baton = threading.Lock()
+        self.baton.acquire()
 
 
 class WorkflowInstance:
@@ -450,10 +426,7 @@ class WorkflowInstance:
         self._position_paths: Optional[dict[str, tuple[int, ...]]] = None
         self._state_lock = threading.Lock()
         self._timeline = _Timeline() if self.options.virtual_time else None
-        if self._timeline is None:
-            self._cond = threading.Condition(self._state_lock)
-        else:
-            self._cond = _TimelineCondition(self._state_lock, self._timeline)
+        self._ended = threading.Condition(self._state_lock)  # notified by _end alone
         self._section_owners: dict[str, str] = {}  # critical section -> branch id
         self._stop_requested = False
         self._stop_source: Optional[str] = None
@@ -485,7 +458,7 @@ class WorkflowInstance:
             if not self._started:
                 raise EngineError("instance is not started")
             while self.result is None:
-                self._cond.wait()
+                self._ended.wait()
             return self.result
 
     def run(self) -> str:
@@ -530,7 +503,7 @@ class WorkflowInstance:
             self.log.emit("signal", ROOT_BRANCH, detail={"signal": "stop", "source": source})
             self.log.emit("stop_acknowledged", ROOT_BRANCH)
             self._stop_calls(self.branches.values())
-            self._cond.notify_all()
+            self._wake(self.branches.values())
 
     def _stop_calls(self, branches: Iterable[_Branch]) -> None:
         """Set the stop token of each branch's in-flight call; caller holds
@@ -556,6 +529,7 @@ class WorkflowInstance:
             self.result = "finished"
             self.log.emit("instance_finish", ROOT_BRANCH)
         self.log.close()
+        self._ended.notify_all()
 
     def _report_error(self, branch: _Branch, exc: Exception) -> None:
         with self._state_lock:
@@ -795,7 +769,7 @@ class WorkflowInstance:
 
     def _run_branch(self, branch: _Branch) -> None:
         if self._timeline is not None:
-            self._timeline.enter(branch)
+            branch.baton.acquire()  # the timeline's first turn
         saved = None  # (path, next fork index) a resume restarts the branch from
         try:
             pending = branch.resume_path
@@ -825,7 +799,6 @@ class WorkflowInstance:
                     self._saved_paths[branch.id] = saved
                 if not self.branches and self.result is None:
                     self._end()
-                self._cond.notify_all()
             if self._timeline is not None:
                 self._timeline.leave(branch)
 
@@ -848,7 +821,6 @@ class WorkflowInstance:
             )
             del self.branches[child.id]
             self._maybe_fire(group)
-            self._cond.notify_all()
 
     def _maybe_fire(self, group: _JoinGroup) -> None:
         """Fire the join if its condition holds, cancelling the losers of a
@@ -868,6 +840,7 @@ class WorkflowInstance:
         )
         if not group.wait.is_all:
             self._cancel([b.id for b in self.branches.values() if b.group is group])
+        self._wake([group.parent])
 
     def _cancel(self, ids: list[str]) -> None:
         """Cancel the named branches and every live branch below them, and
@@ -882,7 +855,7 @@ class WorkflowInstance:
             b.cancelled = True
             self.log.emit("signal", b.id, detail={"signal": "no_longer_necessary"})
         self._stop_calls(cancelled)
-        self._cond.notify_all()
+        self._wake(cancelled)
 
     # ------------------------------------------------------------------
     # Node execution
@@ -933,12 +906,26 @@ class WorkflowInstance:
         else:
             raise EngineError(f"unknown node {node!r}")
 
-    def _block(self, branch: _Branch) -> None:
-        """Wait on the instance condition; caller holds the state lock."""
+    def _block(self, branch: _Branch, on: _JoinGroup | str) -> None:
+        """Wait for the wake that clears branch.waits_on; caller holds the
+        state lock, which is released meanwhile."""
+        branch.waits_on = on
+        self._state_lock.release()
         if self._timeline is None:
-            self._cond.wait()
+            branch.baton.acquire()
         else:
-            self._timeline.wait_cond(branch, self._state_lock)
+            self._timeline.pass_baton(branch)
+        self._state_lock.acquire()
+
+    def _wake(self, branches: Iterable[_Branch]) -> None:
+        """Wake each of the branches that is blocked; caller holds the state lock."""
+        for b in branches:
+            if b.waits_on is not None:
+                b.waits_on = None
+                if self._timeline is None:
+                    b.baton.release()
+                else:
+                    self._timeline.wake(b)
 
     def _checkpoint(self, branch: _Branch, path: tuple[int, ...]) -> None:
         """Park on a stop request, stand down on cancel; caller holds the state lock."""
@@ -1130,7 +1117,7 @@ class WorkflowInstance:
                 self._maybe_fire(group)
                 while not group.fired:
                     self._checkpoint(branch, path)
-                    self._block(branch)
+                    self._block(branch, group)
         except _Parked:
             parked = True  # save() reads the open join
             raise
@@ -1254,9 +1241,16 @@ class WorkflowInstance:
                 raise EngineError(f"critical section '{section}' re-entered")
             # the holder may have released by parking: don't enter once stopping
             self._checkpoint(branch, path)
-            while section in self._section_owners:
-                self._block(branch)
-                self._checkpoint(branch, path)
+            try:
+                while section in self._section_owners:
+                    self._block(branch, section)
+                    self._checkpoint(branch, path)
+            except (_Parked, _Cancelled):
+                # an exit may have woken this branch just before its cancel
+                # or the stop did: pass that wake on
+                if section not in self._section_owners:
+                    self._wake_waiter(section)
+                raise
             self._section_owners[section] = branch.id
         self.log.emit("signal", branch.id, detail={"signal": "critical_enter", "section": section})
         try:
@@ -1267,5 +1261,11 @@ class WorkflowInstance:
             )
             with self._state_lock:
                 del self._section_owners[section]
-                self._cond.notify_all()
+                self._wake_waiter(section)
+
+    def _wake_waiter(self, section: str) -> None:
+        """Wake the section's earliest-forked waiter; caller holds the state lock."""
+        waiters = [b for b in self.branches.values() if b.waits_on == section]
+        if waiters:
+            self._wake([min(waiters, key=lambda b: _fork_order(b.id))])
 

@@ -859,3 +859,17 @@ def test_exit_code_contract_mapping(tmp_path):
     assert proc.returncode == 2
     stop = read_jsonl(log)[-1]
     assert stop.kind == "instance_stop" and stop.detail["saved"]["seq"] == stop.seq
+
+
+@pytest.mark.parametrize(
+    "argv, usage",
+    [(["run"], "usage: wee run "), (["bogus"], "usage: wee "), ([], "usage: wee ")],
+    ids=["run-without-workflow", "unknown-command", "no-command"],
+)
+def test_a_usage_error_exits_one_with_the_usage_on_stderr(argv, usage):
+    # 2 means stopped, so a caller must not read a usage error as a resumable stop
+    proc = subprocess.run(wee_cmd(*argv), capture_output=True, text=True)
+    assert proc.returncode == cli.EXIT_ERROR
+    assert proc.stderr.startswith(usage), proc.stderr
+    assert "error:" in proc.stderr.splitlines()[-1]
+    assert proc.stdout == ""

@@ -596,6 +596,147 @@ def test_critical_nested_different_names_is_fine():
     assert instance.result == "finished"
 
 
+def contended(n):
+    bodies = " ".join(
+        f"parallel_branch {{ critical :s {{ call :c{b}, endpoint: svc }} }}" for b in range(n)
+    )
+    return f"""
+    workflow {{
+      handler "mock"
+      endpoint svc: "mock://svc"
+      parallel wait: all {{ {bodies} }}
+    }}
+    """
+
+
+@pytest.mark.parametrize("virtual", [False, True], ids=["real-time", "virtual-time"])
+def test_a_section_exit_wakes_one_waiter_not_every_blocked_branch(monkeypatch, virtual):
+    # 64 branches queue for one section: a wake-up for every blocked branch
+    # at every exit makes about n*n/2 blocks, one per waiter makes n
+    n = 64
+    blocks = []
+    block = WorkflowInstance._block
+
+    def counting(self, branch, on):
+        blocks.append(branch.id)
+        block(self, branch, on)
+
+    monkeypatch.setattr(WorkflowInstance, "_block", counting)
+    handler = MockHandler({"default": {"result": {}, "delay_ms": 1}})
+    instance = WorkflowInstance(dsl.parse(contended(n)), handler, RunOptions(virtual_time=virtual))
+    assert finish(instance, timeout=20) == "finished"
+    # a waiter re-blocks only when a branch that had not queued yet barged in
+    assert len(blocks) <= (n if virtual else 3 * n), len(blocks)
+    spans = sorted(section_spans(instance, "s"))
+    assert len(spans) == n
+    assert all(a[1] < b[0] for a, b in zip(spans, spans[1:]))
+
+
+PASS_ON = """
+workflow {
+  handler "mock"
+  endpoint svc: "mock://svc"
+  parallel wait: all {
+    parallel_branch {
+      parallel wait: 1 {
+        parallel_branch { critical :s { call :hold, endpoint: svc } }
+        parallel_branch { call :pace_a, endpoint: svc critical :s { call :a, endpoint: svc } }
+      }
+    }
+    parallel_branch { call :pace_b, endpoint: svc critical :s { call :b, endpoint: svc } }
+  }
+}
+"""
+
+
+@pytest.mark.parametrize("virtual", [False, True], ids=["real-time", "virtual-time"])
+def test_a_waiter_cancelled_after_an_exit_woke_it_passes_the_section_on(virtual):
+    # 0.1.1's exit wakes 0.1.2, the earliest-forked waiter; then 0.1.1's
+    # arrival fires the wait: 1 join, which cancels 0.1.2. The section is
+    # free, and 0.2, still blocked on it, runs only if 0.1.2 passes the wake on
+    script = {
+        "positions": {
+            "hold": {"result": {}, "delay_ms": 50},
+            "pace_a": {"result": {}, "delay_ms": 5},
+            "pace_b": {"result": {}, "delay_ms": 10},
+        },
+        "default": {"result": {}},
+    }
+    options = RunOptions(virtual_time=virtual)
+    instance = WorkflowInstance(dsl.parse(PASS_ON), MockHandler(script), options)
+    assert finish(instance) == "finished"
+    assert len(starts(instance, "b")) == 1
+    if virtual:  # on real threads 0.1.2 may take the section before its cancel
+        assert not starts(instance, "a")
+    spans = sorted(section_spans(instance, "s"))
+    assert all(x[1] < y[0] for x, y in zip(spans, spans[1:]))
+
+
+HELD_SECTION = """
+workflow {
+  handler "mock"
+  endpoint svc: "mock://svc"
+  context done: false
+  parallel wait: all {
+    parallel_branch { critical :s { call :hold, endpoint: svc } }
+    parallel_branch { call :pace, endpoint: svc critical :s { call :queued, endpoint: svc } }
+  }
+  manipulate :fin { done = true }
+}
+"""
+
+
+@pytest.mark.parametrize("virtual", [False, True], ids=["real-time", "virtual-time"])
+def test_a_stop_parks_a_branch_blocked_on_a_section_and_its_parent_blocked_on_the_join(
+    virtual,
+):
+    script = {
+        "positions": {
+            "hold": {"result": {}, "delay_ms": 60_000, "token": "p-hold"},
+            "pace": {"result": {}, "delay_ms": 5},
+        },
+        "default": {"result": {}},
+        "passthroughs": {"p-hold": {"result": {}}},
+    }
+    ast = dsl.parse(HELD_SECTION)
+    handler = MockHandler(script)
+    instance = WorkflowInstance(ast, handler, RunOptions(virtual_time=virtual))
+    blocked = {}
+
+    def stop_once_blocked():
+        blocked.update({b.id: b.waits_on for b in instance.branches.values()})
+        instance.request_stop()
+
+    if virtual:
+        instance.call_later(1.0, stop_once_blocked)
+        instance.start()
+    else:
+        instance.start()
+        queued = lambda: getattr(instance.branches.get("0.2"), "waits_on", None) == "s"
+        assert wait_until(lambda: queued() and instance._root.waits_on is not None)
+        stop_once_blocked()
+    waiter = threading.Thread(target=instance.wait, daemon=True)
+    waiter.start()
+    waiter.join(5)
+    assert not waiter.is_alive(), "a branch blocked when the stop came was never woken"
+
+    # the root waited on its join, 0.2 on the section 0.1 held in a call
+    assert isinstance(blocked.pop("0"), engine._JoinGroup)
+    assert blocked == {"0.1": None, "0.2": "s"}
+    assert instance.result == "stopped"
+    records = instance.log.records
+    ack = next(i for i, r in enumerate(records) if r.kind == "stop_acknowledged")
+    assert not [r for r in records[ack + 1 :] if r.kind == "activity_start"]
+    saved = json.loads(json.dumps(instance.save()))
+    assert [entry["id"] for entry in saved["branches"]] == ["0", "0.1", "0.2"]
+    assert saved["interrupted"] == {"0.1/hold": {"passthrough": "p-hold"}}
+
+    resumed = WorkflowInstance.resume(ast, handler, saved, RunOptions(virtual_time=virtual))
+    assert finish(resumed) == "finished"
+    assert handler.invocations == {"hold": 1, "pace": 1, "queued": 1}
+    assert resumed.store.current_values() == {"done": True}
+
+
 # -- stop / resume -------------------------------------------------------------------
 
 
