@@ -22,7 +22,6 @@ from .handlers import (
     Passthrough,
     RecursiveHandler,
     Result,
-    TriggerEvent,
     TriggerHandler,
 )
 
@@ -49,7 +48,6 @@ __all__ = [
     "RecursiveHandler",
     "Result",
     "RunOptions",
-    "TriggerEvent",
     "TriggerHandler",
     "Value",
     "WorkflowAst",

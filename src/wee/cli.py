@@ -71,7 +71,6 @@ def build_handler(
     script_path: Optional[str] = None,
     seed: Optional[int] = None,
     workflow_source: Optional[str] = None,
-    timeout: float = 30.0,
 ) -> HandlerWrapper:
     config: dict = {}
     if script_path is not None:
@@ -86,21 +85,21 @@ def build_handler(
         if name == "mock":
             return MockHandler(config, seed=seed)
         if name == "http":
-            return HttpHandler(timeout=config.get("timeout", timeout))
+            return HttpHandler(timeout=config.get("timeout", 30.0))
         if name == "trigger":
-            events = None
+            keys = []
             if "events_file" in config:
                 path = config["events_file"]
                 if not isinstance(path, str):  # open() reads an int as a descriptor
                     raise TypeError(f"events_file {path!r} is not a path string")
                 try:
-                    events = load_trigger_events(path)
+                    keys = load_trigger_events(path)
                 except (OSError, TypeError, ValueError, KeyError) as exc:
-                    # missing, not JSONL, or a record without "t" or "key"
+                    # missing, not JSONL, or a record without "key"
                     raise ControllerError(
                         f"bad events file {path}: {type(exc).__name__}: {exc}"
                     ) from exc
-            return TriggerHandler(config.get("mode", "persistent"), events=events)
+            return TriggerHandler(config.get("mode", "persistent"), keys=keys)
         if name == "jump":
             return JumpHandler(config.get("table", config))
         if name == "recursive":

@@ -11,13 +11,16 @@ boundary; the stop tokens of their in-flight calls are set. A jump out of a
 parallel body cancels the children forked so far the same way.
 A stop signal parks every branch at its program counter so the instance can
 be resumed later; the terminal instance_stop record carries the saved state.
-It names the workflow by its source hash and keeps one map of the calls the
-stop caught in flight: each left a passthrough token, or the result or jump
-it ended with, and the resume replays or applies it instead of calling the
-service again. Each call is named by its call id, the branch id and
-position, so one position running in several branches at once is still
-several calls to stop and to resume. resume() alone checks a saved state,
-and the resumed instance continues the stopped one's id and seq.
+It names the workflow by its source hash, the path each branch restarts at,
+and the calls the stop caught in flight: each left a passthrough token, or
+the result or jump it ended with, and the resume replays or applies it
+instead of calling the service again. A call is named by its call id, the
+branch id and position, so one position running in several branches at once
+is still several calls. A saved path, like a call, leaves the saved state
+only once its branch is back at it: a stop on the way back, or on the way to
+a jump target, saves it again. A cancelled branch is never saved. resume()
+alone checks a saved state, and refuses a child that its parent would not
+restore; the resumed instance continues the stopped one's id and seq.
 
 Branch coordination uses one lock per instance. It guards the stop request,
 each branch's cancel flag, in-flight call and what it is blocked on, the
@@ -82,8 +85,8 @@ class RunOptions:
 
 # control-flow signals inside branch threads
 class _JumpTo(Exception):
-    def __init__(self, rel_path: tuple[int, ...]):
-        self.rel_path = rel_path
+    def __init__(self, path: tuple[int, ...]):
+        self.path = path
 
 
 class _Parked(Exception):
@@ -331,9 +334,9 @@ class _JoinGroup:
         self.wait = wait
         self.parallel_path = parallel_path
         self.parent = parent
-        # children forked or restored, and the ids of those that have arrived
-        # (a restored child may have arrived before the stop)
-        self.spawned = 0
+        # the ids of the children forked or restored, and of those that have
+        # arrived (a restored child may have arrived before the stop)
+        self.children: list[str] = []
         self.arrived: list[str] = []
         self.spawning = True  # the parent is still executing the parallel body
         self.fired = False
@@ -343,7 +346,7 @@ class _JoinGroup:
             return False
         if self.wait.is_all:
             # an all-join's target is only known once spawning has finished
-            return not self.spawning and len(self.arrived) == self.spawned
+            return not self.spawning and len(self.arrived) == len(self.children)
         return len(self.arrived) >= self.wait.count  # type: ignore[operator]
 
 
@@ -354,8 +357,6 @@ class _Branch:
         region_block: dsl.Block,
         region_prefix: tuple[int, ...],
         group: Optional[_JoinGroup] = None,
-        resume_path: Optional[tuple[int, ...]] = None,
-        forks: int = 1,
     ):
         self.id = branch_id
         self.region_block = region_block
@@ -363,11 +364,10 @@ class _Branch:
         self.group = group
         # the joins this branch has open, innermost last
         self.group_stack: list[_JoinGroup] = []
-        self.resume_path = resume_path
         self.cancelled = False
         self.in_flight: Optional[HandlerCall] = None
         # the index of this branch's next child; only its own thread forks
-        self.forks = forks
+        self.forks = 1
         # what the branch is blocked on, a join's group or a section's name,
         # until a wake clears it and releases the baton, which under virtual
         # time also gives the branch its turns
@@ -432,11 +432,13 @@ class WorkflowInstance:
         self._stop_source: Optional[str] = None
         self._started = False
         self._groups: list[_JoinGroup] = []  # open joins
-        # branch id -> (path a resume restarts it at, its next fork index),
-        # for each parked branch and the root once it has run to the end
+        # branch id -> (path a resume restarts it at, its next fork index): each
+        # parked branch, the root at its end, a restored one until it is back there
         self._saved_paths: dict[str, tuple[tuple[int, ...], int]] = {}
         self._root = _Branch(ROOT_BRANCH, ast.body, ())
-        self._resume_children: dict[tuple[str, tuple[int, ...]], list[tuple]] = {}
+        # (parent id, parallel path) -> (id, parallel_branch path or None if
+        # it had arrived) of each child a resumed parent restores there
+        self._resume_children: dict[tuple, list[tuple[str, Optional[tuple]]]] = {}
 
     # ------------------------------------------------------------------
     # Start, wait and stop
@@ -552,16 +554,13 @@ class WorkflowInstance:
         """The workflow's source hash, the instance id, seq, the branches with
         the path each restarts at, the context and its version, and the calls
         the stop interrupted; caller holds the state lock."""
-        entries: list[dict] = []
-        for branch_id, (path, forks) in self._saved_paths.items():
-            entry: dict = {"id": branch_id, "path": list(path)}
-            if forks > 1:
-                entry["forks"] = forks
-            entries.append(entry)
-        for group in self._groups:
-            for child_id in group.arrived:
-                entries.append({"id": child_id, "path": list(group.parallel_path) + [-1]})
-        entries.sort(key=lambda e: e["id"])
+        paths = dict(self._saved_paths)
+        for group in self._groups:  # a child that has arrived at an open join
+            paths.update((child_id, (group.parallel_path + (-1,), 1)) for child_id in group.arrived)
+        entries = [
+            {"id": branch_id, "path": list(path), **({"forks": forks} if forks > 1 else {})}
+            for branch_id, (path, forks) in sorted(paths.items())
+        ]
         interrupted = {
             call_id: {"passthrough": o.token} if isinstance(o, Passthrough)
             else {"result": o.values} if isinstance(o, Result)
@@ -610,34 +609,36 @@ class WorkflowInstance:
         paths = {entry["id"]: tuple(entry["path"]) for entry in entries}
         if ROOT_BRANCH not in paths and entries:
             raise EngineError("corrupt saved state: no root branch")
-        root_path = paths.pop(ROOT_BRANCH, ())
+        root_path = paths.get(ROOT_BRANCH, ())
         # [len(body)]: the root had finished its body when it stopped
         if root_path != (len(ast.body),):
             cls._saved_nodes(ast, ROOT_BRANCH, root_path)
         # a branch's next fork index: as saved, and past each saved child's
         forks = {entry["id"]: entry.get("forks", 1) for entry in entries}
-        for branch_id in paths:
+        joins = {}  # child id -> (the parallel it joins, its parallel_branch or None)
+        for branch_id, path in paths.items():
+            if branch_id == ROOT_BRANCH:
+                continue
             parent_id, _, fork_index = branch_id.rpartition(".")
             if not (parent_id and fork_index.isascii() and fork_index.isdigit()):
                 raise EngineError(f"corrupt saved state: branch id {branch_id!r}")
             forks[parent_id] = max(forks.get(parent_id, 1), int(fork_index) + 1)
+            joins[branch_id] = cls._joined_parallel(ast, branch_id, path)
 
-        children: dict[tuple[str, tuple[int, ...]], list[tuple]] = {}
-        for branch_id, path in paths.items():
+        # a parent restores its children on its way back to its own saved
+        # path, which must pass their parallel below its own parallel_branch
+        regions = {ROOT_BRANCH: ()} | {b: pb + (0,) for b, (_, pb) in joins.items() if pb}
+        children: dict[tuple, list[tuple[str, Optional[tuple]]]] = {}
+        for branch_id, (parallel_path, pb_path) in joins.items():
             parent_id = branch_id.rpartition(".")[0]
-            if path and path[-1] == -1:
-                parallel_path = path[:-1]
-                nodes = cls._saved_nodes(ast, branch_id, parallel_path)
-                if not nodes or not isinstance(nodes[-1], dsl.Parallel):
-                    raise EngineError(
-                        f"corrupt saved state: {parallel_path} is not a parallel block"
-                    )
-                children.setdefault((parent_id, parallel_path), []).append((branch_id, None, 1))
-            else:
-                plan = cls._live_child_plan(ast, branch_id, path)
-                children.setdefault((parent_id, plan[0]), []).append(
-                    (branch_id, plan, forks[branch_id])
+            region = regions.get(parent_id)  # None: not saved, or it had arrived
+            passes = region is not None and paths[parent_id][: len(parallel_path)] == parallel_path
+            if not (passes and parallel_path[: len(region)] == region):
+                raise EngineError(
+                    f"corrupt saved state: branch {branch_id}: its parent is not saved "
+                    f"at or inside the parallel {list(parallel_path)} it joins"
                 )
+            children.setdefault((parent_id, parallel_path), []).append((branch_id, pb_path))
 
         options = options or RunOptions()
         options = replace(
@@ -653,8 +654,7 @@ class WorkflowInstance:
         )
         instance.skip_positions = skip
         instance.interrupted = interrupted
-        instance._root.resume_path = root_path or None
-        instance._root.forks = forks.get(ROOT_BRANCH, 1)
+        instance._saved_paths = {b: (path, forks[b]) for b, path in paths.items()}
         instance._resume_children = children
         return instance
 
@@ -727,29 +727,26 @@ class WorkflowInstance:
             raise EngineError(f"corrupt saved state: branch {branch_id}: {exc}") from exc
 
     @staticmethod
-    def _live_child_plan(
+    def _joined_parallel(
         ast: dsl.WorkflowAst, branch_id: str, path: tuple[int, ...]
-    ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-        """(owner parallel path, region branch path, relative path) for a saved child."""
-        nodes = WorkflowInstance._saved_nodes(ast, branch_id, path)
-        pb_index = None
-        for i, node in enumerate(nodes[:-1]):  # the final node is the PC itself
-            if isinstance(node, dsl.ParallelBranch):
-                pb_index = i
-        if pb_index is None:
-            raise EngineError(
-                f"corrupt saved state: branch {branch_id} path is not inside a parallel branch"
-            )
-        pb_path = path[: 2 * pb_index + 1]
-        owner = None
-        for i in range(pb_index - 1, -1, -1):
-            if isinstance(nodes[i], dsl.Parallel):
-                owner = path[: 2 * i + 1]
-                break
+    ) -> tuple[tuple[int, ...], Optional[tuple[int, ...]]]:
+        """(path of the parallel a saved child joins, path of its
+        parallel_branch, or None for a child that had arrived)."""
+        if path[-1:] == (-1,):
+            nodes = WorkflowInstance._saved_nodes(ast, branch_id, path[:-1])
+            if not nodes or not isinstance(nodes[-1], dsl.Parallel):
+                raise EngineError(f"corrupt saved state: {path[:-1]} is not a parallel block")
+            return path[:-1], None
+        # the innermost parallel_branch above the node, and the parallel it is in
+        pb = owner = parallel = None
+        for i, node in enumerate(WorkflowInstance._saved_nodes(ast, branch_id, path)[:-1]):
+            if isinstance(node, dsl.Parallel):
+                parallel = i
+            elif isinstance(node, dsl.ParallelBranch):
+                pb, owner = i, parallel
         if owner is None:
-            raise EngineError(f"corrupt saved state: branch {branch_id} has no owning parallel")
-        rel = path[len(pb_path) + 1 :]
-        return owner, pb_path, rel
+            raise EngineError(f"corrupt saved state: branch {branch_id} is not in a parallel")
+        return path[: 2 * owner + 1], path[: 2 * pb + 1]
 
     # ------------------------------------------------------------------
     # Branch machinery
@@ -772,13 +769,17 @@ class WorkflowInstance:
             branch.baton.acquire()  # the timeline's first turn
         saved = None  # (path, next fork index) a resume restarts the branch from
         try:
-            pending = branch.resume_path
             while True:
+                # restored, or after a jump: it restarts at its saved path; no lock, as
+                # only a cancel, which it obeys at once, changes the entry meanwhile
+                path, branch.forks = self._saved_paths.get(branch.id, (None, branch.forks))
                 try:
+                    pending = None if path is None else path[len(branch.region_prefix) :]
                     self._exec_block(branch, branch.region_block, branch.region_prefix, pending)
                     break
                 except _JumpTo as jump:
-                    pending = jump.rel_path
+                    with self._state_lock:  # until it is at the target, a stop parks it there
+                        self._saved_paths[branch.id] = (jump.path, branch.forks)
             if branch.group is not None:
                 self._child_finished(branch)
             else:
@@ -795,8 +796,10 @@ class WorkflowInstance:
         finally:
             with self._state_lock:
                 self.branches.pop(branch.id, None)
-                if saved is not None:
-                    self._saved_paths[branch.id] = saved
+                if saved is None:
+                    self._saved_paths.pop(branch.id, None)
+                else:  # one parked on its way back keeps the path it restarts at
+                    self._saved_paths.setdefault(branch.id, saved)
                 if not self.branches and self.result is None:
                     self._end()
             if self._timeline is not None:
@@ -834,28 +837,30 @@ class WorkflowInstance:
             detail={
                 "role": "fire",
                 "arrived": len(group.arrived),
-                "spawned": group.spawned,
+                "spawned": len(group.children),
                 "wait": "all" if group.wait.is_all else group.wait.count,
             },
         )
         if not group.wait.is_all:
-            self._cancel([b.id for b in self.branches.values() if b.group is group])
+            self._cancel(group.children)
         self._wake([group.parent])
 
     def _cancel(self, ids: list[str]) -> None:
-        """Cancel the named branches and every live branch below them, and
-        stop their in-flight calls; caller holds the state lock."""
-        below = tuple(f"{branch_id}." for branch_id in ids)
+        """Cancel the named branches and all below them: stop their calls in flight
+        and drop their saved paths and interrupted calls; caller holds the state lock."""
+        below = tuple(f"{branch_id}." for branch_id in ids)  # "0.2." matches 0.2 and 0.2.1
         cancelled = [
-            b
-            for b in self.branches.values()
-            if (b.id in ids or b.id.startswith(below)) and not b.cancelled
+            b for b in self.branches.values() if f"{b.id}.".startswith(below) and not b.cancelled
         ]
         for b in cancelled:
             b.cancelled = True
             self.log.emit("signal", b.id, detail={"signal": "no_longer_necessary"})
         self._stop_calls(cancelled)
         self._wake(cancelled)
+        for branch_id in [k for k in self._saved_paths if f"{k}.".startswith(below)]:
+            del self._saved_paths[branch_id]
+        for call_id in [k for k in self.interrupted if f"{k.partition('/')[0]}.".startswith(below)]:
+            del self.interrupted[call_id]
 
     # ------------------------------------------------------------------
     # Node execution
@@ -868,6 +873,9 @@ class WorkflowInstance:
         prefix: tuple[int, ...],
         start: Optional[tuple[int, ...]] = None,
     ) -> None:
+        if start is not None and len(start) < 2:
+            with self._state_lock:  # the branch is back at the path it restarts at
+                self._saved_paths.pop(branch.id, None)
         begin = start[0] if start else 0
         for index in range(begin, len(block)):
             sub = start[1:] if (start and index == start[0] and len(start) > 1) else None
@@ -928,11 +936,11 @@ class WorkflowInstance:
                     self._timeline.wake(b)
 
     def _checkpoint(self, branch: _Branch, path: tuple[int, ...]) -> None:
-        """Park on a stop request, stand down on cancel; caller holds the state lock."""
-        if self._stop_requested:
-            raise _Parked(path)
+        """Stand down on cancel, else park on a stop request; caller holds the state lock."""
         if branch.cancelled:
             raise _Cancelled()
+        if self._stop_requested:
+            raise _Parked(path)
 
     def _begin_activity(self, branch: _Branch, node, path: tuple[int, ...], detail: dict) -> None:
         with self._state_lock:
@@ -1094,7 +1102,7 @@ class WorkflowInstance:
             "signal", branch.id, node.position, {"signal": "jump", "target": target}
         )
         self.log.emit("activity_end", branch.id, node.position, events.END_JUMP)
-        raise _JumpTo(target_path[len(prefix) :])
+        raise _JumpTo(target_path)
 
     def _exec_parallel(self, branch: _Branch, node: dsl.Parallel, path, sub) -> None:
         group = _JoinGroup(node.wait, path, branch)
@@ -1107,11 +1115,11 @@ class WorkflowInstance:
             if saved:
                 self._attach_saved_children(group, saved)
             if not (saved and sub is None):  # else the body had ended before the stop
-                self._exec_block(branch, node.body, path + (0,), sub)
+                self._exec_block(branch, node.body, path + (0,), sub[1:] if sub else None)
 
             with self._state_lock:
                 group.spawning = False
-                wait, spawned = node.wait.count, group.spawned
+                wait, spawned = node.wait.count, len(group.children)
                 if wait is not None and spawned < wait:
                     raise EngineError(f"unsatisfiable join: wait {wait} of {spawned} branches")
                 self._maybe_fire(group)
@@ -1125,7 +1133,7 @@ class WorkflowInstance:
             # the jump leaves the block, so its join will never fire: the
             # children forked so far are no longer necessary
             with self._state_lock:
-                self._cancel([b.id for b in self.branches.values() if b.group is group])
+                self._cancel(group.children)
             raise
         finally:
             branch.group_stack.pop()
@@ -1136,23 +1144,15 @@ class WorkflowInstance:
     def _attach_saved_children(self, group: _JoinGroup, saved: list[tuple]) -> None:
         # every restored child is counted before any starts, so none fires the join early
         children = []
-        for child_id, plan, forks in saved:
-            if plan is None:
-                group.arrived.append(child_id)  # it arrived before the stop
-                continue
-            _owner, pb_path, rel = plan
-            pb_node = dsl.nodes_along(self.ast, pb_path)[-1]
-            children.append(
-                _Branch(
-                    child_id,
-                    pb_node.body,
-                    pb_path + (0,),
-                    group=group,
-                    resume_path=rel or None,
-                    forks=forks,
-                )
-            )
-        group.spawned = len(group.arrived)
+        with self._state_lock:
+            for child_id, pb_path in saved:
+                if pb_path is None:  # it arrived before the stop
+                    self._saved_paths.pop(child_id, None)
+                    group.children.append(child_id)
+                    group.arrived.append(child_id)
+                else:
+                    pb_node = dsl.nodes_along(self.ast, pb_path)[-1]
+                    children.append(_Branch(child_id, pb_node.body, pb_path + (0,), group=group))
         self._add_children(group, children, resumed=True)
 
     def _fork_child(self, branch: _Branch, node: dsl.ParallelBranch, path) -> None:
@@ -1174,7 +1174,7 @@ class WorkflowInstance:
         """
         with self._state_lock:
             for child in children:
-                group.spawned += 1
+                group.children.append(child.id)
                 self.branches[child.id] = child
                 detail = {"child": child.id, "resumed": True} if resumed else {"child": child.id}
                 self.log.emit("branch_fork", group.parent.id, detail=detail)

@@ -19,7 +19,7 @@ import threading
 import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, NamedTuple, Optional, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 from . import dsl
 from .expressions import EvalError, Expr, Value, eval_expr, is_value
@@ -330,22 +330,15 @@ class HttpHandler(HandlerWrapper):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TriggerEvent:
-    t: float
-    key: str
-
-
-def load_trigger_events(path: str | Path) -> list[TriggerEvent]:
-    """Read a JSONL trigger event file of {"t": number, "key": string}."""
-    events = []
+def load_trigger_events(path: str | Path) -> list[str]:
+    """The keys of a JSONL trigger event file of {"key": string}, in file order."""
+    keys = []
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if line:
-                obj = json.loads(line)
-                events.append(TriggerEvent(float(obj["t"]), str(obj["key"])))
-    return events
+                keys.append(str(json.loads(line)["key"]))
+    return keys
 
 
 class TriggerHandler(HandlerWrapper):
@@ -358,7 +351,7 @@ class TriggerHandler(HandlerWrapper):
     waits on its stop token, which a matching delivery wakes.
     """
 
-    def __init__(self, mode: str, events: Optional[list[TriggerEvent]] = None):
+    def __init__(self, mode: str, keys: Iterable[str] = ()):
         if mode not in ("persistent", "transient"):
             raise ValueError(f"unknown trigger mode '{mode}'")
         self.mode = mode
@@ -370,8 +363,8 @@ class TriggerHandler(HandlerWrapper):
         self.stored_matches = 0
         self.live_matches = 0
         self.withdrawn = 0
-        for event in events or []:
-            self.deliver(event.key)
+        for key in keys:  # delivered before any call waits
+            self.deliver(key)
 
     def deliver(self, key: str) -> None:
         with self._lock:

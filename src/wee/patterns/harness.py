@@ -32,7 +32,6 @@ from ..handlers import (
     MockHandler,
     RecursiveHandler,
     Result,
-    TriggerEvent,
     TriggerHandler,
 )
 
@@ -314,11 +313,8 @@ def build_case_handler(case: PatternCase, seed: int) -> HandlerWrapper:
     if kind == "jump":
         return JumpHandler(case.script.get("table", {}))
     if kind == "trigger":
-        events = [
-            TriggerEvent(float(e.get("t", 0)), str(e["key"]))
-            for e in case.script.get("pre_events", [])
-        ]
-        return TriggerHandler(case.script.get("mode", "persistent"), events=events)
+        keys = [str(e["key"]) for e in case.script.get("pre_events", [])]
+        return TriggerHandler(case.script.get("mode", "persistent"), keys=keys)
     if kind == "recursive":
         return RecursiveHandler(source=case.source, max_depth=case.script.get("max_depth", 16))
     if kind == "spawner":

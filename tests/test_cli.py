@@ -204,14 +204,13 @@ def test_resume_with_a_bad_script_exits_one_with_one_line(tmp_path, capsys, cont
 
 
 # a script object with a field of the wrong type, or whose events file is
-# missing, is not JSONL, or has a record without "t" or "key"
+# missing, is not JSONL, or has a record without "key"
 BAD_FIELDS = [
     pytest.param("mock", {"positions": 5}, None, "bad script", id="mock-positions"),
     pytest.param("jump", {"positions": 5}, None, "bad script", id="jump-positions"),
     pytest.param("trigger", {"events_file": 1}, None, "bad script", id="events-file-not-a-path"),
     pytest.param("trigger", {}, None, "bad events file", id="events-missing"),
     pytest.param("trigger", {}, "not json\n", "bad events file", id="events-not-jsonl"),
-    pytest.param("trigger", {}, '{"key": "go"}\n', "bad events file", id="events-without-t"),
     pytest.param("trigger", {}, '{"t": 0}\n', "bad events file", id="events-without-key"),
 ]
 
@@ -811,7 +810,7 @@ def test_run_with_trigger_handler_and_events_file(tmp_path):
         """
     )
     events = tmp_path / "events.jsonl"
-    events.write_text('{"t": 0, "key": "go"}\n')
+    events.write_text('{"key": "go"}\n')
     script = tmp_path / "trigger.json"
     script.write_text(json.dumps({"mode": "persistent", "events_file": str(events)}))
     log = tmp_path / "trig.log"

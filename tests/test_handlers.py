@@ -21,7 +21,6 @@ from wee.handlers import (
     RecursiveHandler,
     Result,
     StopToken,
-    TriggerEvent,
     TriggerHandler,
 )
 
@@ -412,7 +411,7 @@ def call_in_thread(handler, position, key):
 
 
 def test_persistent_trigger_fires_on_stored_event():
-    handler = TriggerHandler("persistent", events=[TriggerEvent(0, "go")])
+    handler = TriggerHandler("persistent", keys=["go"])
     outcome = handler.call(make_call("t", parameters={"key": "go"}))
     assert outcome == Result({})
     assert handler.stored_matches == 1
@@ -429,7 +428,7 @@ def test_persistent_trigger_fires_on_later_event():
 
 
 def test_transient_trigger_withdraws_early_event():
-    handler = TriggerHandler("transient", events=[TriggerEvent(0, "go")])
+    handler = TriggerHandler("transient", keys=["go"])
     assert handler.withdrawn == 1
     thread, box = call_in_thread(handler, "t", "go")
     assert wait_until(lambda: handler.is_waiting("t"))
@@ -701,6 +700,6 @@ def test_load_trigger_events_jsonl(tmp_path):
     from wee.handlers import load_trigger_events
 
     path = tmp_path / "events.jsonl"
-    path.write_text('{"t": 0, "key": "go"}\n{"t": 2.5, "key": "other"}\n')
-    events = load_trigger_events(path)
-    assert [(e.t, e.key) for e in events] == [(0.0, "go"), (2.5, "other")]
+    # a line that still carries the "t" field of an older format loads too
+    path.write_text('{"key": "go"}\n{"t": 2.5, "key": "other"}\n')
+    assert load_trigger_events(path) == ["go", "other"]

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import wait_until
 from wee import dsl
 from wee.engine import EngineError, RunOptions, WorkflowInstance
 from wee.events import read_jsonl
@@ -1017,3 +1018,372 @@ def test_stop_at_any_event_neither_repeats_nor_loses_a_call(instances, seed, sto
     else:
         assert result == "finished"
     assert handler.invocations == reference_handler.invocations
+
+
+# -- a saved path stays until its branch is back at it ---------------------------
+
+RESTART_IN_A_SECTION = """
+workflow {
+  handler "mock"
+  endpoint svc: "mock://svc"
+  critical :s {
+    call :pre, endpoint: svc
+    call :slow, endpoint: svc
+  }
+}
+"""
+
+RESTART_AT_A_JOIN = """
+workflow {
+  handler "mock"
+  endpoint svc: "mock://svc"
+  parallel wait: all {
+    parallel_branch { call :a, endpoint: svc }
+    parallel_branch { call :b, endpoint: svc }
+  }
+}
+"""
+
+SLOW_CALLS_SCRIPT = {
+    "positions": {
+        "slow": {"result": {}, "delay_ms": 2000, "token": "tok-slow"},
+        "b": {"result": {}, "delay_ms": 2000, "token": "tok-b"},
+    },
+    "default": {"result": {}},
+    "passthroughs": {"tok-slow": {"result": {}}, "tok-b": {"result": {}}},
+}
+
+
+def arrived(records) -> bool:
+    return any(r.detail.get("role") == "arrive" for r in records)
+
+
+# (workflow, stop once this holds, the saved branches, the calls of a run)
+ON_THE_WAY_BACK = {
+    # the root restarts inside the section: a stop before it has re-entered
+    # it must not move its restart point up to the critical node
+    "section": (
+        RESTART_IN_A_SECTION,
+        lambda rs: starts_of(rs, "slow"),
+        [{"id": "0", "path": [0, 0, 1]}],
+        {"pre": 1, "slow": 1},
+    ),
+    # the root restarts at the join with one child parked and one arrived: a
+    # stop before it has re-opened the join must keep both
+    "join": (
+        RESTART_AT_A_JOIN,
+        lambda rs: starts_of(rs, "b") and arrived(rs),
+        [
+            {"id": "0", "path": [0], "forks": 3},
+            {"id": "0.1", "path": [0, -1]},
+            {"id": "0.2", "path": [0, 0, 1, 0, 0]},
+        ],
+        {"a": 1, "b": 1},
+    ),
+}
+
+
+def stopped_once(ast, handler, virtual_time: bool, ready) -> dict:
+    """The JSON round trip of the state of an instance stopped once ready(its
+    records) holds; under virtual time, 50 ms into its simulated waits."""
+    instance = WorkflowInstance(ast, handler, RunOptions(virtual_time=virtual_time))
+    if virtual_time:
+        instance.call_later(0.05, instance.request_stop)
+        instance.start()
+    else:
+        instance.start()
+        assert wait_for(instance, ready)
+        instance.request_stop()
+    assert instance.wait() == "stopped"
+    assert ready(instance.log.records)
+    return json.loads(json.dumps(instance.save()))
+
+
+@pytest.mark.parametrize("virtual_time", [False, True], ids=["threads", "virtual-time"])
+@pytest.mark.parametrize("case", sorted(ON_THE_WAY_BACK))
+def test_a_stop_before_a_restored_branch_is_back_at_its_saved_path_keeps_it(case, virtual_time):
+    source, ready, branches, calls = ON_THE_WAY_BACK[case]
+    ast = dsl.parse(source)
+    options = RunOptions(virtual_time=virtual_time)
+    handler = MockHandler(SLOW_CALLS_SCRIPT)  # shared: counts every invocation
+    first = stopped_once(ast, handler, virtual_time, ready)
+    assert first["branches"] == branches
+
+    # stopped before it starts: no branch gets back to where it restarts
+    again = WorkflowInstance.resume(ast, handler, first, options)
+    again.request_stop()
+    again.start()
+    assert again.wait() == "stopped"
+    assert [r for r in again.log.records if r.kind == "activity_start"] == []
+    second = json.loads(json.dumps(again.save()))
+    assert second["branches"] == first["branches"]
+    assert second["interrupted"] == first["interrupted"]
+
+    last = WorkflowInstance.resume(ast, handler, second, options)
+    assert last.run() == "finished"
+    assert handler.invocations == calls
+
+
+JUMP_INTO_A_HELD_SECTION = """
+workflow {
+  handler "mock"
+  endpoint svc: "mock://svc"
+  parallel wait: all {
+    parallel_branch { critical :s { call :hold, endpoint: svc } }
+    parallel_branch {
+      call :j, endpoint: svc
+      critical :s {
+        call :x, endpoint: svc
+        call :target, endpoint: svc
+      }
+    }
+  }
+}
+"""
+
+
+def test_a_stop_on_the_way_to_a_jump_target_parks_the_branch_at_the_target():
+    script = {
+        "positions": {
+            "hold": {"result": {}, "delay_ms": 100, "on_stop": "finish"},
+            "j": {"jump": "target", "delay_ms": 10},
+        },
+        "default": {"result": {}},
+    }
+    ast = dsl.parse(JUMP_INTO_A_HELD_SECTION)
+    options = RunOptions(virtual_time=True)
+    never_stopped = MockHandler(script)
+    assert WorkflowInstance(ast, never_stopped, options).run() == "finished"
+    assert never_stopped.invocations == {"hold": 1, "j": 1, "target": 1}
+
+    # 0.2 has jumped and waits for the section 0.1 holds when the stop lands
+    handler = MockHandler(script)  # shared: counts every invocation
+    instance = WorkflowInstance(ast, handler, options)
+    instance.call_later(0.05, instance.request_stop)
+    assert instance.run() == "stopped"
+    saved = json.loads(json.dumps(instance.save()))
+    paths = {entry["id"]: entry["path"] for entry in saved["branches"]}
+    assert paths["0.2"] == list(dsl.position_paths(ast)["target"])
+
+    resumed = WorkflowInstance.resume(ast, handler, saved, RunOptions(virtual_time=True))
+    assert resumed.run() == "finished"
+    assert handler.invocations == never_stopped.invocations
+
+
+INSIDE_A_PARALLEL_BODY = """
+workflow {
+  handler "mock"
+  endpoint svc: "mock://svc"
+  context n: 0
+  parallel wait: all {
+    manipulate :count { n = n + 1 }
+    parallel_branch { call :a, endpoint: svc }
+    call :slow, endpoint: svc
+  }
+}
+"""
+
+
+def test_a_parent_resumed_inside_a_parallel_body_runs_nothing_before_its_saved_node():
+    ast = dsl.parse(INSIDE_A_PARALLEL_BODY)
+    handler = MockHandler(SLOW_CALLS_SCRIPT)  # shared: counts every invocation
+    saved = stopped_once(ast, handler, True, lambda rs: starts_of(rs, "slow") and arrived(rs))
+    assert saved["branches"] == [
+        {"id": "0", "path": [0, 0, 2], "forks": 2},
+        {"id": "0.1", "path": [0, -1]},
+    ]
+
+    resumed = WorkflowInstance.resume(ast, handler, saved, RunOptions(virtual_time=True))
+    assert resumed.run() == "finished"
+    assert [r.position for r in resumed.log.records if r.kind == "activity_start"] == ["slow"]
+    assert resumed.store.current_values() == {"n": 1}
+    assert handler.invocations == {"a": 1, "slow": 1}
+
+
+LOSER_BLOCKED_ON_ITS_JOIN = """
+workflow {
+  handler "mock"
+  endpoint svc: "mock://svc"
+  parallel wait: 1 {
+    parallel_branch { call :fast, endpoint: svc }
+    parallel_branch {
+      parallel wait: all { parallel_branch { call :slow, endpoint: svc } }
+    }
+  }
+  call :after, endpoint: svc
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "virtual_time, branches",
+    [
+        pytest.param(True, [{"id": "0", "path": [1], "forks": 3}], id="cancelled-then-stopped"),
+        pytest.param(
+            False,
+            [{"id": "0", "path": [0], "forks": 3}, {"id": "0.1", "path": [0, -1]}],
+            id="parked-then-cancelled",
+        ),
+    ],
+)
+def test_a_loser_of_a_join_that_fires_after_the_stop_is_not_saved(virtual_time, branches):
+    ast = dsl.parse(LOSER_BLOCKED_ON_ITS_JOIN)
+    script = {
+        "positions": {
+            "fast": {"result": {}, "delay_ms": 10},
+            "slow": {"result": {}, "delay_ms": 2000, "token": "tok-slow"},
+        },
+        "default": {"result": {}},
+    }
+    handler = MockHandler(script)  # shared: counts every invocation
+    instance = WorkflowInstance(ast, handler, RunOptions(virtual_time=virtual_time))
+    parked = []
+
+    # the stop lands between the winner's last activity and its arrival. On
+    # threads the winner then waits until every other branch has parked, so
+    # the join fires after; under virtual time the others run only after the
+    # join has fired and cancelled the loser
+    def stop_as_fast_ends(record):
+        if record.kind == "activity_end" and record.position == "fast":
+            instance.request_stop()
+            if not virtual_time:
+                parked.append(wait_until(lambda: len(instance.branches) == 1))
+
+    instance.log.add_listener(stop_as_fast_ends)
+    assert instance.run() == "stopped"
+    assert parked == ([] if virtual_time else [True])
+    saved = json.loads(json.dumps(instance.save()))
+    # the loser's subtree is no longer necessary: no path or call of it is kept
+    assert saved["branches"] == branches
+    assert saved["interrupted"] == {}
+
+    resumed = WorkflowInstance.resume(ast, handler, saved, RunOptions(virtual_time=virtual_time))
+    assert resumed.run() == "finished"
+    assert handler.invocations == {"fast": 1, "slow": 1, "after": 1}
+
+
+ONE_CHILD = """
+workflow {
+  handler "mock"
+  endpoint svc: "mock://svc"
+  context n: 0
+  parallel wait: all {
+    parallel_branch { call :a, endpoint: svc }
+  }
+  manipulate :after { n = n + 1 }
+}
+"""
+
+
+def renamed_child(saved: dict) -> dict:
+    return {
+        **saved,
+        "branches": [saved["branches"][0], {**saved["branches"][1], "id": "0.7.1"}],
+        "interrupted": {"0.7.1/a": saved["interrupted"]["0.1/a"]},
+    }
+
+
+def root_at(path: list[int]):
+    return lambda saved: {
+        **saved, "branches": [{**saved["branches"][0], "path": path}, saved["branches"][1]]
+    }
+
+
+@pytest.mark.parametrize(
+    "edit, child",
+    [
+        pytest.param(renamed_child, "0.7.1", id="parent-not-saved"),
+        pytest.param(root_at([1]), "0.1", id="parent-past-the-parallel"),
+        pytest.param(root_at([2]), "0.1", id="parent-at-the-end"),
+    ],
+)
+def test_resume_refuses_a_saved_child_that_nothing_restores(edit, child, tmp_path):
+    ast = dsl.parse(ONE_CHILD)
+    script = {"positions": {"a": {"result": {}, "delay_ms": 2000, "token": "tok-a"}}}
+    handler = MockHandler(script)
+    saved = stopped_once(ast, handler, True, lambda rs: starts_of(rs, "a"))
+    assert saved["branches"] == [
+        {"id": "0", "path": [0], "forks": 2},
+        {"id": "0.1", "path": [0, 0, 0, 0, 0]},
+    ]
+    assert saved["interrupted"] == {"0.1/a": {"passthrough": "tok-a"}}
+
+    log = tmp_path / "resumed.jsonl"
+    with pytest.raises(EngineError) as refused:
+        WorkflowInstance.resume(ast, handler, edit(saved), RunOptions(log_path=str(log)))
+    assert str(refused.value) == (
+        f"corrupt saved state: branch {child}: its parent is not saved "
+        "at or inside the parallel [0] it joins"
+    )
+    assert not log.exists()
+    assert handler.invocations == {"a": 1}
+
+
+# -- stop, resume, stop, ... : each call runs once -------------------------------
+
+STOP_CHAIN = """
+workflow {
+  handler "mock"
+  endpoint svc: "mock://svc"
+  context n: 0
+  context got: 0
+  cycle (n < 2) {
+    critical :s {
+      call :pre, endpoint: svc
+      parallel wait: all {
+        parallel_branch {
+          call :a, endpoint: svc
+          manipulate :ga { got = got + 1 }
+        }
+        parallel_branch { critical :t { call :b, endpoint: svc } }
+      }
+    }
+    manipulate :inc { n = n + 1 }
+  }
+}
+"""
+
+BEFORE_START = "before start"
+
+
+def run_stop_chain(seed: int, stops: list) -> None:
+    """Run STOP_CHAIN under virtual time as a chain of phases, each resuming
+    the JSON round trip of the state the last one saved. A phase is stopped
+    before it starts (BEFORE_START), at a virtual time in seconds, or not at
+    all (None); the phase after the last of stops is not stopped."""
+    ast = dsl.parse(STOP_CHAIN)
+    script = {"default": {"result": {}, "delay_ms": [5, 50], "on_stop": "finish"}}
+    handler = MockHandler(script, seed=seed)  # shared: counts every invocation
+    saved = None
+    for stop in [*stops, None]:
+        options = RunOptions(virtual_time=True)
+        if saved is None:
+            instance = WorkflowInstance(ast, handler, options)
+        else:
+            instance = WorkflowInstance.resume(ast, handler, saved, options)
+        if stop == BEFORE_START:
+            instance.request_stop()
+        elif stop is not None:
+            instance.call_later(stop, instance.request_stop)
+        result = instance.run()
+        seqs = [r.seq for r in instance.log.records]
+        first = 1 if saved is None else saved["seq"] + 1
+        assert seqs == list(range(first, first + len(seqs)))
+        if result != "stopped":
+            break
+        saved = json.loads(json.dumps(instance.save()))
+    assert result == "finished", instance.errors
+    assert handler.invocations == {"pre": 2, "a": 2, "b": 2}
+    assert instance.store.current_values() == {"n": 2, "got": 2}
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**16),
+    stops=st.lists(
+        st.one_of(st.just(BEFORE_START), st.floats(min_value=0.0, max_value=0.15), st.none()),
+        max_size=6,
+    ),
+)
+def test_a_chain_of_stops_and_resumes_runs_each_call_once(seed, stops):
+    run_stop_chain(seed, stops)
