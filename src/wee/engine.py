@@ -24,14 +24,15 @@ restore; the resumed instance continues the stopped one's id and seq.
 
 Branch coordination uses one lock per instance. It guards the stop request,
 each branch's cancel flag, in-flight call and what it is blocked on, the
-registries of live branches and open joins, the saved paths and the
+registries of live branches and parked joins, the saved paths and the
 critical-section owners. A blocked branch waits on a baton of its own, and
 only what can unblock it wakes it: a join that fires wakes its parent, a
 cancel the branches it cancels, a stop every live branch, and a section's
 exit its earliest-forked waiter, which passes the wake on if it parks or
 stands down instead. Handlers are never called while the lock is held; stop
 tokens are set under it. The engine keeps only live state: a branch leaves
-the registry when it arrives at its join or ends, and a join when it closes.
+the registry when it arrives at its join or ends; a join enters its registry
+only when its parent parks at it.
 The branch that leaves the registry last emits the terminal record, closes
 the trace and wakes wait() in the same locked section, so an instance ends
 whether or not anyone waits on it, and no record follows its terminal one.
@@ -431,7 +432,7 @@ class WorkflowInstance:
         self._stop_requested = False
         self._stop_source: Optional[str] = None
         self._started = False
-        self._groups: list[_JoinGroup] = []  # open joins
+        self._groups: list[_JoinGroup] = []  # the joins a parent has parked at
         # branch id -> (path a resume restarts it at, its next fork index): each
         # parked branch, the root at its end, a restored one until it is back there
         self._saved_paths: dict[str, tuple[tuple[int, ...], int]] = {}
@@ -554,13 +555,17 @@ class WorkflowInstance:
         """The workflow's source hash, the instance id, seq, the branches with
         the path each restarts at, the context and its version, and the calls
         the stop interrupted; caller holds the state lock."""
-        paths = dict(self._saved_paths)
-        for group in self._groups:  # a child that has arrived at an open join
-            paths.update((child_id, (group.parallel_path + (-1,), 1)) for child_id in group.arrived)
-        entries = [
-            {"id": branch_id, "path": list(path), **({"forks": forks} if forks > 1 else {})}
-            for branch_id, (path, forks) in sorted(paths.items())
-        ]
+        entries: list[dict] = []
+        for branch_id, (path, forks) in self._saved_paths.items():
+            entry: dict = {"id": branch_id, "path": list(path)}
+            if forks > 1:
+                entry["forks"] = forks
+            entries.append(entry)
+        for group in self._groups:  # a join its parent parked at
+            if group.parent.id in self._saved_paths:  # else a cancel dropped its subtree
+                for child_id in group.arrived:
+                    entries.append({"id": child_id, "path": list(group.parallel_path) + [-1]})
+        entries.sort(key=lambda e: e["id"])
         interrupted = {
             call_id: {"passthrough": o.token} if isinstance(o, Passthrough)
             else {"result": o.values} if isinstance(o, Result)
@@ -609,15 +614,14 @@ class WorkflowInstance:
         paths = {entry["id"]: tuple(entry["path"]) for entry in entries}
         if ROOT_BRANCH not in paths and entries:
             raise EngineError("corrupt saved state: no root branch")
-        root_path = paths.get(ROOT_BRANCH, ())
-        # [len(body)]: the root had finished its body when it stopped
-        if root_path != (len(ast.body),):
-            cls._saved_nodes(ast, ROOT_BRANCH, root_path)
         # a branch's next fork index: as saved, and past each saved child's
         forks = {entry["id"]: entry.get("forks", 1) for entry in entries}
         joins = {}  # child id -> (the parallel it joins, its parallel_branch or None)
         for branch_id, path in paths.items():
             if branch_id == ROOT_BRANCH:
+                # [len(body)]: the root had finished its body when it stopped
+                if path != (len(ast.body),):
+                    cls._saved_nodes(ast, ROOT_BRANCH, path)
                 continue
             parent_id, _, fork_index = branch_id.rpartition(".")
             if not (parent_id and fork_index.isascii() and fork_index.isdigit()):
@@ -796,7 +800,7 @@ class WorkflowInstance:
         finally:
             with self._state_lock:
                 self.branches.pop(branch.id, None)
-                if saved is None:
+                if saved is None or branch.cancelled:  # a cancel may follow its park
                     self._saved_paths.pop(branch.id, None)
                 else:  # one parked on its way back keeps the path it restarts at
                     self._saved_paths.setdefault(branch.id, saved)
@@ -850,7 +854,9 @@ class WorkflowInstance:
         and drop their saved paths and interrupted calls; caller holds the state lock."""
         below = tuple(f"{branch_id}." for branch_id in ids)  # "0.2." matches 0.2 and 0.2.1
         cancelled = [
-            b for b in self.branches.values() if f"{b.id}.".startswith(below) and not b.cancelled
+            b
+            for b in self.branches.values()
+            if f"{b.id}.".startswith(below) and not b.cancelled
         ]
         for b in cancelled:
             b.cancelled = True
@@ -876,11 +882,10 @@ class WorkflowInstance:
         if start is not None and len(start) < 2:
             with self._state_lock:  # the branch is back at the path it restarts at
                 self._saved_paths.pop(branch.id, None)
-        begin = start[0] if start else 0
-        for index in range(begin, len(block)):
-            sub = start[1:] if (start and index == start[0] and len(start) > 1) else None
+        sub = (start[1:] or None) if start else None  # the first node's restart path
+        for index in range(start[0] if start else 0, len(block)):
             self._exec_node(branch, block[index], prefix + (index,), sub)
-            start = None
+            sub = None
 
     def _exec_node(
         self,
@@ -1106,10 +1111,7 @@ class WorkflowInstance:
 
     def _exec_parallel(self, branch: _Branch, node: dsl.Parallel, path, sub) -> None:
         group = _JoinGroup(node.wait, path, branch)
-        with self._state_lock:
-            self._groups.append(group)
         branch.group_stack.append(group)
-        parked = False
         try:
             saved = self._resume_children.pop((branch.id, path), None)
             if saved:
@@ -1127,7 +1129,8 @@ class WorkflowInstance:
                     self._checkpoint(branch, path)
                     self._block(branch, group)
         except _Parked:
-            parked = True  # save() reads the open join
+            with self._state_lock:  # save() reads its arrived children
+                self._groups.append(group)
             raise
         except _JumpTo:
             # the jump leaves the block, so its join will never fire: the
@@ -1137,9 +1140,6 @@ class WorkflowInstance:
             raise
         finally:
             branch.group_stack.pop()
-            if not parked:  # the join has fired, or will never fire
-                with self._state_lock:
-                    self._groups.remove(group)
 
     def _attach_saved_children(self, group: _JoinGroup, saved: list[tuple]) -> None:
         # every restored child is counted before any starts, so none fires the join early

@@ -1214,20 +1214,36 @@ workflow {
 }
 """
 
+# the same, with a quick sibling that arrives at the loser's own join first
+LOSER_WITH_AN_ARRIVED_CHILD = LOSER_BLOCKED_ON_ITS_JOIN.replace(
+    "parallel_branch { call :slow, endpoint: svc }",
+    "parallel_branch { call :slow, endpoint: svc } parallel_branch { call :quick, endpoint: svc }",
+)
+PARKED_THEN_CANCELLED = [{"id": "0", "path": [0], "forks": 3}, {"id": "0.1", "path": [0, -1]}]
+
 
 @pytest.mark.parametrize(
-    "virtual_time, branches",
+    "source, virtual_time, branches",
     [
-        pytest.param(True, [{"id": "0", "path": [1], "forks": 3}], id="cancelled-then-stopped"),
         pytest.param(
+            LOSER_BLOCKED_ON_ITS_JOIN,
+            True,
+            [{"id": "0", "path": [1], "forks": 3}],
+            id="cancelled-then-stopped",
+        ),
+        pytest.param(
+            LOSER_BLOCKED_ON_ITS_JOIN, False, PARKED_THEN_CANCELLED, id="parked-then-cancelled"
+        ),
+        pytest.param(
+            LOSER_WITH_AN_ARRIVED_CHILD,
             False,
-            [{"id": "0", "path": [0], "forks": 3}, {"id": "0.1", "path": [0, -1]}],
-            id="parked-then-cancelled",
+            PARKED_THEN_CANCELLED,
+            id="parked-with-an-arrived-child-then-cancelled",
         ),
     ],
 )
-def test_a_loser_of_a_join_that_fires_after_the_stop_is_not_saved(virtual_time, branches):
-    ast = dsl.parse(LOSER_BLOCKED_ON_ITS_JOIN)
+def test_a_loser_of_a_join_that_fires_after_the_stop_is_not_saved(source, virtual_time, branches):
+    ast = dsl.parse(source)
     script = {
         "positions": {
             "fast": {"result": {}, "delay_ms": 10},
@@ -1259,7 +1275,8 @@ def test_a_loser_of_a_join_that_fires_after_the_stop_is_not_saved(virtual_time, 
 
     resumed = WorkflowInstance.resume(ast, handler, saved, RunOptions(virtual_time=virtual_time))
     assert resumed.run() == "finished"
-    assert handler.invocations == {"fast": 1, "slow": 1, "after": 1}
+    quick = {} if source is LOSER_BLOCKED_ON_ITS_JOIN else {"quick": 1}
+    assert handler.invocations == {"fast": 1, "slow": 1, "after": 1} | quick
 
 
 ONE_CHILD = """
