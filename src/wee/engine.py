@@ -12,27 +12,29 @@ parallel body cancels the children forked so far the same way.
 A stop signal parks every branch at its program counter so the instance can
 be resumed later; the terminal instance_stop record carries the saved state.
 It names the workflow by its source hash, the path each branch restarts at,
-and the calls the stop caught in flight: each left a passthrough token, or
-the result or jump it ended with, and the resume replays or applies it
-instead of calling the service again. A call is named by its call id, the
-branch id and position, so one position running in several branches at once
-is still several calls. A saved path, like a call, leaves the saved state
+and the passthrough token of each call the stop caught in flight, which the
+resume replays instead of calling the service again. A call that ends with a
+result or a jump after the stop is applied at once, and its branch parks at
+its next checkpoint. A call is named by its call id, the branch id and
+position, so one position running in several branches at once is still
+several calls. A saved path, like a call's token, leaves the saved state
 only once its branch is back at it: a stop on the way back, or on the way to
-a jump target, saves it again. A cancelled branch is never saved. resume()
-alone checks a saved state, and refuses a child that its parent would not
-restore; the resumed instance continues the stopped one's id and seq.
+a jump target, saves it again. A child that arrives at its join keeps its
+path there until its parent passes the join. A cancelled branch is never
+saved. resume() alone checks a saved state, and refuses a child that its
+parent would not restore; the resumed instance continues the stopped one's
+id and seq.
 
 Branch coordination uses one lock per instance. It guards the stop request,
 each branch's cancel flag, in-flight call and what it is blocked on, the
-registries of live branches and parked joins, the saved paths and the
+registry of live branches, the saved paths and tokens and the
 critical-section owners. A blocked branch waits on a baton of its own, and
 only what can unblock it wakes it: a join that fires wakes its parent, a
 cancel the branches it cancels, a stop every live branch, and a section's
 exit its earliest-forked waiter, which passes the wake on if it parks or
 stands down instead. Handlers are never called while the lock is held; stop
 tokens are set under it. The engine keeps only live state: a branch leaves
-the registry when it arrives at its join or ends; a join enters its registry
-only when its parent parks at it.
+the registry when it arrives at its join or ends.
 The branch that leaves the registry last emits the terminal record, closes
 the trace and wakes wait() in the same locked section, so an instance ends
 whether or not anyone waits on it, and no record follows its terminal one.
@@ -62,10 +64,11 @@ from .handlers import Failure, HandlerCall, HandlerWrapper, Jump, Passthrough, R
 
 ROOT_BRANCH = "0"
 STOP_ENDPOINT = "wee://stop"
-# version of the saved-state format: 4 keeps one map of interrupted calls,
-# the trace position and the workflow's source hash; a state without a
-# schema was written by an older wee, which keyed passthroughs by position
-SAVED_SCHEMA = 4
+# version of the saved-state format: 5 maps each interrupted call to its
+# passthrough token, and keeps the trace position and the workflow's source
+# hash; a state without a schema was written by an older wee, which keyed
+# passthroughs by position
+SAVED_SCHEMA = 5
 
 
 class EngineError(Exception):
@@ -413,10 +416,9 @@ class WorkflowInstance:
         self.result: Optional[str] = None
         # the message of each error record, in trace order
         self.errors: list[str] = []
-        # call id -> what a call the stop caught in flight left: its token,
-        # or the result or jump it ended with; the resume replays the token
-        # or applies the outcome instead of calling the service again
-        self.interrupted: dict[str, Passthrough | Result | Jump] = {}
+        # call id -> the passthrough token of a call the stop caught in
+        # flight; the resume replays it instead of calling the service again
+        self.interrupted: dict[str, str] = {}
         # live branches: a branch enters at fork and leaves when it arrives
         # at its join or ends
         self.branches: dict[str, _Branch] = {}
@@ -432,9 +434,9 @@ class WorkflowInstance:
         self._stop_requested = False
         self._stop_source: Optional[str] = None
         self._started = False
-        self._groups: list[_JoinGroup] = []  # the joins a parent has parked at
         # branch id -> (path a resume restarts it at, its next fork index): each
-        # parked branch, the root at its end, a restored one until it is back there
+        # parked branch, the root at its end, a restored one until it is back
+        # there, and an arrived child ([parallel, -1]) until its parent passes the join
         self._saved_paths: dict[str, tuple[tuple[int, ...], int]] = {}
         self._root = _Branch(ROOT_BRANCH, ast.body, ())
         # (parent id, parallel path) -> (id, parallel_branch path or None if
@@ -524,6 +526,8 @@ class WorkflowInstance:
             self.log.emit("instance_stop", ROOT_BRANCH, detail={"error": self.errors[0]})
         elif self._stop_requested:
             self.result = "stopped"
+            # a root with no restart path ran to its end: a resume starts past it
+            self._saved_paths.setdefault(ROOT_BRANCH, ((len(self.ast.body),), 1))
             # no branch is left to emit, so this record takes the next seq
             saved = self._saved_state(self.log.seq + 1)
             detail = {"source": self._stop_source, "saved": saved}
@@ -556,22 +560,11 @@ class WorkflowInstance:
         the path each restarts at, the context and its version, and the calls
         the stop interrupted; caller holds the state lock."""
         entries: list[dict] = []
-        for branch_id, (path, forks) in self._saved_paths.items():
+        for branch_id, (path, forks) in sorted(self._saved_paths.items()):
             entry: dict = {"id": branch_id, "path": list(path)}
             if forks > 1:
                 entry["forks"] = forks
             entries.append(entry)
-        for group in self._groups:  # a join its parent parked at
-            if group.parent.id in self._saved_paths:  # else a cancel dropped its subtree
-                for child_id in group.arrived:
-                    entries.append({"id": child_id, "path": list(group.parallel_path) + [-1]})
-        entries.sort(key=lambda e: e["id"])
-        interrupted = {
-            call_id: {"passthrough": o.token} if isinstance(o, Passthrough)
-            else {"result": o.values} if isinstance(o, Result)
-            else {"jump": o.target}
-            for call_id, o in self.interrupted.items()
-        }
         return {
             "schema": SAVED_SCHEMA,
             "workflow": self.ast.source_hash,
@@ -580,7 +573,7 @@ class WorkflowInstance:
             "branches": entries,
             "context": dict(self.store.current_values()),
             "version": self.store.version,
-            "interrupted": interrupted,
+            "interrupted": dict(self.interrupted),
         }
 
     @classmethod
@@ -605,10 +598,6 @@ class WorkflowInstance:
         unknown = sorted(skip - set(dsl.positions(ast))) if skip else []
         if unknown:
             raise EngineError(f"skip positions not in workflow: {unknown}")
-        interrupted = {
-            call_id: cls._interrupted_outcome(call_id, entry)
-            for call_id, entry in saved["interrupted"].items()
-        }
 
         entries = saved["branches"]
         paths = {entry["id"]: tuple(entry["path"]) for entry in entries}
@@ -657,15 +646,15 @@ class WorkflowInstance:
             _restored_context=(dict(saved["context"]), saved["version"]),
         )
         instance.skip_positions = skip
-        instance.interrupted = interrupted
+        instance.interrupted = dict(saved["interrupted"])
         instance._saved_paths = {b: (path, forks[b]) for b, path in paths.items()}
         instance._resume_children = children
         return instance
 
     @staticmethod
     def _check_saved(saved: object) -> None:
-        """Reject a saved state not in the current schema, or whose keys or
-        branch entries are missing or have the wrong JSON types."""
+        """Reject a saved state not in the current schema, or whose keys,
+        branch entries or tokens are missing or have the wrong JSON types."""
 
         def corrupt(what: str) -> EngineError:
             return EngineError(f"corrupt saved state: {what}")
@@ -708,18 +697,9 @@ class WorkflowInstance:
             forks = entry.get("forks", 1)
             if type(forks) is not int or forks < 1:
                 raise corrupt(f"branch {branch_id}: forks {forks!r}")
-
-    @staticmethod
-    def _interrupted_outcome(call_id: str, entry: object) -> Passthrough | Result | Jump:
-        if isinstance(entry, dict) and len(entry) == 1:
-            ((kind, value),) = entry.items()
-            if kind == "passthrough" and isinstance(value, str):
-                return Passthrough(value)
-            if kind == "result" and isinstance(value, dict):
-                return Result(dict(value))
-            if kind == "jump" and isinstance(value, str):
-                return Jump(value)
-        raise EngineError(f"corrupt saved state: interrupted call {call_id}: {entry!r}")
+        for call_id, token in saved["interrupted"].items():
+            if not isinstance(token, str):
+                raise corrupt(f"interrupted call {call_id}: {token!r}")
 
     @staticmethod
     def _saved_nodes(
@@ -771,7 +751,7 @@ class WorkflowInstance:
     def _run_branch(self, branch: _Branch) -> None:
         if self._timeline is not None:
             branch.baton.acquire()  # the timeline's first turn
-        saved = None  # (path, next fork index) a resume restarts the branch from
+        parked = None  # (path, next fork index) a resume restarts the branch from
         try:
             while True:
                 # restored, or after a jump: it restarts at its saved path; no lock, as
@@ -786,11 +766,8 @@ class WorkflowInstance:
                         self._saved_paths[branch.id] = (jump.path, branch.forks)
             if branch.group is not None:
                 self._child_finished(branch)
-            else:
-                # the root ran to the end: a resume starts past it
-                saved = ((len(self.ast.body),), 1)
-        except _Parked as parked:
-            saved = (parked.path, branch.forks)
+        except _Parked as park:
+            parked = (park.path, branch.forks)
         except _Cancelled:
             pass
         except EngineError as exc:
@@ -800,10 +777,10 @@ class WorkflowInstance:
         finally:
             with self._state_lock:
                 self.branches.pop(branch.id, None)
-                if saved is None or branch.cancelled:  # a cancel may follow its park
+                if branch.cancelled:  # a cancel may follow its park or its jump
                     self._saved_paths.pop(branch.id, None)
-                else:  # one parked on its way back keeps the path it restarts at
-                    self._saved_paths.setdefault(branch.id, saved)
+                elif parked is not None:  # one parked on its way back keeps its restart path
+                    self._saved_paths.setdefault(branch.id, parked)
                 if not self.branches and self.result is None:
                     self._end()
             if self._timeline is not None:
@@ -813,7 +790,8 @@ class WorkflowInstance:
         """Arrive at the child's join unless it was cancelled.
 
         The child leaves the registry in the section in which it arrives, so
-        a cancel of its parent cannot signal it.
+        a cancel of its parent cannot signal it. Its restart path is the
+        join's until its parent passes the join.
         """
         group = child.group
         assert group is not None
@@ -821,6 +799,7 @@ class WorkflowInstance:
             if child.cancelled:
                 return
             group.arrived.append(child.id)
+            self._saved_paths[child.id] = (group.parallel_path + (-1,), 1)
             self.log.emit(
                 "branch_join",
                 child.id,
@@ -845,8 +824,8 @@ class WorkflowInstance:
                 "wait": "all" if group.wait.is_all else group.wait.count,
             },
         )
-        if not group.wait.is_all:
-            self._cancel(group.children)
+        if not group.wait.is_all:  # the winners keep their restart paths
+            self._cancel([c for c in group.children if c not in group.arrived])
         self._wake([group.parent])
 
     def _cancel(self, ids: list[str]) -> None:
@@ -901,6 +880,9 @@ class WorkflowInstance:
         if isinstance(node, dsl.CallActivity):
             if node.position not in self.skip_positions:
                 self._exec_call(branch, node, path)
+            else:  # a skipped call leaves no token to replay
+                with self._state_lock:
+                    self.interrupted.pop(f"{branch.id}/{node.position}", None)
             return
 
         with self._state_lock:
@@ -1001,27 +983,22 @@ class WorkflowInstance:
         call_id = f"{branch.id}/{node.position}"
         with self._state_lock:
             self._checkpoint(branch, path)
-            # an interrupted call leaves the saved state only once it is sure
-            # to begin again: a branch parked by the checkpoint keeps it
-            outcome = self.interrupted.pop(call_id, None)
-            token = None
-            if isinstance(outcome, Passthrough):
-                token, outcome = outcome.token, None
-            if outcome is None:
-                call = branch.in_flight = HandlerCall(
-                    call_id,
-                    node.position,
-                    uri,
-                    parameters,
-                    snap.values,
-                    snap.version,
-                    StopToken() if self._timeline is None else _TimedToken(self._timeline, branch),
-                    token,
-                )
+            # an interrupted call's token leaves the saved state only once the
+            # call is sure to begin again: a branch parked by the checkpoint keeps it
+            token = self.interrupted.pop(call_id, None)
+            call = branch.in_flight = HandlerCall(
+                call_id,
+                node.position,
+                uri,
+                parameters,
+                snap.values,
+                snap.version,
+                StopToken() if self._timeline is None else _TimedToken(self._timeline, branch),
+                token,
+            )
             self.log.emit("activity_start", branch.id, node.position, events.START_CALL)
         try:
-            if outcome is None:
-                outcome = self.handler.call(call)
+            outcome = self.handler.call(call)
         except Exception as exc:
             outcome = Failure(f"handler raised: {exc!r}")
         finally:
@@ -1032,26 +1009,23 @@ class WorkflowInstance:
 
         if cancelled:
             raise _Cancelled()
-        if stopped:
-            # the branch parks at the call; the resume applies a result or
-            # jump it already has and replays a passthrough, so the service
-            # is not called again; a failed call runs again, and a failed
-            # replay keeps its token
-            if isinstance(outcome, Failure):
-                outcome = None if token is None else Passthrough(token)
-            # the stop record carries the result, so it must be values as a commit's are
-            if isinstance(outcome, Result) and not all(map(is_value, outcome.values.values())):
-                raise EngineError(f"call '{node.position}': handler result is not a value")
-            if outcome is not None:
-                with self._state_lock:
-                    self.interrupted[call_id] = outcome
-            raise _Parked(path)
-
+        # a result or jump is applied even after a stop, and the branch then
+        # parks at its next checkpoint
         if isinstance(outcome, Result):
             self._commit_result(branch, node, outcome)
             self.log.emit("activity_end", branch.id, node.position, events.END_RESULT)
         elif isinstance(outcome, Jump):
             self._apply_jump(branch, node, outcome.target)
+        elif stopped:
+            # the branch parks at the call, and the resume replays its token,
+            # so the service is not called again; a failed call runs again,
+            # and a failed replay keeps its token
+            if isinstance(outcome, Passthrough):
+                token = outcome.token
+            if token is not None:
+                with self._state_lock:
+                    self.interrupted[call_id] = token
+            raise _Parked(path)
         elif isinstance(outcome, Passthrough):
             raise EngineError(
                 f"call '{node.position}': handler returned a passthrough without a stop"
@@ -1128,10 +1102,8 @@ class WorkflowInstance:
                 while not group.fired:
                     self._checkpoint(branch, path)
                     self._block(branch, group)
-        except _Parked:
-            with self._state_lock:  # save() reads its arrived children
-                self._groups.append(group)
-            raise
+                for child_id in group.arrived:  # past the join: a resume restores none
+                    self._saved_paths.pop(child_id, None)  # a cancel may have dropped it
         except _JumpTo:
             # the jump leaves the block, so its join will never fire: the
             # children forked so far are no longer necessary
@@ -1147,7 +1119,6 @@ class WorkflowInstance:
         with self._state_lock:
             for child_id, pb_path in saved:
                 if pb_path is None:  # it arrived before the stop
-                    self._saved_paths.pop(child_id, None)
                     group.children.append(child_id)
                     group.arrived.append(child_id)
                 else:

@@ -7,8 +7,8 @@ Passthrough token (only once the stop token is set), a Jump directive moving
 the thread of control, or a Failure. The engine sets the call's stop token
 from another thread, possibly before the handler has looked at it; the call
 must then resolve within a bounded grace period. A Result or Jump returned
-after the token is set is final: a call whose work is only partly done
-answers with a Passthrough.
+after the token is set is final, and the engine applies it at once: a call
+whose work is only partly done answers with a Passthrough.
 """
 
 from __future__ import annotations

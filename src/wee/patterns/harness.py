@@ -540,7 +540,7 @@ def check_assertion(assertion: dict, run: RunArtifacts) -> Optional[str]:
 
     if op == "saved_passthroughs":
         saved = run.saved or {}
-        count = sum("passthrough" in e for e in saved.get("interrupted", {}).values())
+        count = len(saved.get("interrupted", {}))
         if count != assertion["equals"]:
             return f"saved {count} passthroughs, expected {assertion['equals']}"
         return None

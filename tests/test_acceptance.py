@@ -237,7 +237,7 @@ def test_criterion_5_cancel_region_round_trip():
         interrupted.deliver_stop()
         assert interrupted.result == "stopped"
         saved = interrupted.save()
-        assert "passthrough" in saved["interrupted"].get("0/prepare", {}), (
+        assert "0/prepare" in saved["interrupted"], (
             "the in-flight call must leave a passthrough"
         )
 

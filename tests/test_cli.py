@@ -474,8 +474,8 @@ def test_stop_resume_round_trip(seq_dir):
     stop = pre_records[-1]
     assert stop.kind == "instance_stop" and stop.detail["source"] == "controller"
     saved = stop.detail["saved"]
-    assert saved["schema"] == 4 and saved["seq"] == stop.seq
-    assert saved["interrupted"] == {"0/one": {"passthrough": "p-one"}}
+    assert saved["schema"] == 5 and saved["seq"] == stop.seq
+    assert saved["interrupted"] == {"0/one": "p-one"}
     assert saved["workflow"] == dsl.parse(SEQ_WEE).source_hash
 
     resume = resume_seq(seq_dir, log)
@@ -598,7 +598,7 @@ def test_a_stop_resume_stop_resume_chain_keeps_one_log(tmp_path):
     assert fresh == {"0/one": 1, "0/two": 1, "0/fin": 1}
     assert replays == set()
     stops = [r.detail["saved"]["interrupted"] for r in records if r.kind == "instance_stop"]
-    assert stops == [{"0/one": {"passthrough": "p-one"}}, {"0/two": {"passthrough": "p-two"}}]
+    assert stops == [{"0/one": "p-one"}, {"0/two": "p-two"}]
 
 
 NESTED_COUNT_WEE = """
@@ -625,8 +625,8 @@ def test_stop_resume_recursive_call_across_processes(tmp_path):
 
     # the token carries the stopped nested instance into the stop record
     saved = read_jsonl(log)[-1].detail["saved"]
-    token = json.loads(saved["interrupted"]["0/nest"]["passthrough"])
-    assert token["saved"]["schema"] == 4
+    token = json.loads(saved["interrupted"]["0/nest"])
+    assert token["saved"]["schema"] == 5
     assert token["saved"]["workflow"] == saved["workflow"]
     assert 0 < token["saved"]["context"]["total"] < 40000
     assert saved["context"]["total"] == 0
@@ -759,13 +759,18 @@ def test_parse_skip_region_expands_source_range():
 
 
 def test_resume_of_a_saved_state_of_the_wrong_shape_exits_one(tmp_path, capsys):
-    # a state the engine refuses, as this wee and as the previous format wrote it
+    # a state the engine refuses, as this wee and as two earlier formats wrote it
     refused = {
         "corrupt saved state: branch 0: path 0": lambda saved: {
             **saved,
             "branches": [{"id": "0", "path": 0}],
         },
-        "saved state has schema 2, expected 4": lambda saved: {
+        "saved state has schema 4, expected 5": lambda saved: {
+            **saved,
+            "schema": 4,
+            "interrupted": {c: {"passthrough": t} for c, t in saved["interrupted"].items()},
+        },
+        "saved state has schema 2, expected 5": lambda saved: {
             "schema": 2,
             "lifecycle": "stopped",
             "branches": [{"id": "0", "path": [1]}],

@@ -19,7 +19,7 @@ from wee import dsl, engine
 from wee.context import ContextError
 from wee.engine import EngineError, RunOptions, WorkflowInstance
 from wee.events import FixedClock
-from wee.handlers import MockHandler, Passthrough, TriggerHandler
+from wee.handlers import MockHandler, TriggerHandler
 
 FIXTURES = Path(__file__).parent.parent / "src" / "wee" / "fixtures"
 
@@ -729,7 +729,7 @@ def test_a_stop_parks_a_branch_blocked_on_a_section_and_its_parent_blocked_on_th
     assert not [r for r in records[ack + 1 :] if r.kind == "activity_start"]
     saved = json.loads(json.dumps(instance.save()))
     assert [entry["id"] for entry in saved["branches"]] == ["0", "0.1", "0.2"]
-    assert saved["interrupted"] == {"0.1/hold": {"passthrough": "p-hold"}}
+    assert saved["interrupted"] == {"0.1/hold": "p-hold"}
 
     resumed = WorkflowInstance.resume(ast, handler, saved, RunOptions(virtual_time=virtual))
     assert finish(resumed) == "finished"
@@ -784,17 +784,17 @@ def test_stop_mid_sequence_prevents_later_activities():
 
 def test_stop_records_passthrough_of_blocked_call():
     instance, _ = stop_after_first_start(STOPPABLE, STOP_SCRIPT)
-    assert instance.interrupted == {"0/one": Passthrough("p-one")}
+    assert instance.interrupted == {"0/one": "p-one"}
     saved = instance.save()
     assert saved == {
-        "schema": 4,
+        "schema": 5,
         "workflow": hashlib.sha256(STOPPABLE.encode()).hexdigest(),
         "instance": instance.instance_id,
         "seq": instance.log.records[-1].seq,
         "branches": [{"id": "0", "path": [0]}],
         "context": {"done": False},
         "version": 0,
-        "interrupted": {"0/one": {"passthrough": "p-one"}},
+        "interrupted": {"0/one": "p-one"},
     }
     assert json.loads(json.dumps(saved)) == saved
     # the terminal record carries the same state
@@ -828,7 +828,7 @@ def test_stop_before_the_handler_looks_still_interrupts_the_call():
     started = time.monotonic()
     assert instance.wait() == "stopped"
     assert time.monotonic() - started < 1.0
-    assert instance.interrupted == {"0/one": Passthrough("p-one")}
+    assert instance.interrupted == {"0/one": "p-one"}
 
 
 def test_stop_is_idempotent():
@@ -1032,7 +1032,7 @@ def test_a_jump_out_of_a_parallel_body_cancels_the_children_it_forked():
         r for r in records[after:] if r.kind == "branch_join" and r.detail["role"] == "arrive"
     ]
     assert not starts(instance, "skipped")
-    assert instance.branches == {} and instance._groups == []
+    assert instance.branches == {} and instance._saved_paths == {}
 
 
 def test_jump_to_unknown_position_is_illegal():
@@ -1140,7 +1140,7 @@ def test_stop_inside_parallel_saves_arrivals_and_live_branches():
     assert len(completed) == 1  # the quick branch already arrived
     live = [p for bid, p in by_id.items() if bid != "0" and (not p or p[-1] != -1)]
     assert len(live) == 1
-    assert saved["interrupted"] == {"0.2/slow": {"passthrough": "p-slow"}}
+    assert saved["interrupted"] == {"0.2/slow": "p-slow"}
 
 
 def test_resume_mid_parallel_completes_join():
@@ -1335,7 +1335,7 @@ def test_racing_cancels_take_down_whole_subtrees_and_close_every_join():
             runner.join(timeout=20)
             assert not runner.is_alive()
             assert instance.result == "finished"
-            assert instance.branches == {} and instance._groups == []
+            assert instance.branches == {} and instance._saved_paths == {}
             cancelled, arrived = set(), set()
             for r in instance.log.records:
                 if r.detail.get("signal") == "no_longer_necessary":
@@ -1779,11 +1779,9 @@ def test_stop_save_and_resume_under_virtual_time_repeat_no_call():
     instance.call_later(0.05, instance.request_stop)
     assert finish(instance) == "stopped"
     saved = json.loads(json.dumps(instance.save()))
-    assert saved["interrupted"] == {
-        "0.1/a2": {"passthrough": "p-a2"},
-        "0.2/b": {"result": {}},
-        "0.3/c": {"passthrough": "p-c"},
-    }
+    # b ended after the stop: its branch arrived at the join, and no token is kept
+    assert saved["interrupted"] == {"0.1/a2": "p-a2", "0.3/c": "p-c"}
+    assert {"id": "0.2", "path": [0, -1]} in saved["branches"]
 
     resumed = WorkflowInstance.resume(ast, handler, saved, RunOptions(virtual_time=True))
     assert finish(resumed) == "finished"

@@ -21,7 +21,7 @@ from conftest import wait_until
 from wee import dsl
 from wee.engine import EngineError, RunOptions, WorkflowInstance
 from wee.events import read_jsonl
-from wee.handlers import Failure, MockHandler, Passthrough, Result
+from wee.handlers import Failure, MockHandler, Result
 
 
 def wait_for(instance, predicate, timeout=5.0):
@@ -72,7 +72,7 @@ def test_resume_inside_critical_within_cycle():
     instance.deliver_stop()
     assert instance.store.current_values()["i"] == 1
     saved = instance.save()
-    assert saved["interrupted"] == {"0/step": {"passthrough": "p-step"}}
+    assert saved["interrupted"] == {"0/step": "p-step"}
     # parked inside the critical body, second loop pass
     assert saved["branches"] == [{"id": "0", "path": [0, 0, 0, 0, 0]}]
 
@@ -147,9 +147,10 @@ workflow {
 
 FORKING_LOOP_SCRIPT = {
     "positions": {
-        "work": {"result": {}, "delay_ms": 30, "on_stop": "finish"},
-        "pace": {"result": {}, "delay_ms": 150, "on_stop": "finish"},
-    }
+        "work": {"result": {}, "delay_ms": 30, "token": "p-work"},
+        "pace": {"result": {}, "delay_ms": 150, "token": "p-pace"},
+    },
+    "passthroughs": {"p-work": {"result": {}}, "p-pace": {"result": {}}},
 }
 
 
@@ -284,7 +285,7 @@ def test_nested_join_cancellation_cascades():
         assert not starts_of(records, "inner_done")
         assert len(starts_of(records, "after")) == 1
         assert instance.store.current_values()["done"] is True
-        assert instance._groups == [], shape
+        assert instance._saved_paths == {}, shape
 
 
 def test_nested_cancellation_wakes_the_loser_blocked_on_its_own_join():
@@ -373,10 +374,15 @@ WAIT_TWO_OF_THREE_SCRIPT = {
         "a": {"result": {}},
         "b": {"result": {}, "delay_ms": 2000, "token": "p-b"},
         "c": {"result": {}, "delay_ms": 2000, "token": "p-c"},
-        "b2": {"result": {}, "delay_ms": 2000, "on_stop": "finish"},
-        "c2": {"result": {}, "delay_ms": 2000, "on_stop": "finish"},
+        "b2": {"result": {}, "delay_ms": 2000, "token": "p-b2"},
+        "c2": {"result": {}, "delay_ms": 2000, "token": "p-c2"},
     },
-    "passthroughs": {"p-b": {"result": {}}, "p-c": {"result": {}}},
+    "passthroughs": {
+        "p-b": {"result": {}},
+        "p-c": {"result": {}},
+        "p-b2": {"result": {}},
+        "p-c2": {"result": {}},
+    },
 }
 
 
@@ -576,7 +582,7 @@ def test_stop_before_a_resumed_call_begins_keeps_its_passthrough():
     assert wait_for(instance, lambda rs: len(starts_of(rs, "slow")) == 1)
     instance.deliver_stop()
     saved = instance.save()
-    assert saved["interrupted"] == {"0/slow": {"passthrough": "tok-slow"}}
+    assert saved["interrupted"] == {"0/slow": "tok-slow"}
 
     # stopped before the resumed call begins: it parks at the call and the
     # token stays in the saved state
@@ -586,7 +592,7 @@ def test_stop_before_a_resumed_call_begins_keeps_its_passthrough():
     assert parked.wait() == "stopped"
     assert starts_of(parked.log.records, "slow") == []
     saved = parked.save()
-    assert saved["interrupted"] == {"0/slow": {"passthrough": "tok-slow"}}
+    assert saved["interrupted"] == {"0/slow": "tok-slow"}
 
     resumed = WorkflowInstance.resume(ast, handler, saved)
     assert resumed.run() == "finished"
@@ -636,7 +642,7 @@ def test_stop_interrupts_every_call_at_one_forked_position():
     assert time.perf_counter() - started < 0.2
     saved = json.loads(json.dumps(instance.save()))
     assert saved["interrupted"] == {
-        f"0.{k}/task_instance": {"passthrough": "tok-task"} for k in range(1, 5)
+        f"0.{k}/task_instance": "tok-task" for k in range(1, 5)
     }
 
     resumed = WorkflowInstance.resume(ast, handler, saved)
@@ -652,7 +658,7 @@ def test_resume_rejects_saved_state_without_schema():
     assert wait_for(instance, lambda rs: len(starts_of(rs, "slow")) == 1)
     instance.deliver_stop()
     saved = instance.save()
-    assert saved["schema"] == 4
+    assert saved["schema"] == 5
     # as an older wee wrote it: no schema, passthroughs keyed by position
     del saved["schema"], saved["interrupted"]
     saved["passthroughs"] = {"slow": "tok-slow"}
@@ -742,6 +748,12 @@ def as_schema_2(saved: dict) -> dict:
     }
 
 
+def as_schema_4(saved: dict) -> dict:
+    """The state as the previous format kept it: each token wrapped in an object."""
+    interrupted = {call_id: {"passthrough": t} for call_id, t in saved["interrupted"].items()}
+    return {**saved, "schema": 4, "interrupted": interrupted}
+
+
 def without(key: str):
     return lambda saved: {k: v for k, v in saved.items() if k != key}
 
@@ -764,7 +776,8 @@ def bad_entry(entry, case_id: str):
 @pytest.mark.parametrize(
     "edit, message",
     [
-        pytest.param(as_schema_2, "saved state has schema 2, expected 4", id="schema-2"),
+        pytest.param(as_schema_2, "saved state has schema 2, expected 5", id="schema-2"),
+        pytest.param(as_schema_4, "saved state has schema 4, expected 5", id="schema-4"),
         *(
             pytest.param(without(key), f"corrupt saved state: no {key}", id=f"no-{key}")
             for key in (
@@ -792,21 +805,23 @@ def bad_entry(entry, case_id: str):
             "corrupt saved state: interrupted []",
             id="interrupted-not-an-object",
         ),
-        bad_entry("tok-slow", "entry-not-an-object"),
+        # a token is a string: an object, as schema 4 wrapped it, is refused
+        bad_entry(5, "token-a-number"),
         bad_entry({}, "entry-empty"),
+        bad_entry({"passthrough": "tok-slow"}, "entry-in-the-schema-4-form"),
         bad_entry({"passthrough": "t", "result": {}}, "entry-two-kinds"),
         bad_entry({"token": "t"}, "entry-unknown-kind"),
         bad_entry({"passthrough": 5}, "passthrough-not-a-string"),
-        bad_entry({"result": [1]}, "result-not-an-object"),
-        bad_entry({"jump": None}, "jump-not-a-string"),
     ],
 )
-def test_resume_refuses_a_malformed_saved_state(edit, message):
+def test_resume_refuses_a_malformed_saved_state(edit, message, tmp_path):
     ast, handler, saved = stopped_in_slow_call()
+    log = tmp_path / "resumed.jsonl"
     with pytest.raises(EngineError) as refused:
-        WorkflowInstance.resume(ast, handler, edit(saved))
+        WorkflowInstance.resume(ast, handler, edit(saved), RunOptions(log_path=str(log)))
     refusal = str(refused.value)
     assert refusal.startswith(message) and "\n" not in refusal, refusal
+    assert not log.exists()
     assert handler.invocations == {"slow": 1}
 
 
@@ -824,12 +839,12 @@ class FailingReplay(MockHandler):
 
 def test_a_replay_that_fails_after_a_stop_keeps_its_token():
     ast, handler, saved = stopped_in_slow_call()
-    saved["interrupted"] = {"0/slow": {"passthrough": "tok-slow"}}
+    saved["interrupted"] = {"0/slow": "tok-slow"}
     failing = FailingReplay()
     failing.instance = WorkflowInstance.resume(ast, failing, saved)
     assert failing.instance.run() == "stopped"
-    assert failing.instance.interrupted == {"0/slow": Passthrough("tok-slow")}
-    assert failing.instance.save()["interrupted"] == {"0/slow": {"passthrough": "tok-slow"}}
+    assert failing.instance.interrupted == {"0/slow": "tok-slow"}
+    assert failing.instance.save()["interrupted"] == {"0/slow": "tok-slow"}
     assert failing.invocations == {}
 
 
@@ -920,10 +935,20 @@ def test_call_that_ends_after_the_stop_is_not_called_again():
     instance.start()
     assert wait_for(instance, lambda rs: len(starts_of(rs, "slow")) == 1)
     instance.deliver_stop()
-    # the handler finished the call instead of handing out a token
+    # the handler finished the call instead of handing out a token: its
+    # result is committed before the stop record, and the root saved past it
+    kinds = [(r.kind, r.position) for r in instance.log.records]
+    ack = kinds.index(("stop_acknowledged", None))
+    assert kinds[ack + 1 :] == [
+        ("signal", "slow"),
+        ("context_change", "slow"),
+        ("activity_end", "slow"),
+        ("instance_stop", None),
+    ]
     saved = json.loads(json.dumps(instance.save()))
-    assert saved["interrupted"] == {"0/slow": {"result": {"done": 1}}}
-    assert saved["branches"] == [{"id": "0", "path": [0]}]
+    assert saved["interrupted"] == {}
+    assert saved["branches"] == [{"id": "0", "path": [1]}]
+    assert saved["context"] == {"done": 1}
 
     resumed = WorkflowInstance.resume(ast, handler, saved)
     assert resumed.run() == "finished"
@@ -946,9 +971,9 @@ def test_a_result_the_stop_catches_that_is_not_a_value_ends_the_instance_in_an_e
     )
     instance.start()
     assert wait_for(instance, lambda rs: len(starts_of(rs, "slow")) == 1)
-    # the stop record could not carry the result: the instance ends, in an error
+    # the result is committed after the stop, and the commit refuses it
     assert instance.deliver_stop() == "error"
-    assert instance.errors == ["call 'slow': handler result is not a value"]
+    assert instance.errors == ["call 'slow': handler result for 'done' is not a value"]
     stop = read_jsonl(log)[-1]
     assert stop.kind == "instance_stop" and "saved" not in stop.detail
 
@@ -1083,9 +1108,9 @@ ON_THE_WAY_BACK = {
 }
 
 
-def stopped_once(ast, handler, virtual_time: bool, ready) -> dict:
-    """The JSON round trip of the state of an instance stopped once ready(its
-    records) holds; under virtual time, 50 ms into its simulated waits."""
+def stop_once(ast, handler, virtual_time: bool, ready) -> WorkflowInstance:
+    """An instance stopped once ready(its records) holds; under virtual time,
+    50 ms into its simulated waits."""
     instance = WorkflowInstance(ast, handler, RunOptions(virtual_time=virtual_time))
     if virtual_time:
         instance.call_later(0.05, instance.request_stop)
@@ -1096,7 +1121,12 @@ def stopped_once(ast, handler, virtual_time: bool, ready) -> dict:
         instance.request_stop()
     assert instance.wait() == "stopped"
     assert ready(instance.log.records)
-    return json.loads(json.dumps(instance.save()))
+    return instance
+
+
+def stopped_once(ast, handler, virtual_time: bool, ready) -> dict:
+    """The JSON round trip of the state of stop_once's instance."""
+    return json.loads(json.dumps(stop_once(ast, handler, virtual_time, ready).save()))
 
 
 @pytest.mark.parametrize("virtual_time", [False, True], ids=["threads", "virtual-time"])
@@ -1323,7 +1353,7 @@ def test_resume_refuses_a_saved_child_that_nothing_restores(edit, child, tmp_pat
         {"id": "0", "path": [0], "forks": 2},
         {"id": "0.1", "path": [0, 0, 0, 0, 0]},
     ]
-    assert saved["interrupted"] == {"0.1/a": {"passthrough": "tok-a"}}
+    assert saved["interrupted"] == {"0.1/a": "tok-a"}
 
     log = tmp_path / "resumed.jsonl"
     with pytest.raises(EngineError) as refused:
@@ -1334,6 +1364,116 @@ def test_resume_refuses_a_saved_child_that_nothing_restores(edit, child, tmp_pat
     )
     assert not log.exists()
     assert handler.invocations == {"a": 1}
+
+
+# -- a call that ends after the stop is applied at once --------------------------
+
+JUMP_AFTER_THE_STOP = """
+workflow {
+  handler "mock"
+  endpoint svc: "mock://svc"
+  context n: 0
+  call :leap, endpoint: svc
+  manipulate :skipped { n = n + 1 }
+  critical :s {
+    call :before, endpoint: svc
+    call :target, endpoint: svc
+  }
+}
+"""
+
+
+@pytest.mark.parametrize("virtual_time", [False, True], ids=["threads", "virtual-time"])
+def test_a_jump_that_ends_after_the_stop_parks_the_branch_at_its_target(virtual_time):
+    script = {
+        "positions": {"leap": {"jump": "target", "delay_ms": 2000, "on_stop": "finish"}},
+        "default": {"result": {}},
+    }
+    ast = dsl.parse(JUMP_AFTER_THE_STOP)
+    handler = MockHandler(script)  # shared: counts every invocation
+    instance = stop_once(ast, handler, virtual_time, lambda rs: starts_of(rs, "leap"))
+    # the jump is traced in the run where the call ended
+    kinds = [(r.kind, r.position, r.detail.get("signal")) for r in instance.log.records]
+    ack = kinds.index(("stop_acknowledged", None, None))
+    assert kinds[ack + 1 :] == [
+        ("signal", "leap", "stop_call"),
+        ("signal", "leap", "jump"),
+        ("activity_end", "leap", None),
+        ("instance_stop", None, None),
+    ]
+    saved = json.loads(json.dumps(instance.save()))
+    # parked at the critical node on its way, the root restarts at the target
+    assert saved["branches"] == [{"id": "0", "path": list(dsl.position_paths(ast)["target"])}]
+    assert saved["interrupted"] == {}
+
+    resumed = WorkflowInstance.resume(ast, handler, saved, RunOptions(virtual_time=virtual_time))
+    assert resumed.run() == "finished"
+    assert [r.position for r in resumed.log.records if r.kind == "activity_start"] == ["target"]
+    assert handler.invocations == {"leap": 1, "target": 1}
+    assert resumed.store.current_values() == {"n": 0}
+
+
+WINNER_AFTER_THE_STOP = """
+workflow {
+  handler "mock"
+  endpoint svc: "mock://svc"
+  parallel wait: 1 {
+    parallel_branch { call :quick, endpoint: svc }
+    call :pace, endpoint: svc
+  }
+  call :after, endpoint: svc
+}
+"""
+
+
+def test_a_winner_that_arrives_after_the_stop_keeps_its_restart_path():
+    script = {
+        "positions": {
+            "quick": {"result": {}, "delay_ms": 100, "on_stop": "finish"},
+            "pace": {"result": {}, "delay_ms": 2000, "token": "tok-pace"},
+        },
+        "default": {"result": {}},
+        "passthroughs": {"tok-pace": {"result": {}}},
+    }
+    ast = dsl.parse(WINNER_AFTER_THE_STOP)
+    handler = MockHandler(script)  # shared: counts every invocation
+    saved = stopped_once(ast, handler, True, lambda rs: starts_of(rs, "pace"))
+    # quick ended after the stop and fired the join, which cancels no winner
+    assert saved["branches"] == [
+        {"id": "0", "path": [0, 0, 1], "forks": 2},
+        {"id": "0.1", "path": [0, -1]},
+    ]
+    assert saved["interrupted"] == {"0/pace": "tok-pace"}
+
+    resumed = WorkflowInstance.resume(ast, handler, saved, RunOptions(virtual_time=True))
+    assert resumed.run() == "finished"
+    assert handler.invocations == {"quick": 1, "pace": 1, "after": 1}
+
+
+SLOW_THEN_HALT = """
+workflow {
+  handler "mock"
+  endpoint svc: "mock://svc"
+  endpoint halt: "wee://stop"
+  context done: 0
+  call :slow, endpoint: svc
+  call :halt, endpoint: halt
+}
+"""
+
+
+def test_a_call_that_a_resume_skips_leaves_no_token_behind():
+    ast = dsl.parse(SLOW_THEN_HALT)
+    handler = MockHandler(ONE_SLOW_CALL_SCRIPT)  # shared: counts every invocation
+    saved = stopped_once(ast, handler, False, lambda rs: starts_of(rs, "slow"))
+    assert saved["interrupted"] == {"0/slow": "tok-slow"}
+
+    skipped = WorkflowInstance.resume(ast, handler, saved, skip_positions=["slow"])
+    assert skipped.run() == "stopped"  # at wee://stop
+    second = skipped.save()
+    assert second["branches"] == [{"id": "0", "path": [2]}]
+    assert second["interrupted"] == {}
+    assert handler.invocations == {"slow": 1}
 
 
 # -- stop, resume, stop, ... : each call runs once -------------------------------
