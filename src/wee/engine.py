@@ -75,6 +75,14 @@ class EngineError(Exception):
     """Runtime failure of a workflow instance (aborts the run)."""
 
 
+class _TraceWriteFailed(EngineError):
+    """The trace could not be written; one report of it is enough."""
+
+
+# HandlerCall(...) without the NamedTuple's Python-level __new__
+_new_call = functools.partial(tuple.__new__, HandlerCall)
+
+
 @dataclass
 class RunOptions:
     max_iterations: int = 1_000_000
@@ -414,7 +422,8 @@ class WorkflowInstance:
 
         # how the instance ended: "finished", "stopped" or "error"
         self.result: Optional[str] = None
-        # the message of each error record, in trace order
+        # the message of each error record, in trace order, or of the failed
+        # write of the terminal record
         self.errors: list[str] = []
         # call id -> the passthrough token of a call the stop caught in
         # flight; the resume replays it instead of calling the service again
@@ -520,7 +529,12 @@ class WorkflowInstance:
 
     def _end(self) -> None:
         """Emit the terminal record and close the trace; caller holds the
-        state lock, and the last branch has just left the registry."""
+        state lock, and the last branch has just left the registry. An
+        instance whose trace could not be written in full ends in error."""
+        if self.log.write_error is not None and not self.errors:
+            # the write failed after the last checkpoint
+            self.errors.append(f"trace write failed: {self.log.write_error}")
+            self.log.emit("error", ROOT_BRANCH, detail={"message": self.errors[0]})
         if self.errors:
             self.result = "error"
             self.log.emit("instance_stop", ROOT_BRANCH, detail={"error": self.errors[0]})
@@ -535,11 +549,17 @@ class WorkflowInstance:
         else:
             self.result = "finished"
             self.log.emit("instance_finish", ROOT_BRANCH)
+        if self.log.write_error is not None and not self.errors:
+            # the terminal record itself was not written
+            self.result = "error"
+            self.errors.append(f"trace write failed: {self.log.write_error}")
         self.log.close()
         self._ended.notify_all()
 
     def _report_error(self, branch: _Branch, exc: Exception) -> None:
         with self._state_lock:
+            if isinstance(exc, _TraceWriteFailed) and self.errors:
+                return  # another branch found the failed write first
             self.errors.append(str(exc))
             self.log.emit("error", branch.id, detail={"message": str(exc)})
         self.request_stop(source="error")
@@ -923,9 +943,12 @@ class WorkflowInstance:
                     self._timeline.wake(b)
 
     def _checkpoint(self, branch: _Branch, path: tuple[int, ...]) -> None:
-        """Stand down on cancel, else park on a stop request; caller holds the state lock."""
+        """Stand down on cancel, else fail on a trace write that failed, else
+        park on a stop request; caller holds the state lock."""
         if branch.cancelled:
             raise _Cancelled()
+        if self.log.write_error is not None and not self.errors:
+            raise _TraceWriteFailed(f"trace write failed: {self.log.write_error}")
         if self._stop_requested:
             raise _Parked(path)
 
@@ -986,15 +1009,17 @@ class WorkflowInstance:
             # an interrupted call's token leaves the saved state only once the
             # call is sure to begin again: a branch parked by the checkpoint keeps it
             token = self.interrupted.pop(call_id, None)
-            call = branch.in_flight = HandlerCall(
-                call_id,
-                node.position,
-                uri,
-                parameters,
-                snap.values,
-                snap.version,
-                StopToken() if self._timeline is None else _TimedToken(self._timeline, branch),
-                token,
+            call = branch.in_flight = _new_call(
+                (
+                    call_id,
+                    node.position,
+                    uri,
+                    parameters,
+                    snap.values,
+                    snap.version,
+                    StopToken() if self._timeline is None else _TimedToken(self._timeline, branch),
+                    token,
+                )
             )
             self.log.emit("activity_start", branch.id, node.position, events.START_CALL)
         try:

@@ -8,6 +8,7 @@ short-circuit.
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, NamedTuple, Sequence, Union
@@ -153,6 +154,10 @@ class Change(NamedTuple):
     new: Value
 
 
+# Change(...) without the NamedTuple's Python-level __new__
+_new_change = functools.partial(tuple.__new__, Change)
+
+
 def eval_expr(expr: Expr, env: Mapping[str, Value]) -> Value:
     """Evaluate expr against env. Pure: env is never modified."""
     return expr.evaluate(env)
@@ -174,6 +179,6 @@ def apply_assignments(
         if name not in scratch:
             raise EvalError(f"undeclared variable '{name}'")
         new = expr.evaluate(scratch)
-        changes.append(Change(name, scratch[name], new))
+        changes.append(_new_change((name, scratch[name], new)))
         scratch[name] = new
     return changes, scratch

@@ -165,16 +165,17 @@ class MockHandler(HandlerWrapper):
         self.invocations: dict[str, int] = {}
 
     def _entry_for(self, position: str) -> Optional[dict]:
+        # the script's own entry: nothing writes to it
         scripted = self._positions.get(position)
         if scripted is None:
-            return dict(self._default) if self._default is not None else None
+            return self._default
         if isinstance(scripted, dict):
-            return dict(scripted)
+            return scripted
         index = self._consumed.get(position, 0)
         if index >= len(scripted):
             return None
         self._consumed[position] = index + 1
-        return dict(scripted[index])
+        return scripted[index]
 
     def _delay_ms(self, entry: dict, position: str, invocation: int) -> float:
         delay = entry.get("delay_ms", 0)

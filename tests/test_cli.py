@@ -79,6 +79,30 @@ def test_run_streams_events_to_stdout_by_default(tmp_path):
     assert kinds[-1] == "instance_finish"
 
 
+def test_a_run_whose_stdout_reader_has_gone_exits_one(tmp_path):
+    """`wee run ... | head -1`: the trace's writes to stdout fail, and the
+    run ends in error instead of hanging or crashing a branch thread."""
+    proc = subprocess.Popen(
+        wee_cmd(
+            "run",
+            str(FIXTURES / "booking.wee"),
+            "--script",
+            str(FIXTURES / "booking_over.json"),
+            "--log",
+            "-",
+        ),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()  # no reader is left before the first record is written
+    try:
+        _, stderr = proc.communicate(timeout=10)
+    finally:
+        proc.kill()
+    assert proc.returncode == 1
+    assert stderr.decode().splitlines() == ["error: trace write failed: [Errno 32] Broken pipe"]
+
+
 def test_run_booking_over_limit(tmp_path):
     log = tmp_path / "booking.log"
     proc = subprocess.run(

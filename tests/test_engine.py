@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import gc
 import hashlib
 import json
@@ -194,6 +195,119 @@ def test_wait_all_join_fires_after_both_branch_ends():
     assert all(i < fire for i in arrivals)
     after = next(i for i, r in enumerate(records) if r.position == "after")
     assert fire < after
+
+
+class FailingFile:
+    """A trace file whose nth write raises, as a full disk or a closed pipe does."""
+
+    def __init__(self, raw, fail_at: int):
+        self._raw = raw
+        self._fail_at = fail_at
+        self.writes = 0
+        self.closed = False
+
+    def write(self, data: bytes) -> int:
+        self.writes += 1
+        if self.writes == self._fail_at:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self._raw.write(data)
+
+    def close(self) -> None:
+        self.closed = True
+        self._raw.close()
+
+
+TWO_STEPS = """
+workflow {
+  handler "mock"
+  context x: 0
+  manipulate :a { x = x + 1 }
+  manipulate :b { x = x + 1 }
+}
+"""
+WRITE_FAILED = "trace write failed: [Errno 28] No space left on device"
+
+
+def run_failing_trace(tmp_path, monkeypatch, source: str, fail_at: int):
+    """Run source with a trace file whose fail_at-th write raises; the
+    instance and its file, once it has ended."""
+    hooked = []
+    monkeypatch.setattr(threading, "excepthook", hooked.append)
+    log = tmp_path / "run.jsonl"
+    instance = WorkflowInstance(
+        dsl.parse(source), MockHandler({"default": {"result": {}}}), RunOptions(log_path=str(log))
+    )
+    failing = instance.log._fh = FailingFile(instance.log._fh, fail_at)
+    finish(instance)
+    assert not hooked  # no branch thread died of the failure
+    return instance, failing, log
+
+
+@pytest.mark.parametrize("source", [TWO_STEPS, PARALLEL_TWO], ids=["one-branch", "fork-join"])
+def test_a_trace_write_that_fails_ends_the_instance_in_error(tmp_path, monkeypatch, source):
+    instance, failing, log = run_failing_trace(tmp_path, monkeypatch, source, fail_at=3)
+    assert instance.result == "error"
+    assert instance.errors == [WRITE_FAILED]
+    assert failing.closed and instance.log._fh is None
+    assert instance.log.write_error is not None
+    # the file holds the lines written before the failure; memory holds all
+    records = instance.log.records
+    assert log.read_text().splitlines() == [
+        json.dumps(r.to_json(), sort_keys=True) for r in records[:2]
+    ]
+    assert [r.seq for r in records] == list(range(1, len(records) + 1))
+    assert records[-1].kind == "instance_stop"
+    assert records[-1].detail == {"error": WRITE_FAILED}
+
+
+@pytest.mark.parametrize("source", [TWO_STEPS, PARALLEL_TWO], ids=["one-branch", "fork-join"])
+def test_a_failed_write_of_any_record_ends_the_instance_in_error(tmp_path, monkeypatch, source):
+    """The write of each record in turn fails, the terminal record's too;
+    a file that never fails ends the run finished."""
+    clean = run_source(source, MockHandler({"default": {"result": {}}}))
+    total = len(clean.log.records)
+    for fail_at in range(1, total + 2):
+        directory = tmp_path / str(fail_at)
+        directory.mkdir()
+        instance, failing, _ = run_failing_trace(directory, monkeypatch, source, fail_at)
+        if fail_at > total:
+            assert instance.result == "finished" and not instance.errors
+            assert instance.log.write_error is None
+        else:
+            assert instance.result == "error", fail_at
+            assert instance.errors == [WRITE_FAILED]  # reported once, by one branch
+        assert failing.closed
+
+
+THREE_WRITERS = """
+workflow {
+  handler "mock"
+  endpoint svc: "mock://svc"
+  context x: 0
+  parallel wait: all {
+    parallel_branch { call :a, endpoint: svc manipulate :a2 { x = x + 1 } }
+    parallel_branch { call :b, endpoint: svc manipulate :b2 { x = x + 1 } }
+    parallel_branch { call :c, endpoint: svc manipulate :c2 { x = x + 1 } }
+  }
+}
+"""
+
+
+def test_a_failed_write_is_reported_once_under_a_short_switch_interval(tmp_path, monkeypatch):
+    """Branches that reach their next node boundary together after a failed
+    write report it once between them."""
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for fail_at in range(5, 11):
+            for run in range(10):
+                directory = tmp_path / f"{fail_at}-{run}"
+                directory.mkdir()
+                instance, _, _ = run_failing_trace(directory, monkeypatch, THREE_WRITERS, fail_at)
+                assert instance.result == "error"
+                assert instance.errors == [WRITE_FAILED]
+    finally:
+        sys.setswitchinterval(previous)
 
 
 def test_wait_one_cancels_loser_and_stops_its_call():

@@ -58,6 +58,18 @@ def test_wall_clock_is_isoformat_utc_now():
     assert abs(datetime.fromisoformat(stamp) - datetime.now(timezone.utc)) < timedelta(seconds=5)
 
 
+def test_wall_clock_equals_format_timestamp(monkeypatch):
+    second = 1_700_000_000 * 1_000_000_000
+    # a whole second, +1 us, a fraction under 1 us, the last microsecond of
+    # a second, the next second, and back across the rollover
+    for nanoseconds in (0, 1_000, 999, 999_999_999, 1_000_000_000, 1_000_001_000, 5_000):
+        now = second + nanoseconds
+        monkeypatch.setattr(events.time, "time_ns", lambda: now)
+        seconds, microseconds = divmod(now // 1000, 1_000_000)
+        assert wall_clock() == format_timestamp(seconds, microseconds)
+        assert wall_clock() == isoformat(seconds, microseconds)
+
+
 @pytest.mark.parametrize("start_seq", [0, 7], ids=["fresh", "continued"])
 def test_each_record_is_flushed_before_emit_returns(tmp_path, start_seq):
     path = tmp_path / "trace.jsonl"
@@ -114,6 +126,23 @@ TEXT = st.text(st.one_of(SPECIAL, st.characters()), max_size=6)
 SCALARS = st.one_of(
     st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False), TEXT
 )
+CHANGE_VALUES = st.one_of(
+    st.integers(),
+    st.integers(min_value=2**64),
+    st.integers(max_value=-(2**64)),
+    st.booleans(),
+    st.none(),
+    TEXT,
+)
+CHANGES = st.lists(
+    st.fixed_dictionaries({"name": TEXT, "old": CHANGE_VALUES, "new": CHANGE_VALUES}),
+    min_size=1,
+    max_size=8,
+)
+# a context_change detail as WorkflowInstance._commit builds it
+CONTEXT_CHANGE = st.fixed_dictionaries(
+    {"changes": CHANGES, "version": st.integers(min_value=0)}
+)
 DETAIL = st.dictionaries(
     TEXT,
     st.recursive(
@@ -130,7 +159,9 @@ EMITS = st.lists(
         st.none() | TEXT,
         # the shared details are written from their stored text
         st.none() | DETAIL | st.sampled_from(events.SHARED_DETAILS),
-    ),
+    )
+    # the context changes the engine emits are written from their template
+    | st.tuples(st.just("context_change"), TEXT, st.none() | TEXT, CONTEXT_CHANGE),
     min_size=1,
     max_size=6,
 )
@@ -171,26 +202,18 @@ def joins_surrogates(value) -> bool:
 
 # -- detail encoding --------------------------------------------------------
 
-CHANGE_VALUES = st.one_of(
-    st.integers(),
-    st.integers(min_value=2**64),
-    st.integers(max_value=-(2**64)),
-    st.booleans(),
-    st.none(),
-    TEXT,
-)
-CHANGES = st.lists(
-    st.fixed_dictionaries({"name": TEXT, "old": CHANGE_VALUES, "new": CHANGE_VALUES}),
-    min_size=1,
-    max_size=8,
-)
-
 
 @settings(max_examples=300, deadline=None)
-@given(changes=CHANGES, version=st.integers(min_value=0))
-def test_context_change_detail_equals_json_dumps(changes, version):
-    detail = {"changes": changes, "version": version}
-    assert events._encode_detail(detail) == json.dumps(detail, sort_keys=True)
+@given(detail=CONTEXT_CHANGE)
+def test_context_change_detail_equals_json_dumps(detail):
+    assert events._encode_context_change(detail) == json.dumps(detail, sort_keys=True)
+
+
+def test_a_bool_change_is_written_as_a_bool_and_an_int_as_an_int():
+    detail = {"changes": [{"name": "b", "old": 1, "new": True}], "version": 1}
+    assert events._encode_context_change(detail) == (
+        '{"changes": [{"name": "b", "new": true, "old": 1}], "version": 1}'
+    )
 
 
 def test_each_shared_detail_is_stored_as_json_dumps_writes_it():
@@ -220,4 +243,7 @@ FLAT_DETAILS = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(detail=FLAT_DETAILS)
 def test_other_details_equal_json_dumps(detail):
-    assert events._encode_detail(detail) == json.dumps(detail, sort_keys=True)
+    expected = json.dumps(detail, sort_keys=True)
+    assert events._encode_detail(detail) == expected
+    # a context_change detail of another shape falls back to the encoder
+    assert events._encode_context_change(detail) == expected
