@@ -28,13 +28,15 @@ id and seq.
 Branch coordination uses one lock per instance. It guards the stop request,
 each branch's cancel flag, in-flight call and what it is blocked on, the
 registry of live branches, the saved paths and tokens and the
-critical-section owners. A blocked branch waits on a baton of its own, and
-only what can unblock it wakes it: a join that fires wakes its parent, a
-cancel the branches it cancels, a stop every live branch, and a section's
-exit its earliest-forked waiter, which passes the wake on if it parks or
-stands down instead. Handlers are never called while the lock is held; stop
-tokens are set under it. The engine keeps only live state: a branch leaves
-the registry when it arrives at its join or ends.
+critical-section owners. Handlers are never called while it is held. A
+branch blocks only in _block, on a baton of its own: on a join, a critical
+section or its call's stop token. Only what can unblock it wakes it, through
+_wake: a join that fires wakes its parent, a cancel the branches it cancels,
+a stop every live branch, a section's exit its earliest-forked waiter, which
+passes the wake on if it parks or stands down instead, and a token's set(),
+wake() or timeout its call's branch. No join fires once a stop is requested:
+its arrivals are saved, and the resume fires it. The engine keeps only live
+state: a branch leaves the registry when it arrives at its join or ends.
 The branch that leaves the registry last emits the terminal record, closes
 the trace and wakes wait() in the same locked section, so an instance ends
 whether or not anyone waits on it, and no record follows its terminal one.
@@ -54,7 +56,7 @@ import os
 import threading
 import uuid
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional, Union
 
 from . import dsl, events
 from .context import ContextError, ContextStore
@@ -81,6 +83,7 @@ class _TraceWriteFailed(EngineError):
 
 # HandlerCall(...) without the NamedTuple's Python-level __new__
 _new_call = functools.partial(tuple.__new__, HandlerCall)
+_Blocker = Union["_JoinGroup", str, "_CallToken"]  # what a branch blocks on
 
 
 @dataclass
@@ -199,17 +202,16 @@ def _fork_order(branch_id: str) -> tuple[int, ...]:
 class _Timeline:
     """Virtual time for one instance: its branch threads take turns.
 
-    The branch that holds the baton runs until it blocks, on a join, a
-    critical section or its call's stop token, or ends. Releasing the baton
-    first runs, in the releasing thread, every timer that is due; then the
-    baton goes to the runnable branch forked earliest. When no branch can
-    run, the clock jumps to the next timer. A forked child is runnable at
-    once, but its parent keeps the baton until it blocks. The timers are the
-    timeouts of token waits and the instance's delayed actions; once no
-    branch is live, none runs. A thread outside the instance (a controller's
-    stop, a trigger delivery, an HTTP response, a nested instance's end) may
-    make a branch runnable at any time; if the baton is free, that branch
-    gets it at once.
+    The branch that holds the baton runs until it blocks (see
+    WorkflowInstance._block) or ends. Releasing the baton first runs, in the
+    releasing thread, every timer that is due; then the baton goes to the
+    runnable branch forked earliest. When no branch can run, the clock jumps
+    to the next timer. A forked child is runnable at once, but its parent
+    keeps the baton until it blocks. The timers are the timeouts of blocked
+    waits and the instance's delayed actions; once no branch is live, none
+    runs. A thread outside the instance (a controller's stop, a trigger
+    delivery, an HTTP response, a nested instance's end) may make a branch
+    runnable at any time; if the baton is free, that branch gets it at once.
     """
 
     def __init__(self) -> None:
@@ -219,8 +221,6 @@ class _Timeline:
         self._holder: Optional[_Branch] = None  # the branch with the baton
         self._ready: list[tuple[tuple[int, ...], _Branch]] = []  # heap, by fork order
         self._live = 0  # branches added that have not ended
-        # blocked in a token wait: token -> (branch, its timeout's timer)
-        self._token_waiters: dict[StopToken, tuple[_Branch, Optional[list]]] = {}
         # heap of [due, seq, action]; a withdrawn timer's action is None
         self._timers: list[list] = []
         self._seq = itertools.count()
@@ -237,39 +237,22 @@ class _Timeline:
             self._live -= 1
         self._release()
 
-    def call_later(self, delay: float, action: Callable[[], object]) -> None:
+    def call_later(self, delay: float, action: Callable[[], object]) -> list:
+        """Run action once delay has passed; the timer, for withdraw()."""
         with self._lock:
-            heapq.heappush(self._timers, [self.now + delay, next(self._seq), action])
+            timer = [self.now + delay, next(self._seq), action]
+            heapq.heappush(self._timers, timer)
+        return timer
+
+    def withdraw(self, timer: list) -> None:
+        """Drop a timer that has not run: it never moves the clock."""
+        with self._lock:
+            timer[2] = None
 
     def wake(self, branch: _Branch) -> None:
         """Make a branch blocked in pass_baton() runnable."""
         with self._lock:
             self._make_ready(branch)
-
-    def wait_token(self, token: _TimedToken, timeout: Optional[float]) -> bool:
-        with self._lock:
-            # set() and wake() change the flags before they call token_changed
-            blocked = not (token.is_set() or token._woken)
-            if blocked:
-                timer = None
-                if timeout is not None:
-                    expire = functools.partial(self.token_changed, token)
-                    timer = [self.now + timeout, next(self._seq), expire]
-                    heapq.heappush(self._timers, timer)
-                self._token_waiters[token] = (token.branch, timer)
-        if blocked:
-            self.pass_baton(token.branch)
-        return token.is_set()
-
-    def token_changed(self, token: StopToken) -> None:
-        """The token was set, woken or timed out: its waiter may run."""
-        with self._lock:
-            waiter = self._token_waiters.pop(token, None)
-            if waiter is not None:
-                branch, timer = waiter
-                if timer is not None:
-                    timer[2] = None
-                self._make_ready(branch)
 
     def _make_ready(self, branch: _Branch) -> None:
         # caller holds self._lock
@@ -317,25 +300,32 @@ class _Timeline:
         return None
 
 
-class _TimedToken(StopToken):
-    """A call's stop token under virtual time: a wait on it blocks the
-    call's branch on the instance's timeline."""
+class _CallToken(StopToken):
+    """A call's stop token: its wait blocks the call's branch in _block, and
+    set() or wake() wakes the branch only while it still waits on this token,
+    so a late wake, such as an HTTP response to a call that has returned,
+    ends no other wait. It has StopToken's flags but not its condition: the
+    instance's state lock guards it."""
 
-    def __init__(self, timeline: _Timeline, branch: _Branch):
-        super().__init__()
-        self.timeline = timeline
-        self.branch = branch
+    def __init__(self, instance: WorkflowInstance, branch: _Branch):
+        self._instance = instance
+        self._branch = branch
+        self._flag = False
+        self._woken = False
 
     def set(self) -> None:
-        super().set()
-        self.timeline.token_changed(self)
+        self._flag = True
+        self._instance._wake_if(self._branch, self)
 
     def wake(self) -> None:
-        super().wake()
-        self.timeline.token_changed(self)
+        self._woken = True
+        self._instance._wake_if(self._branch, self)
 
     def wait(self, timeout: Optional[float] = None) -> bool:
-        return self.timeline.wait_token(self, timeout)
+        with self._instance._state_lock:
+            if not (self._flag or self._woken):
+                self._instance._block(self._branch, self, timeout)
+        return self._flag
 
 
 class _JoinGroup:
@@ -380,10 +370,10 @@ class _Branch:
         self.in_flight: Optional[HandlerCall] = None
         # the index of this branch's next child; only its own thread forks
         self.forks = 1
-        # what the branch is blocked on, a join's group or a section's name,
-        # until a wake clears it and releases the baton, which under virtual
-        # time also gives the branch its turns
-        self.waits_on: Optional[_JoinGroup | str] = None
+        # what the branch is blocked on, a join's group, a section's name or
+        # its call's stop token, until a wake clears it and releases the
+        # baton, which under virtual time also gives the branch its turns
+        self.waits_on: Optional[_Blocker] = None
         self.baton = threading.Lock()
         self.baton.acquire()
 
@@ -516,16 +506,16 @@ class WorkflowInstance:
             self._stop_source = source
             self.log.emit("signal", ROOT_BRANCH, detail={"signal": "stop", "source": source})
             self.log.emit("stop_acknowledged", ROOT_BRANCH)
-            self._stop_calls(self.branches.values())
-            self._wake(self.branches.values())
+            self._stop(self.branches.values())
 
-    def _stop_calls(self, branches: Iterable[_Branch]) -> None:
-        """Set the stop token of each branch's in-flight call; caller holds
-        the state lock."""
+    def _stop(self, branches: Iterable[_Branch]) -> None:
+        """Set the stop token of each branch's in-flight call and wake each
+        blocked branch; caller holds the state lock."""
         for b in branches:
             if b.in_flight is not None:
                 self.log.emit("signal", b.id, b.in_flight.position, {"signal": "stop_call"})
-                b.in_flight.stop.set()
+                b.in_flight.stop._flag = True  # a _CallToken: _wake wakes its waiter
+        self._wake(branches)
 
     def _end(self) -> None:
         """Emit the terminal record and close the trace; caller holds the
@@ -830,8 +820,8 @@ class WorkflowInstance:
 
     def _maybe_fire(self, group: _JoinGroup) -> None:
         """Fire the join if its condition holds, cancelling the losers of a
-        k-join; caller holds the state lock."""
-        if not group.ready_to_fire():
+        k-join; caller holds the state lock. After a stop the resume fires it."""
+        if self._stop_requested or not group.ready_to_fire():
             return
         group.fired = True
         self.log.emit(
@@ -846,7 +836,7 @@ class WorkflowInstance:
         )
         if not group.wait.is_all:  # the winners keep their restart paths
             self._cancel([c for c in group.children if c not in group.arrived])
-        self._wake([group.parent])
+        self._wake([group.parent], group)  # not from a call it may be waiting in
 
     def _cancel(self, ids: list[str]) -> None:
         """Cancel the named branches and all below them: stop their calls in flight
@@ -860,8 +850,7 @@ class WorkflowInstance:
         for b in cancelled:
             b.cancelled = True
             self.log.emit("signal", b.id, detail={"signal": "no_longer_necessary"})
-        self._stop_calls(cancelled)
-        self._wake(cancelled)
+        self._stop(cancelled)
         for branch_id in [k for k in self._saved_paths if f"{k}.".startswith(below)]:
             del self._saved_paths[branch_id]
         for call_id in [k for k in self.interrupted if f"{k.partition('/')[0]}.".startswith(below)]:
@@ -921,26 +910,42 @@ class WorkflowInstance:
         else:
             raise EngineError(f"unknown node {node!r}")
 
-    def _block(self, branch: _Branch, on: _JoinGroup | str) -> None:
-        """Wait for the wake that clears branch.waits_on; caller holds the
-        state lock, which is released meanwhile."""
+    def _block(self, branch: _Branch, on: _Blocker, timeout: Optional[float] = None) -> None:
+        """Wait for the wake that clears branch.waits_on, or for the timeout;
+        caller holds the state lock, which is released meanwhile."""
         branch.waits_on = on
+        timeline, timer = self._timeline, None
+        if timeline is not None and timeout is not None:
+            timer = timeline.call_later(timeout, functools.partial(self._wake_if, branch, on))
         self._state_lock.release()
-        if self._timeline is None:
-            branch.baton.acquire()
+        woken = True
+        if timeline is not None:
+            timeline.pass_baton(branch)
         else:
-            self._timeline.pass_baton(branch)
+            woken = branch.baton.acquire(timeout=-1 if timeout is None else max(timeout, 0))
         self._state_lock.acquire()
+        if timer is not None:  # a stale timer would move the clock
+            timeline.withdraw(timer)  # type: ignore[union-attr]
+        if not woken:
+            if branch.waits_on is None:  # a wake came as the time ran out: take
+                branch.baton.acquire()  # its release, or the next wait ends at once
+            branch.waits_on = None
 
-    def _wake(self, branches: Iterable[_Branch]) -> None:
-        """Wake each of the branches that is blocked; caller holds the state lock."""
+    def _wake(self, branches: Iterable[_Branch], on: Optional[_Blocker] = None) -> None:
+        """Wake each of the branches that is blocked, if given only those
+        blocked on `on`; caller holds the state lock."""
         for b in branches:
-            if b.waits_on is not None:
+            if b.waits_on is not None and (on is None or b.waits_on is on):
                 b.waits_on = None
                 if self._timeline is None:
                     b.baton.release()
                 else:
                     self._timeline.wake(b)
+
+    def _wake_if(self, branch: _Branch, on: _Blocker) -> None:
+        """Wake the branch if it still waits on `on`."""
+        with self._state_lock:
+            self._wake([branch], on)
 
     def _checkpoint(self, branch: _Branch, path: tuple[int, ...]) -> None:
         """Stand down on cancel, else fail on a trace write that failed, else
@@ -1017,7 +1022,7 @@ class WorkflowInstance:
                     parameters,
                     snap.values,
                     snap.version,
-                    StopToken() if self._timeline is None else _TimedToken(self._timeline, branch),
+                    _CallToken(self, branch),
                     token,
                 )
             )
@@ -1162,11 +1167,12 @@ class WorkflowInstance:
     def _add_children(
         self, group: _JoinGroup, children: list[_Branch], resumed: bool = False
     ) -> None:
-        """Register children and start their threads.
+        """Register children, fire a join that restored arrivals satisfy, and
+        start the children's threads.
 
-        A child of a cancelled parent, or one forked into a k-join that has
-        already fired, is cancelled at once; a parent cancelled later finds
-        its children in the registry.
+        A child of a cancelled parent, or of a k-join that has fired, is
+        cancelled before it starts, so a restored loser stands down at once;
+        a parent cancelled later finds its children in the registry.
         """
         with self._state_lock:
             for child in children:
@@ -1176,6 +1182,7 @@ class WorkflowInstance:
                 self.log.emit("branch_fork", group.parent.id, detail=detail)
                 if group.parent.cancelled or (group.fired and not group.wait.is_all):
                     self._cancel([child.id])
+            self._maybe_fire(group)
         for child in children:
             self._start_thread(child)
 

@@ -30,44 +30,37 @@ class StopToken:
 
     The engine creates a token with each call and sets it on a stop, or when
     a join no longer needs the call's branch; a token set before the handler
-    looks at it stays set. A handler waits only on its call's token: one
-    that also waits for something else, such as a response or an event, has
-    wake() end the wait. Under virtual time every wait of a branch goes
-    through its call's token.
-
-    Most calls never wait on their token, so its condition is built on its
-    lock by the first wait().
+    looks at it stays set. A token has one waiter, the call's own thread: a
+    handler waits only on its call's token, and one that also waits for
+    something else, such as a response or an event, has wake() end the wait.
+    The engine's tokens have no condition: their wait blocks the call's
+    branch as a join does, and set() or wake() wakes the branch.
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._flag = False
         self._woken = False
-        self._cond: Optional[threading.Condition] = None
+        self._cond = threading.Condition(threading.Lock())
 
     def is_set(self) -> bool:
         return self._flag
 
     def set(self) -> None:
         """Set the token; it stays set."""
-        with self._lock:
+        with self._cond:
             self._flag = True
-            if self._cond is not None:
-                self._cond.notify_all()
+            self._cond.notify_all()
 
     def wake(self) -> None:
         """End the wait on the token, or the next one, without setting it."""
-        with self._lock:
+        with self._cond:
             self._woken = True
-            if self._cond is not None:
-                self._cond.notify_all()
+            self._cond.notify_all()
 
     def wait(self, timeout: Optional[float] = None) -> bool:
         """Wait until the token is set or woken, or the timeout runs out;
         True if the token is set."""
-        with self._lock:
-            if self._cond is None:
-                self._cond = threading.Condition(self._lock)
+        with self._cond:
             self._cond.wait_for(lambda: self._flag or self._woken, timeout)
             return self._flag
 

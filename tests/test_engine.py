@@ -5,6 +5,7 @@ import gc
 import hashlib
 import json
 import os
+import random
 import signal
 import sys
 import threading
@@ -20,7 +21,7 @@ from wee import dsl, engine
 from wee.context import ContextError
 from wee.engine import EngineError, RunOptions, WorkflowInstance
 from wee.events import FixedClock
-from wee.handlers import MockHandler, TriggerHandler
+from wee.handlers import HandlerWrapper, MockHandler, Result, TriggerHandler
 
 FIXTURES = Path(__file__).parent.parent / "src" / "wee" / "fixtures"
 
@@ -731,9 +732,10 @@ def test_a_section_exit_wakes_one_waiter_not_every_blocked_branch(monkeypatch, v
     blocks = []
     block = WorkflowInstance._block
 
-    def counting(self, branch, on):
-        blocks.append(branch.id)
-        block(self, branch, on)
+    def counting(self, branch, on, timeout=None):
+        if on == "s":  # the calls' token waits block too
+            blocks.append(branch.id)
+        block(self, branch, on, timeout)
 
     monkeypatch.setattr(WorkflowInstance, "_block", counting)
     handler = MockHandler({"default": {"result": {}, "delay_ms": 1}})
@@ -815,10 +817,11 @@ def test_a_stop_parks_a_branch_blocked_on_a_section_and_its_parent_blocked_on_th
     ast = dsl.parse(HELD_SECTION)
     handler = MockHandler(script)
     instance = WorkflowInstance(ast, handler, RunOptions(virtual_time=virtual))
-    blocked = {}
+    blocked, tokens = {}, {}
 
     def stop_once_blocked():
         blocked.update({b.id: b.waits_on for b in instance.branches.values()})
+        tokens.update({b.id: b.in_flight.stop for b in instance.branches.values() if b.in_flight})
         instance.request_stop()
 
     if virtual:
@@ -826,17 +829,19 @@ def test_a_stop_parks_a_branch_blocked_on_a_section_and_its_parent_blocked_on_th
         instance.start()
     else:
         instance.start()
-        queued = lambda: getattr(instance.branches.get("0.2"), "waits_on", None) == "s"
-        assert wait_until(lambda: queued() and instance._root.waits_on is not None)
+        waits_on = lambda b: getattr(instance.branches.get(b), "waits_on", None)
+        assert wait_until(lambda: waits_on("0.2") == "s" and waits_on("0.1") and waits_on("0"))
         stop_once_blocked()
     waiter = threading.Thread(target=instance.wait, daemon=True)
     waiter.start()
     waiter.join(5)
     assert not waiter.is_alive(), "a branch blocked when the stop came was never woken"
 
-    # the root waited on its join, 0.2 on the section 0.1 held in a call
+    # the root waited on its join, 0.2 on the section 0.1 held in a call,
+    # and 0.1 on its call's stop token
     assert isinstance(blocked.pop("0"), engine._JoinGroup)
-    assert blocked == {"0.1": None, "0.2": "s"}
+    assert blocked.pop("0.1") is tokens["0.1"]
+    assert blocked == {"0.2": "s"}
     assert instance.result == "stopped"
     records = instance.log.records
     ack = next(i for i, r in enumerate(records) if r.kind == "stop_acknowledged")
@@ -849,6 +854,167 @@ def test_a_stop_parks_a_branch_blocked_on_a_section_and_its_parent_blocked_on_th
     assert finish(resumed) == "finished"
     assert handler.invocations == {"hold": 1, "pace": 1, "queued": 1}
     assert resumed.store.current_values() == {"done": True}
+
+
+# -- a call's wait on its stop token blocks its branch like a join or a section ----
+
+
+def checking_blocks(monkeypatch) -> list:
+    """Patch _block to note each return that left the branch still marked
+    blocked: a wait that returned early, or a timed-out one that kept its mark."""
+    early = []
+    block = WorkflowInstance._block
+
+    def checked(self, branch, on, timeout=None):
+        block(self, branch, on, timeout)
+        if branch.waits_on is not None:
+            early.append((branch.id, on))
+
+    monkeypatch.setattr(WorkflowInstance, "_block", checked)
+    return early
+
+
+class RacingWakes(HandlerWrapper):
+    """Each call waits on its token for up to 100 us while a thread of its
+    own sets the token, wakes it or does nothing after up to 100 us: the
+    set or wake may come before the wait, during it, as it times out, or
+    after the call has returned and its branch blocks elsewhere."""
+
+    def __init__(self, seed: int):
+        self._rng = random.Random(seed)
+        self._lock = threading.Lock()
+        self.racers: list[threading.Thread] = []
+
+    def call(self, call):
+        with self._lock:
+            timeout, delay = self._rng.uniform(0, 1e-4), self._rng.uniform(0, 1e-4)
+            action = self._rng.choice(["set", "wake", None])
+            if action is not None:
+                racer = threading.Timer(delay, getattr(call.stop, action))
+                self.racers.append(racer)
+                racer.start()
+        call.stop.wait(timeout)
+        return Result({})
+
+
+def test_token_waits_race_their_timeouts_and_wakes_under_a_short_switch_interval(monkeypatch):
+    # every branch waits on its tokens, then on a section and on a join of
+    # its own, while the late sets and wakes of its calls' tokens land
+    bodies = " ".join(
+        "parallel_branch { "
+        + " ".join(
+            f"call :w{b}_{k}, endpoint: svc critical :s {{ call :c{b}_{k}, endpoint: svc }} "
+            f"parallel wait: all {{ parallel_branch {{ call :j{b}_{k}, endpoint: svc }} }}"
+            for k in range(4)
+        )
+        + " }"
+        for b in range(6)
+    )
+    source = f"""
+    workflow {{
+      handler "mock"
+      endpoint svc: "mock://svc"
+      parallel wait: all {{ {bodies} }}
+    }}
+    """
+    ast = dsl.parse(source)
+    early = checking_blocks(monkeypatch)
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for seed in range(5):
+            handler = RacingWakes(seed)
+            instance = WorkflowInstance(ast, handler)
+            assert finish(instance, timeout=20) == "finished"
+            for racer in handler.racers:
+                racer.join(5)
+                assert not racer.is_alive()
+            assert len(starts(instance)) == 6 * 4 * 3
+            assert early == []
+    finally:
+        sys.setswitchinterval(previous)
+
+
+LATE_WAKE = """
+workflow {
+  handler "mock"
+  endpoint svc: "mock://svc"
+  call :first, endpoint: svc
+  parallel wait: all { parallel_branch { call :held, endpoint: svc } }
+}
+"""
+
+
+class KeepsTokens(HandlerWrapper):
+    """Keeps each call's token; the call at held waits until its token is
+    woken, and the one at quick waits 50 ms."""
+
+    def __init__(self):
+        self.tokens = {}
+
+    def call(self, call):
+        self.tokens[call.position] = call.stop
+        if call.position == "held":
+            call.stop.wait()
+        elif call.position == "quick":
+            call.stop.wait(0.05)
+        return Result({})
+
+
+@pytest.mark.parametrize("virtual", [False, True], ids=["real-time", "virtual-time"])
+def test_a_wake_reaching_a_call_that_has_returned_leaves_its_branch_blocked_on_its_join(
+    monkeypatch, virtual
+):
+    early = checking_blocks(monkeypatch)
+    handler = KeepsTokens()
+    instance = WorkflowInstance(dsl.parse(LATE_WAKE), handler, RunOptions(virtual_time=virtual))
+    instance.start()
+    root = instance._root
+    held = lambda: getattr(instance.branches.get("0.1"), "waits_on", None)
+    assert wait_until(lambda: isinstance(root.waits_on, engine._JoinGroup) and held())
+    assert held() is handler.tokens["held"]
+
+    group = root.waits_on
+    handler.tokens["first"].wake()
+    handler.tokens["first"].set()
+    assert root.waits_on is group  # a wake would have cleared it before returning
+    handler.tokens["held"].wake()
+    waiter = threading.Thread(target=instance.wait, daemon=True)
+    waiter.start()
+    waiter.join(5)
+    assert not waiter.is_alive()
+    assert instance.result == "finished"
+    assert early == []
+
+
+FIRE_DURING_A_CALL = """
+workflow {
+  handler "mock"
+  endpoint svc: "mock://svc"
+  parallel wait: 1 {
+    parallel_branch { call :quick, endpoint: svc }
+    call :held, endpoint: svc
+  }
+}
+"""
+
+
+@pytest.mark.parametrize("virtual", [False, True], ids=["real-time", "virtual-time"])
+def test_a_join_that_fires_while_its_parent_waits_in_a_call_leaves_the_call_waiting(virtual):
+    handler = KeepsTokens()
+    options = RunOptions(virtual_time=virtual)
+    instance = WorkflowInstance(dsl.parse(FIRE_DURING_A_CALL), handler, options)
+    instance.start()
+    fired = lambda: any(r.detail.get("role") == "fire" for r in instance.log.records)
+    assert wait_until(lambda: fired() and "held" in handler.tokens)
+    # the fire wakes its parent from the join only, not from the call's wait
+    assert instance._root.waits_on is handler.tokens["held"]
+    handler.tokens["held"].wake()
+    waiter = threading.Thread(target=instance.wait, daemon=True)
+    waiter.start()
+    waiter.join(5)
+    assert not waiter.is_alive()
+    assert instance.result == "finished"
 
 
 # -- stop / resume -------------------------------------------------------------------

@@ -1249,62 +1249,86 @@ LOSER_WITH_AN_ARRIVED_CHILD = LOSER_BLOCKED_ON_ITS_JOIN.replace(
     "parallel_branch { call :slow, endpoint: svc }",
     "parallel_branch { call :slow, endpoint: svc } parallel_branch { call :quick, endpoint: svc }",
 )
-PARKED_THEN_CANCELLED = [{"id": "0", "path": [0], "forks": 3}, {"id": "0.1", "path": [0, -1]}]
+LOSER_SCRIPT = {
+    "positions": {
+        "fast": {"result": {}, "delay_ms": 10},
+        "slow": {"result": {}, "delay_ms": 2000, "token": "tok-slow"},
+    },
+    "default": {"result": {}},
+}
+# the loser and its subtree as the stop leaves them: 0.2 at its own join,
+# 0.2.1 in its slow call
+LOSER_SAVED = [
+    {"id": "0", "path": [0], "forks": 3},
+    {"id": "0.1", "path": [0, -1]},
+    {"id": "0.2", "path": [0, 0, 1, 0, 0], "forks": 2},
+    {"id": "0.2.1", "path": [0, 0, 1, 0, 0, 0, 0, 0, 0]},
+]
 
 
-@pytest.mark.parametrize(
-    "source, virtual_time, branches",
-    [
-        pytest.param(
-            LOSER_BLOCKED_ON_ITS_JOIN,
-            True,
-            [{"id": "0", "path": [1], "forks": 3}],
-            id="cancelled-then-stopped",
-        ),
-        pytest.param(
-            LOSER_BLOCKED_ON_ITS_JOIN, False, PARKED_THEN_CANCELLED, id="parked-then-cancelled"
-        ),
-        pytest.param(
-            LOSER_WITH_AN_ARRIVED_CHILD,
-            False,
-            PARKED_THEN_CANCELLED,
-            id="parked-with-an-arrived-child-then-cancelled",
-        ),
-    ],
-)
-def test_a_loser_of_a_join_that_fires_after_the_stop_is_not_saved(source, virtual_time, branches):
-    ast = dsl.parse(source)
-    script = {
-        "positions": {
-            "fast": {"result": {}, "delay_ms": 10},
-            "slow": {"result": {}, "delay_ms": 2000, "token": "tok-slow"},
-        },
-        "default": {"result": {}},
-    }
-    handler = MockHandler(script)  # shared: counts every invocation
-    instance = WorkflowInstance(ast, handler, RunOptions(virtual_time=virtual_time))
+def stop_as_fast_ends(instance, virtual_time: bool) -> list:
+    """Stop between the winner's last activity and its arrival. On threads
+    the winner then waits until every other branch has parked, so it
+    arrives last; the list returned gets that wait's outcome."""
     parked = []
 
-    # the stop lands between the winner's last activity and its arrival. On
-    # threads the winner then waits until every other branch has parked, so
-    # the join fires after; under virtual time the others run only after the
-    # join has fired and cancelled the loser
-    def stop_as_fast_ends(record):
+    def listener(record):
         if record.kind == "activity_end" and record.position == "fast":
             instance.request_stop()
             if not virtual_time:
                 parked.append(wait_until(lambda: len(instance.branches) == 1))
 
-    instance.log.add_listener(stop_as_fast_ends)
+    instance.log.add_listener(listener)
+    return parked
+
+
+@pytest.mark.parametrize(
+    "source, branches",
+    [
+        pytest.param(LOSER_BLOCKED_ON_ITS_JOIN, LOSER_SAVED, id="blocked-on-its-join"),
+        pytest.param(
+            LOSER_WITH_AN_ARRIVED_CHILD,
+            [
+                *LOSER_SAVED[:2],
+                {"id": "0.2", "path": [0, 0, 1, 0, 0], "forks": 3},
+                LOSER_SAVED[3],
+                {"id": "0.2.2", "path": [0, 0, 1, 0, 0, -1]},
+            ],
+            id="with-an-arrived-child",
+        ),
+    ],
+)
+@pytest.mark.parametrize("virtual_time", [False, True], ids=["threads", "virtual-time"])
+def test_a_loser_of_a_join_unfired_at_the_stop_is_cancelled_on_resume(
+    virtual_time, source, branches
+):
+    ast = dsl.parse(source)
+    handler = MockHandler(LOSER_SCRIPT)  # shared: counts every invocation
+    instance = WorkflowInstance(ast, handler, RunOptions(virtual_time=virtual_time))
+    parked = stop_as_fast_ends(instance, virtual_time)
     assert instance.run() == "stopped"
     assert parked == ([] if virtual_time else [True])
+    # the winner arrived after the stop, so the join did not fire: the loser's
+    # subtree is saved as the stop left it
+    assert not [r for r in instance.log.records if r.detail.get("role") == "fire"]
     saved = json.loads(json.dumps(instance.save()))
-    # the loser's subtree is no longer necessary: no path or call of it is kept
     assert saved["branches"] == branches
-    assert saved["interrupted"] == {}
+    assert saved["interrupted"] == {"0.2.1/slow": "tok-slow"}
 
     resumed = WorkflowInstance.resume(ast, handler, saved, RunOptions(virtual_time=virtual_time))
     assert resumed.run() == "finished"
+    # the restored arrival fires the join before the loser starts, and the
+    # loser stands down with its subtree
+    kinds = [
+        (r.kind, r.branch, r.detail.get("role") or r.detail.get("signal"))
+        for r in resumed.log.records
+    ]
+    assert kinds[1:4] == [
+        ("branch_fork", "0", None),
+        ("branch_join", "0", "fire"),
+        ("signal", "0.2", "no_longer_necessary"),
+    ]
+    assert [r.position for r in resumed.log.records if r.kind == "activity_start"] == ["after"]
     quick = {} if source is LOSER_BLOCKED_ON_ITS_JOIN else {"quick": 1}
     assert handler.invocations == {"fast": 1, "slow": 1, "after": 1} | quick
 
@@ -1426,19 +1450,21 @@ workflow {
 """
 
 
+WINNER_SCRIPT = {
+    "positions": {
+        "quick": {"result": {}, "delay_ms": 100, "on_stop": "finish"},
+        "pace": {"result": {}, "delay_ms": 2000, "token": "tok-pace"},
+    },
+    "default": {"result": {}},
+    "passthroughs": {"tok-pace": {"result": {}}},
+}
+
+
 def test_a_winner_that_arrives_after_the_stop_keeps_its_restart_path():
-    script = {
-        "positions": {
-            "quick": {"result": {}, "delay_ms": 100, "on_stop": "finish"},
-            "pace": {"result": {}, "delay_ms": 2000, "token": "tok-pace"},
-        },
-        "default": {"result": {}},
-        "passthroughs": {"tok-pace": {"result": {}}},
-    }
     ast = dsl.parse(WINNER_AFTER_THE_STOP)
-    handler = MockHandler(script)  # shared: counts every invocation
+    handler = MockHandler(WINNER_SCRIPT)  # shared: counts every invocation
     saved = stopped_once(ast, handler, True, lambda rs: starts_of(rs, "pace"))
-    # quick ended after the stop and fired the join, which cancels no winner
+    # quick ended after the stop, and its arrival did not fire the join
     assert saved["branches"] == [
         {"id": "0", "path": [0, 0, 1], "forks": 2},
         {"id": "0.1", "path": [0, -1]},
@@ -1448,6 +1474,64 @@ def test_a_winner_that_arrives_after_the_stop_keeps_its_restart_path():
     resumed = WorkflowInstance.resume(ast, handler, saved, RunOptions(virtual_time=True))
     assert resumed.run() == "finished"
     assert handler.invocations == {"quick": 1, "pace": 1, "after": 1}
+
+
+def stop_as_pace_starts(instance, virtual_time: bool) -> list:
+    """Stop just after pace starts; quick, still in its delay, then ends
+    after the stop."""
+
+    def listener(record):
+        # the start is traced under the state lock, which the stop takes
+        if record.kind == "activity_start" and record.position == "pace":
+            instance.call_later(0, instance.request_stop)
+
+    instance.log.add_listener(listener)
+    return []
+
+
+# a join whose last needed arrival comes after the stop: (workflow, script,
+# how the stop is set up, the calls of a run)
+AN_ARRIVAL_AFTER_THE_STOP = {
+    "winner-after-the-stop": (
+        WINNER_AFTER_THE_STOP,
+        WINNER_SCRIPT,
+        stop_as_pace_starts,
+        {"quick": 1, "pace": 1, "after": 1},
+    ),
+    "loser-blocked-on-its-join": (
+        LOSER_BLOCKED_ON_ITS_JOIN,
+        LOSER_SCRIPT,
+        stop_as_fast_ends,
+        {"fast": 1, "slow": 1, "after": 1},
+    ),
+    "loser-with-an-arrived-child": (
+        LOSER_WITH_AN_ARRIVED_CHILD,
+        LOSER_SCRIPT,
+        stop_as_fast_ends,
+        {"fast": 1, "slow": 1, "quick": 1, "after": 1},
+    ),
+}
+
+
+@pytest.mark.parametrize("virtual_time", [False, True], ids=["threads", "virtual-time"])
+@pytest.mark.parametrize("shape", sorted(AN_ARRIVAL_AFTER_THE_STOP))
+def test_a_join_fires_once_across_a_stop_and_its_resume(shape, virtual_time, tmp_path):
+    source, script, arm_stop, calls = AN_ARRIVAL_AFTER_THE_STOP[shape]
+    ast = dsl.parse(source)
+    log = str(tmp_path / "trace.jsonl")  # the stopped run and the resume share it
+    handler = MockHandler(script)  # shared: counts every invocation
+    instance = WorkflowInstance(ast, handler, RunOptions(virtual_time=virtual_time, log_path=log))
+    arm_stop(instance, virtual_time)
+    assert instance.run() == "stopped"
+    saved = json.loads(json.dumps(instance.save()))
+    options = RunOptions(virtual_time=virtual_time, log_path=log)
+    assert WorkflowInstance.resume(ast, handler, saved, options).run() == "finished"
+
+    records = read_jsonl(log)
+    assert [r.seq for r in records] == list(range(1, len(records) + 1))
+    # the root's join is the one join that runs to its fire, and it fires once
+    assert [r.branch for r in records if r.detail.get("role") == "fire"] == ["0"]
+    assert handler.invocations == calls
 
 
 SLOW_THEN_HALT = """
@@ -1512,6 +1596,7 @@ def run_stop_chain(seed: int, stops: list) -> None:
     script = {"default": {"result": {}, "delay_ms": [5, 50], "on_stop": "finish"}}
     handler = MockHandler(script, seed=seed)  # shared: counts every invocation
     saved = None
+    fires = 0
     for stop in [*stops, None]:
         options = RunOptions(virtual_time=True)
         if saved is None:
@@ -1526,12 +1611,14 @@ def run_stop_chain(seed: int, stops: list) -> None:
         seqs = [r.seq for r in instance.log.records]
         first = 1 if saved is None else saved["seq"] + 1
         assert seqs == list(range(first, first + len(seqs)))
+        fires += sum(1 for r in instance.log.records if r.detail.get("role") == "fire")
         if result != "stopped":
             break
         saved = json.loads(json.dumps(instance.save()))
     assert result == "finished", instance.errors
     assert handler.invocations == {"pre": 2, "a": 2, "b": 2}
     assert instance.store.current_values() == {"n": 2, "got": 2}
+    assert fires == 2  # one per execution of the join
 
 
 @settings(max_examples=100, deadline=None)
