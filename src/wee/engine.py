@@ -11,24 +11,24 @@ boundary; the stop tokens of their in-flight calls are set. A jump out of a
 parallel body cancels the children forked so far the same way.
 A stop signal parks every branch at its program counter so the instance can
 be resumed later; the terminal instance_stop record carries the saved state.
-It names the workflow by its source hash, the path each branch restarts at,
-and the passthrough token of each call the stop caught in flight, which the
-resume replays instead of calling the service again. A call that ends with a
-result or a jump after the stop is applied at once, and its branch parks at
-its next checkpoint. A call is named by its call id, the branch id and
-position, so one position running in several branches at once is still
-several calls. A saved path, like a call's token, leaves the saved state
-only once its branch is back at it: a stop on the way back, or on the way to
-a jump target, saves it again. A child that arrives at its join keeps its
-path there until its parent passes the join. A cancelled branch is never
-saved. resume() alone checks a saved state, and refuses a child that its
-parent would not restore; the resumed instance continues the stopped one's
-id and seq.
+It names the workflow by its source hash and holds one entry per saved
+branch: the path it restarts at, the passthrough token of the call there
+that the stop caught in flight, which the resume replays instead of calling
+the service again, and the k-joins on that path that had fired, which the
+resume does not fire again. A call that ends with a result or a jump after
+the stop is applied at once, and its branch parks at its next checkpoint.
+An entry leaves the saved state only once its branch is back at it, and its
+token once the call begins: a stop on the way back, or on the way to a jump
+target, saves it again. A child that arrives at its join keeps its entry
+there until its parent passes the join. A cancelled branch is never saved,
+and its token goes with its entry. resume() alone checks a saved state, and
+refuses a child that its parent would not restore and a token at no call;
+the resumed instance continues the stopped one's id and seq.
 
 Branch coordination uses one lock per instance. It guards the stop request,
 each branch's cancel flag, in-flight call and what it is blocked on, the
-registry of live branches, the saved paths and tokens and the
-critical-section owners. Handlers are never called while it is held. A
+registry of live branches, the saved entries and the critical-section
+owners. Handlers are never called while it is held. A
 branch blocks only in _block, on a baton of its own: on a join, a critical
 section or its call's stop token. Only what can unblock it wakes it, through
 _wake: a join that fires wakes its parent, a cancel the branches it cancels,
@@ -56,7 +56,7 @@ import os
 import threading
 import uuid
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Mapping, Optional, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Union
 
 from . import dsl, events
 from .context import ContextError, ContextStore
@@ -66,11 +66,7 @@ from .handlers import Failure, HandlerCall, HandlerWrapper, Jump, Passthrough, R
 
 ROOT_BRANCH = "0"
 STOP_ENDPOINT = "wee://stop"
-# version of the saved-state format: 5 maps each interrupted call to its
-# passthrough token, and keeps the trace position and the workflow's source
-# hash; a state without a schema was written by an older wee, which keyed
-# passthroughs by position
-SAVED_SCHEMA = 5
+SAVED_SCHEMA = 6  # the version of the saved-state format
 
 
 class EngineError(Exception):
@@ -107,10 +103,25 @@ class _JumpTo(Exception):
 class _Parked(Exception):
     def __init__(self, path: tuple[int, ...]):
         self.path = path
+        # the fired k-joins it unwinds through, outermost first
+        self.fired: tuple[tuple[int, ...], ...] = ()
 
 
 class _Cancelled(Exception):
     pass
+
+
+class _Restart(NamedTuple):
+    """A saved branch's entry: where it restarts, its next fork index, the
+    token of the call at path, and the paths of the k-joins on path that fired."""
+
+    path: tuple[int, ...]
+    forks: int = 1
+    token: Optional[str] = None
+    fired: tuple[tuple[int, ...], ...] = ()
+
+
+_ENTRY_KEYS = frozenset(("id",) + _Restart._fields)  # the keys of a saved branch's entry
 
 
 # Branch threads: a thread whose branch has ended waits this long for the
@@ -370,6 +381,9 @@ class _Branch:
         self.in_flight: Optional[HandlerCall] = None
         # the index of this branch's next child; only its own thread forks
         self.forks = 1
+        # read with its restart path: its call's token there, and the k-joins passed that fired
+        self.token: Optional[str] = None
+        self.fired: tuple[tuple[int, ...], ...] = ()
         # what the branch is blocked on, a join's group, a section's name or
         # its call's stop token, until a wake clears it and releases the
         # baton, which under virtual time also gives the branch its turns
@@ -415,9 +429,6 @@ class WorkflowInstance:
         # the message of each error record, in trace order, or of the failed
         # write of the terminal record
         self.errors: list[str] = []
-        # call id -> the passthrough token of a call the stop caught in
-        # flight; the resume replays it instead of calling the service again
-        self.interrupted: dict[str, str] = {}
         # live branches: a branch enters at fork and leaves when it arrives
         # at its join or ends
         self.branches: dict[str, _Branch] = {}
@@ -433,10 +444,10 @@ class WorkflowInstance:
         self._stop_requested = False
         self._stop_source: Optional[str] = None
         self._started = False
-        # branch id -> (path a resume restarts it at, its next fork index): each
-        # parked branch, the root at its end, a restored one until it is back
-        # there, and an arrived child ([parallel, -1]) until its parent passes the join
-        self._saved_paths: dict[str, tuple[tuple[int, ...], int]] = {}
+        # branch id -> its entry: each parked branch, the root at its end, a
+        # restored one until it is back at its path, and an arrived child
+        # ([parallel, -1]) until its parent passes the join
+        self._saved_paths: dict[str, _Restart] = {}
         self._root = _Branch(ROOT_BRANCH, ast.body, ())
         # (parent id, parallel path) -> (id, parallel_branch path or None if
         # it had arrived) of each child a resumed parent restores there
@@ -531,7 +542,7 @@ class WorkflowInstance:
         elif self._stop_requested:
             self.result = "stopped"
             # a root with no restart path ran to its end: a resume starts past it
-            self._saved_paths.setdefault(ROOT_BRANCH, ((len(self.ast.body),), 1))
+            self._saved_paths.setdefault(ROOT_BRANCH, _Restart((len(self.ast.body),)))
             # no branch is left to emit, so this record takes the next seq
             saved = self._saved_state(self.log.seq + 1)
             detail = {"source": self._stop_source, "saved": saved}
@@ -560,20 +571,24 @@ class WorkflowInstance:
 
     def save(self) -> dict:
         """The saved state of a stopped instance, as its instance_stop record carries it."""
-        if self.result not in ("stopped", "error"):
+        if self.result != "stopped":
             raise EngineError("only stopped instances can be saved")
         with self._state_lock:
             return self._saved_state(self.log.seq)
 
     def _saved_state(self, seq: int) -> dict:
-        """The workflow's source hash, the instance id, seq, the branches with
-        the path each restarts at, the context and its version, and the calls
-        the stop interrupted; caller holds the state lock."""
+        """The workflow's source hash, the instance id, seq, each saved
+        branch's entry, and the context and its version; caller holds the
+        state lock."""
         entries: list[dict] = []
-        for branch_id, (path, forks) in sorted(self._saved_paths.items()):
+        for branch_id, (path, forks, token, fired) in sorted(self._saved_paths.items()):
             entry: dict = {"id": branch_id, "path": list(path)}
             if forks > 1:
                 entry["forks"] = forks
+            if token is not None:
+                entry["token"] = token
+            if fired:
+                entry["fired"] = [list(parallel) for parallel in fired]
             entries.append(entry)
         return {
             "schema": SAVED_SCHEMA,
@@ -583,7 +598,6 @@ class WorkflowInstance:
             "branches": entries,
             "context": dict(self.store.current_values()),
             "version": self.store.version,
-            "interrupted": dict(self.interrupted),
         }
 
     @classmethod
@@ -611,22 +625,29 @@ class WorkflowInstance:
 
         entries = saved["branches"]
         paths = {entry["id"]: tuple(entry["path"]) for entry in entries}
-        if ROOT_BRANCH not in paths and entries:
+        if len(paths) < len(entries):
+            raise EngineError("corrupt saved state: a branch has two entries")
+        if ROOT_BRANCH not in paths:  # else the resume would run the workflow again
             raise EngineError("corrupt saved state: no root branch")
         # a branch's next fork index: as saved, and past each saved child's
         forks = {entry["id"]: entry.get("forks", 1) for entry in entries}
         joins = {}  # child id -> (the parallel it joins, its parallel_branch or None)
+        along = {}  # branch id -> the nodes along its path, or along p for a child at [p, -1]
         for branch_id, path in paths.items():
+            if branch_id == ROOT_BRANCH and path == (len(ast.body),):
+                continue  # the root had finished its body when it stopped
+            arrived = branch_id != ROOT_BRANCH and path[-1:] == (-1,)  # at its join
+            try:
+                along[branch_id] = dsl.nodes_along(ast, path[:-1] if arrived else path)
+            except IndexError as exc:
+                raise EngineError(f"corrupt saved state: branch {branch_id}: {exc}") from exc
             if branch_id == ROOT_BRANCH:
-                # [len(body)]: the root had finished its body when it stopped
-                if path != (len(ast.body),):
-                    cls._saved_nodes(ast, ROOT_BRANCH, path)
                 continue
             parent_id, _, fork_index = branch_id.rpartition(".")
             if not (parent_id and fork_index.isascii() and fork_index.isdigit()):
                 raise EngineError(f"corrupt saved state: branch id {branch_id!r}")
             forks[parent_id] = max(forks.get(parent_id, 1), int(fork_index) + 1)
-            joins[branch_id] = cls._joined_parallel(ast, branch_id, path)
+            joins[branch_id] = cls._joined_parallel(branch_id, path, along[branch_id])
 
         # a parent restores its children on its way back to its own saved
         # path, which must pass their parallel below its own parallel_branch
@@ -642,6 +663,24 @@ class WorkflowInstance:
                     f"at or inside the parallel {list(parallel_path)} it joins"
                 )
             children.setdefault((parent_id, parallel_path), []).append((branch_id, pb_path))
+        # only the call that handed a token out replays it, and a fired join is a
+        # k-join that k saved children reached: the check above put it on the
+        # branch's path, so the branch re-enters it on its way back there
+        restarts = {}
+        for entry in entries:
+            branch_id, path = entry["id"], paths[entry["id"]]
+            fired = tuple(map(tuple, entry["fired"])) if "fired" in entry else ()
+            restarts[branch_id] = _Restart(path, forks[branch_id], entry.get("token"), fired)
+            nodes = along.get(branch_id) or [None]  # the root at its end: at no node
+            refusal = f"corrupt saved state: branch {branch_id}"
+            if "token" in entry and not isinstance(nodes[-1], dsl.CallActivity):
+                raise EngineError(f"{refusal}: token not at a call")
+            for parallel in fired:
+                arrived = sum(pb is None for _, pb in children.get((branch_id, parallel), ()))
+                node = nodes[len(parallel) // 2] if arrived and len(parallel) < len(path) else None
+                k = node.wait.count if isinstance(node, dsl.Parallel) else None  # None: wait: all
+                if k is None or arrived < k:  # it fired once k children had arrived
+                    raise EngineError(f"{refusal}: fired {list(parallel)}")
 
         options = options or RunOptions()
         options = replace(
@@ -656,38 +695,30 @@ class WorkflowInstance:
             _restored_context=(dict(saved["context"]), saved["version"]),
         )
         instance.skip_positions = skip
-        instance.interrupted = dict(saved["interrupted"])
-        instance._saved_paths = {b: (path, forks[b]) for b, path in paths.items()}
+        instance._saved_paths = restarts
         instance._resume_children = children
         return instance
 
     @staticmethod
     def _check_saved(saved: object) -> None:
-        """Reject a saved state not in the current schema, or whose keys,
-        branch entries or tokens are missing or have the wrong JSON types."""
+        """Reject a saved state not in the current schema, or whose keys or
+        branch entries are unknown, missing or have the wrong JSON types."""
 
         def corrupt(what: str) -> EngineError:
             return EngineError(f"corrupt saved state: {what}")
 
+        def is_path(value: object) -> bool:
+            return isinstance(value, list) and all(type(index) is int for index in value)
+
         if not isinstance(saved, dict):
             raise corrupt(f"a {type(saved).__name__}, not an object")
         schema = saved.get("schema")
-        if schema is None:
-            raise EngineError(
-                "saved state has no schema: it was written by an older wee, whose "
-                "passthroughs are keyed by position, not by call id; it cannot be resumed"
-            )
         if schema != SAVED_SCHEMA:
             raise EngineError(f"saved state has schema {schema!r}, expected {SAVED_SCHEMA}")
-        for key, kind in (
-            ("workflow", str),
-            ("instance", str),
-            ("seq", int),
-            ("branches", list),
-            ("context", dict),
-            ("version", int),
-            ("interrupted", dict),
-        ):
+        kinds = dict(workflow=str, instance=str, seq=int, branches=list, context=dict, version=int)
+        if unknown := set(saved) - set(kinds) - {"schema"}:
+            raise corrupt(f"unknown key {min(unknown, key=repr)!r}")
+        for key, kind in kinds.items():
             if key not in saved:
                 raise corrupt(f"no {key}")
             if not isinstance(saved[key], kind) or isinstance(saved[key], bool):
@@ -700,40 +731,34 @@ class WorkflowInstance:
             branch_id, path = entry.get("id"), entry.get("path")
             if not isinstance(branch_id, str):
                 raise corrupt(f"branch id {branch_id!r}")
-            if not isinstance(path, list):
+            if not _ENTRY_KEYS.issuperset(entry):
+                unknown = min(set(entry) - _ENTRY_KEYS, key=repr)
+                raise corrupt(f"branch {branch_id}: unknown key {unknown!r}")
+            if not is_path(path):
                 raise corrupt(f"branch {branch_id}: path {path!r}")
-            if not all(type(index) is int for index in path):
-                raise corrupt(f"branch {branch_id}: path {tuple(path)}")
             forks = entry.get("forks", 1)
             if type(forks) is not int or forks < 1:
                 raise corrupt(f"branch {branch_id}: forks {forks!r}")
-        for call_id, token in saved["interrupted"].items():
-            if not isinstance(token, str):
-                raise corrupt(f"interrupted call {call_id}: {token!r}")
-
-    @staticmethod
-    def _saved_nodes(
-        ast: dsl.WorkflowAst, branch_id: str, path: tuple[int, ...]
-    ) -> list[dsl.Node]:
-        try:
-            return dsl.nodes_along(ast, path)
-        except IndexError as exc:
-            raise EngineError(f"corrupt saved state: branch {branch_id}: {exc}") from exc
+            if not isinstance(entry.get("token", ""), str):
+                raise corrupt(f"branch {branch_id}: token {entry['token']!r}")
+            fired = entry.get("fired", [])
+            if not (isinstance(fired, list) and all(map(is_path, fired))):
+                raise corrupt(f"branch {branch_id}: fired {fired!r}")
 
     @staticmethod
     def _joined_parallel(
-        ast: dsl.WorkflowAst, branch_id: str, path: tuple[int, ...]
+        branch_id: str, path: tuple[int, ...], nodes: list[dsl.Node]
     ) -> tuple[tuple[int, ...], Optional[tuple[int, ...]]]:
         """(path of the parallel a saved child joins, path of its
-        parallel_branch, or None for a child that had arrived)."""
+        parallel_branch, or None for a child that had arrived), given the
+        nodes along path, or along the parallel's for the arrived child."""
         if path[-1:] == (-1,):
-            nodes = WorkflowInstance._saved_nodes(ast, branch_id, path[:-1])
-            if not nodes or not isinstance(nodes[-1], dsl.Parallel):
+            if len(path) % 2 or not nodes or not isinstance(nodes[-1], dsl.Parallel):
                 raise EngineError(f"corrupt saved state: {path[:-1]} is not a parallel block")
             return path[:-1], None
         # the innermost parallel_branch above the node, and the parallel it is in
         pb = owner = parallel = None
-        for i, node in enumerate(WorkflowInstance._saved_nodes(ast, branch_id, path)[:-1]):
+        for i, node in enumerate(nodes[:-1]):
             if isinstance(node, dsl.Parallel):
                 parallel = i
             elif isinstance(node, dsl.ParallelBranch):
@@ -761,23 +786,24 @@ class WorkflowInstance:
     def _run_branch(self, branch: _Branch) -> None:
         if self._timeline is not None:
             branch.baton.acquire()  # the timeline's first turn
-        parked = None  # (path, next fork index) a resume restarts the branch from
+        parked = None  # the entry a resume restarts the branch from
         try:
             while True:
                 # restored, or after a jump: it restarts at its saved path; no lock, as
                 # only a cancel, which it obeys at once, changes the entry meanwhile
-                path, branch.forks = self._saved_paths.get(branch.id, (None, branch.forks))
+                restart = self._saved_paths.get(branch.id) or (None, branch.forks, None, ())
+                path, branch.forks, branch.token, branch.fired = restart
                 try:
                     pending = None if path is None else path[len(branch.region_prefix) :]
                     self._exec_block(branch, branch.region_block, branch.region_prefix, pending)
                     break
                 except _JumpTo as jump:
                     with self._state_lock:  # until it is at the target, a stop parks it there
-                        self._saved_paths[branch.id] = (jump.path, branch.forks)
+                        self._saved_paths[branch.id] = _Restart(jump.path, branch.forks)
             if branch.group is not None:
                 self._child_finished(branch)
         except _Parked as park:
-            parked = (park.path, branch.forks)
+            parked = _Restart(park.path, branch.forks, branch.token, park.fired)
         except _Cancelled:
             pass
         except EngineError as exc:
@@ -809,7 +835,7 @@ class WorkflowInstance:
             if child.cancelled:
                 return
             group.arrived.append(child.id)
-            self._saved_paths[child.id] = (group.parallel_path + (-1,), 1)
+            self._saved_paths[child.id] = _Restart(group.parallel_path + (-1,))
             self.log.emit(
                 "branch_join",
                 child.id,
@@ -840,7 +866,7 @@ class WorkflowInstance:
 
     def _cancel(self, ids: list[str]) -> None:
         """Cancel the named branches and all below them: stop their calls in flight
-        and drop their saved paths and interrupted calls; caller holds the state lock."""
+        and drop their saved entries; caller holds the state lock."""
         below = tuple(f"{branch_id}." for branch_id in ids)  # "0.2." matches 0.2 and 0.2.1
         cancelled = [
             b
@@ -853,8 +879,6 @@ class WorkflowInstance:
         self._stop(cancelled)
         for branch_id in [k for k in self._saved_paths if f"{k}.".startswith(below)]:
             del self._saved_paths[branch_id]
-        for call_id in [k for k in self.interrupted if f"{k.partition('/')[0]}.".startswith(below)]:
-            del self.interrupted[call_id]
 
     # ------------------------------------------------------------------
     # Node execution
@@ -890,8 +914,7 @@ class WorkflowInstance:
             if node.position not in self.skip_positions:
                 self._exec_call(branch, node, path)
             else:  # a skipped call leaves no token to replay
-                with self._state_lock:
-                    self.interrupted.pop(f"{branch.id}/{node.position}", None)
+                branch.token = None
             return
 
         with self._state_lock:
@@ -1008,15 +1031,14 @@ class WorkflowInstance:
                 self._checkpoint(branch, path)
             raise EngineError(f"call '{node.position}' parameters: {exc}") from exc
 
-        call_id = f"{branch.id}/{node.position}"
         with self._state_lock:
             self._checkpoint(branch, path)
-            # an interrupted call's token leaves the saved state only once the
-            # call is sure to begin again: a branch parked by the checkpoint keeps it
-            token = self.interrupted.pop(call_id, None)
+            # a restored call's token leaves its branch only once the call is
+            # sure to begin again: a branch parked by the checkpoint keeps it
+            token, branch.token = branch.token, None
             call = branch.in_flight = _new_call(
                 (
-                    call_id,
+                    f"{branch.id}/{node.position}",
                     node.position,
                     uri,
                     parameters,
@@ -1050,11 +1072,7 @@ class WorkflowInstance:
             # the branch parks at the call, and the resume replays its token,
             # so the service is not called again; a failed call runs again,
             # and a failed replay keeps its token
-            if isinstance(outcome, Passthrough):
-                token = outcome.token
-            if token is not None:
-                with self._state_lock:
-                    self.interrupted[call_id] = token
+            branch.token = outcome.token if isinstance(outcome, Passthrough) else token
             raise _Parked(path)
         elif isinstance(outcome, Passthrough):
             raise EngineError(
@@ -1065,6 +1083,7 @@ class WorkflowInstance:
 
     def _exec_engine_call(self, branch: _Branch, node, path, uri: str) -> None:
         self._begin_activity(branch, node, path, events.START_CALL)
+        branch.token = None  # the call has begun, and an engine call replays none
         if uri != STOP_ENDPOINT:
             raise EngineError(f"call '{node.position}': unknown engine endpoint '{uri}'")
         self.log.emit("activity_end", branch.id, node.position, events.END_STOP_SIGNAL)
@@ -1115,6 +1134,8 @@ class WorkflowInstance:
 
     def _exec_parallel(self, branch: _Branch, node: dsl.Parallel, path, sub) -> None:
         group = _JoinGroup(node.wait, path, branch)
+        # a k-join that fired before the stop: its restored arrivals do not fire it again
+        group.fired = sub is not None and path in branch.fired
         branch.group_stack.append(group)
         try:
             saved = self._resume_children.pop((branch.id, path), None)
@@ -1134,6 +1155,10 @@ class WorkflowInstance:
                     self._block(branch, group)
                 for child_id in group.arrived:  # past the join: a resume restores none
                     self._saved_paths.pop(child_id, None)  # a cancel may have dropped it
+        except _Parked as park:
+            if group.fired:  # the parked entry says so, and the resume does not fire it
+                park.fired = (path,) + park.fired
+            raise
         except _JumpTo:
             # the jump leaves the block, so its join will never fire: the
             # children forked so far are no longer necessary

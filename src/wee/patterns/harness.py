@@ -540,7 +540,7 @@ def check_assertion(assertion: dict, run: RunArtifacts) -> Optional[str]:
 
     if op == "saved_passthroughs":
         saved = run.saved or {}
-        count = len(saved.get("interrupted", {}))
+        count = sum("token" in entry for entry in saved.get("branches", []))
         if count != assertion["equals"]:
             return f"saved {count} passthroughs, expected {assertion['equals']}"
         return None

@@ -108,3 +108,14 @@ def starts(instance: WorkflowInstance, position: str | None = None) -> list:
 
 def kinds(instance: WorkflowInstance) -> list[str]:
     return [r.kind for r in instance.log.records]
+
+
+def call_tokens(ast: dsl.WorkflowAst, saved: dict) -> dict[str, str]:
+    """Each token of a saved state by the call id of the call at its branch's path."""
+    tokens = {}
+    for entry in saved["branches"]:
+        if "token" in entry:
+            call = dsl.nodes_along(ast, entry["path"])[-1]
+            assert isinstance(call, dsl.CallActivity), entry
+            tokens[f"{entry['id']}/{call.position}"] = entry["token"]
+    return tokens

@@ -11,7 +11,7 @@ import time
 from pathlib import Path
 
 import pytest
-from conftest import starts, wait_until
+from conftest import call_tokens, starts, wait_until
 
 from wee import cli, dsl
 from wee.engine import WorkflowInstance
@@ -498,8 +498,8 @@ def test_stop_resume_round_trip(seq_dir):
     stop = pre_records[-1]
     assert stop.kind == "instance_stop" and stop.detail["source"] == "controller"
     saved = stop.detail["saved"]
-    assert saved["schema"] == 5 and saved["seq"] == stop.seq
-    assert saved["interrupted"] == {"0/one": "p-one"}
+    assert saved["schema"] == 6 and saved["seq"] == stop.seq
+    assert call_tokens(dsl.parse(SEQ_WEE), saved) == {"0/one": "p-one"}
     assert saved["workflow"] == dsl.parse(SEQ_WEE).source_hash
 
     resume = resume_seq(seq_dir, log)
@@ -608,11 +608,12 @@ def test_a_stop_resume_stop_resume_chain_keeps_one_log(tmp_path):
         "a": 1, "b": 2, "done": True
     }
     # each call starts once, apart from the replays of the calls a stop interrupted
+    ast = dsl.parse(CHAIN_WEE)
     replays: set[str] = set()
     fresh: collections.Counter[str] = collections.Counter()
     for r in records:
         if r.kind == "instance_stop":
-            replays |= set(r.detail["saved"]["interrupted"])
+            replays |= set(call_tokens(ast, r.detail["saved"]))
         elif r.kind == "activity_start":
             call_id = f"{r.branch}/{r.position}"
             if call_id in replays:
@@ -621,7 +622,7 @@ def test_a_stop_resume_stop_resume_chain_keeps_one_log(tmp_path):
                 fresh[call_id] += 1
     assert fresh == {"0/one": 1, "0/two": 1, "0/fin": 1}
     assert replays == set()
-    stops = [r.detail["saved"]["interrupted"] for r in records if r.kind == "instance_stop"]
+    stops = [call_tokens(ast, r.detail["saved"]) for r in records if r.kind == "instance_stop"]
     assert stops == [{"0/one": "p-one"}, {"0/two": "p-two"}]
 
 
@@ -649,8 +650,8 @@ def test_stop_resume_recursive_call_across_processes(tmp_path):
 
     # the token carries the stopped nested instance into the stop record
     saved = read_jsonl(log)[-1].detail["saved"]
-    token = json.loads(saved["interrupted"]["0/nest"])
-    assert token["saved"]["schema"] == 5
+    token = json.loads(call_tokens(dsl.parse(NESTED_COUNT_WEE), saved)["0/nest"])
+    assert token["saved"]["schema"] == 6
     assert token["saved"]["workflow"] == saved["workflow"]
     assert 0 < token["saved"]["context"]["total"] < 40000
     assert saved["context"]["total"] == 0
@@ -783,18 +784,23 @@ def test_parse_skip_region_expands_source_range():
 
 
 def test_resume_of_a_saved_state_of_the_wrong_shape_exits_one(tmp_path, capsys):
-    # a state the engine refuses, as this wee and as two earlier formats wrote it
+    # a state the engine refuses, as this wee and as three earlier formats wrote it
     refused = {
         "corrupt saved state: branch 0: path 0": lambda saved: {
             **saved,
             "branches": [{"id": "0", "path": 0}],
         },
-        "saved state has schema 4, expected 5": lambda saved: {
+        "saved state has schema 5, expected 6": lambda saved: {
+            **saved,
+            "schema": 5,
+            "interrupted": {"0/slow": "tok-slow"},
+        },
+        "saved state has schema 4, expected 6": lambda saved: {
             **saved,
             "schema": 4,
-            "interrupted": {c: {"passthrough": t} for c, t in saved["interrupted"].items()},
+            "interrupted": {"0/slow": {"passthrough": "tok-slow"}},
         },
-        "saved state has schema 2, expected 5": lambda saved: {
+        "saved state has schema 2, expected 6": lambda saved: {
             "schema": 2,
             "lifecycle": "stopped",
             "branches": [{"id": "0", "path": [1]}],

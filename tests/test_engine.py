@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import finish, run_source, starts, wait_until
+from conftest import call_tokens, finish, run_source, starts, wait_until
 from wee import dsl, engine
 from wee.context import ContextError
 from wee.engine import EngineError, RunOptions, WorkflowInstance
@@ -848,7 +848,7 @@ def test_a_stop_parks_a_branch_blocked_on_a_section_and_its_parent_blocked_on_th
     assert not [r for r in records[ack + 1 :] if r.kind == "activity_start"]
     saved = json.loads(json.dumps(instance.save()))
     assert [entry["id"] for entry in saved["branches"]] == ["0", "0.1", "0.2"]
-    assert saved["interrupted"] == {"0.1/hold": "p-hold"}
+    assert call_tokens(ast, saved) == {"0.1/hold": "p-hold"}
 
     resumed = WorkflowInstance.resume(ast, handler, saved, RunOptions(virtual_time=virtual))
     assert finish(resumed) == "finished"
@@ -1064,17 +1064,16 @@ def test_stop_mid_sequence_prevents_later_activities():
 
 def test_stop_records_passthrough_of_blocked_call():
     instance, _ = stop_after_first_start(STOPPABLE, STOP_SCRIPT)
-    assert instance.interrupted == {"0/one": "p-one"}
     saved = instance.save()
+    # the call's token sits in the entry of the branch parked at the call
     assert saved == {
-        "schema": 5,
+        "schema": 6,
         "workflow": hashlib.sha256(STOPPABLE.encode()).hexdigest(),
         "instance": instance.instance_id,
         "seq": instance.log.records[-1].seq,
-        "branches": [{"id": "0", "path": [0]}],
+        "branches": [{"id": "0", "path": [0], "token": "p-one"}],
         "context": {"done": False},
         "version": 0,
-        "interrupted": {"0/one": "p-one"},
     }
     assert json.loads(json.dumps(saved)) == saved
     # the terminal record carries the same state
@@ -1108,7 +1107,7 @@ def test_stop_before_the_handler_looks_still_interrupts_the_call():
     started = time.monotonic()
     assert instance.wait() == "stopped"
     assert time.monotonic() - started < 1.0
-    assert instance.interrupted == {"0/one": "p-one"}
+    assert call_tokens(instance.ast, instance.save()) == {"0/one": "p-one"}
 
 
 def test_stop_is_idempotent():
@@ -1178,10 +1177,46 @@ def test_resume_rejects_non_stopped_state():
     with pytest.raises(EngineError, match="only stopped instances can be saved"):
         finished.save()
     # the state an older wee saved of a finished instance
-    with pytest.raises(EngineError, match="no schema"):
+    with pytest.raises(EngineError, match="^saved state has schema None, expected 6$"):
         WorkflowInstance.resume(
             dsl.parse(STOPPABLE), MockHandler(), {"lifecycle": "finished"}
         )
+
+
+ERRS_AFTER_A_CALL = """
+workflow {
+  handler "mock"
+  endpoint svc: "mock://svc"
+  context x: 0
+  call :a, endpoint: svc
+  manipulate :boom { x = 1 / x }
+}
+"""
+
+
+def test_an_errored_instance_is_not_saved_and_a_state_with_no_root_is_refused(tmp_path):
+    ast = dsl.parse(ERRS_AFTER_A_CALL)
+    handler = MockHandler({"default": {"result": {}}})  # shared: counts every invocation
+    instance = run_source(ERRS_AFTER_A_CALL, handler)
+    assert instance.result == "error"
+    with pytest.raises(EngineError, match="^only stopped instances can be saved$"):
+        instance.save()
+    assert "saved" not in instance.log.records[-1].detail
+    # the state save() gave before: resuming it would run the workflow again
+    state = {
+        "schema": 6,
+        "workflow": ast.source_hash,
+        "instance": instance.instance_id,
+        "seq": instance.log.records[-1].seq,
+        "branches": [],
+        "context": {"x": 0},
+        "version": 0,
+    }
+    log = tmp_path / "resumed.jsonl"
+    with pytest.raises(EngineError, match="^corrupt saved state: no root branch$"):
+        WorkflowInstance.resume(ast, handler, state, RunOptions(log_path=str(log)))
+    assert not log.exists()
+    assert handler.invocations == {"a": 1}
 
 
 def test_workflow_raised_stop_ends_stopped():
@@ -1420,7 +1455,7 @@ def test_stop_inside_parallel_saves_arrivals_and_live_branches():
     assert len(completed) == 1  # the quick branch already arrived
     live = [p for bid, p in by_id.items() if bid != "0" and (not p or p[-1] != -1)]
     assert len(live) == 1
-    assert saved["interrupted"] == {"0.2/slow": "p-slow"}
+    assert call_tokens(ast, saved) == {"0.2/slow": "p-slow"}
 
 
 def test_resume_mid_parallel_completes_join():
@@ -1942,7 +1977,7 @@ def test_a_stop_from_outside_reaches_a_branch_waiting_on_a_trigger():
     waiter.start()
     waiter.join(5)
     assert instance.result == "stopped"
-    assert list(instance.interrupted) == ["0/await"]
+    assert list(call_tokens(ast, instance.save())) == ["0/await"]
     assert not starts(instance, "proceed")
 
 
@@ -1988,7 +2023,8 @@ def test_a_raising_handler_under_virtual_time_leaves_an_error_and_ends():
     assert instance.result == "error"
     errors = [r for r in instance.log.records if r.kind == "error"]
     assert len(errors) == 1 and "handler raised" in errors[0].detail["message"]
-    assert "0.1/slow" in instance.interrupted
+    # an errored instance is not saved, but the stop interrupted the call
+    assert instance._saved_paths["0.1"].token == "pt-slow-0"
     # the stop cut the 60 s call short at once
     assert instance._timeline.now == 0.0
 
@@ -2023,7 +2059,7 @@ def test_every_exit_of_a_branch_hands_the_baton_on(monkeypatch):
     )
     instance.call_later(0.1, instance.request_stop)
     assert finish(instance) == "stopped"
-    assert list(instance.interrupted) == ["0.2/right"]
+    assert list(call_tokens(instance.ast, instance.save())) == ["0.2/right"]
 
 
 THREE_CALLS = """
@@ -2060,7 +2096,7 @@ def test_stop_save_and_resume_under_virtual_time_repeat_no_call():
     assert finish(instance) == "stopped"
     saved = json.loads(json.dumps(instance.save()))
     # b ended after the stop: its branch arrived at the join, and no token is kept
-    assert saved["interrupted"] == {"0.1/a2": "p-a2", "0.3/c": "p-c"}
+    assert call_tokens(ast, saved) == {"0.1/a2": "p-a2", "0.3/c": "p-c"}
     assert {"id": "0.2", "path": [0, -1]} in saved["branches"]
 
     resumed = WorkflowInstance.resume(ast, handler, saved, RunOptions(virtual_time=True))

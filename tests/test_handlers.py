@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from conftest import finish, wait_until
+from conftest import call_tokens, finish, wait_until
 from wee import dsl
 from wee.engine import RunOptions, WorkflowInstance
 from wee.handlers import (
@@ -388,7 +388,7 @@ def test_http_stop_under_virtual_time_gives_a_passthrough_the_resume_replays(stu
     instance.call_later(0, instance.request_stop)
     assert finish(instance) == "stopped"
     saved = json.loads(json.dumps(instance.save()))
-    assert list(saved["interrupted"]) == ["0/book"]
+    assert list(call_tokens(ast, saved)) == ["0/book"]
     resumed = WorkflowInstance.resume(ast, handler, saved, RunOptions(virtual_time=True))
     assert finish(resumed) == "finished"
     assert resumed.store.current_values()["cost"] == 11
@@ -639,9 +639,10 @@ def test_recursive_call_stopped_midway_resumes_its_nested_instance():
     saved = json.loads(json.dumps(instance.save()))
     # the nested instance stopped partway: its partial count is no result
     assert instance.store.current_values()["total"] == 0
-    assert list(saved["interrupted"]) == ["0/count"]
+    tokens = call_tokens(ast, saved)
+    assert list(tokens) == ["0/count"]
     # a token, which carries the stopped nested instance
-    assert json.loads(saved["interrupted"]["0/count"])["saved"]["schema"] == 5
+    assert json.loads(tokens["0/count"])["saved"]["schema"] == 6
 
     # a fresh handler, as `wee resume` builds in a new process: the token
     # alone carries the stopped nested instance
@@ -667,7 +668,7 @@ def test_recursive_call_stopped_under_virtual_time_resumes_to_the_unstopped_cont
     instance.call_later(0, instance.request_stop)
     assert finish(instance, timeout=20) == "stopped"
     saved = json.loads(json.dumps(instance.save()))
-    parked = json.loads(saved["interrupted"]["0/count"])
+    parked = json.loads(call_tokens(ast, saved)["0/count"])
     assert parked["saved"]["context"]["total"] < 20000
     resumed = WorkflowInstance.resume(
         ast, RecursiveHandler(source=COUNTER, max_depth=3), saved, RunOptions(virtual_time=True)

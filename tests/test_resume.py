@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import wait_until
+from conftest import call_tokens, wait_until
 from wee import dsl
 from wee.engine import EngineError, RunOptions, WorkflowInstance
 from wee.events import read_jsonl
@@ -72,9 +72,9 @@ def test_resume_inside_critical_within_cycle():
     instance.deliver_stop()
     assert instance.store.current_values()["i"] == 1
     saved = instance.save()
-    assert saved["interrupted"] == {"0/step": "p-step"}
+    assert call_tokens(ast, saved) == {"0/step": "p-step"}
     # parked inside the critical body, second loop pass
-    assert saved["branches"] == [{"id": "0", "path": [0, 0, 0, 0, 0]}]
+    assert saved["branches"] == [{"id": "0", "path": [0, 0, 0, 0, 0], "token": "p-step"}]
 
     fresh = MockHandler(CYCLE_CRITICAL_SCRIPT)
     resumed = WorkflowInstance.resume(ast, fresh, saved)
@@ -120,7 +120,7 @@ def test_resume_mid_alternative_then_later_alternatives_run():
     assert wait_for(instance, lambda rs: starts_of(rs, "alt_one"))
     instance.deliver_stop()
     saved = instance.save()
-    assert saved["branches"] == [{"id": "0", "path": [0, 0, 0]}]
+    assert saved["branches"] == [{"id": "0", "path": [0, 0, 0], "token": "p1"}]
 
     resumed = WorkflowInstance.resume(ast, MockHandler(MULTI_CHOICE_SCRIPT), saved)
     assert resumed.run() == "finished"
@@ -582,7 +582,7 @@ def test_stop_before_a_resumed_call_begins_keeps_its_passthrough():
     assert wait_for(instance, lambda rs: len(starts_of(rs, "slow")) == 1)
     instance.deliver_stop()
     saved = instance.save()
-    assert saved["interrupted"] == {"0/slow": "tok-slow"}
+    assert call_tokens(ast, saved) == {"0/slow": "tok-slow"}
 
     # stopped before the resumed call begins: it parks at the call and the
     # token stays in the saved state
@@ -592,7 +592,7 @@ def test_stop_before_a_resumed_call_begins_keeps_its_passthrough():
     assert parked.wait() == "stopped"
     assert starts_of(parked.log.records, "slow") == []
     saved = parked.save()
-    assert saved["interrupted"] == {"0/slow": "tok-slow"}
+    assert call_tokens(ast, saved) == {"0/slow": "tok-slow"}
 
     resumed = WorkflowInstance.resume(ast, handler, saved)
     assert resumed.run() == "finished"
@@ -641,7 +641,7 @@ def test_stop_interrupts_every_call_at_one_forked_position():
     # every call is interrupted at once, none waits out its 3 s delay
     assert time.perf_counter() - started < 0.2
     saved = json.loads(json.dumps(instance.save()))
-    assert saved["interrupted"] == {
+    assert call_tokens(ast, saved) == {
         f"0.{k}/task_instance": "tok-task" for k in range(1, 5)
     }
 
@@ -658,11 +658,11 @@ def test_resume_rejects_saved_state_without_schema():
     assert wait_for(instance, lambda rs: len(starts_of(rs, "slow")) == 1)
     instance.deliver_stop()
     saved = instance.save()
-    assert saved["schema"] == 5
+    assert saved["schema"] == 6
     # as an older wee wrote it: no schema, passthroughs keyed by position
-    del saved["schema"], saved["interrupted"]
+    del saved["schema"], saved["branches"][0]["token"]
     saved["passthroughs"] = {"slow": "tok-slow"}
-    with pytest.raises(EngineError, match="older wee.*keyed by position"):
+    with pytest.raises(EngineError, match=r"^saved state has schema None, expected 6$"):
         WorkflowInstance.resume(ast, handler, saved)
 
 
@@ -687,7 +687,7 @@ def stopped_in_slow_call():
     assert wait_for(instance, lambda rs: len(starts_of(rs, "slow")) == 1)
     instance.deliver_stop()
     saved = json.loads(json.dumps(instance.save()))
-    assert saved["branches"] == [{"id": "0", "path": [1]}]
+    assert saved["branches"] == [{"id": "0", "path": [1], "token": "tok-slow"}]
     return ast, handler, saved
 
 
@@ -697,7 +697,7 @@ def stopped_in_slow_call():
         ({"branches": [{"id": "0", "path": [-1]}]}, "leaves the workflow body"),
         ({"branches": [{"id": "0", "path": [99]}]}, "leaves the workflow body"),
         ({"branches": [{"id": "0", "path": [1, 0, 5]}]}, "missing child block"),
-        ({"branches": [{"id": "0", "path": [1.5]}]}, r"path \(1\.5,\)"),
+        ({"branches": [{"id": "0", "path": [1.5]}]}, r"path \[1\.5\]"),
         (
             {"branches": [{"id": "0", "path": [1]}, {"id": "0.²", "path": [1]}]},
             "branch id '0.²'",
@@ -736,11 +736,11 @@ def test_resume_rejects_a_corrupt_saved_path_or_branch_id(edit, message):
 
 
 def as_schema_2(saved: dict) -> dict:
-    """The state as the previous format kept it."""
+    """The state as schema 2 kept it."""
     return {
         "schema": 2,
         "lifecycle": "stopped",
-        "branches": saved["branches"],
+        "branches": [{"id": "0", "path": [1]}],
         "context": saved["context"],
         "version": saved["version"],
         "passthroughs": {"0/slow": "tok-slow"},
@@ -749,9 +749,17 @@ def as_schema_2(saved: dict) -> dict:
 
 
 def as_schema_4(saved: dict) -> dict:
-    """The state as the previous format kept it: each token wrapped in an object."""
-    interrupted = {call_id: {"passthrough": t} for call_id, t in saved["interrupted"].items()}
-    return {**saved, "schema": 4, "interrupted": interrupted}
+    """The state as schema 4 kept it: each token wrapped in an object, in a map of its own."""
+    interrupted = {"0/slow": {"passthrough": "tok-slow"}}
+    branches = [{"id": "0", "path": [1]}]
+    return {**saved, "schema": 4, "branches": branches, "interrupted": interrupted}
+
+
+def as_schema_5(saved: dict) -> dict:
+    """The state as schema 5 kept it: the tokens in a map from call id to token."""
+    interrupted = {"0/slow": "tok-slow"}
+    branches = [{"id": "0", "path": [1]}]
+    return {**saved, "schema": 5, "branches": branches, "interrupted": interrupted}
 
 
 def without(key: str):
@@ -762,27 +770,30 @@ def replaced(key: str, value):
     return lambda saved: {**saved, key: value}
 
 
-def bad_entry(entry, case_id: str):
+def root_entry(**fields):
+    """The saved root entry, with fields replaced."""
+    return replaced("branches", [{"id": "0", "path": [1], "token": "tok-slow", **fields}])
+
+
+def bad_entry(token, case_id: str):
     return pytest.param(
-        replaced("interrupted", {"0/slow": entry}),
-        f"corrupt saved state: interrupted call 0/slow: {entry!r}",
-        id=case_id,
+        root_entry(token=token), f"corrupt saved state: branch 0: token {token!r}", id=case_id
     )
 
 
 # Refused elsewhere: a state with no schema by
-# test_resume_rejects_saved_state_without_schema, and branches, context or
-# version of the wrong type by test_resume_rejects_a_corrupt_saved_path_or_branch_id.
+# test_resume_rejects_saved_state_without_schema; branches, context or
+# version of the wrong type by test_resume_rejects_a_corrupt_saved_path_or_branch_id;
+# an entry out of place in a parallel by test_resume_refuses_a_saved_entry_out_of_place.
 @pytest.mark.parametrize(
     "edit, message",
     [
-        pytest.param(as_schema_2, "saved state has schema 2, expected 5", id="schema-2"),
-        pytest.param(as_schema_4, "saved state has schema 4, expected 5", id="schema-4"),
+        pytest.param(as_schema_2, "saved state has schema 2, expected 6", id="schema-2"),
+        pytest.param(as_schema_4, "saved state has schema 4, expected 6", id="schema-4"),
+        pytest.param(as_schema_5, "saved state has schema 5, expected 6", id="schema-5"),
         *(
             pytest.param(without(key), f"corrupt saved state: no {key}", id=f"no-{key}")
-            for key in (
-                "workflow", "instance", "seq", "branches", "context", "version", "interrupted"
-            )
+            for key in ("workflow", "instance", "seq", "branches", "context", "version")
         ),
         pytest.param(
             replaced("workflow", None),
@@ -800,10 +811,22 @@ def bad_entry(entry, case_id: str):
         pytest.param(replaced("seq", "9"), "corrupt saved state: seq '9'", id="seq-not-an-int"),
         pytest.param(replaced("seq", True), "corrupt saved state: seq True", id="seq-a-bool"),
         pytest.param(replaced("seq", 0), "corrupt saved state: seq 0", id="seq-not-positive"),
+        # the tokens of schema 5 beside a schema-6 entry, as a misbinding edit leaves them
         pytest.param(
-            replaced("interrupted", []),
-            "corrupt saved state: interrupted []",
-            id="interrupted-not-an-object",
+            replaced("interrupted", {"0/slow": "tok-slow", "0/b": "tok-x"}),
+            "corrupt saved state: unknown key 'interrupted'",
+            id="interrupted-in-a-schema-6-state",
+        ),
+        # one entry per saved branch: a second one would be dropped unseen
+        pytest.param(
+            replaced("branches", [{"id": "0", "path": [0]}, {"id": "0", "path": [1]}]),
+            "corrupt saved state: a branch has two entries",
+            id="a-branch-twice",
+        ),
+        pytest.param(
+            root_entry(tokens=["tok-slow"]),
+            "corrupt saved state: branch 0: unknown key 'tokens'",
+            id="entry-with-an-unknown-key",
         ),
         # a token is a string: an object, as schema 4 wrapped it, is refused
         bad_entry(5, "token-a-number"),
@@ -812,6 +835,29 @@ def bad_entry(entry, case_id: str):
         bad_entry({"passthrough": "t", "result": {}}, "entry-two-kinds"),
         bad_entry({"token": "t"}, "entry-unknown-kind"),
         bad_entry({"passthrough": 5}, "passthrough-not-a-string"),
+        bad_entry(None, "token-null"),
+        # only the call that handed a token out replays it
+        pytest.param(
+            root_entry(path=[0]),
+            "corrupt saved state: branch 0: token not at a call",
+            id="token-at-a-manipulate",
+        ),
+        pytest.param(
+            root_entry(path=[3]),
+            "corrupt saved state: branch 0: token not at a call",
+            id="token-at-the-root-end-marker",
+        ),
+        pytest.param(
+            root_entry(fired=[0]), "corrupt saved state: branch 0: fired [0]", id="fired-not-paths"
+        ),
+        pytest.param(
+            root_entry(fired="0"), "corrupt saved state: branch 0: fired '0'", id="fired-not-a-list"
+        ),
+        pytest.param(
+            root_entry(fired=[[0]]),
+            "corrupt saved state: branch 0: fired [0]",
+            id="fired-not-a-parallel",
+        ),
     ],
 )
 def test_resume_refuses_a_malformed_saved_state(edit, message, tmp_path):
@@ -839,12 +885,10 @@ class FailingReplay(MockHandler):
 
 def test_a_replay_that_fails_after_a_stop_keeps_its_token():
     ast, handler, saved = stopped_in_slow_call()
-    saved["interrupted"] = {"0/slow": "tok-slow"}
     failing = FailingReplay()
     failing.instance = WorkflowInstance.resume(ast, failing, saved)
     assert failing.instance.run() == "stopped"
-    assert failing.instance.interrupted == {"0/slow": "tok-slow"}
-    assert failing.instance.save()["interrupted"] == {"0/slow": "tok-slow"}
+    assert failing.instance.save()["branches"] == [{"id": "0", "path": [1], "token": "tok-slow"}]
     assert failing.invocations == {}
 
 
@@ -865,7 +909,7 @@ FORKS_AFTER_A_CLOSED_JOIN = {
           }
         }
         """,
-        [{"id": "0", "path": [1], "forks": 3}],
+        [{"id": "0", "path": [1], "forks": 3, "token": "tok-slow"}],
         ["0.1", "0.2", "0.3", "0.4"],
     ),
     "child": (
@@ -882,7 +926,10 @@ FORKS_AFTER_A_CLOSED_JOIN = {
           }
         }
         """,
-        [{"id": "0", "path": [0], "forks": 2}, {"id": "0.1", "path": [0, 0, 0, 0, 1], "forks": 2}],
+        [
+            {"id": "0", "path": [0], "forks": 2},
+            {"id": "0.1", "path": [0, 0, 0, 0, 1], "forks": 2, "token": "tok-slow"},
+        ],
         ["0.1", "0.1.1", "0.1.2"],
     ),
 }
@@ -946,7 +993,7 @@ def test_call_that_ends_after_the_stop_is_not_called_again():
         ("instance_stop", None),
     ]
     saved = json.loads(json.dumps(instance.save()))
-    assert saved["interrupted"] == {}
+    assert call_tokens(ast, saved) == {}
     assert saved["branches"] == [{"id": "0", "path": [1]}]
     assert saved["context"] == {"done": 1}
 
@@ -1090,7 +1137,7 @@ ON_THE_WAY_BACK = {
     "section": (
         RESTART_IN_A_SECTION,
         lambda rs: starts_of(rs, "slow"),
-        [{"id": "0", "path": [0, 0, 1]}],
+        [{"id": "0", "path": [0, 0, 1], "token": "tok-slow"}],
         {"pre": 1, "slow": 1},
     ),
     # the root restarts at the join with one child parked and one arrived: a
@@ -1101,7 +1148,7 @@ ON_THE_WAY_BACK = {
         [
             {"id": "0", "path": [0], "forks": 3},
             {"id": "0.1", "path": [0, -1]},
-            {"id": "0.2", "path": [0, 0, 1, 0, 0]},
+            {"id": "0.2", "path": [0, 0, 1, 0, 0], "token": "tok-b"},
         ],
         {"a": 1, "b": 1},
     ),
@@ -1147,7 +1194,7 @@ def test_a_stop_before_a_restored_branch_is_back_at_its_saved_path_keeps_it(case
     assert [r for r in again.log.records if r.kind == "activity_start"] == []
     second = json.loads(json.dumps(again.save()))
     assert second["branches"] == first["branches"]
-    assert second["interrupted"] == first["interrupted"]
+    assert call_tokens(ast, second) == call_tokens(ast, first)
 
     last = WorkflowInstance.resume(ast, handler, second, options)
     assert last.run() == "finished"
@@ -1219,7 +1266,7 @@ def test_a_parent_resumed_inside_a_parallel_body_runs_nothing_before_its_saved_n
     handler = MockHandler(SLOW_CALLS_SCRIPT)  # shared: counts every invocation
     saved = stopped_once(ast, handler, True, lambda rs: starts_of(rs, "slow") and arrived(rs))
     assert saved["branches"] == [
-        {"id": "0", "path": [0, 0, 2], "forks": 2},
+        {"id": "0", "path": [0, 0, 2], "forks": 2, "token": "tok-slow"},
         {"id": "0.1", "path": [0, -1]},
     ]
 
@@ -1262,7 +1309,7 @@ LOSER_SAVED = [
     {"id": "0", "path": [0], "forks": 3},
     {"id": "0.1", "path": [0, -1]},
     {"id": "0.2", "path": [0, 0, 1, 0, 0], "forks": 2},
-    {"id": "0.2.1", "path": [0, 0, 1, 0, 0, 0, 0, 0, 0]},
+    {"id": "0.2.1", "path": [0, 0, 1, 0, 0, 0, 0, 0, 0], "token": "tok-slow"},
 ]
 
 
@@ -1313,7 +1360,7 @@ def test_a_loser_of_a_join_unfired_at_the_stop_is_cancelled_on_resume(
     assert not [r for r in instance.log.records if r.detail.get("role") == "fire"]
     saved = json.loads(json.dumps(instance.save()))
     assert saved["branches"] == branches
-    assert saved["interrupted"] == {"0.2.1/slow": "tok-slow"}
+    assert call_tokens(ast, saved) == {"0.2.1/slow": "tok-slow"}
 
     resumed = WorkflowInstance.resume(ast, handler, saved, RunOptions(virtual_time=virtual_time))
     assert resumed.run() == "finished"
@@ -1347,11 +1394,8 @@ workflow {
 
 
 def renamed_child(saved: dict) -> dict:
-    return {
-        **saved,
-        "branches": [saved["branches"][0], {**saved["branches"][1], "id": "0.7.1"}],
-        "interrupted": {"0.7.1/a": saved["interrupted"]["0.1/a"]},
-    }
+    # the renamed entry keeps its token
+    return {**saved, "branches": [saved["branches"][0], {**saved["branches"][1], "id": "0.7.1"}]}
 
 
 def root_at(path: list[int]):
@@ -1375,9 +1419,9 @@ def test_resume_refuses_a_saved_child_that_nothing_restores(edit, child, tmp_pat
     saved = stopped_once(ast, handler, True, lambda rs: starts_of(rs, "a"))
     assert saved["branches"] == [
         {"id": "0", "path": [0], "forks": 2},
-        {"id": "0.1", "path": [0, 0, 0, 0, 0]},
+        {"id": "0.1", "path": [0, 0, 0, 0, 0], "token": "tok-a"},
     ]
-    assert saved["interrupted"] == {"0.1/a": "tok-a"}
+    assert call_tokens(ast, saved) == {"0.1/a": "tok-a"}
 
     log = tmp_path / "resumed.jsonl"
     with pytest.raises(EngineError) as refused:
@@ -1428,7 +1472,7 @@ def test_a_jump_that_ends_after_the_stop_parks_the_branch_at_its_target(virtual_
     saved = json.loads(json.dumps(instance.save()))
     # parked at the critical node on its way, the root restarts at the target
     assert saved["branches"] == [{"id": "0", "path": list(dsl.position_paths(ast)["target"])}]
-    assert saved["interrupted"] == {}
+    assert call_tokens(ast, saved) == {}
 
     resumed = WorkflowInstance.resume(ast, handler, saved, RunOptions(virtual_time=virtual_time))
     assert resumed.run() == "finished"
@@ -1466,10 +1510,10 @@ def test_a_winner_that_arrives_after_the_stop_keeps_its_restart_path():
     saved = stopped_once(ast, handler, True, lambda rs: starts_of(rs, "pace"))
     # quick ended after the stop, and its arrival did not fire the join
     assert saved["branches"] == [
-        {"id": "0", "path": [0, 0, 1], "forks": 2},
+        {"id": "0", "path": [0, 0, 1], "forks": 2, "token": "tok-pace"},
         {"id": "0.1", "path": [0, -1]},
     ]
-    assert saved["interrupted"] == {"0/pace": "tok-pace"}
+    assert call_tokens(ast, saved) == {"0/pace": "tok-pace"}
 
     resumed = WorkflowInstance.resume(ast, handler, saved, RunOptions(virtual_time=True))
     assert resumed.run() == "finished"
@@ -1534,6 +1578,228 @@ def test_a_join_fires_once_across_a_stop_and_its_resume(shape, virtual_time, tmp
     assert handler.invocations == calls
 
 
+# a k-join that fires while its parent is still in the parallel body, which
+# the stop then catches in a call there
+FIRED_BEFORE_THE_STOP = """
+workflow {
+  handler "mock"
+  endpoint svc: "mock://svc"
+  parallel wait: 1 {
+    parallel_branch { call :quick, endpoint: svc }
+    call :pace, endpoint: svc
+    parallel_branch { call :late, endpoint: svc }
+  }
+  call :after, endpoint: svc
+}
+"""
+
+NESTED_FIRED_BEFORE_THE_STOP = """
+workflow {
+  handler "mock"
+  endpoint svc: "mock://svc"
+  parallel wait: 1 {
+    parallel_branch { call :quick, endpoint: svc }
+    parallel wait: 1 {
+      parallel_branch { call :inner, endpoint: svc }
+      call :pace, endpoint: svc
+    }
+  }
+  call :after, endpoint: svc
+}
+"""
+
+FIRED_SCRIPT = {
+    "positions": {"pace": {"result": {}, "delay_ms": 2000, "token": "tok-pace"}},
+    "default": {"result": {}, "delay_ms": 10},
+    "passthroughs": {"tok-pace": {"result": {}}},
+}
+
+# (workflow, the saved branches, the joins that fire, the calls of a run)
+FIRED_JOINS = {
+    "one-join": (
+        FIRED_BEFORE_THE_STOP,
+        [
+            {"id": "0", "path": [0, 0, 1], "forks": 2, "token": "tok-pace", "fired": [[0]]},
+            {"id": "0.1", "path": [0, -1]},
+        ],
+        1,
+        {"quick": 1, "pace": 1, "after": 1},
+    ),
+    "nested-joins": (
+        NESTED_FIRED_BEFORE_THE_STOP,
+        [
+            {
+                "id": "0",
+                "path": [0, 0, 1, 0, 1],
+                "forks": 3,
+                "token": "tok-pace",
+                "fired": [[0], [0, 0, 1]],
+            },
+            {"id": "0.1", "path": [0, -1]},
+            {"id": "0.2", "path": [0, 0, 1, -1]},
+        ],
+        2,
+        {"quick": 1, "inner": 1, "pace": 1, "after": 1},
+    ),
+}
+
+
+@pytest.mark.parametrize("virtual_time", [False, True], ids=["threads", "virtual-time"])
+@pytest.mark.parametrize("shape", sorted(FIRED_JOINS))
+def test_a_join_fired_before_the_stop_does_not_fire_again_on_resume(
+    shape, virtual_time, tmp_path
+):
+    source, branches, fires, calls = FIRED_JOINS[shape]
+    ast = dsl.parse(source)
+    log = str(tmp_path / "trace.jsonl")  # the stopped run and the resume share it
+    handler = MockHandler(FIRED_SCRIPT)  # shared: counts every invocation
+    options = RunOptions(virtual_time=virtual_time, log_path=log)
+    instance = WorkflowInstance(ast, handler, options)
+    if virtual_time:
+        instance.call_later(0.5, instance.request_stop)
+        instance.start()
+    else:
+        instance.start()
+        fired = lambda rs: sum(r.detail.get("role") == "fire" for r in rs) == fires
+        assert wait_for(instance, lambda rs: fired(rs) and starts_of(rs, "pace"))
+        instance.request_stop()
+    assert instance.wait() == "stopped"
+    saved = json.loads(json.dumps(instance.save()))
+    # the parent parked in the body of each join that fired, and says so
+    assert saved["branches"] == branches
+    assert WorkflowInstance.resume(ast, handler, saved, options).run() == "finished"
+
+    records = read_jsonl(log)
+    assert [r.seq for r in records] == list(range(1, len(records) + 1))
+    # each join fired once, in the stopped run, and a child forked after the
+    # resume stands down at once
+    assert [r.branch for r in records if r.detail.get("role") == "fire"] == ["0"] * fires
+    if shape == "one-join":
+        kinds = [
+            (r.kind, r.branch, r.detail.get("child") or r.detail.get("signal")) for r in records
+        ]
+        late = kinds.index(("branch_fork", "0", "0.2"))
+        assert kinds[late + 1] == ("signal", "0.2", "no_longer_necessary")
+    assert handler.invocations == calls
+
+
+def with_entries(*entries):
+    return lambda saved: {**saved, "branches": list(entries)}
+
+
+FIRED_ROOT = {"id": "0", "path": [0, 0, 1], "forks": 2, "token": "tok-pace", "fired": [[0]]}
+
+
+TWO_FIRED_BEFORE_THE_STOP = """
+workflow {
+  handler "mock"
+  endpoint svc: "mock://svc"
+  parallel wait: 2 {
+    parallel_branch { call :quick, endpoint: svc }
+    parallel_branch { call :inner, endpoint: svc }
+    call :pace, endpoint: svc
+  }
+}
+"""
+
+# workflow -> (script, the saved branches when it stops in its call pace or slow)
+STOPPED_IN_A_JOIN_BODY = {
+    FIRED_BEFORE_THE_STOP: (FIRED_SCRIPT, [FIRED_ROOT, {"id": "0.1", "path": [0, -1]}]),
+    TWO_FIRED_BEFORE_THE_STOP: (
+        FIRED_SCRIPT,
+        [
+            {"id": "0", "path": [0, 0, 2], "forks": 3, "token": "tok-pace", "fired": [[0]]},
+            {"id": "0.1", "path": [0, -1]},
+            {"id": "0.2", "path": [0, -1]},
+        ],
+    ),
+    INSIDE_A_PARALLEL_BODY: (
+        SLOW_CALLS_SCRIPT,
+        [
+            {"id": "0", "path": [0, 0, 2], "forks": 2, "token": "tok-slow"},
+            {"id": "0.1", "path": [0, -1]},
+        ],
+    ),
+}
+
+# (workflow, edit of the state stopped in its call pace or slow, refusal)
+OUT_OF_PLACE = {
+    "token-at-an-arrival": (
+        FIRED_BEFORE_THE_STOP,
+        with_entries(FIRED_ROOT, {"id": "0.1", "path": [0, -1], "token": "tok-pace"}),
+        "corrupt saved state: branch 0.1: token not at a call",
+    ),
+    "fired-at-an-arrival": (
+        FIRED_BEFORE_THE_STOP,
+        with_entries(FIRED_ROOT, {"id": "0.1", "path": [0, -1], "fired": [[0]]}),
+        "corrupt saved state: branch 0.1: fired [0]",
+    ),
+    "fired-the-join-of-the-branch": (
+        FIRED_BEFORE_THE_STOP,
+        with_entries(
+            FIRED_ROOT,
+            {"id": "0.1", "path": [0, 0, 0, 0, 0], "fired": [[0]]},
+            {"id": "0.2", "path": [0, -1]},
+        ),
+        "corrupt saved state: branch 0.1: fired [0]",
+    ),
+    "fired-the-join-the-root-waits-on": (
+        FIRED_BEFORE_THE_STOP,
+        with_entries(
+            {"id": "0", "path": [0], "forks": 2, "fired": [[0]]}, {"id": "0.1", "path": [0, -1]}
+        ),
+        "corrupt saved state: branch 0: fired [0]",
+    ),
+    # [parallel, -1]: a child at [0, 0, -1] would be lost, as no parallel is at [0, 0]
+    "arrival-at-a-block": (
+        FIRED_BEFORE_THE_STOP,
+        with_entries(FIRED_ROOT, {"id": "0.1", "path": [0, 0, -1]}),
+        "corrupt saved state: (0, 0) is not a parallel block",
+    ),
+    "fired-with-no-arrival": (
+        FIRED_BEFORE_THE_STOP,
+        with_entries(FIRED_ROOT),
+        "corrupt saved state: branch 0: fired [0]",
+    ),
+    "fired-with-one-arrival-of-two": (
+        TWO_FIRED_BEFORE_THE_STOP,
+        lambda saved: {**saved, "branches": saved["branches"][:2]},
+        "corrupt saved state: branch 0: fired [0]",
+    ),
+    "fired-off-the-path": (
+        FIRED_BEFORE_THE_STOP,
+        with_entries({**FIRED_ROOT, "path": [1]}),
+        "corrupt saved state: branch 0: fired [0]",
+    ),
+    "fired-an-all-join": (
+        INSIDE_A_PARALLEL_BODY,
+        with_entries(
+            {"id": "0", "path": [0, 0, 2], "forks": 2, "token": "tok-slow", "fired": [[0]]},
+            {"id": "0.1", "path": [0, -1]},
+        ),
+        "corrupt saved state: branch 0: fired [0]",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_PLACE))
+def test_resume_refuses_a_saved_entry_out_of_place(case, tmp_path):
+    source, edit, message = OUT_OF_PLACE[case]
+    ast = dsl.parse(source)
+    script, branches = STOPPED_IN_A_JOIN_BODY[source]
+    handler = MockHandler(script)
+    ready = lambda rs: starts_of(rs, "pace") or starts_of(rs, "slow")
+    saved = stopped_once(ast, handler, True, ready)
+    assert saved["branches"] == branches  # the root parked at its call in a join's body
+    calls = dict(handler.invocations)
+    log = tmp_path / "resumed.jsonl"
+    with pytest.raises(EngineError) as refused:
+        WorkflowInstance.resume(ast, handler, edit(saved), RunOptions(log_path=str(log)))
+    assert str(refused.value) == message
+    assert not log.exists()
+    assert handler.invocations == calls
+
+
 SLOW_THEN_HALT = """
 workflow {
   handler "mock"
@@ -1541,22 +1807,40 @@ workflow {
   endpoint halt: "wee://stop"
   context done: 0
   call :slow, endpoint: svc
+  call :after, endpoint: svc
   call :halt, endpoint: halt
+  call :last, endpoint: svc
 }
 """
+
+SLOW_THEN_HALT_SCRIPT = {**ONE_SLOW_CALL_SCRIPT, "default": {"result": {}}}
 
 
 def test_a_call_that_a_resume_skips_leaves_no_token_behind():
     ast = dsl.parse(SLOW_THEN_HALT)
-    handler = MockHandler(ONE_SLOW_CALL_SCRIPT)  # shared: counts every invocation
+    handler = MockHandler(SLOW_THEN_HALT_SCRIPT)  # shared: counts every invocation
     saved = stopped_once(ast, handler, False, lambda rs: starts_of(rs, "slow"))
-    assert saved["interrupted"] == {"0/slow": "tok-slow"}
+    assert call_tokens(ast, saved) == {"0/slow": "tok-slow"}
 
     skipped = WorkflowInstance.resume(ast, handler, saved, skip_positions=["slow"])
     assert skipped.run() == "stopped"  # at wee://stop
     second = skipped.save()
-    assert second["branches"] == [{"id": "0", "path": [2]}]
-    assert second["interrupted"] == {}
+    # the next call is called, not given the skipped call's token
+    assert second["branches"] == [{"id": "0", "path": [3]}]
+    assert call_tokens(ast, second) == {}
+    assert handler.invocations == {"slow": 1, "after": 1}
+
+
+def test_a_token_at_an_engine_call_goes_once_the_call_begins():
+    ast = dsl.parse(SLOW_THEN_HALT)
+    handler = MockHandler(SLOW_THEN_HALT_SCRIPT)  # shared: counts every invocation
+    saved = stopped_once(ast, handler, False, lambda rs: starts_of(rs, "slow"))
+    # no stop hands a token out at wee://stop: an edited state puts one there
+    saved["branches"] = [{"id": "0", "path": [2], "token": "tok-slow"}]
+
+    halted = WorkflowInstance.resume(ast, handler, saved)
+    assert halted.run() == "stopped"  # at wee://stop
+    assert halted.save()["branches"] == [{"id": "0", "path": [3]}]
     assert handler.invocations == {"slow": 1}
 
 
@@ -1579,10 +1863,25 @@ workflow {
         parallel_branch { critical :t { call :b, endpoint: svc } }
       }
     }
+    parallel wait: 1 {
+      parallel_branch { call :w, endpoint: svc }
+      call :body, endpoint: svc
+    }
     manipulate :inc { n = n + 1 }
   }
 }
 """
+
+# pre, b and body hand out a token when a stop catches them, which the
+# resume replays; a and w end after the stop with their result
+STOP_CHAIN_SCRIPT = {
+    "positions": {
+        position: {"result": {}, "delay_ms": [5, 50], "token": f"tok-{position}"}
+        for position in ("pre", "b", "body")
+    },
+    "default": {"result": {}, "delay_ms": [5, 50], "on_stop": "finish"},
+    "passthroughs": {f"tok-{position}": {"result": {}} for position in ("pre", "b", "body")},
+}
 
 BEFORE_START = "before start"
 
@@ -1593,8 +1892,7 @@ def run_stop_chain(seed: int, stops: list) -> None:
     before it starts (BEFORE_START), at a virtual time in seconds, or not at
     all (None); the phase after the last of stops is not stopped."""
     ast = dsl.parse(STOP_CHAIN)
-    script = {"default": {"result": {}, "delay_ms": [5, 50], "on_stop": "finish"}}
-    handler = MockHandler(script, seed=seed)  # shared: counts every invocation
+    handler = MockHandler(STOP_CHAIN_SCRIPT, seed=seed)  # shared: counts every invocation
     saved = None
     fires = 0
     for stop in [*stops, None]:
@@ -1616,9 +1914,10 @@ def run_stop_chain(seed: int, stops: list) -> None:
             break
         saved = json.loads(json.dumps(instance.save()))
     assert result == "finished", instance.errors
-    assert handler.invocations == {"pre": 2, "a": 2, "b": 2}
+    # a replay is no invocation
+    assert handler.invocations == {"pre": 2, "a": 2, "b": 2, "w": 2, "body": 2}
     assert instance.store.current_values() == {"n": 2, "got": 2}
-    assert fires == 2  # one per execution of the join
+    assert fires == 4  # one per execution of each join
 
 
 @settings(max_examples=100, deadline=None)
