@@ -21,7 +21,10 @@ An entry leaves the saved state only once its branch is back at it, and its
 token once the call begins: a stop on the way back, or on the way to a jump
 target, saves it again. A child that arrives at its join keeps its entry
 there until its parent passes the join. A cancelled branch is never saved,
-and its token goes with its entry. resume() alone checks a saved state, and
+and its token goes with its entry. The handler releases each token that no
+call will replay: one a cancel drops, one a cancelled call hands back, that
+of a call a resume skips, and those of an instance that ends in error.
+resume() alone checks a saved state, and
 refuses a child that its parent would not restore and a token at no call;
 the resumed instance continues the stopped one's id and seq.
 
@@ -554,6 +557,10 @@ class WorkflowInstance:
             # the terminal record itself was not written
             self.result = "error"
             self.errors.append(f"trace write failed: {self.log.write_error}")
+        if self.result == "error":  # not saved: no resume replays a token
+            for restart in self._saved_paths.values():
+                if restart.token is not None:
+                    self.handler.release(restart.token)
         self.log.close()
         self._ended.notify_all()
 
@@ -815,6 +822,7 @@ class WorkflowInstance:
                 self.branches.pop(branch.id, None)
                 if branch.cancelled:  # a cancel may follow its park or its jump
                     self._saved_paths.pop(branch.id, None)
+                    self._drop_token(branch)
                 elif parked is not None:  # one parked on its way back keeps its restart path
                     self._saved_paths.setdefault(branch.id, parked)
                 if not self.branches and self.result is None:
@@ -878,7 +886,15 @@ class WorkflowInstance:
             self.log.emit("signal", b.id, detail={"signal": "no_longer_necessary"})
         self._stop(cancelled)
         for branch_id in [k for k in self._saved_paths if f"{k}.".startswith(below)]:
-            del self._saved_paths[branch_id]
+            token = self._saved_paths.pop(branch_id).token
+            if token is not None:
+                self.handler.release(token)
+
+    def _drop_token(self, branch: _Branch) -> None:
+        """The branch's token will not be replayed: the handler may release it."""
+        token, branch.token = branch.token, None
+        if token is not None:
+            self.handler.release(token)
 
     # ------------------------------------------------------------------
     # Node execution
@@ -914,7 +930,7 @@ class WorkflowInstance:
             if node.position not in self.skip_positions:
                 self._exec_call(branch, node, path)
             else:  # a skipped call leaves no token to replay
-                branch.token = None
+                self._drop_token(branch)
             return
 
         with self._state_lock:
@@ -1060,6 +1076,8 @@ class WorkflowInstance:
                 cancelled = branch.cancelled
 
         if cancelled:
+            if isinstance(outcome, Passthrough):  # no resume replays it
+                self.handler.release(outcome.token)
             raise _Cancelled()
         # a result or jump is applied even after a stop, and the branch then
         # parks at its next checkpoint
@@ -1083,7 +1101,7 @@ class WorkflowInstance:
 
     def _exec_engine_call(self, branch: _Branch, node, path, uri: str) -> None:
         self._begin_activity(branch, node, path, events.START_CALL)
-        branch.token = None  # the call has begun, and an engine call replays none
+        self._drop_token(branch)  # the call has begun, and an engine call replays none
         if uri != STOP_ENDPOINT:
             raise EngineError(f"call '{node.position}': unknown engine endpoint '{uri}'")
         self.log.emit("activity_end", branch.id, node.position, events.END_STOP_SIGNAL)

@@ -112,6 +112,16 @@ class HandlerWrapper:
     def call(self, call: HandlerCall) -> HandlerOutcome:
         raise NotImplementedError
 
+    def release(self, token: str) -> None:
+        """No call will replay the passthrough token: drop what is kept for it.
+
+        The engine calls it, perhaps more than once for one token, when it
+        drops a token unreplayed: a cancel drops the branch that holds it, a
+        cancelled call hands it back, a resume skips its call, or the
+        instance ends in error. It may hold its state lock meanwhile, so
+        release must not block or call back into the engine.
+        """
+
 
 def _check_result_values(values: dict) -> dict[str, Value]:
     out: dict[str, Value] = {}
@@ -235,8 +245,9 @@ class HttpHandler(HandlerWrapper):
     once the response is in. Once the token is set, the blocked call returns
     a Passthrough token immediately while the request finishes in the
     background; a later call with that token replays the stored response
-    without contacting the service again, and drops it. A replay whose stop
-    token is set before the response is in hands back the same token.
+    without contacting the service again, and drops it, as release() does.
+    A replay whose stop token is set before the response is in hands back
+    the same token.
     """
 
     def __init__(self, timeout: float = 30.0):
@@ -289,6 +300,10 @@ class HttpHandler(HandlerWrapper):
         with self._lock:
             self._stored[token] = record
         return Passthrough(token)
+
+    def release(self, token: str) -> None:
+        with self._lock:
+            self._stored.pop(token, None)
 
     def _await(self, record: _StoredResponse, stop: StopToken) -> Optional[HandlerOutcome]:
         """Wait until the response is in or stop is set; the response, or None."""

@@ -136,9 +136,9 @@ class SpawnerHandler(HandlerWrapper):
     terminal record, and `completed` counts their instance_finish records.
     """
 
-    def __init__(self, count: int, nested_source: Optional[str] = None):
+    def __init__(self, count: int, ast: Optional[dsl.WorkflowAst] = None):
         self.count = count
-        self.ast = dsl.parse(nested_source or _TINY_WORKFLOW)
+        self.ast = ast if ast is not None else dsl.parse(_TINY_WORKFLOW)
         self.spawned = 0
         self.completed = 0
         self._lock = threading.Lock()
@@ -163,6 +163,14 @@ class SpawnerHandler(HandlerWrapper):
 
 @dataclass
 class PatternCase:
+    """One corpus case, as load_case read it.
+
+    load_case hands the same case to every pass while its files are
+    unchanged, so nothing writes into script, assertions or scenario. The
+    workflow is parsed and validated on first use and kept; a ParseError is
+    not kept, so every use raises it again.
+    """
+
     slug: str
     name: str
     pattern_class: str
@@ -177,6 +185,20 @@ class PatternCase:
     @property
     def handler_kind(self) -> str:
         return self.script.get("handler", "mock")
+
+    @functools.cached_property
+    def ast(self) -> dsl.WorkflowAst:
+        assert self.source is not None
+        return dsl.parse(self.source)
+
+    @functools.cached_property
+    def diagnostics(self) -> list[dsl.Diagnostic]:
+        return dsl.validate(self.ast)
+
+    @functools.cached_property
+    def nested_ast(self) -> dsl.WorkflowAst:
+        """The workflow a spawner case's handler starts."""
+        return dsl.parse(self.script.get("nested_workflow") or _TINY_WORKFLOW)
 
 
 @dataclass
@@ -266,47 +288,72 @@ class CoverageReport:
 # ---------------------------------------------------------------------------
 
 
-def _read_case_file(path: Path, missing: str) -> str:
+def _read_bytes(path: Path) -> Optional[bytes]:
     try:
-        return path.read_text(encoding="utf-8")
+        return path.read_bytes()
     except FileNotFoundError:
-        raise FileNotFoundError(f"{missing} {path}") from None
+        return None
+
+
+def _text(data: bytes) -> str:
+    """The text Path.read_text gives: UTF-8, with universal newlines."""
+    return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+
+
+# assert-file path -> (what the case was loaded from, the case)
+_LOADED: dict[Path, tuple[tuple, PatternCase]] = {}
 
 
 def load_case(corpus: Path, pattern_class: str, name: str, slug: str, support: str) -> PatternCase:
+    """Read a case's files and return the case they give.
+
+    The files are read on every call. While their bytes, and the class, name
+    and support they are checked against, are those of the last load from
+    the same assert file, that load's case is returned again, with the
+    workflow it has parsed.
+    """
     class_dir = corpus / CLASS_DIRS[pattern_class]
     assert_path = class_dir / f"{slug}.assert.json"
-    spec = json.loads(_read_case_file(assert_path, "missing case file"))
+    spec_bytes = _read_bytes(assert_path)
+    if spec_bytes is None:
+        raise FileNotFoundError(f"missing case file {assert_path}")
+    workflow_path = class_dir / f"{slug}.wee"
+    source_bytes = None if support == ORCHESTRATED else _read_bytes(workflow_path)
+    script_bytes = _read_bytes(class_dir / f"{slug}.script.json")  # the script file is optional
+    loaded_from = (pattern_class, name, support, spec_bytes, source_bytes, script_bytes)
+    loaded = _LOADED.get(assert_path)
+    if loaded is not None and loaded[0] == loaded_from:
+        return loaded[1]
 
+    spec = json.loads(_text(spec_bytes))
     for key, expected in (("pattern", name), ("class", pattern_class), ("support", support)):
         if spec.get(key) != expected:
             raise ValueError(f"{assert_path}: '{key}' is {spec.get(key)!r}, expected {expected!r}")
+    if support != ORCHESTRATED and source_bytes is None:
+        raise FileNotFoundError(f"missing workflow {workflow_path}")
 
-    workflow_path = class_dir / f"{slug}.wee"
-    source = None
-    if support != ORCHESTRATED:
-        source = _read_case_file(workflow_path, "missing workflow")
-
-    try:
-        script = json.loads((class_dir / f"{slug}.script.json").read_text(encoding="utf-8"))
-    except FileNotFoundError:  # the script file is optional
-        script = {}
-
-    return PatternCase(
+    case = PatternCase(
         slug=slug,
         name=name,
         pattern_class=pattern_class,
         support=support,
-        workflow_path=workflow_path if source is not None else None,
-        source=source,
-        script=script,
+        workflow_path=workflow_path if source_bytes is not None else None,
+        source=_text(source_bytes) if source_bytes is not None else None,
+        script=json.loads(_text(script_bytes)) if script_bytes is not None else {},
         assertions=spec.get("assertions", []),
         scenario=spec.get("scenario"),
         note=spec.get("note", ""),
     )
+    _LOADED[assert_path] = (loaded_from, case)
+    return case
 
 
-def build_case_handler(case: PatternCase, seed: int) -> HandlerWrapper:
+def build_case_handler(
+    case: PatternCase, seed: int, ast: Optional[dsl.WorkflowAst] = None
+) -> HandlerWrapper:
+    """The handler for one run of the case; `ast` is the case's parsed
+    workflow, which a recursive handler starts again, or None to have it
+    parse the source at its first call."""
     kind = case.handler_kind
     if kind == "mock":
         return MockHandler(case.script.get("script", {}), seed=seed)
@@ -316,11 +363,9 @@ def build_case_handler(case: PatternCase, seed: int) -> HandlerWrapper:
         keys = [str(e["key"]) for e in case.script.get("pre_events", [])]
         return TriggerHandler(case.script.get("mode", "persistent"), keys=keys)
     if kind == "recursive":
-        return RecursiveHandler(source=case.source, max_depth=case.script.get("max_depth", 16))
+        return RecursiveHandler(case.source, case.script.get("max_depth", 16), ast)
     if kind == "spawner":
-        return SpawnerHandler(
-            case.script.get("count", 3), case.script.get("nested_workflow")
-        )
+        return SpawnerHandler(case.script.get("count", 3), case.nested_ast)
     raise ValueError(f"unknown case handler '{kind}'")
 
 
@@ -581,12 +626,10 @@ def _stop_when(instance: WorkflowInstance, matcher: dict) -> None:
 
 def run_case_workflow(case: PatternCase, seed: int = 0) -> RunArtifacts:
     """Execute a runnable case per its scenario and collect artifacts."""
-    assert case.source is not None
-    ast = dsl.parse(case.source)
-    diagnostics = dsl.validate(ast)
-    if diagnostics:
-        raise ValueError(f"{case.slug}: invalid workflow: {diagnostics[0]}")
-    handler = build_case_handler(case, seed)
+    ast = case.ast
+    if case.diagnostics:
+        raise ValueError(f"{case.slug}: invalid workflow: {case.diagnostics[0]}")
+    handler = build_case_handler(case, seed, ast)
     scenario = case.scenario or {}
     kind = scenario.get("type", "run")
     if kind not in ("run", "stop_resume"):

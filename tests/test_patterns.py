@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import os
+import shutil
 import statistics
 import sys
 from pathlib import Path
@@ -81,6 +83,117 @@ def test_missing_workflow_raises(tmp_path):
         load_case(tmp_path, "Basic", "Sequence", "sequence", DIRECT)
 
 
+# -- a case is reused while its files are unchanged -----------------------------
+
+SEQUENCE = next(level for level in REFERENCE_LEVELS if level[2] == "sequence")
+
+
+@pytest.fixture
+def corpus(tmp_path):
+    """A copy of the corpus that a test may edit."""
+    copy = tmp_path / "corpus"
+    shutil.copytree(CORPUS, copy)
+    return copy
+
+
+def rewrite_keeping_mtime(path: Path, text: str) -> None:
+    stat = path.stat()
+    path.write_text(text)
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+
+
+def test_a_second_load_returns_the_same_case(corpus):
+    case = load_case(corpus, *SEQUENCE)
+    assert load_case(corpus, *SEQUENCE) is case
+    # checked against another name, it is checked again
+    with pytest.raises(ValueError, match="'pattern' is 'Sequence', expected 'Other'"):
+        load_case(corpus, "Basic", "Other", "sequence", DIRECT)
+
+
+def test_an_edit_of_the_same_length_and_mtime_gives_a_new_case(corpus):
+    workflow = corpus / "basic" / "sequence.wee"
+    case = load_case(corpus, *SEQUENCE)
+    assert run_pattern(case).passed
+    edited = case.source.replace("n + 10", "n + 20")
+    assert len(edited) == len(case.source) and edited != case.source
+    rewrite_keeping_mtime(workflow, edited)
+
+    again = load_case(corpus, *SEQUENCE)
+    assert again is not case
+    assert again.source == edited
+    # the new case parses its own source
+    assert again.ast.source_hash == dsl.parse(edited).source_hash != case.ast.source_hash
+
+
+def test_a_workflow_deleted_after_a_load_is_missing(corpus):
+    load_case(corpus, *SEQUENCE)
+    (corpus / "basic" / "sequence.wee").unlink()
+    with pytest.raises(FileNotFoundError, match="^missing workflow "):
+        load_case(corpus, *SEQUENCE)
+
+
+def test_malformed_json_is_never_kept(corpus):
+    spec = corpus / "basic" / "sequence.assert.json"
+    case = load_case(corpus, *SEQUENCE)
+    text = spec.read_text()
+    spec.write_text(text[:-2])
+    for _ in range(2):
+        with pytest.raises(json.JSONDecodeError):
+            load_case(corpus, *SEQUENCE)
+    # the bytes of the last good load are back
+    spec.write_text(text)
+    assert load_case(corpus, *SEQUENCE) is case
+
+
+@pytest.mark.parametrize(
+    "old, new, failure",
+    [
+        ("workflow {", "workflow (", "ParseError: "),
+        ("n = n + 10", "m = n + 10", "ValueError: sequence: invalid workflow: "),
+    ],
+    ids=["unparsable", "invalid"],
+)
+def test_a_broken_workflow_fails_alike_on_every_pass(corpus, old, new, failure):
+    workflow = corpus / "basic" / "sequence.wee"
+    workflow.write_text(workflow.read_text().replace(old, new))
+    failures = []
+    for _ in range(2):
+        result = next(r for r in run_all(corpus).results if r.slug == "sequence")
+        assert not result.passed
+        failures.append(result.failures)
+    assert len(failures[0]) == 1 and failures[0][0].startswith(failure)
+    assert failures[1] == failures[0]
+
+
+def test_a_pass_writes_nothing_into_the_cases_it_shares(corpus):
+    for _ in range(2):
+        assert run_all(corpus).all_passed
+    for pattern_class, name, slug, support in REFERENCE_LEVELS:
+        case = load_case(corpus, pattern_class, name, slug, support)
+        base = corpus / harness.CLASS_DIRS[pattern_class] / slug
+        spec = json.loads(base.with_suffix(".assert.json").read_text())
+        script = base.with_suffix(".script.json")
+        assert case.script == (json.loads(script.read_text()) if script.exists() else {})
+        assert case.assertions == spec.get("assertions", [])
+        assert case.scenario == spec.get("scenario")
+
+
+def test_a_warm_pass_parses_nothing(corpus):
+    parse = dsl.parse
+    sources = []
+
+    def counting(source):
+        sources.append(source)
+        return parse(source)
+
+    with mock.patch.object(dsl, "parse", counting):
+        run_all(corpus)
+        assert len(sources) == 33  # each runnable case, and the spawner's nested workflow
+        sources.clear()
+        assert run_all(corpus).all_passed
+    assert sources == []
+
+
 def test_run_all_everything_passes(report):
     failed = [(r.slug, r.failures) for r in report.results if not r.passed]
     assert failed == []
@@ -134,11 +247,12 @@ def test_replay_holds_for_every_runnable_case(report):
 
 
 def test_parallel_mode_matches_sequential(report):
+    # the parallel pass runs the cases that the sequential one loaded and parsed
     parallel_report = run_all(seed=0, parallel=True)
     assert parallel_report.all_passed
-    assert {r.slug: r.achieved_support for r in parallel_report.results} == {
-        r.slug: r.achieved_support for r in report.results
-    }
+    assert {
+        r.slug: (r.achieved_support, r.passed, r.result_state) for r in parallel_report.results
+    } == {r.slug: (r.achieved_support, r.passed, r.result_state) for r in report.results}
 
 
 def test_every_runnable_case_passes_on_real_threads_and_real_time():

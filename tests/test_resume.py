@@ -17,11 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import call_tokens, wait_until
+from conftest import call_tokens, finish, wait_until
 from wee import dsl
 from wee.engine import EngineError, RunOptions, WorkflowInstance
 from wee.events import read_jsonl
-from wee.handlers import Failure, MockHandler, Result
+from wee.handlers import Failure, HttpHandler, MockHandler, Result
 
 
 def wait_for(instance, predicate, timeout=5.0):
@@ -1842,6 +1842,103 @@ def test_a_token_at_an_engine_call_goes_once_the_call_begins():
     assert halted.run() == "stopped"  # at wee://stop
     assert halted.save()["branches"] == [{"id": "0", "path": [3]}]
     assert handler.invocations == {"slow": 1}
+
+
+# an HTTP handler keeps the response of a stopped call for its token until
+# the token is replayed or released
+HTTP_SLOW_THEN_AFTER = """
+workflow {
+  handler "http"
+  endpoint slow: "BASE/slow"
+  endpoint after: "BASE/after"
+  call :slow, endpoint: slow
+  call :after, endpoint: after
+}
+"""
+
+HTTP_LOSER = """
+workflow {
+  handler "http"
+  endpoint fast: "BASE/fast"
+  endpoint slow: "BASE/slow"
+  endpoint after: "BASE/after"
+  parallel wait: 1 {
+    parallel_branch { call :fast, endpoint: fast }
+    parallel_branch {
+      parallel wait: all { parallel_branch { call :slow, endpoint: slow } }
+    }
+  }
+  call :after, endpoint: after
+}
+"""
+
+
+def test_a_skipped_http_call_releases_its_stored_response(stub_server):
+    stub_server.delays["/slow"] = 1.0
+    ast = dsl.parse(HTTP_SLOW_THEN_AFTER.replace("BASE", stub_server.url("")))
+    handler = HttpHandler(timeout=10)
+    saved = stopped_once(ast, handler, False, lambda rs: starts_of(rs, "slow"))
+    assert list(call_tokens(ast, saved)) == ["0/slow"]
+    assert len(handler._stored) == 1
+
+    skipped = WorkflowInstance.resume(ast, handler, saved, skip_positions=["slow"])
+    assert skipped.run() == "finished"
+    assert len(handler._stored) == 0
+    assert stub_server.counts == {"/slow": 1, "/after": 1}
+
+
+def test_a_restored_http_loser_that_a_join_cancels_releases_its_stored_response(stub_server):
+    stub_server.delays.update({"/fast": 0.05, "/slow": 1.0})
+    ast = dsl.parse(HTTP_LOSER.replace("BASE", stub_server.url("")))
+    handler = HttpHandler(timeout=10)
+    instance = WorkflowInstance(ast, handler)
+    parked = stop_as_fast_ends(instance, False)
+    assert instance.run() == "stopped"
+    assert parked == [True]
+    saved = json.loads(json.dumps(instance.save()))
+    assert list(call_tokens(ast, saved)) == ["0.2.1/slow"]
+    assert len(handler._stored) == 1
+
+    resumed = WorkflowInstance.resume(ast, handler, saved)
+    assert resumed.run() == "finished"
+    # the restored arrival fires the join, which cancels the loser's subtree
+    assert [r.position for r in resumed.log.records if r.kind == "activity_start"] == ["after"]
+    assert len(handler._stored) == 0
+    assert stub_server.counts == {"/fast": 1, "/slow": 1, "/after": 1}
+
+
+def test_an_instance_that_ends_in_error_releases_its_stored_responses(stub_server):
+    stub_server.delays.update({"/fast": 0.05, "/slow": 1.0})
+    source = """
+    workflow {
+      handler "http"
+      endpoint fast: "BASE/fast"
+      endpoint slow: "BASE/slow"
+      context n: 0
+      parallel wait: all {
+        parallel_branch { call :slow, endpoint: slow }
+        parallel_branch {
+          call :fast, endpoint: fast
+          manipulate :bad { n = n / 0 }
+        }
+      }
+    }
+    """.replace("BASE", stub_server.url(""))
+    handler = HttpHandler(timeout=10)
+    instance = WorkflowInstance(dsl.parse(source), handler)
+    assert finish(instance) == "error"
+    # the error stopped the call, which handed out a token no resume replays
+    assert instance.errors == ["manipulate 'bad': division by zero"]
+    assert len(handler._stored) == 0
+
+
+def test_an_http_call_that_a_join_cancels_releases_its_stored_response(stub_server):
+    stub_server.delays["/slow"] = 1.0
+    source = HTTP_LOSER.replace("BASE", stub_server.url(""))
+    handler = HttpHandler(timeout=10)
+    instance = WorkflowInstance(dsl.parse(source), handler)
+    assert finish(instance) == "finished"
+    assert len(handler._stored) == 0
 
 
 # -- stop, resume, stop, ... : each call runs once -------------------------------
