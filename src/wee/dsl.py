@@ -36,7 +36,6 @@ from __future__ import annotations
 import functools
 import re
 import string
-from dataclasses import dataclass, field
 from enum import Enum
 
 try:  # a builtin sha256: importing hashlib loads OpenSSL, about 3.5 MB of memory
@@ -48,7 +47,7 @@ except ImportError:
         from hashlib import sha256
 from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
-from .expressions import Binary, Expr, Literal, Unary, Var
+from .expressions import Binary, Expr, Literal, Record, Unary, Var, is_value
 
 
 class ParseError(Exception):
@@ -66,25 +65,28 @@ class ParseError(Exception):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CallActivity:
-    position: str
-    endpoint: str
-    parameters: list[tuple[str, Expr]]
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
+# Nodes are records (see expressions.Record): a node equals a node of its
+# own type whose fields but line and col, where it starts, are equal.
 
 
-@dataclass
-class ManipulateActivity:
-    position: str
-    statements: list[tuple[str, Expr]]
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
+class CallActivity(Record):
+    __slots__ = ("position", "endpoint", "parameters", "line", "col")
+
+    def __init__(
+        self, position: str, endpoint: str, parameters: list[tuple[str, Expr]], line=0, col=0
+    ):
+        self.position, self.endpoint, self.parameters = position, endpoint, parameters
+        self.line, self.col = line, col
 
 
-@dataclass(frozen=True)
-class WaitSpec:
+class ManipulateActivity(Record):
+    __slots__ = ("position", "statements", "line", "col")
+
+    def __init__(self, position: str, statements: list[tuple[str, Expr]], line=0, col=0):
+        self.position, self.statements, self.line, self.col = position, statements, line, col
+
+
+class WaitSpec(NamedTuple):
     """Join policy of a parallel block: count=None waits for all branches."""
 
     count: Optional[int] = None
@@ -94,49 +96,48 @@ class WaitSpec:
         return self.count is None
 
 
-@dataclass
-class Parallel:
-    wait: WaitSpec
-    body: "Block"
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
+class Parallel(Record):
+    __slots__ = ("wait", "body", "line", "col")
+
+    def __init__(self, wait: WaitSpec, body: "Block", line=0, col=0):
+        self.wait, self.body, self.line, self.col = wait, body, line, col
 
 
-@dataclass
-class ParallelBranch:
-    body: "Block"
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
+class ParallelBranch(Record):
+    __slots__ = ("body", "line", "col")
+
+    def __init__(self, body: "Block", line=0, col=0):
+        self.body, self.line, self.col = body, line, col
 
 
-@dataclass
-class Alternative:
-    guard: Expr
-    block: "Block"
+class Alternative(Record):
+    __slots__ = ("guard", "block")
+
+    def __init__(self, guard: Expr, block: "Block"):
+        self.guard, self.block = guard, block
 
 
-@dataclass
-class Choose:
-    alternatives: list[Alternative]
-    otherwise: Optional["Block"]
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
+class Choose(Record):
+    __slots__ = ("alternatives", "otherwise", "line", "col")
+
+    def __init__(
+        self, alternatives: list[Alternative], otherwise: Optional["Block"], line=0, col=0
+    ):
+        self.alternatives, self.otherwise, self.line, self.col = alternatives, otherwise, line, col
 
 
-@dataclass
-class Cycle:
-    condition: Expr
-    body: "Block"
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
+class Cycle(Record):
+    __slots__ = ("condition", "body", "line", "col")
+
+    def __init__(self, condition: Expr, body: "Block", line=0, col=0):
+        self.condition, self.body, self.line, self.col = condition, body, line, col
 
 
-@dataclass
-class Critical:
-    section: str
-    body: "Block"
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
+class Critical(Record):
+    __slots__ = ("section", "body", "line", "col")
+
+    def __init__(self, section: str, body: "Block", line=0, col=0):
+        self.section, self.body, self.line, self.col = section, body, line, col
 
 
 Node = Union[CallActivity, ManipulateActivity, Parallel, ParallelBranch, Choose, Cycle, Critical]
@@ -144,17 +145,24 @@ Activity = (CallActivity, ManipulateActivity)
 Block = list  # list[Node]
 
 
-@dataclass
-class WorkflowAst:
-    handler_name: str
-    endpoints: dict[str, str]
-    context_decls: list[tuple[str, Expr]]
-    body: Block
-    source_hash: str = field(default="", compare=False, repr=False)  # set by parse()
+class WorkflowAst(Record):
+    """A parsed workflow; parse() sets source_hash, the SHA-256 of its source."""
+
+    __slots__ = ("handler_name", "endpoints", "context_decls", "body", "source_hash")
+
+    def __init__(
+        self,
+        handler_name: str,
+        endpoints: dict[str, str],
+        context_decls: list[tuple[str, Expr]],
+        body: Block,
+        source_hash: str = "",
+    ):
+        self.handler_name, self.endpoints = handler_name, endpoints
+        self.context_decls, self.body, self.source_hash = context_decls, body, source_hash
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     message: str
     line: int = 0
     col: int = 0
@@ -285,7 +293,10 @@ def _rare_token(text: str, line: int, col: int) -> tuple[TokenType, str]:
     if first.isalpha():  # "_" and ASCII letters have _TYPE_BY_FIRST
         return TokenType.IDENT, text
     if _STRING.fullmatch(text):
-        return TokenType.STRING, _ESCAPE.sub(r"\1", text[1:-1])
+        value = _ESCAPE.sub(r"\1", text[1:-1])
+        if not is_value(value):  # text holds no surrogate code point
+            raise ParseError("string literal holds a surrogate code point", line, col)
+        return TokenType.STRING, value
     if first == '"':
         # reported where the line or the input ends
         raise ParseError("unterminated string literal", line, col + len(text))

@@ -57,8 +57,6 @@ import heapq
 import itertools
 import os
 import threading
-import uuid
-from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Union
 
 from . import dsl, events
@@ -85,8 +83,7 @@ _new_call = functools.partial(tuple.__new__, HandlerCall)
 _Blocker = Union["_JoinGroup", str, "_CallToken"]  # what a branch blocks on
 
 
-@dataclass
-class RunOptions:
+class RunOptions(NamedTuple):
     max_iterations: int = 1_000_000
     instance_id: Optional[str] = None
     log_path: Optional[str] = None
@@ -409,7 +406,7 @@ class WorkflowInstance:
         self.ast = ast
         self.handler = handler
         self.options = options or RunOptions()
-        self.instance_id = self.options.instance_id or f"i-{uuid.uuid4().hex[:8]}"
+        self.instance_id = self.options.instance_id or f"i-{os.urandom(4).hex()}"
         if _restored_context is not None:
             values, version = _restored_context
             self.store = ContextStore(values, version)
@@ -419,6 +416,9 @@ class WorkflowInstance:
                 unknown = set(initial_context) - set(self.store.current_values())
                 if unknown:
                     raise ContextError(f"undeclared initial context: {sorted(unknown)}")
+                for name, value in initial_context.items():
+                    if not is_value(value):
+                        raise ContextError(f"initial context {name!r} is not a value: {value!r}")
                 merged = dict(self.store.current_values())
                 merged.update(initial_context)
                 self.store = ContextStore(merged)
@@ -625,6 +625,10 @@ class WorkflowInstance:
         cls._check_saved(saved)
         if saved["workflow"] != ast.source_hash:
             raise EngineError("workflow source hash mismatch: refusing to resume")
+        names, declared = saved["context"].keys(), {name for name, _ in ast.context_decls}
+        if names != declared:
+            missing, extra = sorted(declared - names), sorted(names - declared, key=repr)
+            raise EngineError(f"corrupt saved state: context lacks {missing}, undeclared {extra}")
         skip = frozenset(skip_positions)
         unknown = sorted(skip - set(dsl.positions(ast))) if skip else []
         if unknown:
@@ -690,8 +694,7 @@ class WorkflowInstance:
                     raise EngineError(f"{refusal}: fired {list(parallel)}")
 
         options = options or RunOptions()
-        options = replace(
-            options,
+        options = options._replace(
             instance_id=options.instance_id or saved["instance"],
             start_seq=options.start_seq or saved["seq"],
         )
@@ -732,6 +735,9 @@ class WorkflowInstance:
                 raise corrupt(f"{key} {saved[key]!r}")
         if saved["seq"] < 1:  # a stopped instance has traced its start and stop
             raise corrupt(f"seq {saved['seq']!r}")
+        for name, value in saved["context"].items():
+            if not is_value(value):
+                raise corrupt(f"context {name!r}: {value!r} is not a value")
         for entry in saved["branches"]:
             if not isinstance(entry, dict):
                 raise corrupt(f"branch entry {entry!r}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass, field
+import re
 from typing import Callable, Mapping, NamedTuple, Sequence, Union
 
 Value = Union[int, bool, str, None]
@@ -20,19 +20,23 @@ class EvalError(Exception):
     """Unbound variable, type mismatch, or division by zero."""
 
 
+_KIND_NAMES = {type(None): "null", bool: "boolean", int: "integer", str: "string"}
+
+
 def kind_name(value: Value) -> str:
-    if value is None:
-        return "null"
-    if type(value) is bool:
-        return "boolean"
-    if type(value) is int:
-        return "integer"
-    return "string"
+    """The value's kind, or the Python type of an object that is no value."""
+    return _KIND_NAMES.get(type(value)) or type(value).__name__
+
+
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 def is_value(obj: object) -> bool:
-    """True if obj is one of the four runtime value kinds."""
-    return obj is None or type(obj) in (int, bool, str)
+    """True if obj is one of the four runtime value kinds. A string holding a
+    surrogate code point (U+D800 to U+DFFF) is not text, so not a value."""
+    if type(obj) is str:
+        return obj.isascii() or _SURROGATE.search(obj) is None
+    return obj is None or type(obj) is int or type(obj) is bool
 
 
 def trunc_div(a: int, b: int) -> int:
@@ -78,19 +82,64 @@ _INT_OPS: dict[str, Callable[[int, int], Value]] = {
 }
 
 
-@dataclass(frozen=True)
-class Literal:
-    value: Value
+_UNCOMPARED = frozenset(("line", "col", "source_hash"))  # where a record is from, not what
+_set = object.__setattr__  # how a frozen record's __init__ sets its fields
+
+
+class Record:
+    """Base of wee's record types, whose fields are their __slots__. A record
+    equals only a record of its own type whose fields, all but line, col and
+    source_hash, are equal; its repr shows those. Mutable, it is unhashable.
+    Unlike a dataclass, a record type compiles no generated code at import."""
+
+    __slots__ = ()
+    __hash__ = None  # type: ignore[assignment]
+
+    def _fields(self) -> dict:
+        return {name: getattr(self, name) for name in self.__slots__ if name not in _UNCOMPARED}
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()  # type: ignore[attr-defined]
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self._fields().items())
+        return f"{type(self).__name__}({fields})"
+
+
+class FrozenRecord(Record):
+    """An immutable record, hashed on the fields it is compared on."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._fields().values()))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field '{name}' of a {type(self).__name__}")
+
+    def __reduce__(self) -> tuple:  # copy and pickle call __init__ with the slots in order
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class Literal(FrozenRecord):
+    __slots__ = ("value",)
+
+    def __init__(self, value: Value):
+        _set(self, "value", value)
 
     def evaluate(self, env: Mapping[str, Value]) -> Value:
         return self.value
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
+class Var(FrozenRecord):
+    __slots__ = ("name", "line", "col")
+
+    def __init__(self, name: str, line: int = 0, col: int = 0):
+        _set(self, "name", name)
+        _set(self, "line", line)
+        _set(self, "col", col)
 
     def evaluate(self, env: Mapping[str, Value]) -> Value:
         try:
@@ -99,10 +148,12 @@ class Var:
             raise EvalError(f"unbound variable '{self.name}'") from None
 
 
-@dataclass(frozen=True)
-class Unary:
-    op: str  # "!" or "-"
-    operand: "Expr"
+class Unary(FrozenRecord):
+    __slots__ = ("op", "operand")  # op is "!" or "-"
+
+    def __init__(self, op: str, operand: "Expr"):
+        _set(self, "op", op)
+        _set(self, "operand", operand)
 
     def evaluate(self, env: Mapping[str, Value]) -> Value:
         operand = self.operand.evaluate(env)
@@ -111,11 +162,13 @@ class Unary:
         return -_int_operand(operand, "-")
 
 
-@dataclass(frozen=True)
-class Binary:
-    op: str
-    left: "Expr"
-    right: "Expr"
+class Binary(FrozenRecord):
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: "Expr", right: "Expr"):
+        _set(self, "op", op)
+        _set(self, "left", left)
+        _set(self, "right", right)
 
     def evaluate(self, env: Mapping[str, Value]) -> Value:
         op = self.op

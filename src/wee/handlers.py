@@ -14,15 +14,15 @@ whose work is only partly done answers with a Passthrough.
 from __future__ import annotations
 
 import json
+import os
 import random
 import threading
-import uuid
-from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 from . import dsl
-from .expressions import EvalError, Expr, Value, eval_expr, is_value
+from .expressions import EvalError, Expr, FrozenRecord, Value, eval_expr, is_value
 
 
 class StopToken:
@@ -83,24 +83,36 @@ class HandlerCall(NamedTuple):
     passthrough: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class Result:
-    values: dict[str, Value] = field(default_factory=dict)
+# outcomes are frozen records: Passthrough("t") != Failure("t")
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class Passthrough:
-    token: str
+class Result(FrozenRecord):
+    __slots__ = ("values",)
+
+    def __init__(self, values: Mapping[str, Value] = MappingProxyType({})):
+        _set(self, "values", values)
 
 
-@dataclass(frozen=True)
-class Jump:
-    target: str
+class Passthrough(FrozenRecord):
+    __slots__ = ("token",)
+
+    def __init__(self, token: str):
+        _set(self, "token", token)
 
 
-@dataclass(frozen=True)
-class Failure:
-    message: str
+class Jump(FrozenRecord):
+    __slots__ = ("target",)
+
+    def __init__(self, target: str):
+        _set(self, "target", target)
+
+
+class Failure(FrozenRecord):
+    __slots__ = ("message",)
+
+    def __init__(self, message: str):
+        _set(self, "message", message)
 
 
 HandlerOutcome = Union[Result, Passthrough, Jump, Failure]
@@ -227,13 +239,15 @@ class MockHandler(HandlerWrapper):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class _StoredResponse:
-    # both guarded by the handler's lock
-    outcome: Optional[HandlerOutcome] = None
-    # the token of the call waiting for the response: the first call, then a
-    # replay; the request thread wakes it once the response is in
-    waiter: Optional[StopToken] = None
+    __slots__ = ("outcome", "waiter")
+
+    def __init__(self) -> None:
+        # both guarded by the handler's lock
+        self.outcome: Optional[HandlerOutcome] = None
+        # the token of the call waiting for the response: the first call,
+        # then a replay; the request thread wakes it once the response is in
+        self.waiter: Optional[StopToken] = None
 
 
 class HttpHandler(HandlerWrapper):
@@ -296,7 +310,7 @@ class HttpHandler(HandlerWrapper):
         outcome = self._await(record, call.stop)
         if outcome is not None:
             return outcome
-        token = uuid.uuid4().hex
+        token = os.urandom(16).hex()
         with self._lock:
             self._stored[token] = record
         return Passthrough(token)
@@ -408,7 +422,7 @@ class TriggerHandler(HandlerWrapper):
         with self._lock:
             if self._waiting.pop(call.call_id, None) is None:
                 return Result({})  # matched
-        return Passthrough(f"trigger-{call.position}-{uuid.uuid4().hex[:8]}")
+        return Passthrough(f"trigger-{call.position}-{os.urandom(4).hex()}")
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,8 @@ import json
 import threading
 import time
 import weakref
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .. import dsl
 from ..engine import RunOptions, WorkflowInstance
@@ -161,7 +160,6 @@ class SpawnerHandler(HandlerWrapper):
                 self.completed += 1
 
 
-@dataclass
 class PatternCase:
     """One corpus case, as load_case read it.
 
@@ -171,16 +169,22 @@ class PatternCase:
     not kept, so every use raises it again.
     """
 
-    slug: str
-    name: str
-    pattern_class: str
-    support: str
-    workflow_path: Optional[Path]
-    source: Optional[str]
-    script: dict
-    assertions: list[dict]
-    scenario: Optional[dict]
-    note: str = ""
+    def __init__(
+        self,
+        slug: str,
+        name: str,
+        pattern_class: str,
+        support: str,
+        workflow_path: Optional[Path],
+        source: Optional[str],
+        script: dict,
+        assertions: list[dict],
+        scenario: Optional[dict],
+        note: str = "",
+    ):
+        self.slug, self.name, self.pattern_class, self.support = slug, name, pattern_class, support
+        self.workflow_path, self.source, self.script = workflow_path, source, script
+        self.assertions, self.scenario, self.note = assertions, scenario, note
 
     @property
     def handler_kind(self) -> str:
@@ -201,29 +205,33 @@ class PatternCase:
         return dsl.parse(self.script.get("nested_workflow") or _TINY_WORKFLOW)
 
 
-@dataclass
-class PatternResult:
+class PatternResult(NamedTuple):
     slug: str
     name: str
     pattern_class: str
     expected_support: str
     achieved_support: str
     passed: bool
-    failures: list[str] = field(default_factory=list)
+    failures: list[str]
     result_state: Optional[str] = None
     replay_ok: Optional[bool] = None
     elapsed: float = 0.0
     records: Optional[list[EventRecord]] = None  # kept for post-hoc trace checks
 
 
-@dataclass
 class CoverageReport:
-    results: list[PatternResult]
-    counts: dict[str, int]
-    recount: dict[str, int]
-    published: dict[str, int]
-    summary_matches_cells: bool
-    all_passed: bool
+    def __init__(
+        self,
+        results: list[PatternResult],
+        counts: dict[str, int],
+        recount: dict[str, int],
+        published: dict[str, int],
+        summary_matches_cells: bool,
+        all_passed: bool,
+    ):
+        self.results, self.counts, self.recount = results, counts, recount
+        self.published, self.summary_matches_cells = published, summary_matches_cells
+        self.all_passed = all_passed
 
     def to_json(self) -> dict:
         return {
@@ -432,8 +440,7 @@ def overlapping_section_spans(records: list[EventRecord], section: str) -> list[
     return clashes
 
 
-@dataclass
-class RunArtifacts:
+class RunArtifacts(NamedTuple):
     records: list[EventRecord]
     result_state: str
     final_context: dict[str, Value]
@@ -683,7 +690,7 @@ def run_pattern(case: PatternCase, seed: int = 0) -> PatternResult:
             expected_support=case.support,
             achieved_support=ORCHESTRATED,
             passed=True,
-            result_state=None,
+            failures=[],
             elapsed=time.monotonic() - started,
         )
 

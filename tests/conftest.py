@@ -9,6 +9,7 @@ import pytest
 
 from wee import dsl
 from wee.engine import RunOptions, WorkflowInstance
+from wee.handlers import HandlerWrapper, Result
 
 
 class CountingStubServer:
@@ -119,3 +120,13 @@ def call_tokens(ast: dsl.WorkflowAst, saved: dict) -> dict[str, str]:
             assert isinstance(call, dsl.CallActivity), entry
             tokens[f"{entry['id']}/{call.position}"] = entry["token"]
     return tokens
+
+
+class Answers(HandlerWrapper):
+    """Returns the same result values to every call, unchecked."""
+
+    def __init__(self, values: dict):
+        self.values = values
+
+    def call(self, call):
+        return Result(self.values)

@@ -644,3 +644,15 @@ def test_parse_is_total_on_keyword_soup(text):
         parse(text)
     except ParseError:
         pass
+
+
+@pytest.mark.parametrize("text", ["\ud800", "a\udc80", "\ud800\udc00"])
+def test_a_string_literal_holding_a_surrogate_is_refused(text):
+    source = f'workflow {{ handler "mock" context s: "ok"\n context t: "{text}" }}'
+    with pytest.raises(ParseError) as info:
+        parse(source)
+    assert (info.value.message, info.value.line, info.value.col) == (
+        "string literal holds a surrogate code point",
+        2,
+        13,
+    )

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import call_tokens, finish, run_source, starts, wait_until
+from conftest import Answers, call_tokens, finish, run_source, starts, wait_until
 from wee import dsl, engine
 from wee.context import ContextError
 from wee.engine import EngineError, RunOptions, WorkflowInstance
@@ -2141,3 +2141,26 @@ def test_a_due_timer_runs_before_the_next_runnable_branch():
     assert finish(instance) == "stopped"
     # 0.2 and 0.3 were runnable when 0.1 blocked, but the stop came first
     assert [r.branch for r in starts(instance)] == ["0.1"]
+
+
+# -- only values enter the context ----------------------------------------------
+
+
+@pytest.mark.parametrize("value", [1.5, [1, 2], {"a": 1}, "\ud800", "\ud800\udc00"])
+def test_an_initial_context_that_is_not_a_value_is_refused(value, tmp_path):
+    log = tmp_path / "run.jsonl"
+    with pytest.raises(ContextError, match="initial context 'x' is not a value"):
+        options = RunOptions(log_path=str(log))
+        WorkflowInstance(dsl.parse(ONE_STEP), MockHandler(), options, initial_context={"x": value})
+    assert not log.exists()
+
+
+@pytest.mark.parametrize("value", [2.5, [1], "\udc80", "a\ud800\udc00"])
+def test_a_handler_result_that_is_not_a_value_fails_the_call(value):
+    instance = run_source(
+        'workflow { handler "x" endpoint svc: "mock://svc" context x: 0 call :c, endpoint: svc }',
+        Answers({"x": value}),
+    )
+    assert instance.result == "error"
+    assert instance.errors == ["call 'c': handler result for 'x' is not a value"]
+    assert dict(instance.store.current_values()) == {"x": 0}

@@ -13,8 +13,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from wee import events
+from conftest import Answers
+from wee import dsl, events
+from wee.context import ContextError
+from wee.engine import RunOptions, WorkflowInstance
 from wee.events import KINDS, EventLog, FixedClock, format_timestamp, read_jsonl, wall_clock
+from wee.patterns.harness import replay_context
 
 GOLDEN = Path(__file__).parent / "golden"
 EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
@@ -247,3 +251,69 @@ def test_other_details_equal_json_dumps(detail):
     assert events._encode_detail(detail) == expected
     # a context_change detail of another shape falls back to the encoder
     assert events._encode_context_change(detail) == expected
+
+
+# -- context values through the trace -------------------------------------------
+
+# sets a, b and c from a handler's result, stops, and once resumed copies a to c
+ANSWER_THEN_HALT = """
+workflow {
+  handler "answers"
+  endpoint svc: "mock://svc"
+  endpoint halt: "wee://stop"
+  context a: 0
+  context b: "b"
+  context c: null
+  call :answer, endpoint: svc
+  call :halt_here, endpoint: halt
+  manipulate :copy { c = a }
+}
+"""
+# wee values and other objects: text with lone surrogates and surrogate pairs,
+# floats, lists
+ANY_TEXT = TEXT | st.text(st.sampled_from('a"\\é😀\x00\ud800\udbff\udc00\udfff'), max_size=4)
+OBJECTS = st.none() | st.booleans() | st.integers() | ANY_TEXT | st.floats()
+OBJECTS |= st.lists(st.integers(), max_size=2)
+ASSIGNMENTS = st.dictionaries(st.sampled_from("abc"), OBJECTS, max_size=3)
+
+
+def wee_value(value) -> bool:
+    """None, a boolean, an integer, or text: a str holding no surrogate."""
+    if type(value) is str:
+        return not any("\ud800" <= char <= "\udfff" for char in value)
+    return value is None or type(value) in (bool, int)
+
+
+def typed(context) -> dict:
+    """The context with each value's type, as True == 1 in Python."""
+    return {name: (type(value), value) for name, value in context.items()}
+
+
+@settings(max_examples=100, deadline=None)
+@given(initial=ASSIGNMENTS, answer=ASSIGNMENTS)
+def test_every_value_the_engine_accepts_round_trips_through_the_trace_file(initial, answer):
+    ast = dsl.parse(ANSWER_THEN_HALT)
+    with tempfile.TemporaryDirectory() as tmp:
+        options = RunOptions(log_path=str(Path(tmp) / "trace.jsonl"))
+        try:
+            first = WorkflowInstance(ast, Answers(answer), options, initial_context=initial)
+        except ContextError:
+            assert not all(map(wee_value, initial.values()))
+            return
+        assert all(map(wee_value, initial.values()))
+        start = dict(first.store.initial_values)
+        result = first.run()
+        trace = read_jsonl(options.log_path)
+        assert typed(replay_context(trace, start)) == typed(first.store.current_values())
+        if result == "error":  # the handler's result holds a non-value
+            assert not all(map(wee_value, answer.values()))
+            return
+        assert result == "stopped" and all(map(wee_value, answer.values()))
+
+        saved = json.loads(json.dumps(first.save()))
+        assert typed(saved["context"]) == typed(first.store.current_values())
+        resumed = WorkflowInstance.resume(ast, Answers(answer), saved, options)
+        assert resumed.run() == "finished"
+        trace = read_jsonl(options.log_path)
+        assert [r.seq for r in trace] == list(range(1, len(trace) + 1))
+        assert typed(replay_context(trace, start)) == typed(resumed.store.current_values())

@@ -14,6 +14,8 @@ from wee.expressions import (
     Var,
     apply_assignments,
     eval_expr,
+    is_value,
+    kind_name,
     trunc_div,
     trunc_mod,
 )
@@ -303,3 +305,39 @@ _any_tree = st.recursive(
 @given(st.one_of(_int_tree, _bool_tree, _any_tree))
 def test_eval_matches_reference_interpreter(expr):
     assert _outcome(eval_expr, expr, _ENV) == _outcome(_reference, expr, _ENV)
+
+
+# -- values -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "value, kind",
+    [(None, "null"), (True, "boolean"), (7, "integer"), ("", "string"), ("\ud800", "string")],
+)
+def test_kind_name_names_the_four_value_kinds(value, kind):
+    assert kind_name(value) == kind
+
+
+@pytest.mark.parametrize(
+    "value, kind", [(2.5, "float"), ([1, 2], "list"), ({}, "dict"), (b"", "bytes")]
+)
+def test_kind_name_calls_no_other_object_a_string(value, kind):
+    assert kind_name(value) == kind
+    with pytest.raises(EvalError, match=f"expects integers, got {kind}"):
+        eval_expr(parse_expression("n + 1"), {"n": value})
+
+
+@pytest.mark.parametrize("text", ["", "abc", "é→Ω", "😀", "\x00\n", "\ufffd"])
+def test_text_without_surrogates_is_a_value(text):
+    assert is_value(text)
+
+
+@pytest.mark.parametrize("text", ["\ud800", "\udfff", "a\udc80", "\ud800\udc00", "😀\udbff"])
+def test_text_holding_a_surrogate_code_point_is_no_value(text):
+    assert not is_value(text)
+
+
+@pytest.mark.parametrize("value", [2.5, [1], {}, (), b"x", 1j, object()])
+def test_no_other_python_object_is_a_value(value):
+    assert not is_value(value)
+

@@ -871,6 +871,29 @@ def test_resume_refuses_a_malformed_saved_state(edit, message, tmp_path):
     assert handler.invocations == {"slow": 1}
 
 
+# the saved context holds the workflow's declared names, and each a value
+@pytest.mark.parametrize(
+    "context, message",
+    [
+        pytest.param({}, "context lacks ['n'], undeclared []", id="a-name-missing"),
+        pytest.param(
+            {"n": 1, "z": 0}, "context lacks [], undeclared ['z']", id="an-undeclared-name"
+        ),
+        pytest.param({"n": [1, 2]}, "context 'n': [1, 2] is not a value", id="a-list"),
+        pytest.param({"n": 2.5}, "context 'n': 2.5 is not a value", id="a-float"),
+        pytest.param({"n": "\ud800"}, "context 'n': '\\ud800' is not a value", id="a-surrogate"),
+    ],
+)
+def test_resume_refuses_a_saved_context_the_workflow_does_not_declare(context, message, tmp_path):
+    ast, handler, saved = stopped_in_slow_call()
+    log = tmp_path / "resumed.jsonl"
+    with pytest.raises(EngineError) as refused:
+        options = RunOptions(log_path=str(log))
+        WorkflowInstance.resume(ast, handler, {**saved, "context": context}, options)
+    assert str(refused.value) == f"corrupt saved state: {message}"
+    assert not log.exists()
+    assert handler.invocations == {"slow": 1}
+
 class FailingReplay(MockHandler):
     """Stops the instance from inside a replay, which then fails."""
 
