@@ -19,7 +19,6 @@ import contextlib
 import fcntl
 import json
 import os
-import socket
 import sys
 import threading
 from pathlib import Path
@@ -167,6 +166,8 @@ class _ControlServer:
     def __init__(self, path: str, instance: WorkflowInstance):
         self.path = path
         self.instance = instance
+        import socket  # only a run under control and `wee stop` open a socket
+
         Path(path).unlink(missing_ok=True)
         self._sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         self._sock.bind(path)
@@ -196,6 +197,8 @@ class _ControlServer:
     def close(self) -> None:
         # wakes the blocked accept(); an accepted stop request still finishes
         # replying before the thread is joined
+        import socket
+
         self._sock.shutdown(socket.SHUT_RDWR)
         self.thread.join(timeout=5)
         try:
@@ -251,6 +254,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_stop(args: argparse.Namespace) -> int:
+    import socket
+
     try:
         with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
             sock.settimeout(args.timeout)

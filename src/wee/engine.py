@@ -3,7 +3,12 @@
 One thread of control per branch: the root branch walks the workflow body,
 and every parallel_branch forks a child branch that shares the context store
 and the critical-section registry. Each live branch runs in a thread of its
-own; a thread whose branch has ended is reused for a later branch. Joins
+own: run() runs the root on its caller's thread, and start() hands it to a
+branch thread, as a fork hands each child; a thread whose branch has ended
+is reused for a later branch. A fork hands its child over without waiting
+for the child's thread to take it, so the schedule is parent-first, as under
+virtual time: the parent runs on until it blocks or the interpreter switches
+threads. Joins
 wait for all branches or for the first k. The losers and every live branch
 below them (a branch id's prefix names its ancestors) receive a
 no-longer-necessary signal at once and stand down at their next node
@@ -43,6 +48,9 @@ state: a branch leaves the registry when it arrives at its join or ends.
 The branch that leaves the registry last emits the terminal record, closes
 the trace and wakes wait() in the same locked section, so an instance ends
 whether or not anyone waits on it, and no record follows its terminal one.
+An exception that is not an Exception, such as a KeyboardInterrupt or a
+SystemExit, ends the instance in error too: run() raises it again once the
+instance has ended, and a branch thread serves on.
 
 Under RunOptions(virtual_time=True) the branch threads take turns on a
 virtual clock instead (see _Timeline): the same workflow, handler script and
@@ -142,7 +150,6 @@ class _BranchThread:
 
     def __init__(self, job: tuple, name: str):
         self._job: Optional[tuple] = job
-        self._taken: Optional[threading.Lock] = None
         self._wake = threading.Lock()
         self._wake.acquire()
         # the job is not passed as args: Thread keeps those until _serve returns
@@ -150,25 +157,21 @@ class _BranchThread:
         self._thread.start()
 
     def hand(self, job: tuple, name: str) -> None:
-        """Give an idle thread its next job; returns once it has taken it,
-        as Thread.start() does."""
-        # one lock per hand-off: the thread may finish this job and be
-        # handed the next before this parent has seen the release
-        taken = threading.Lock()
-        taken.acquire()
-        self._job, self._taken = job, taken
+        """Give an idle thread its next job and return at once; the thread
+        takes the job when it next runs."""
+        # the thread was idle, so it takes this job before it can be handed another
+        self._job = job
         self._thread.name = name
         self._wake.release()
-        taken.acquire()
 
     def _serve(self) -> None:
         while True:
             run, branch = self._job  # type: ignore[misc]
             self._job = None
-            if self._taken is not None:
-                self._taken.release()
-                self._taken = None
-            run(branch)
+            try:
+                run(branch)
+            except BaseException:  # the branch has traced it as its instance's error
+                pass
             del run, branch
             if not self._await_job():
                 return
@@ -461,12 +464,8 @@ class WorkflowInstance:
     # ------------------------------------------------------------------
 
     def start(self) -> "WorkflowInstance":
-        if self._started:
-            raise EngineError("instance already started")
-        self._started = True
-        self.log.emit("instance_start", ROOT_BRANCH, detail={"handler": self.ast.handler_name})
-        with self._state_lock:
-            self.branches[ROOT_BRANCH] = self._root
+        """Start the instance with its root on a branch thread; see wait()."""
+        self._begin()
         self._start_thread(self._root)
         return self
 
@@ -480,7 +479,25 @@ class WorkflowInstance:
             return self.result
 
     def run(self) -> str:
-        return self.start().wait()
+        """Run the instance with its root on the calling thread until it has
+        ended; its result. An exception that is not an Exception, raised in
+        the root, is raised again once the instance has ended in error."""
+        self._begin()
+        if self._timeline is not None:
+            self._timeline.add(self._root)
+        try:
+            self._run_branch(self._root)
+        finally:
+            self.wait()
+        return self.result  # type: ignore[return-value]
+
+    def _begin(self) -> None:
+        if self._started:
+            raise EngineError("instance already started")
+        self._started = True
+        self.log.emit("instance_start", ROOT_BRANCH, detail={"handler": self.ast.handler_name})
+        with self._state_lock:
+            self.branches[ROOT_BRANCH] = self._root
 
     def call_later(self, delay: float, action: Callable[[], object]) -> None:
         """Run action after delay seconds: of virtual time under virtual
@@ -785,7 +802,8 @@ class WorkflowInstance:
     # ------------------------------------------------------------------
 
     def _start_thread(self, branch: _Branch) -> None:
-        """Run the branch in an idle branch thread, or else in a new one."""
+        """Run the branch in an idle branch thread, or else in a new one;
+        returns without waiting for the thread to take it."""
         if self._timeline is not None:
             self._timeline.add(branch)
         with _idle_lock:
@@ -823,6 +841,9 @@ class WorkflowInstance:
             self._report_error(branch, exc)
         except Exception as exc:  # engine bug: fail loudly instead of hanging
             self._report_error(branch, EngineError(f"internal error: {exc!r}"))
+        except BaseException as exc:  # an interrupt or exit, in a handler or the engine
+            self._report_error(branch, EngineError(f"interrupted: {exc!r}"))
+            raise
         finally:
             with self._state_lock:
                 self.branches.pop(branch.id, None)
@@ -963,14 +984,20 @@ class WorkflowInstance:
         if timeline is not None and timeout is not None:
             timer = timeline.call_later(timeout, functools.partial(self._wake_if, branch, on))
         self._state_lock.release()
-        woken = True
-        if timeline is not None:
-            timeline.pass_baton(branch)
-        else:
-            woken = branch.baton.acquire(timeout=-1 if timeout is None else max(timeout, 0))
-        self._state_lock.acquire()
-        if timer is not None:  # a stale timer would move the clock
-            timeline.withdraw(timer)  # type: ignore[union-attr]
+        woken = None  # stays None if a signal interrupts the wait on run()'s caller
+        try:
+            if timeline is not None:
+                timeline.pass_baton(branch)
+                woken = True
+            else:
+                woken = branch.baton.acquire(timeout=-1 if timeout is None else max(timeout, 0))
+        finally:
+            # an interrupt leaves the state lock held for the caller's `with`
+            self._state_lock.acquire()
+            if timer is not None:  # a stale timer would move the clock
+                timeline.withdraw(timer)  # type: ignore[union-attr]
+            if woken is None:  # the branch is on its way out: no wake may give it a turn
+                branch.waits_on = None
         if not woken:
             if branch.waits_on is None:  # a wake came as the time ran out: take
                 branch.baton.acquire()  # its release, or the next wait ends at once

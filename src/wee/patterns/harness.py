@@ -296,9 +296,10 @@ class CoverageReport:
 # ---------------------------------------------------------------------------
 
 
-def _read_bytes(path: Path) -> Optional[bytes]:
+def _read_bytes(path: str) -> Optional[bytes]:
     try:
-        return path.read_bytes()
+        with open(path, "rb", buffering=0) as file:
+            return file.readall()
     except FileNotFoundError:
         return None
 
@@ -309,10 +310,12 @@ def _text(data: bytes) -> str:
 
 
 # assert-file path -> (what the case was loaded from, the case)
-_LOADED: dict[Path, tuple[tuple, PatternCase]] = {}
+_LOADED: dict[str, tuple[tuple, PatternCase]] = {}
 
 
-def load_case(corpus: Path, pattern_class: str, name: str, slug: str, support: str) -> PatternCase:
+def load_case(
+    corpus: str | Path, pattern_class: str, name: str, slug: str, support: str
+) -> PatternCase:
     """Read a case's files and return the case they give.
 
     The files are read on every call. While their bytes, and the class, name
@@ -320,14 +323,15 @@ def load_case(corpus: Path, pattern_class: str, name: str, slug: str, support: s
     the same assert file, that load's case is returned again, with the
     workflow it has parsed.
     """
-    class_dir = corpus / CLASS_DIRS[pattern_class]
-    assert_path = class_dir / f"{slug}.assert.json"
+    # plain strings: a pathlib path per file costs more than reading it
+    stem = f"{corpus}/{CLASS_DIRS[pattern_class]}/{slug}"
+    assert_path = f"{stem}.assert.json"
     spec_bytes = _read_bytes(assert_path)
     if spec_bytes is None:
         raise FileNotFoundError(f"missing case file {assert_path}")
-    workflow_path = class_dir / f"{slug}.wee"
+    workflow_path = f"{stem}.wee"
     source_bytes = None if support == ORCHESTRATED else _read_bytes(workflow_path)
-    script_bytes = _read_bytes(class_dir / f"{slug}.script.json")  # the script file is optional
+    script_bytes = _read_bytes(f"{stem}.script.json")  # the script file is optional
     loaded_from = (pattern_class, name, support, spec_bytes, source_bytes, script_bytes)
     loaded = _LOADED.get(assert_path)
     if loaded is not None and loaded[0] == loaded_from:
@@ -345,7 +349,7 @@ def load_case(corpus: Path, pattern_class: str, name: str, slug: str, support: s
         name=name,
         pattern_class=pattern_class,
         support=support,
-        workflow_path=workflow_path if source_bytes is not None else None,
+        workflow_path=Path(workflow_path) if source_bytes is not None else None,
         source=_text(source_bytes) if source_bytes is not None else None,
         script=json.loads(_text(script_bytes)) if script_bytes is not None else {},
         assertions=spec.get("assertions", []),

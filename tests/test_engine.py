@@ -20,7 +20,7 @@ from conftest import Answers, call_tokens, finish, run_source, starts, wait_unti
 from wee import dsl, engine
 from wee.context import ContextError
 from wee.engine import EngineError, RunOptions, WorkflowInstance
-from wee.events import FixedClock
+from wee.events import FixedClock, read_jsonl
 from wee.handlers import HandlerWrapper, MockHandler, Result, TriggerHandler
 
 FIXTURES = Path(__file__).parent.parent / "src" / "wee" / "fixtures"
@@ -1880,6 +1880,206 @@ def test_many_parents_forking_at_once_run_every_branch_exactly_once():
                 assert arrived - {"0.2"} <= called, seed
     finally:
         sys.setswitchinterval(previous)
+
+
+# -- where branches run: the root of run() on its caller, a fork without a handshake --
+
+
+def count_hand_offs(monkeypatch) -> list[str]:
+    """The thread names of every branch handed to a branch thread, idle or new."""
+    handed: list[str] = []
+    new, hand = engine._BranchThread.__init__, engine._BranchThread.hand
+
+    def counted_new(thread, job, name):
+        handed.append(name)
+        new(thread, job, name)
+
+    def counted_hand(thread, job, name):
+        handed.append(name)
+        hand(thread, job, name)
+
+    monkeypatch.setattr(engine._BranchThread, "__init__", counted_new)
+    monkeypatch.setattr(engine._BranchThread, "hand", counted_hand)
+    return handed
+
+
+ONE_BRANCH = 'workflow { handler "mock" context x: 0 manipulate :a { x = x + 1 } }'
+
+
+@pytest.mark.parametrize(
+    "source, entry, hand_offs",
+    [(ONE_BRANCH, "run", 0), (wide_join(4), "run", 4), (wide_join(4), "start", 5)],
+    ids=["one-branch-run", "four-children-run", "four-children-start"],
+)
+def test_run_keeps_the_root_on_its_caller_and_start_hands_it_to_a_branch_thread(
+    monkeypatch, source, entry, hand_offs
+):
+    handed = count_hand_offs(monkeypatch)
+    instance = WorkflowInstance(dsl.parse(source), MockHandler({"default": {"result": {}}}))
+    if entry == "run":
+        assert instance.run() == "finished"
+    else:
+        assert instance.start().wait() == "finished"
+    assert len(handed) == hand_offs, handed
+    assert ("wee-0" in handed) == (entry == "start")
+
+
+class InterruptingHandler(MockHandler):
+    """The call at `position` raises `exc`; `threads` records the thread it ran on."""
+
+    def __init__(self, position: str, exc: BaseException):
+        super().__init__({"default": {"result": {}}})
+        self.position, self.exc = position, exc
+        self.threads: list[threading.Thread] = []
+
+    def call(self, call):
+        if call.position == self.position:
+            self.threads.append(threading.current_thread())
+            raise self.exc
+        return super().call(call)
+
+
+def assert_ended_in_error_naming(instance: WorkflowInstance, name: str) -> None:
+    assert instance.result == "error"
+    records = instance.log.records
+    errors = [r.detail["message"] for r in records if r.kind == "error"]
+    assert len(errors) == 1 and name in errors[0], errors
+    assert instance.errors == errors
+    terminal = [r for r in records if r.kind in ("instance_finish", "instance_stop")]
+    assert terminal == records[-1:] and terminal[0].detail == {"error": errors[0]}
+    assert [r.seq for r in records] == list(range(1, len(records) + 1))
+
+
+@pytest.mark.parametrize("virtual_time", [False, True], ids=["threads", "virtual-time"])
+@pytest.mark.parametrize("exc", [KeyboardInterrupt(), SystemExit(3)], ids=repr)
+def test_an_interrupt_or_exit_in_a_child_ends_the_instance_in_error(virtual_time, exc):
+    handler = InterruptingHandler("a", exc)
+    instance = WorkflowInstance(dsl.parse(MANY_PARENTS), handler, RunOptions(virtual_time=virtual_time))
+    assert finish(instance) == "error"
+    assert_ended_in_error_naming(instance, type(exc).__name__)
+    # the branch thread that ran the call serves on: it goes idle for the next branch
+    (thread,) = handler.threads
+    assert thread is not threading.main_thread()
+    assert wait_until(lambda: any(idle._thread is thread for idle in engine._idle), timeout=1.0)
+
+
+def test_an_interrupt_in_the_root_ends_the_instance_in_error_and_run_raises_it():
+    source = wide_join(3).replace("parallel wait: all", "call :a, endpoint: svc\n  parallel wait: all")
+    handler = InterruptingHandler("a", KeyboardInterrupt())
+    instance = WorkflowInstance(dsl.parse(source), handler)
+    with pytest.raises(KeyboardInterrupt):
+        instance.run()
+    assert handler.threads == [threading.current_thread()]
+    assert_ended_in_error_naming(instance, "KeyboardInterrupt")
+
+
+class PollingCall(HandlerWrapper):
+    """A 2 s call that waits on its stop token in 10 ms slices.
+
+    `_thread.interrupt_main()` only flags the main thread, so the interrupt
+    is raised when the wait it blocks in ends: here within one slice.
+    """
+
+    def __init__(self):
+        self.in_flight = threading.Event()
+
+    def call(self, call):
+        self.in_flight.set()
+        deadline = time.monotonic() + 2.0
+        while time.monotonic() < deadline:
+            if call.stop.wait(0.01):
+                break
+        return Result({})
+
+
+@pytest.mark.skipif(
+    threading.current_thread() is not threading.main_thread(), reason="needs the main thread"
+)
+def test_an_interrupt_of_runs_caller_in_a_call_ends_the_instance_in_error(tmp_path):
+    import _thread
+
+    log = tmp_path / "trace.jsonl"
+    source = 'workflow { handler "mock" endpoint svc: "mock://svc" call :slow, endpoint: svc }'
+    handler = PollingCall()
+    instance = WorkflowInstance(dsl.parse(source), handler, RunOptions(log_path=str(log)))
+
+    def interrupt():
+        assert handler.in_flight.wait(5)
+        time.sleep(0.05)  # the root blocks in its call's token wait
+        _thread.interrupt_main()
+
+    interrupter = threading.Thread(target=interrupt, daemon=True)
+    interrupter.start()
+    started = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        instance.run()
+    assert time.monotonic() - started < 1.0
+    interrupter.join(timeout=5)
+    assert not interrupter.is_alive()
+    assert_ended_in_error_naming(instance, "KeyboardInterrupt")
+    assert instance._state_lock.acquire(blocking=False)
+    instance._state_lock.release()
+    assert instance.log._fh is None  # the trace file is closed
+    assert [r.to_json() for r in read_jsonl(log)] == [r.to_json() for r in instance.log.records]
+
+
+def test_instances_run_and_started_at_once_under_a_short_switch_interval():
+    """8 clients run fork-heavy instances at once, half of them through
+    run() and half through start() and wait(), and the corpus runs on 8
+    threads at once: every branch ends once, in its own instance's trace."""
+    from wee.patterns.harness import run_all
+
+    ast = dsl.parse(MANY_PARENTS)
+    script = {"default": {"result": {}, "delay_ms": [0, 0.2]}}
+    instances: list[WorkflowInstance] = []
+    lock = threading.Lock()
+
+    def client(index: int) -> None:
+        for round_ in range(4):
+            instance = WorkflowInstance(ast, CountingHandler(script, index * 10 + round_))
+            with lock:
+                instances.append(instance)
+            if (index + round_) % 2:
+                instance.run()
+            else:
+                instance.start().wait()
+
+    sequential = run_all()
+    started = time.monotonic()
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        clients = [threading.Thread(target=client, args=(i,), daemon=True) for i in range(8)]
+        for thread in clients:
+            thread.start()
+        parallel = run_all(parallel=True)
+        for thread in clients:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(previous)
+    elapsed = time.monotonic() - started
+
+    assert len(instances) == 32
+    for instance in instances:
+        assert instance.result == "finished"
+        records = instance.log.records
+        assert {r.instance for r in records} == {instance.instance_id}
+        assert [r.seq for r in records] == list(range(1, len(records) + 1))
+        forked = [r.detail["child"] for r in records if r.kind == "branch_fork"]
+        ended = [
+            r.branch
+            for r in records
+            if (r.kind == "branch_join" and r.detail["role"] == "arrive")
+            or r.detail.get("signal") == "no_longer_necessary"
+        ]
+        assert sorted(ended) == sorted(forked) and len(set(forked)) == len(forked)
+        assert set(instance.handler.calls.values()) == {1}
+    summary = [(r.slug, r.passed, r.result_state) for r in parallel.results]
+    assert summary == [(r.slug, r.passed, r.result_state) for r in sequential.results]
+    assert parallel.all_passed
+    assert len(engine._idle) <= engine._IDLE_CAP
+    assert elapsed < 1.0
 
 
 # -- virtual time ---------------------------------------------------------------------

@@ -3,7 +3,8 @@
 A run that builds no HTTP handler never loads the HTTP stack: the check runs
 in a fresh interpreter in which `import requests` fails, so any run that
 reaches for it fails too. Nor does any run load `dataclasses`, `uuid` or
-`platform`, whose import costs more than the work of a small workflow.
+`platform`, whose import costs more than the work of a small workflow, or
+`socket`, which only `wee run --control` and `wee stop` open.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ PROGRAM = textwrap.dedent(
     assert not loaded, loaded
     loaded = [name for name in ("dataclasses", "uuid", "platform") if name in sys.modules]
     assert not loaded, loaded
+    assert "socket" not in sys.modules
     """
 )
 

@@ -428,12 +428,13 @@ workflow {
 
 
 def test_stop_while_blocked_on_critical_mutex_parks_cleanly():
+    # either branch may enter the section first: it is still in its call at the stop
     script = {
         "positions": {
             "holder": {"result": {}, "delay_ms": 500, "token": "p-holder"},
-            "waiter": {"result": {}},
+            "waiter": {"result": {}, "delay_ms": 500, "token": "p-waiter"},
         },
-        "passthroughs": {"p-holder": {"result": {}}},
+        "passthroughs": {"p-holder": {"result": {}}, "p-waiter": {"result": {}}},
     }
     ast = dsl.parse(CONTENDED_CRITICAL)
     instance = WorkflowInstance(ast, MockHandler(script))
