@@ -111,23 +111,6 @@ def build_handler(
     raise ControllerError(f"unknown handler '{name}' (expected one of {HANDLER_NAMES})")
 
 
-def parse_skip_region(spec: str, ast: dsl.WorkflowAst) -> frozenset[str]:
-    """Expand "first..last" into the contiguous source-order position range."""
-    ordered = dsl.positions(ast)
-    if ".." in spec:
-        first, _, last = spec.partition("..")
-    else:
-        first = last = spec
-    first, last = first.strip(), last.strip()
-    for name in (first, last):
-        if name not in ordered:
-            raise ControllerError(f"skip region position '{name}' is not in the workflow")
-    lo, hi = ordered.index(first), ordered.index(last)
-    if lo > hi:
-        raise ControllerError(f"skip region '{spec}' is reversed")
-    return frozenset(ordered[lo : hi + 1])
-
-
 def claim_stop(path: str, held: contextlib.ExitStack) -> dict:
     """Lock the log until held closes; the saved state that its last line,
     read backwards from the end, carries as a stop record."""
@@ -161,7 +144,7 @@ def claim_stop(path: str, held: contextlib.ExitStack) -> dict:
 
 
 class _ControlServer:
-    """Unix-socket listener accepting stop requests for a running instance."""
+    """Unix-socket listener that takes the stop command for a running instance."""
 
     def __init__(self, path: str, instance: WorkflowInstance):
         self.path = path
@@ -208,13 +191,17 @@ class _ControlServer:
 
 
 def execute_instance(instance: WorkflowInstance, control_path: Optional[str]) -> int:
-    """Run an instance under optional control; its exit code."""
+    """Run an instance under optional control; its exit code. A Ctrl-C
+    stops the instance as `wee stop` does, so its log can be resumed."""
     server = None
     try:
-        instance.start()
-        if control_path:
-            server = _ControlServer(control_path, instance)
-        result = instance.wait()
+        try:
+            instance.start()  # the interrupt may land here, once the root runs
+            if control_path:
+                server = _ControlServer(control_path, instance)
+            result = instance.wait()
+        except KeyboardInterrupt:
+            result = instance.deliver_stop()
     finally:
         if server is not None:
             server.close()
@@ -278,7 +265,10 @@ def cmd_resume(args: argparse.Namespace) -> int:
                 raise ControllerError("resume needs --workflow pointing at the original source")
             saved = claim_stop(args.log, held)
             ast, handler, options = load_run(args)
-            skip = parse_skip_region(args.skip_region, ast) if args.skip_region else frozenset()
+            try:
+                skip = dsl.parse_skip_region(args.skip_region or "", ast)
+            except ValueError as exc:
+                raise ControllerError(str(exc)) from exc
             # the trace continues the stopped instance's id and seq in its log
             instance = WorkflowInstance.resume(ast, handler, saved, options, skip_positions=skip)
         # EngineError: a state the engine refuses, which leaves the log untouched

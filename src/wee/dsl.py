@@ -662,6 +662,27 @@ def position_paths(ast: WorkflowAst) -> dict[str, tuple[int, ...]]:
     return {node.position: path for path, node in walk(ast.body) if isinstance(node, Activity)}
 
 
+def parse_skip_region(spec: str, ast: WorkflowAst) -> frozenset[str]:
+    """Expand "first..last", or one position, into the contiguous
+    source-order position range; "" is no region. ValueError names a
+    position not in the workflow or a reversed range."""
+    if not spec:
+        return frozenset()
+    ordered = positions(ast)
+    if ".." in spec:
+        first, _, last = spec.partition("..")
+    else:
+        first = last = spec
+    first, last = first.strip(), last.strip()
+    for name in (first, last):
+        if name not in ordered:
+            raise ValueError(f"skip region position '{name}' is not in the workflow")
+    lo, hi = ordered.index(first), ordered.index(last)
+    if lo > hi:
+        raise ValueError(f"skip region '{spec}' is reversed")
+    return frozenset(ordered[lo : hi + 1])
+
+
 # ---------------------------------------------------------------------------
 # Validation
 # ---------------------------------------------------------------------------

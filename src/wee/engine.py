@@ -28,7 +28,8 @@ target, saves it again. A child that arrives at its join keeps its entry
 there until its parent passes the join. A cancelled branch is never saved,
 and its token goes with its entry. The handler releases each token that no
 call will replay: one a cancel drops, one a cancelled call hands back, that
-of a call a resume skips, and those of an instance that ends in error.
+of a call a resume skips, and those of an instance that ends in error; the
+first release that raises leaves a release_failed signal.
 resume() alone checks a saved state, and
 refuses a child that its parent would not restore and a token at no call;
 the resumed instance continues the stopped one's id and seq.
@@ -36,7 +37,7 @@ the resumed instance continues the stopped one's id and seq.
 Branch coordination uses one lock per instance. It guards the stop request,
 each branch's cancel flag, in-flight call and what it is blocked on, the
 registry of live branches, the saved entries and the critical-section
-owners. Handlers are never called while it is held. A
+owners. No handler call runs while it is held, and every release does. A
 branch blocks only in _block, on a baton of its own: on a join, a critical
 section or its call's stop token. Only what can unblock it wakes it, through
 _wake: a join that fires wakes its parent, a cancel the branches it cancels,
@@ -449,6 +450,7 @@ class WorkflowInstance:
         self._section_owners: dict[str, str] = {}  # critical section -> branch id
         self._stop_requested = False
         self._stop_source: Optional[str] = None
+        self._release_failed = False  # a release_failed signal is in the trace
         self._started = False
         # branch id -> its entry: each parked branch, the root at its end, a
         # restored one until it is back at its path, and an arrived child
@@ -556,7 +558,9 @@ class WorkflowInstance:
             # the write failed after the last checkpoint
             self.errors.append(f"trace write failed: {self.log.write_error}")
             self.log.emit("error", ROOT_BRANCH, detail={"message": self.errors[0]})
-        if self.errors:
+        if self.errors:  # not saved: no resume replays a token
+            for restart in self._saved_paths.values():
+                self._release(restart.token)
             self.result = "error"
             self.log.emit("instance_stop", ROOT_BRANCH, detail={"error": self.errors[0]})
         elif self._stop_requested:
@@ -574,10 +578,8 @@ class WorkflowInstance:
             # the terminal record itself was not written
             self.result = "error"
             self.errors.append(f"trace write failed: {self.log.write_error}")
-        if self.result == "error":  # not saved: no resume replays a token
             for restart in self._saved_paths.values():
-                if restart.token is not None:
-                    self.handler.release(restart.token)
+                self._release(restart.token)
         self.log.close()
         self._ended.notify_all()
 
@@ -913,15 +915,27 @@ class WorkflowInstance:
             self.log.emit("signal", b.id, detail={"signal": "no_longer_necessary"})
         self._stop(cancelled)
         for branch_id in [k for k in self._saved_paths if f"{k}.".startswith(below)]:
-            token = self._saved_paths.pop(branch_id).token
-            if token is not None:
-                self.handler.release(token)
+            self._release(self._saved_paths.pop(branch_id).token)
 
     def _drop_token(self, branch: _Branch) -> None:
-        """The branch's token will not be replayed: the handler may release it."""
+        """The branch's token will not be replayed: the handler may release
+        it; caller holds the state lock."""
         token, branch.token = branch.token, None
-        if token is not None:
+        self._release(token)
+
+    def _release(self, token: Optional[str]) -> None:
+        """Have the handler release a token that no call will replay; caller
+        holds the state lock. The first release that raises leaves a
+        release_failed signal, unless the instance has ended."""
+        if token is None:
+            return
+        try:
             self.handler.release(token)
+        except Exception as exc:
+            if not self._release_failed and self.result is None:
+                self._release_failed = True
+                detail = {"signal": "release_failed", "message": repr(exc)}
+                self.log.emit("signal", ROOT_BRANCH, detail=detail)
 
     # ------------------------------------------------------------------
     # Node execution
@@ -957,7 +971,8 @@ class WorkflowInstance:
             if node.position not in self.skip_positions:
                 self._exec_call(branch, node, path)
             else:  # a skipped call leaves no token to replay
-                self._drop_token(branch)
+                with self._state_lock:
+                    self._drop_token(branch)
             return
 
         with self._state_lock:
@@ -1110,7 +1125,8 @@ class WorkflowInstance:
 
         if cancelled:
             if isinstance(outcome, Passthrough):  # no resume replays it
-                self.handler.release(outcome.token)
+                with self._state_lock:
+                    self._release(outcome.token)
             raise _Cancelled()
         # a result or jump is applied even after a stop, and the branch then
         # parks at its next checkpoint
@@ -1134,7 +1150,8 @@ class WorkflowInstance:
 
     def _exec_engine_call(self, branch: _Branch, node, path, uri: str) -> None:
         self._begin_activity(branch, node, path, events.START_CALL)
-        self._drop_token(branch)  # the call has begun, and an engine call replays none
+        with self._state_lock:  # the call has begun, and an engine call replays none
+            self._drop_token(branch)
         if uri != STOP_ENDPOINT:
             raise EngineError(f"call '{node.position}': unknown engine endpoint '{uri}'")
         self.log.emit("activity_end", branch.id, node.position, events.END_STOP_SIGNAL)

@@ -130,8 +130,8 @@ class HandlerWrapper:
         The engine calls it, perhaps more than once for one token, when it
         drops a token unreplayed: a cancel drops the branch that holds it, a
         cancelled call hands it back, a resume skips its call, or the
-        instance ends in error. It may hold its state lock meanwhile, so
-        release must not block or call back into the engine.
+        instance ends in error. It holds its state lock meanwhile, so release
+        must not block or call back into the engine; a raise is traced.
         """
 
 
@@ -265,10 +265,10 @@ class HttpHandler(HandlerWrapper):
     """
 
     def __init__(self, timeout: float = 30.0):
-        # the HTTP stack is about half of a cold start: only HTTP runs load it
-        import requests
+        # the HTTP stack is a third of a cold start: only HTTP runs load it
+        import urllib.request
 
-        self._requests = requests
+        self._urllib = urllib.request
         self.timeout = timeout
         self._lock = threading.Lock()
         self._stored: dict[str, _StoredResponse] = {}
@@ -331,16 +331,21 @@ class HttpHandler(HandlerWrapper):
         return outcome
 
     def _post(self, endpoint: str, body: dict) -> HandlerOutcome:
-        requests = self._requests
+        if not endpoint.lower().startswith(("http://", "https://")):  # no file: or ftp:
+            return Failure(f"request failed: not an HTTP URL: {endpoint!r}")
+        if self.timeout is not None and not self.timeout >= 0:  # a socket that refuses it leaks
+            raise ValueError(f"timeout {self.timeout!r} is out of range")
+        data = json.dumps(body).encode()
+        request = self._urllib.Request(endpoint, data, {"Content-Type": "application/json"})
         try:
-            response = requests.post(endpoint, json=body, timeout=self.timeout)
-        except requests.RequestException as exc:
+            with self._urllib.urlopen(request, timeout=self.timeout) as response:
+                payload = response.read()
+        except self._urllib.HTTPError as exc:  # outside 2xx; a 301, 302 or 303 was followed
+            return Failure(f"HTTP {exc.code}")
+        except OSError as exc:  # refused, unreachable, timed out
             return Failure(f"request failed: {exc}")
-        if not 200 <= response.status_code < 300:
-            return Failure(f"HTTP {response.status_code}")
         try:
-            payload = response.json()
-            values = payload["result"]
+            values = json.loads(payload)["result"]
             if not isinstance(values, dict):
                 raise ValueError("'result' is not an object")
             return Result(_check_result_values(values))

@@ -662,11 +662,7 @@ def run_case_workflow(case: PatternCase, seed: int = 0) -> RunArtifacts:
     if kind == "stop_resume":
         if saved is None:
             raise ValueError(f"{case.slug}: expected a stopped first phase, got {result}")
-        skip: frozenset[str] = frozenset()
-        if scenario.get("skip_region"):
-            from ..cli import parse_skip_region
-
-            skip = parse_skip_region(scenario["skip_region"], ast)
+        skip = dsl.parse_skip_region(scenario.get("skip_region", ""), ast)
         instance = WorkflowInstance.resume(
             ast, handler, saved, RunOptions(virtual_time=True), skip_positions=skip
         )

@@ -16,7 +16,9 @@ class CountingStubServer:
     """Local HTTP stub that counts POSTs per path and serves canned results.
 
     `responses` maps a path (e.g. "/airline") to the JSON "result" object;
-    `delays` holds per-path artificial response delays in seconds.
+    `delays` holds per-path artificial response delays in seconds;
+    `redirects` maps a path to the path its response's Location names.
+    `received` holds (method, path, Content-Type, body bytes) per request.
     """
 
     def __init__(self):
@@ -24,15 +26,19 @@ class CountingStubServer:
         self.responses: dict[str, dict] = {}
         self.delays: dict[str, float] = {}
         self.status_codes: dict[str, int] = {}
+        self.redirects: dict[str, str] = {}
+        self.received: list[tuple[str, str, str | None, bytes]] = []
         self._lock = threading.Lock()
         stub = self
 
         class Handler(BaseHTTPRequestHandler):
             def do_POST(self):
                 length = int(self.headers.get("Content-Length", 0))
-                self.rfile.read(length)
+                request = (self.command, self.path, self.headers.get("Content-Type"))
+                request += (self.rfile.read(length),)
                 with stub._lock:
                     stub.counts[self.path] = stub.counts.get(self.path, 0) + 1
+                    stub.received.append(request)
                 delay = stub.delays.get(self.path, 0)
                 if delay:
                     time.sleep(delay)
@@ -41,8 +47,12 @@ class CountingStubServer:
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(body)))
+                if self.path in stub.redirects:
+                    self.send_header("Location", stub.url(stub.redirects[self.path]))
                 self.end_headers()
                 self.wfile.write(body)
+
+            do_GET = do_POST
 
             def log_message(self, *args):
                 pass

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from conftest import CountingStubServer, call_tokens, wait_until
-from wee import cli, dsl
+from wee import dsl
 from wee.engine import RunOptions, WorkflowInstance
 from wee.events import FixedClock
 from wee.handlers import (
@@ -241,7 +241,7 @@ def test_criterion_5_cancel_region_round_trip():
             "the in-flight call must leave a passthrough"
         )
 
-        skip = cli.parse_skip_region("zone_a..zone_b", ast)
+        skip = dsl.parse_skip_region("zone_a..zone_b", ast)
         resumed = WorkflowInstance.resume(ast, handler, saved, skip_positions=skip)
         assert resumed.run() == "finished"
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import collections
 import json
+import signal
 import socket
 import statistics
 import subprocess
@@ -520,6 +521,44 @@ def test_stop_resume_round_trip(seq_dir):
     assert log.read_bytes() == finished
 
 
+def test_a_ctrl_c_of_wee_run_stops_it_with_a_resumable_log(tmp_path):
+    workflow, script, log = tmp_path / "slow.wee", tmp_path / "slow.json", tmp_path / "slow.log"
+    workflow.write_text(
+        'workflow { handler "mock" endpoint svc: "mock://svc" call :slow, endpoint: svc }'
+    )
+    script.write_text(
+        json.dumps(
+            {
+                "positions": {"slow": {"result": {}, "delay_ms": 3000, "token": "p-slow"}},
+                "passthroughs": {"p-slow": {"result": {}}},
+            }
+        )
+    )
+    options = ["--script", str(script), "--log", str(log)]
+    proc = subprocess.Popen(
+        wee_cmd("run", str(workflow), *options), stdout=subprocess.DEVNULL, stderr=subprocess.PIPE
+    )
+    try:
+        assert wait_until(lambda: started(log, "slow", 0), 10), "slow did not start"
+        interrupted = time.monotonic()
+        proc.send_signal(signal.SIGINT)
+        assert proc.wait(timeout=10) == cli.EXIT_STOPPED, proc.stderr.read()
+        assert time.monotonic() - interrupted < 1.0
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    last = read_jsonl(log)[-1]
+    assert last.kind == "instance_stop" and "saved" in last.detail
+    resume = subprocess.run(
+        wee_cmd("resume", str(log), "--workflow", str(workflow), "--script", str(script)),
+        capture_output=True,
+        text=True,
+    )
+    assert resume.returncode == cli.EXIT_FINISHED, resume.stderr
+    assert read_jsonl(log)[-1].kind == "instance_finish"
+
+
 def test_resume_with_skip_region(seq_dir):
     proc, control, log = _start_run(seq_dir)
     stop_controlled(control, proc)
@@ -532,6 +571,19 @@ def test_resume_with_skip_region(seq_dir):
     post = read_jsonl(log)[pre_count:]
     post_positions = [r.position for r in post if r.kind == "activity_start"]
     assert post_positions == ["fin"]
+
+
+def test_resume_with_a_bad_skip_region_exits_one_and_leaves_the_log(seq_dir):
+    proc, control, log = _start_run(seq_dir)
+    stop_controlled(control, proc)
+    stopped = log.read_bytes()
+    for region, message in [
+        ("two..one", "skip region 'two..one' is reversed"),
+        ("ghost..two", "skip region position 'ghost' is not in the workflow"),
+    ]:
+        resume = resume_seq(seq_dir, log, "--skip-region", region)
+        assert (resume.returncode, resume.stderr) == (1, message + "\n")
+        assert log.read_bytes() == stopped
 
 
 def test_resume_rejects_edited_source(seq_dir):
@@ -771,16 +823,6 @@ def test_run_with_control_socket_exits_promptly(tmp_path):
         assert code == 0
     # closing the control server must not wait for a blocked accept() to time out
     assert statistics.median(elapsed) < 0.1, elapsed
-
-
-def test_parse_skip_region_expands_source_range():
-    ast = dsl.parse(SEQ_WEE)
-    assert cli.parse_skip_region("one..two", ast) == {"one", "two"}
-    assert cli.parse_skip_region("two", ast) == {"two"}
-    with pytest.raises(cli.ControllerError):
-        cli.parse_skip_region("two..one", ast)
-    with pytest.raises(cli.ControllerError):
-        cli.parse_skip_region("ghost..two", ast)
 
 
 def test_resume_of_a_saved_state_of_the_wrong_shape_exits_one(tmp_path, capsys):

@@ -399,6 +399,17 @@ def test_position_paths_address_their_nodes():
         assert node.position == name
 
 
+def test_parse_skip_region_expands_source_range():
+    ast = parse('workflow { handler "mock" manipulate :one { } manipulate :two { } }')
+    assert dsl.parse_skip_region("one..two", ast) == {"one", "two"}
+    assert dsl.parse_skip_region("two", ast) == {"two"}
+    assert dsl.parse_skip_region("", ast) == frozenset()
+    with pytest.raises(ValueError, match="^skip region 'two..one' is reversed$"):
+        dsl.parse_skip_region("two..one", ast)
+    with pytest.raises(ValueError, match="^skip region position 'ghost' is not in the workflow$"):
+        dsl.parse_skip_region("ghost..two", ast)
+
+
 # -- validation ---------------------------------------------------------------
 
 

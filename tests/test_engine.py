@@ -21,7 +21,7 @@ from wee import dsl, engine
 from wee.context import ContextError
 from wee.engine import EngineError, RunOptions, WorkflowInstance
 from wee.events import FixedClock, read_jsonl
-from wee.handlers import HandlerWrapper, MockHandler, Result, TriggerHandler
+from wee.handlers import HandlerWrapper, MockHandler, Passthrough, Result, TriggerHandler
 
 FIXTURES = Path(__file__).parent.parent / "src" / "wee" / "fixtures"
 
@@ -2229,6 +2229,53 @@ def test_a_raising_handler_under_virtual_time_leaves_an_error_and_ends():
     assert instance._timeline.now == 0.0
 
 
+class ReleaseRaises(MockHandler):
+    def __init__(self, script):
+        super().__init__(script)
+        self.released: list[str] = []
+
+    def release(self, token):
+        self.released.append(token)
+        raise RuntimeError(f"cannot release {token}")
+
+
+TWO_SLOW_BESIDE_AN_ERROR = """
+workflow {
+  handler "mock"
+  endpoint svc: "mock://svc"
+  endpoint bad: "mock://bad"
+  parallel wait: all {
+    parallel_branch { call :slow_a, endpoint: svc }
+    parallel_branch { call :slow_b, endpoint: svc }
+    parallel_branch { call :boom, endpoint: bad }
+  }
+}
+"""
+
+
+@pytest.mark.parametrize("virtual_time", [False, True], ids=["threads", "virtual-time"])
+def test_a_release_that_raises_leaves_one_signal_and_the_instance_ends(tmp_path, virtual_time):
+    # the error stops both slow calls, whose tokens no resume replays: the
+    # end of the instance releases them, and each release raises
+    log = tmp_path / "trace.jsonl"
+    slow = {"result": {}, "delay_ms": 60_000}
+    boom = {"error": "boom", "delay_ms": 20}
+    handler = ReleaseRaises({"positions": {"slow_a": slow, "slow_b": slow, "boom": boom}})
+    options = RunOptions(log_path=str(log), virtual_time=virtual_time)
+    instance = WorkflowInstance(dsl.parse(TWO_SLOW_BESIDE_AN_ERROR), handler, options)
+    assert finish(instance) == "error"
+    assert sorted(handler.released) == ["pt-slow_a-0", "pt-slow_b-0"]
+    records = instance.log.records
+    failed = [r for r in records if r.detail.get("signal") == "release_failed"]
+    message = f"RuntimeError('cannot release {handler.released[0]}')"
+    assert [r.detail for r in failed] == [{"signal": "release_failed", "message": message}]
+    terminal = [r for r in records if r.kind in ("instance_finish", "instance_stop")]
+    assert terminal == records[-1:] and terminal[0].detail == {"error": "call 'boom': boom"}
+    assert failed[0].seq == terminal[0].seq - 1
+    assert instance.log._fh is None  # the trace file is closed
+    assert [r.to_json() for r in read_jsonl(log)] == [r.to_json() for r in records]
+
+
 def test_every_exit_of_a_branch_hands_the_baton_on(monkeypatch):
     # an engine bug in one branch: the internal-error path must release too
     original = WorkflowInstance._exec_manipulate
@@ -2364,3 +2411,82 @@ def test_a_handler_result_that_is_not_a_value_fails_the_call(value):
     assert instance.result == "error"
     assert instance.errors == ["call 'c': handler result for 'x' is not a value"]
     assert dict(instance.store.current_values()) == {"x": 0}
+
+
+# -- refusals -------------------------------------------------------------------
+
+
+class HandsBackAToken(HandlerWrapper):
+    def call(self, call):
+        return Passthrough("unasked")
+
+
+def error_of(source: str, handler=None) -> str:
+    """The one error of a run that ends in error; its only error record."""
+    instance = run_source(source, handler or MockHandler({"default": {"result": {}}}))
+    assert instance.result == "error"
+    [message] = instance.errors
+    assert [r.detail["message"] for r in instance.log.records if r.kind == "error"] == [message]
+    return message
+
+
+def raised_by(action) -> str:
+    with pytest.raises(EngineError) as info:
+        action()
+    return str(info.value)
+
+
+def started_twice() -> str:
+    instance = run_source(ONE_STEP, MockHandler())
+    assert instance.result == "finished"
+    return raised_by(instance.start)
+
+
+def resumed_from_a_list() -> str:
+    ast = dsl.parse(ONE_STEP)
+    return raised_by(lambda: WorkflowInstance.resume(ast, MockHandler(), ["schema", 6]))
+
+
+CALL_A = 'workflow { handler "mock" endpoint svc: "%s" call :a, endpoint: svc%s }'
+GUARDED = 'workflow { handler "mock" context x: 0 %s }'
+SET_X = "(1 / x > 0) { manipulate :a { x = 1 } }"
+
+
+@pytest.mark.parametrize(
+    "refusal, message",
+    [
+        pytest.param(started_twice, "instance already started", id="started-twice"),
+        pytest.param(
+            lambda: error_of(CALL_A % ("mock://svc", ", parameters: { n: 1 / 0 }")),
+            "call 'a' parameters: division by zero",
+            id="call-parameters",
+        ),
+        pytest.param(
+            lambda: error_of(CALL_A % ("mock://svc", ""), HandsBackAToken()),
+            "call 'a': handler returned a passthrough without a stop",
+            id="passthrough-without-a-stop",
+        ),
+        pytest.param(
+            lambda: error_of(CALL_A % ("wee://nope", "")),
+            "call 'a': unknown engine endpoint 'wee://nope'",
+            id="unknown-engine-endpoint",
+        ),
+        pytest.param(
+            lambda: error_of(GUARDED % f"choose {{ alternative {SET_X} }}"),
+            "guard at (0,): division by zero",
+            id="choose-guard",
+        ),
+        pytest.param(
+            lambda: error_of(GUARDED % f"cycle {SET_X}"),
+            "guard at (0,): division by zero",
+            id="cycle-guard",
+        ),
+        pytest.param(
+            resumed_from_a_list,
+            "corrupt saved state: a list, not an object",
+            id="saved-state-not-an-object",
+        ),
+    ],
+)
+def test_the_engine_refuses_with_its_message(refusal, message):
+    assert refusal() == message

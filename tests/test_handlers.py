@@ -238,6 +238,52 @@ def test_http_maps_result_body(stub_server):
     assert stub_server.counts["/airline"] == 1
 
 
+def test_http_posts_the_call_as_a_json_body(stub_server):
+    handler = HttpHandler(timeout=5)
+    call = make_call(
+        "book",
+        endpoint=stub_server.url("/airline"),
+        parameters={"seats": 2, "city": "Zürich"},
+        context={"budget": 5000, "approved": True, "note": None},
+    )
+    assert handler.call(call) == Result({})
+    [(method, path, content_type, body)] = stub_server.received
+    assert (method, path, content_type) == ("POST", "/airline", "application/json")
+    assert json.loads(body) == {
+        "position": "book",
+        "parameters": {"seats": 2, "city": "Zürich"},
+        "context": {"budget": 5000, "approved": True, "note": None},
+        "passthrough": None,
+    }
+
+
+@pytest.mark.parametrize("status", [307, 308])
+def test_http_307_or_308_to_the_post_is_failure_and_posts_nothing_again(stub_server, status):
+    stub_server.status_codes["/old"] = status
+    stub_server.redirects["/old"] = "/new"
+    outcome = HttpHandler(timeout=5).call(make_call("a", endpoint=stub_server.url("/old")))
+    assert outcome == Failure(f"HTTP {status}")
+    assert [request[:2] for request in stub_server.received] == [("POST", "/old")]
+
+
+@pytest.mark.parametrize("status", [301, 302, 303])
+def test_http_301_302_or_303_to_the_post_is_followed_as_a_get(stub_server, status):
+    stub_server.status_codes["/old"] = status
+    stub_server.redirects["/old"] = "/new"
+    stub_server.responses["/new"] = {"cost": 3}
+    outcome = HttpHandler(timeout=5).call(make_call("a", endpoint=stub_server.url("/old")))
+    assert outcome == Result({"cost": 3})
+    assert [request[:2] for request in stub_server.received] == [("POST", "/old"), ("GET", "/new")]
+
+
+def test_http_endpoint_that_is_not_an_http_url_is_failure(tmp_path):
+    # a file: URL is not read as if it were the service's answer
+    answer = tmp_path / "answer.json"
+    answer.write_text(json.dumps({"result": {"cost": 1}}))
+    outcome = HttpHandler(timeout=5).call(make_call("a", endpoint=answer.as_uri()))
+    assert isinstance(outcome, Failure) and outcome.message.startswith("request failed: ")
+
+
 def test_http_500_is_failure(stub_server):
     stub_server.status_codes["/bad"] = 500
     handler = HttpHandler(timeout=5)
@@ -252,9 +298,16 @@ def test_http_connection_failure_is_failure():
     assert isinstance(outcome, Failure)
 
 
-@pytest.mark.parametrize("timeout", ["x", -1], ids=["not-a-number", "negative"])
-def test_http_request_that_raises_outside_requests_is_failure(timeout):
-    # requests rejects the timeout with ValueError before it connects
+@pytest.mark.parametrize(
+    "timeout, raised",
+    [
+        pytest.param("x", "TypeError", id="not-a-number"),
+        pytest.param(-1, "ValueError", id="negative"),
+    ],
+)
+def test_http_request_that_raises_outside_requests_is_failure(timeout, raised):
+    # a timeout no socket takes fails the call before it connects, with the
+    # exception a socket raises for it: no OSError
     outcomes = []
     handler = HttpHandler(timeout=timeout)
     caller = threading.Thread(
@@ -264,7 +317,7 @@ def test_http_request_that_raises_outside_requests_is_failure(timeout):
     caller.start()
     caller.join(timeout=5)
     assert not caller.is_alive(), "the call hung"
-    assert isinstance(outcomes[0], Failure) and "ValueError" in outcomes[0].message
+    assert isinstance(outcomes[0], Failure) and raised in outcomes[0].message
 
 
 def test_http_timeout_is_failure(stub_server):

@@ -1,10 +1,11 @@
 """What a cold start loads, and the random tokens drawn without `uuid`.
 
-A run that builds no HTTP handler never loads the HTTP stack: the check runs
-in a fresh interpreter in which `import requests` fails, so any run that
-reaches for it fails too. Nor does any run load `dataclasses`, `uuid` or
-`platform`, whose import costs more than the work of a small workflow, or
-`socket`, which only `wee run --control` and `wee stop` open.
+A run that builds no HTTP handler never loads the standard library's HTTP
+stack: the check runs in a fresh interpreter in which `import urllib.request`,
+`import http.client` and `import ssl` fail, so any run that reaches for one
+of them fails too. Nor does any run load `dataclasses`, `uuid` or `platform`,
+whose import costs more than the work of a small workflow, or `socket`, which
+only `wee run --control` and `wee stop` open.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ PROGRAM = textwrap.dedent(
     """
     import sys
 
-    sys.modules["requests"] = None  # any import of requests now fails
+    for name in ("urllib.request", "http.client", "ssl"):
+        sys.modules[name] = None  # any import of it now fails
 
     import wee
     import wee.cli
@@ -40,8 +42,7 @@ PROGRAM = textwrap.dedent(
     assert code == wee.cli.EXIT_FINISHED, code
     assert wee.patterns.harness.run_all().all_passed
 
-    loaded = [name for name in ("urllib3", "concurrent.futures") if name in sys.modules]
-    assert not loaded, loaded
+    assert "concurrent.futures" not in sys.modules
     loaded = [name for name in ("dataclasses", "uuid", "platform") if name in sys.modules]
     assert not loaded, loaded
     assert "socket" not in sys.modules

@@ -362,14 +362,15 @@ def rec(seq, kind, branch="0", position=None, detail=None):
     return EventRecord(seq, "t", "i", branch, position, kind, detail or {})
 
 
-def artifacts(records, result="finished", context=None, invocations=None):
+def artifacts(records, result="finished", context=None, invocations=None, metrics=None, saved=None):
     return RunArtifacts(
         records=records,
         result_state=result,
         final_context=context or {},
         initial_context={},
-        metrics={},
+        metrics=metrics or {},
         invocations=invocations or {},
+        saved=saved,
     )
 
 
@@ -461,6 +462,257 @@ def test_no_interleave_detects_intruder():
         {"op": "no_interleave", "groups": [["a1", "a2"], ["b1"]]}, artifacts(records)
     )
     assert failure is not None
+
+
+def trace(*events: tuple) -> RunArtifacts:
+    """A finished run of the events, each (kind, branch, position, detail),
+    numbered from seq 1."""
+    return artifacts([rec(seq, *event) for seq, event in enumerate(events, 1)])
+
+
+def start(position, branch="0"):
+    return ("activity_start", branch, position, {})
+
+
+def end(position, branch="0"):
+    return ("activity_end", branch, position, {})
+
+
+def signal(name, branch="0", **detail):
+    return ("signal", branch, None, {"signal": name, **detail})
+
+
+def join(role, branch):
+    return ("branch_join", branch, None, {"role": role})
+
+
+ERROR = ("error", "0", None, {"message": "boom"})
+ACK = ("stop_acknowledged", "0", None, {})
+START_A = {"kind": "activity_start", "position": "a"}
+START_B = {"kind": "activity_start", "position": "b"}
+ORDER = {"op": "order", "first": START_A, "then": START_B}
+KOFN = {"op": "k_of_n_join", "k": 1, "n": 2}
+SECTION = {"op": "section_exclusive", "section": "s"}
+GROUPS = {"op": "no_interleave", "groups": [["a1", "a2"], ["b1"]]}
+BETWEEN = {
+    "op": "between",
+    "target": {"kind": "activity_start", "position": "x"},
+    "after": {"kind": "activity_end", "position": "on"},
+    "before": {"kind": "activity_start", "position": "off"},
+}
+SAVED = {"op": "saved_passthroughs", "equals": 1}
+SAVED_TOKEN = {"branches": [{"id": "0", "path": [0], "token": "t"}]}
+
+
+@pytest.mark.parametrize(
+    "assertion, failing, message, passing",
+    [
+        pytest.param(
+            {"op": "lifecycle", "equals": "finished"},
+            artifacts([], result="stopped"),
+            "lifecycle is stopped, expected finished",
+            artifacts([]),
+            id="lifecycle",
+        ),
+        pytest.param(
+            {"op": "count", "kind": "activity_start", "position": "a", "equals": 1},
+            trace(start("a"), start("a")),
+            "count {'kind': 'activity_start', 'position': 'a'} is 2, expected 1",
+            trace(start("a"), start("b")),
+            id="count-equals",
+        ),
+        pytest.param(
+            {"op": "count", "kind": "activity_start", "min": 2},
+            trace(start("a")),
+            "count {'kind': 'activity_start'} is 1, expected >= 2",
+            trace(start("a"), start("b")),
+            id="count-min",
+        ),
+        pytest.param(
+            {"op": "count", "kind": "activity_start", "max": 1},
+            trace(start("a"), start("b")),
+            "count {'kind': 'activity_start'} is 2, expected <= 1",
+            trace(start("a")),
+            id="count-max",
+        ),
+        pytest.param(
+            {"op": "absent", "kind": "error"},
+            trace(start("a"), ERROR),
+            "unexpected event {'kind': 'error'} at seq 2",
+            trace(start("a")),
+            id="absent",
+        ),
+        pytest.param(
+            ORDER,
+            trace(start("b")),
+            f"missing event {START_A}",
+            trace(start("a"), start("b")),
+            id="order-no-first",
+        ),
+        pytest.param(
+            ORDER,
+            trace(start("a")),
+            f"missing event {START_B}",
+            trace(start("a"), start("b")),
+            id="order-no-then",
+        ),
+        pytest.param(
+            ORDER,
+            trace(start("b"), start("a")),
+            f"{START_A} (idx 1) does not precede {START_B} (idx 0)",
+            trace(start("a"), start("b")),
+            id="order-inverted",
+        ),
+        pytest.param(
+            {"op": "context", "name": "x", "equals": 1},
+            artifacts([], context={"x": 2}),
+            "context x is 2, expected 1",
+            artifacts([], context={"x": 1}),
+            id="context",
+        ),
+        pytest.param(
+            {"op": "sequence", "equals": ["a", "b"]},
+            trace(start("b"), start("a")),
+            "activity sequence ['b', 'a'] != ['a', 'b']",
+            trace(start("a"), end("a"), start("b")),
+            id="sequence",
+        ),
+        pytest.param(
+            KOFN,
+            trace(join("arrive", "0.1")),
+            "join never fired",
+            trace(join("arrive", "0.1"), join("fire", "0"), signal("no_longer_necessary", "0.2")),
+            id="k-of-n-never-fired",
+        ),
+        pytest.param(
+            KOFN,
+            trace(join("arrive", "0.1"), join("arrive", "0.2"), join("fire", "0")),
+            "2 branches completed before the join, expected 1",
+            trace(join("arrive", "0.1"), join("fire", "0"), signal("no_longer_necessary", "0.2")),
+            id="k-of-n-arrivals",
+        ),
+        pytest.param(
+            KOFN,
+            trace(join("arrive", "0.1"), join("fire", "0")),
+            "0 no-longer-necessary signals, expected 1",
+            trace(join("arrive", "0.1"), join("fire", "0"), signal("no_longer_necessary", "0.2")),
+            id="k-of-n-cancels",
+        ),
+        pytest.param(
+            KOFN,
+            trace(
+                join("arrive", "0.1"),
+                join("fire", "0"),
+                signal("no_longer_necessary", "0.2"),
+                start("late", "0.2"),
+            ),
+            "branch 0.2 started an activity after its cancel signal",
+            trace(
+                join("arrive", "0.1"),
+                start("late", "0.2"),
+                join("fire", "0"),
+                signal("no_longer_necessary", "0.2"),
+            ),
+            id="k-of-n-start-after-cancel",
+        ),
+        pytest.param(
+            SECTION,
+            trace(
+                signal("critical_enter", "0.1", section="s"),
+                signal("critical_enter", "0.2", section="s"),
+                signal("critical_exit", "0.1", section="s"),
+                signal("critical_exit", "0.2", section="s"),
+            ),
+            "overlapping critical spans in 's': [((0, 2, '0.1'), (1, 3, '0.2'))]",
+            trace(
+                signal("critical_enter", "0.1", section="s"),
+                signal("critical_exit", "0.1", section="s"),
+                signal("critical_enter", "0.2", section="s"),
+                signal("critical_exit", "0.2", section="s"),
+            ),
+            id="section-exclusive",
+        ),
+        pytest.param(
+            GROUPS,
+            trace(start("a1"), start("b1"), end("a2")),
+            "activity b1 interleaves group ['a1', 'a2'] at seq 2",
+            trace(start("a1"), end("a2"), start("b1")),
+            id="no-interleave",
+        ),
+        pytest.param(
+            BETWEEN,
+            trace(start("x"), start("off")),
+            "window events missing from the trace",
+            trace(end("on"), start("x"), start("off")),
+            id="between-no-window",
+        ),
+        pytest.param(
+            BETWEEN,
+            trace(start("x"), end("on"), start("off")),
+            "target event at idx 0 is outside the window (1, 2)",
+            trace(end("on"), start("x"), start("off")),
+            id="between-outside",
+        ),
+        pytest.param(
+            BETWEEN,
+            trace(end("on"), start("off")),
+            "target event never happened",
+            trace(end("on"), start("x"), start("off")),
+            id="between-never",
+        ),
+        pytest.param(
+            {"op": "invocations", "position": "a", "equals": 1},
+            artifacts([], invocations={"a": 2}),
+            "a invoked 2 times, expected 1",
+            artifacts([], invocations={"a": 1}),
+            id="invocations",
+        ),
+        pytest.param(
+            {"op": "metric", "key": "m", "equals": 1},
+            artifacts([], metrics={"m": 2}),
+            "metric m is 2, expected 1",
+            artifacts([], metrics={"m": 1}),
+            id="metric",
+        ),
+        pytest.param(
+            {"op": "no_start_after_ack"},
+            trace(start("a")),
+            "stop was never acknowledged",
+            trace(start("a"), ACK),
+            id="no-start-after-ack-never",
+        ),
+        pytest.param(
+            {"op": "no_start_after_ack"},
+            trace(ACK, start("late")),
+            "activity late started after stop_acknowledged",
+            trace(start("a"), ACK, end("a")),
+            id="no-start-after-ack",
+        ),
+        pytest.param(
+            SAVED,
+            artifacts([], result="stopped", saved={"branches": [{"id": "0", "path": [1]}]}),
+            "saved 0 passthroughs, expected 1",
+            artifacts([], result="stopped", saved=SAVED_TOKEN),
+            id="saved-passthroughs",
+        ),
+        pytest.param(
+            SAVED,
+            artifacts([]),
+            "saved 0 passthroughs, expected 1",
+            artifacts([], result="stopped", saved=SAVED_TOKEN),
+            id="saved-passthroughs-none-saved",
+        ),
+        pytest.param(
+            {"op": "bogus"}, artifacts([]), "unknown assertion op 'bogus'", None, id="unknown-op"
+        ),
+    ],
+)
+def test_each_assertion_op_fails_with_its_message_and_passes_its_twin(
+    assertion, failing, message, passing
+):
+    assert check_assertion(assertion, failing) == message
+    if passing is not None:  # an unknown op holds for no run
+        assert check_assertion(assertion, passing) is None
 
 
 @pytest.mark.parametrize("slug", ["cancel_mi_activity", "cancelling_partial_join_mi"])
