@@ -58,6 +58,10 @@ class ContextStore:
     def current_values(self) -> Mapping[str, Value]:
         return self._state[0]
 
+    def state(self) -> tuple[dict[str, Value], int]:
+        """(values, version) of the last commit, read at once; never change the dict."""
+        return self._state
+
     def exclusive(self):
         """Lock granting the exclusive commit right for read-modify-write."""
         return self._lock

@@ -27,9 +27,10 @@ token once the call begins: a stop on the way back, or on the way to a jump
 target, saves it again. A child that arrives at its join keeps its entry
 there until its parent passes the join. A cancelled branch is never saved,
 and its token goes with its entry. The handler releases each token that no
-call will replay: one a cancel drops, one a cancelled call hands back, that
-of a call a resume skips, and those of an instance that ends in error; the
-first release that raises leaves a release_failed signal.
+call will replay: one a cancel drops, one a cancelled or unasked call hands
+back, that of a call a resume skips, and those of an instance that ends in
+error; the first release that raises leaves a release_failed signal, and the
+first listener that raises a listener_failed one, at a checkpoint or the end.
 resume() alone checks a saved state, and
 refuses a child that its parent would not restore and a token at no call;
 the resumed instance continues the stopped one's id and seq.
@@ -66,6 +67,7 @@ import heapq
 import itertools
 import os
 import threading
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Union
 
 from . import dsl, events
@@ -450,7 +452,7 @@ class WorkflowInstance:
         self._section_owners: dict[str, str] = {}  # critical section -> branch id
         self._stop_requested = False
         self._stop_source: Optional[str] = None
-        self._release_failed = False  # a release_failed signal is in the trace
+        self._signalled: set[str] = set()  # the failure signals in the trace
         self._started = False
         # branch id -> its entry: each parked branch, the root at its end, a
         # restored one until it is back at its path, and an arrived child
@@ -553,35 +555,42 @@ class WorkflowInstance:
     def _end(self) -> None:
         """Emit the terminal record and close the trace; caller holds the
         state lock, and the last branch has just left the registry. An
-        instance whose trace could not be written in full ends in error."""
-        if self.log.write_error is not None and not self.errors:
-            # the write failed after the last checkpoint
-            self.errors.append(f"trace write failed: {self.log.write_error}")
-            self.log.emit("error", ROOT_BRANCH, detail={"message": self.errors[0]})
-        if self.errors:  # not saved: no resume replays a token
-            for restart in self._saved_paths.values():
-                self._release(restart.token)
-            self.result = "error"
-            self.log.emit("instance_stop", ROOT_BRANCH, detail={"error": self.errors[0]})
-        elif self._stop_requested:
-            self.result = "stopped"
-            # a root with no restart path ran to its end: a resume starts past it
-            self._saved_paths.setdefault(ROOT_BRANCH, _Restart((len(self.ast.body),)))
-            # no branch is left to emit, so this record takes the next seq
-            saved = self._saved_state(self.log.seq + 1)
-            detail = {"source": self._stop_source, "saved": saved}
-            self.log.emit("instance_stop", ROOT_BRANCH, detail=detail)
-        else:
-            self.result = "finished"
-            self.log.emit("instance_finish", ROOT_BRANCH)
-        if self.log.write_error is not None and not self.errors:
-            # the terminal record itself was not written
-            self.result = "error"
-            self.errors.append(f"trace write failed: {self.log.write_error}")
-            for restart in self._saved_paths.values():
-                self._release(restart.token)
-        self.log.close()
-        self._ended.notify_all()
+        instance whose trace could not be written in full ends in error.
+        Whatever raises, the trace is closed and wait() returns."""
+        try:
+            if self.log.listener_error is not None:
+                self._signal_once("listener_failed", self.log.listener_error)
+            if self.log.write_error is not None and not self.errors:
+                # the write failed after the last checkpoint
+                self.errors.append(f"trace write failed: {self.log.write_error}")
+                self.log.emit("error", ROOT_BRANCH, detail={"message": self.errors[0]})
+            if self.errors:  # not saved: no resume replays a token
+                for restart in self._saved_paths.values():
+                    self._release(restart.token)
+                self.result = "error"
+                self.log.emit("instance_stop", ROOT_BRANCH, detail={"error": self.errors[0]})
+            elif self._stop_requested:
+                self.result = "stopped"
+                # a root with no restart path ran to its end: a resume starts past it
+                self._saved_paths.setdefault(ROOT_BRANCH, _Restart((len(self.ast.body),)))
+                # no branch is left to emit, so this record takes the next seq
+                saved = self._saved_state(self.log.seq + 1)
+                detail = {"source": self._stop_source, "saved": saved}
+                self.log.emit("instance_stop", ROOT_BRANCH, detail=detail)
+            else:
+                self.result = "finished"
+                self.log.emit("instance_finish", ROOT_BRANCH)
+            if self.log.write_error is not None and not self.errors:
+                # the terminal record itself was not written
+                self.result = "error"
+                self.errors.append(f"trace write failed: {self.log.write_error}")
+                for restart in self._saved_paths.values():
+                    self._release(restart.token)
+        finally:
+            if self.result is None:  # an engine bug raised before the terminal record
+                self.result = "error"
+            self.log.close()
+            self._ended.notify_all()
 
     def _report_error(self, branch: _Branch, exc: Exception) -> None:
         with self._state_lock:
@@ -926,16 +935,20 @@ class WorkflowInstance:
     def _release(self, token: Optional[str]) -> None:
         """Have the handler release a token that no call will replay; caller
         holds the state lock. The first release that raises leaves a
-        release_failed signal, unless the instance has ended."""
+        release_failed signal."""
         if token is None:
             return
         try:
             self.handler.release(token)
         except Exception as exc:
-            if not self._release_failed and self.result is None:
-                self._release_failed = True
-                detail = {"signal": "release_failed", "message": repr(exc)}
-                self.log.emit("signal", ROOT_BRANCH, detail=detail)
+            self._signal_once("release_failed", exc)
+
+    def _signal_once(self, signal: str, exc: Exception) -> None:
+        """Leave a signal for the first failure of its kind, unless the
+        instance has ended; caller holds the state lock."""
+        if signal not in self._signalled and self.result is None:
+            self._signalled.add(signal)
+            self.log.emit("signal", ROOT_BRANCH, detail={"signal": signal, "message": repr(exc)})
 
     # ------------------------------------------------------------------
     # Node execution
@@ -948,7 +961,11 @@ class WorkflowInstance:
         prefix: tuple[int, ...],
         start: Optional[tuple[int, ...]] = None,
     ) -> None:
-        if start is not None and len(start) < 2:
+        if start is None:  # no restart path: the common case
+            for index, node in enumerate(block):
+                self._exec_node(branch, node, prefix + (index,), None)
+            return
+        if len(start) < 2:
             with self._state_lock:  # the branch is back at the path it restarts at
                 self._saved_paths.pop(branch.id, None)
         sub = (start[1:] or None) if start else None  # the first node's restart path
@@ -1041,6 +1058,8 @@ class WorkflowInstance:
             raise _Cancelled()
         if self.log.write_error is not None and not self.errors:
             raise _TraceWriteFailed(f"trace write failed: {self.log.write_error}")
+        if self.log.listener_error is not None:
+            self._signal_once("listener_failed", self.log.listener_error)
         if self._stop_requested:
             raise _Parked(path)
 
@@ -1054,15 +1073,7 @@ class WorkflowInstance:
     ) -> None:
         """Commit a delta and trace it; caller holds the store's exclusive lock."""
         version = self.store.commit(delta, new_values)
-        self.log.emit(
-            "context_change",
-            branch.id,
-            position,
-            {
-                "changes": [{"name": c.name, "old": c.old, "new": c.new} for c in delta],
-                "version": version,
-            },
-        )
+        self.log.emit_change(branch.id, position, delta, version)
 
     def _exec_manipulate(self, branch: _Branch, node: dsl.ManipulateActivity, path) -> None:
         self._begin_activity(branch, node, path, events.START_MANIPULATE)
@@ -1084,11 +1095,9 @@ class WorkflowInstance:
             self._exec_engine_call(branch, node, path, uri)
             return
 
-        snap = self.store.snapshot()
+        values, version = self.store.state()
         try:
-            parameters = {
-                name: eval_expr(expr, snap.values) for name, expr in node.parameters
-            }
+            parameters = {name: eval_expr(expr, values) for name, expr in node.parameters}
         except EvalError as exc:
             # a cancelled or stopping branch stands down or parks instead
             with self._state_lock:
@@ -1100,17 +1109,10 @@ class WorkflowInstance:
             # a restored call's token leaves its branch only once the call is
             # sure to begin again: a branch parked by the checkpoint keeps it
             token, branch.token = branch.token, None
+            call_id, stop = f"{branch.id}/{node.position}", _CallToken(self, branch)
+            context = MappingProxyType(values)
             call = branch.in_flight = _new_call(
-                (
-                    f"{branch.id}/{node.position}",
-                    node.position,
-                    uri,
-                    parameters,
-                    snap.values,
-                    snap.version,
-                    _CallToken(self, branch),
-                    token,
-                )
+                (call_id, node.position, uri, parameters, context, version, stop, token)
             )
             self.log.emit("activity_start", branch.id, node.position, events.START_CALL)
         try:
@@ -1142,6 +1144,8 @@ class WorkflowInstance:
             branch.token = outcome.token if isinstance(outcome, Passthrough) else token
             raise _Parked(path)
         elif isinstance(outcome, Passthrough):
+            with self._state_lock:  # no resume replays it
+                self._release(outcome.token)
             raise EngineError(
                 f"call '{node.position}': handler returned a passthrough without a stop"
             )
@@ -1316,19 +1320,18 @@ class WorkflowInstance:
         return decision
 
     def _exec_cycle(self, branch: _Branch, node: dsl.Cycle, path, sub) -> None:
+        body, body_path, store = node.body, path + (0,), self.store
         if sub is not None:
-            self._exec_block(branch, node.body, path + (0,), sub[1:])
+            self._exec_block(branch, body, body_path, sub[1:])
         iterations = 0
-        while True:
-            snap = self.store.snapshot()
-            if not self._eval_guard(node.condition, snap.values, path):
-                return
+        # a commit swaps in a new dict, so the current one is a consistent snapshot
+        while self._eval_guard(node.condition, store.current_values(), path):
             iterations += 1
             if iterations > self.options.max_iterations:
                 raise EngineError(
                     f"iteration cap exceeded ({self.options.max_iterations}) at {path}"
                 )
-            self._exec_block(branch, node.body, path + (0,))
+            self._exec_block(branch, body, body_path)
 
     def _exec_critical(self, branch: _Branch, node: dsl.Critical, path, sub) -> None:
         section = node.section

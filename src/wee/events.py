@@ -10,29 +10,31 @@ escapes. The writer builds it in one step from a template of its log and
 the record's kind, in which the instance id and the kind are escaped once,
 when the log is opened; seq and wall_time are taken under the log's lock,
 in seq order. The details the engine emits with every activity are shared
-module-level dicts whose JSON text is encoded once, at import; a
-context_change detail shaped as the engine builds it is written from a
-template of its own; any other detail goes through one prebuilt encoder.
+module-level dicts whose JSON text is encoded once, at import. The engine
+emits each context change through emit_change, which writes the detail from
+a template of the changed names, each escaped once, when the template is
+first built; any other detail goes through one prebuilt encoder.
 
 The file is opened as a raw binary file with no buffer: each line reaches
 the OS as ASCII bytes in one write, before emit returns. ``"-"`` writes the
 lines to standard output instead, each flushed as it is written. A write
 that fails never raises into the caller: the log keeps the first exception
 as ``write_error``, closes its file and goes on recording in memory alone.
+Nor does a listener that raises: the log keeps the first exception as
+``listener_error`` and runs the other listeners.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-import operator
 import sys
 import threading
 import time
 from json.encoder import c_make_encoder
 from json.encoder import encode_basestring_ascii as _escape
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Sequence
 
 KINDS = (
     "instance_start",
@@ -59,15 +61,7 @@ class EventRecord(NamedTuple):
     detail: dict
 
     def to_json(self) -> dict:
-        return {
-            "seq": self.seq,
-            "wall_time": self.wall_time,
-            "instance": self.instance,
-            "branch": self.branch,
-            "position": self.position,
-            "kind": self.kind,
-            "detail": self.detail,
-        }
+        return self._asdict()
 
 
 # EventRecord(...) without the NamedTuple's Python-level __new__
@@ -171,40 +165,13 @@ def _value_json(value: object) -> str:
     return _VALUE_JSON.get(type(value), _encode_detail)(value)
 
 
-_NAME_NEW_OLD = operator.itemgetter("name", "new", "old")
-_CHANGE = '{"name": %s, "new": %s, "old": %s}'
-
-
-@functools.lru_cache(maxsize=64)
-def _changes_template(count: int) -> str:
-    return '{"changes": [%s], "version": %%s}' % ", ".join([_CHANGE] * count)
-
-
-def _encode_context_change(detail: dict) -> str:
-    """``json.dumps(detail, sort_keys=True)``. A detail shaped as the engine
-    builds it, ``{"changes": [{"name", "old", "new"}, ...], "version": int}``,
-    is written from a template, in which ``%s`` writes an exact int as JSON
-    does; any other detail goes through the prebuilt encoder."""
-    changes, version = detail.get("changes"), detail.get("version")
-    if len(detail) == 2 and type(changes) is list and type(version) is int:
-        fields: list = []
-        for change in changes:
-            if type(change) is not dict or len(change) != 3:
-                break
-            try:
-                name, new, old = _NAME_NEW_OLD(change)
-            except KeyError:
-                break
-            # the common types are tested inline: a call costs more than they do
-            fields += (
-                _escape(name) if type(name) is str else _value_json(name),
-                new if type(new) is int else _value_json(new),
-                old if type(old) is int else _value_json(old),
-            )
-        else:
-            fields.append(version)
-            return _changes_template(len(changes)) % tuple(fields)
-    return _encode_detail(detail)
+@functools.lru_cache(maxsize=256)
+def _change_template(names: tuple[str, ...]) -> str:
+    """The JSON text of a context_change detail that changes these names in
+    this order, with its new and old values and its version left to fill in."""
+    change = '{"name": %s, "new": %%s, "old": %%s}'
+    changes = ", ".join([change % _escape(name).replace("%", "%%") for name in names])
+    return '{"changes": [%s], "version": %%s}' % changes
 
 
 # The details of every activity_start and activity_end record. Each is one
@@ -246,6 +213,7 @@ class EventLog:
         self._listeners: list[Callable[[EventRecord], None]] = []
         # the first exception a write raised; the file is closed after it
         self.write_error: Optional[Exception] = None
+        self.listener_error: Optional[Exception] = None  # the first a listener raised
         self._fh = None
         self._raw = False  # the file takes bytes, not text
         self._lines: dict[str, str] = {}
@@ -264,28 +232,49 @@ class EventLog:
         """Register a per-record callback; it runs on the emitting thread and
         must not block (set an event and do real work elsewhere). It runs
         after the record is written, outside the log's lock, so it may emit;
-        listeners of two branches may see their records out of seq order."""
+        listeners of two branches may see their records out of seq order.
+        An Exception it raises never reaches the emitter (see listener_error)."""
         self._listeners.append(fn)
 
     def emit(
-        self,
-        kind: str,
-        branch: str,
-        position: Optional[str] = None,
-        detail: Optional[dict] = None,
+        self, kind: str, branch: str, position: Optional[str] = None, detail: Optional[dict] = None
     ) -> EventRecord:
         assert kind in KINDS, f"unknown event kind {kind}"
         detail = detail or {}
-        line = None
+        text = None if self._fh is None else _SHARED_JSON.get(id(detail)) or _encode_detail(detail)
+        return self._append(kind, branch, position, detail, text)
+
+    def emit_change(
+        self, branch: str, position: Optional[str], delta: Sequence[tuple], version: int
+    ) -> EventRecord:
+        """Emit the context_change record of a commit: delta holds its (name,
+        old, new) changes in order, and version, an int, is that of its last
+        change. The line is the one emit writes for the same detail."""
+        changes = [{"name": name, "old": old, "new": new} for name, old, new in delta]
+        detail = {"changes": changes, "version": version}
+        text = None
         if self._fh is not None:
+            names, fields = [], []
+            for name, old, new in delta:  # %s writes an exact int as JSON does
+                names.append(name)
+                fields += (
+                    new if type(new) is int else _value_json(new),
+                    old if type(old) is int else _value_json(old),
+                )
+            fields.append(version)
+            text = _change_template(tuple(names)) % tuple(fields)
+        return self._append("context_change", branch, position, detail, text)
+
+    def _append(
+        self, kind: str, branch: str, position: Optional[str], detail: dict, text: Optional[str]
+    ) -> EventRecord:
+        """Append the record, write its line unless text, the JSON of its
+        detail, is None (no file), and run the listeners."""
+        if text is not None:
             # the fields before seq need no lock; seq and wall_time must be
             # taken in seq order
             line = self._lines[kind]
             branch_json = _escape(branch)
-            if kind == "context_change":
-                detail_json = _encode_context_change(detail)
-            else:
-                detail_json = _SHARED_JSON.get(id(detail)) or _encode_detail(detail)
             position_json = "null" if position is None else _escape(position)
         with self._lock:
             self.seq = seq = self.seq + 1
@@ -293,8 +282,8 @@ class EventLog:
             record = _new_record((seq, wall_time, self.instance_id, branch, position, kind, detail))
             self.records.append(record)
             fh = self._fh
-            if line is not None and fh is not None:  # closed since, or a write failed
-                line %= (branch_json, detail_json, position_json, seq, _escape(wall_time))
+            if text is not None and fh is not None:  # closed since, or a write failed
+                line %= (branch_json, text, position_json, seq, _escape(wall_time))
                 try:
                     if self._raw:
                         data = line.encode()
@@ -310,7 +299,11 @@ class EventLog:
                     self._close()
         # outside the lock: listeners may trigger further emits
         for fn in self._listeners:
-            fn(record)
+            try:
+                fn(record)
+            except Exception as exc:  # the engine reads listener_error
+                if self.listener_error is None:  # of two at once, either is kept
+                    self.listener_error = exc
         return record
 
     def close(self) -> None:

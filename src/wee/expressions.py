@@ -48,8 +48,8 @@ def trunc_div(a: int, b: int) -> int:
 
 
 def trunc_mod(a: int, b: int) -> int:
-    """Remainder with the dividend's sign."""
-    return a - trunc_div(a, b) * b
+    """Remainder with the dividend's sign: Python's % where a >= 0 and b > 0."""
+    return a % b if a >= 0 and b > 0 else a - trunc_div(a, b) * b
 
 
 def _int_operand(value: Value, op: str) -> int:

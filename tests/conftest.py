@@ -54,6 +54,12 @@ class CountingStubServer:
 
             do_GET = do_POST
 
+            def handle(self):
+                try:
+                    super().handle()
+                except (BrokenPipeError, ConnectionResetError):
+                    pass  # the client has gone, as one that timed out has
+
             def log_message(self, *args):
                 pass
 

@@ -2490,3 +2490,88 @@ SET_X = "(1 / x > 0) { manipulate :a { x = 1 } }"
 )
 def test_the_engine_refuses_with_its_message(refusal, message):
     assert refusal() == message
+
+
+def test_a_passthrough_without_a_stop_is_released():
+    # no call will replay the token: the handler may drop what it holds for it
+    handler = HandsBackAToken()
+    released: list[str] = []
+    handler.release = released.append
+    instance = run_source(CALL_A % ("mock://svc", ""), handler)
+    assert instance.errors == ["call 'a': handler returned a passthrough without a stop"]
+    assert released == ["unasked"]
+
+
+# -- log listeners that raise ----------------------------------------------------
+
+ONE_SLOW_CALL = 'workflow { handler "mock" endpoint svc: "mock://svc" call :slow, endpoint: svc }'
+
+
+def raising_on(kind: str):
+    def listener(record):
+        if record.kind == kind:
+            raise RuntimeError(f"listener failed on {kind}")
+
+    return listener
+
+
+def listener_signals(instance: WorkflowInstance) -> list:
+    return [r for r in instance.log.records if r.detail.get("signal") == "listener_failed"]
+
+
+def test_a_listener_that_raises_on_instance_finish_lets_wait_return(tmp_path):
+    log = tmp_path / "trace.jsonl"
+    handler = MockHandler({"default": {"result": {}, "delay_ms": 200}})
+    instance = WorkflowInstance(dsl.parse(ONE_SLOW_CALL), handler, RunOptions(log_path=str(log)))
+    instance.log.add_listener(raising_on("instance_finish"))
+    results: list[str] = []
+    waiter = threading.Thread(target=lambda: results.append(instance.wait()), daemon=True)
+    instance.start()
+    waiter.start()  # it waits before the call ends
+    waiter.join(5)
+    assert results == ["finished"]
+    records = instance.log.records
+    terminal = [r for r in records if r.kind in ("instance_finish", "instance_stop")]
+    assert terminal == records[-1:]
+    assert instance.log._fh is None  # the trace file is closed
+    assert [r.to_json() for r in read_jsonl(log)] == [r.to_json() for r in records]
+    assert str(instance.log.listener_error) == "listener failed on instance_finish"
+    assert listener_signals(instance) == []  # no record follows the terminal one
+
+
+def test_a_listener_that_raises_on_stop_acknowledged_lets_the_stop_settle_at_once():
+    handler = MockHandler({"default": {"result": {}, "delay_ms": 1500}})
+    instance = WorkflowInstance(dsl.parse(ONE_SLOW_CALL), handler)
+    instance.log.add_listener(raising_on("stop_acknowledged"))
+    instance.start()
+    assert wait_until(lambda: instance._root.in_flight is not None)
+    call = instance._root.in_flight
+    requested = time.monotonic()
+    instance.request_stop()  # does not raise
+    assert call.stop.is_set()
+    assert instance.wait() == "stopped"
+    assert time.monotonic() - requested < 0.05
+    records = instance.log.records
+    [signal] = listener_signals(instance)
+    message = "RuntimeError('listener failed on stop_acknowledged')"
+    assert signal.detail == {"signal": "listener_failed", "message": message}
+    assert records[-2:] == [signal, records[-1]] and records[-1].kind == "instance_stop"
+    assert list(call_tokens(instance.ast, instance.save()).values()) == ["pt-slow-0"]
+
+
+def test_a_listener_that_raises_leaves_one_signal_at_the_next_checkpoint():
+    instance = WorkflowInstance(
+        dsl.parse(
+            'workflow { handler "mock" context x: 0 '
+            "manipulate :a { x = 1 } manipulate :b { x = 2 } manipulate :c { x = 3 } }"
+        ),
+        MockHandler(),
+    )
+    instance.log.add_listener(raising_on("context_change"))
+    assert instance.run() == "finished"
+    [signal] = listener_signals(instance)
+    # raised on a's change, reported as b begins; c's change raised again
+    kinds = [r.kind for r in instance.log.records[3:6]]
+    assert kinds == ["activity_end", "signal", "activity_start"]
+    assert signal.seq == 5 and instance.log.records[5].position == "b"
+    assert instance.store.current_values()["x"] == 3

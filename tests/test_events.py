@@ -10,13 +10,14 @@ from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import Answers
 from wee import dsl, events
 from wee.context import ContextError
 from wee.engine import RunOptions, WorkflowInstance
+from wee.expressions import Change
 from wee.events import KINDS, EventLog, FixedClock, format_timestamp, read_jsonl, wall_clock
 from wee.patterns.harness import replay_context
 
@@ -143,10 +144,24 @@ CHANGES = st.lists(
     min_size=1,
     max_size=8,
 )
-# a context_change detail as WorkflowInstance._commit builds it
+# a context_change detail of the shape emit_change builds, emitted through emit
 CONTEXT_CHANGE = st.fixed_dictionaries(
     {"changes": CHANGES, "version": st.integers(min_value=0)}
 )
+# the values of a context: text with a percent sign, quotes, backslashes and
+# non-ASCII among the rest
+VALUES = st.one_of(
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    st.text(st.sampled_from('%"\\aé→😀\x00'), max_size=5) | TEXT,
+)
+# identifiers, non-ASCII ones too, and any text; drawn from a few, so a
+# delta often assigns a name twice, as a manipulate may
+NAMES = st.sampled_from(["x", "counter", "v001", "größe", "π", "名前", "x%s"]) | TEXT
+CHANGE = st.tuples(NAMES, VALUES, VALUES).map(lambda change: Change(*change))
+DELTAS = st.lists(CHANGE, min_size=1, max_size=6)
+EMIT_CHANGES = st.tuples(TEXT, TEXT, DELTAS, st.integers(min_value=0))
 DETAIL = st.dictionaries(
     TEXT,
     st.recursive(
@@ -156,16 +171,21 @@ DETAIL = st.dictionaries(
     ),
     max_size=4,
 )
+# (method, its arguments) of each record
 EMITS = st.lists(
     st.tuples(
-        st.sampled_from(KINDS),
-        TEXT,
-        st.none() | TEXT,
-        # the shared details are written from their stored text
-        st.none() | DETAIL | st.sampled_from(events.SHARED_DETAILS),
+        st.just("emit"),
+        st.tuples(
+            st.sampled_from(KINDS),
+            TEXT,
+            st.none() | TEXT,
+            # the shared details are written from their stored text
+            st.none() | DETAIL | st.sampled_from(events.SHARED_DETAILS),
+        )
+        | st.tuples(st.just("context_change"), TEXT, st.none() | TEXT, CONTEXT_CHANGE),
     )
     # the context changes the engine emits are written from their template
-    | st.tuples(st.just("context_change"), TEXT, st.none() | TEXT, CONTEXT_CHANGE),
+    | st.tuples(st.just("emit_change"), EMIT_CHANGES),
     min_size=1,
     max_size=6,
 )
@@ -178,8 +198,8 @@ def test_written_lines_equal_json_dumps_of_each_record(instance, stamps, emits):
         path = Path(tmp) / "trace.jsonl"
         log = EventLog(instance, path, clock=itertools.cycle(stamps).__next__)
         try:
-            for kind, branch, position, detail in emits:
-                log.emit(kind, branch, position, detail)
+            for method, args in emits:
+                getattr(log, method)(*args)
         finally:
             log.close()
         with open(path, encoding="utf-8", newline="") as fh:
@@ -208,16 +228,35 @@ def joins_surrogates(value) -> bool:
 
 
 @settings(max_examples=300, deadline=None)
-@given(detail=CONTEXT_CHANGE)
-def test_context_change_detail_equals_json_dumps(detail):
-    assert events._encode_context_change(detail) == json.dumps(detail, sort_keys=True)
+@given(changes=st.lists(EMIT_CHANGES, min_size=1, max_size=4))
+@example(changes=[("0", "step", [Change("größe", 1, 2), Change("größe", 2, "100%")], 7)])
+def test_emit_change_writes_json_dumps_of_each_record(changes):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.jsonl"
+        log = EventLog("i-1", path, clock=FixedClock())
+        try:
+            for branch, position, delta, version in changes:
+                record = log.emit_change(branch, position, delta, version)
+                assert record.kind == "context_change"
+                assert record.detail == {
+                    "changes": [{"name": n, "old": old, "new": new} for n, old, new in delta],
+                    "version": version,
+                }
+        finally:
+            log.close()
+        with open(path, encoding="utf-8", newline="") as fh:
+            lines = fh.readlines()
+        assert lines == [json.dumps(r.to_json(), sort_keys=True) + "\n" for r in log.records]
+        assume(not any(joins_surrogates(r.to_json()) for r in log.records))
+        assert read_jsonl(path) == log.records
 
 
-def test_a_bool_change_is_written_as_a_bool_and_an_int_as_an_int():
-    detail = {"changes": [{"name": "b", "old": 1, "new": True}], "version": 1}
-    assert events._encode_context_change(detail) == (
-        '{"changes": [{"name": "b", "new": true, "old": 1}], "version": 1}'
-    )
+def test_a_bool_change_is_written_as_a_bool_and_an_int_as_an_int(tmp_path):
+    log = EventLog("i-1", tmp_path / "trace.jsonl", clock=FixedClock())
+    log.emit_change("0", "a", [Change("b", 1, True)], 1)
+    log.close()
+    detail = '"detail": {"changes": [{"name": "b", "new": true, "old": 1}], "version": 1}'
+    assert detail in (tmp_path / "trace.jsonl").read_text()
 
 
 def test_each_shared_detail_is_stored_as_json_dumps_writes_it():
@@ -247,10 +286,7 @@ FLAT_DETAILS = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(detail=FLAT_DETAILS)
 def test_other_details_equal_json_dumps(detail):
-    expected = json.dumps(detail, sort_keys=True)
-    assert events._encode_detail(detail) == expected
-    # a context_change detail of another shape falls back to the encoder
-    assert events._encode_context_change(detail) == expected
+    assert events._encode_detail(detail) == json.dumps(detail, sort_keys=True)
 
 
 # -- context values through the trace -------------------------------------------
