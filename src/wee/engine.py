@@ -1011,13 +1011,16 @@ class WorkflowInstance:
     def _block(self, branch: _Branch, on: _Blocker, timeout: Optional[float] = None) -> None:
         """Wait for the wake that clears branch.waits_on, or for the timeout;
         caller holds the state lock, which is released meanwhile."""
-        branch.waits_on = on
         timeline, timer = self._timeline, None
         if timeline is not None and timeout is not None:
             timer = timeline.call_later(timeout, functools.partial(self._wake_if, branch, on))
-        self._state_lock.release()
+        branch.waits_on = on
         woken = None  # stays None if a signal interrupts the wait on run()'s caller
         try:
+            # inside the try: a signal's exception raised as the release
+            # returns reaches the finally, which takes the lock back; one
+            # raised before the try finds it held and waits_on not yet set
+            self._state_lock.release()
             if timeline is not None:
                 timeline.pass_baton(branch)
                 woken = True

@@ -6,14 +6,12 @@ injected to make whole traces byte-identical across runs.
 
 Each line is exactly ``json.dumps(record.to_json(), sort_keys=True)``: the
 seven keys in sorted order, ``", "`` and ``": "`` separators and ASCII
-escapes. The writer builds it in one step from a template of its log and
-the record's kind, in which the instance id and the kind are escaped once,
-when the log is opened; seq and wall_time are taken under the log's lock,
-in seq order. The details the engine emits with every activity are shared
-module-level dicts whose JSON text is encoded once, at import. The engine
-emits each context change through emit_change, which writes the detail from
-a template of the changed names, each escaped once, when the template is
-first built; any other detail goes through one prebuilt encoder.
+escapes. It is one ``%`` over the head the log keeps for the record's shape
+(its kind, branch and position, and its detail if that is a shared detail of
+an activity, or the names a context change from emit_change changes), which
+holds these and the instance id, escaped once. Its slots take any other
+detail (through one prebuilt encoder), a change's values and version, and
+the seq and wall_time, taken under the log's lock in seq order.
 
 The file is opened as a raw binary file with no buffer: each line reaches
 the OS as ASCII bytes in one write, before emit returns. ``"-"`` writes the
@@ -81,19 +79,15 @@ def record_from_json(obj: dict) -> EventRecord:
 
 
 def read_jsonl(path: str | Path) -> list[EventRecord]:
-    records = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(record_from_json(json.loads(line)))
-    return records
+        return [record_from_json(json.loads(line)) for line in map(str.strip, fh) if line]
 
 
-# (seconds, "YYYY-MM-DDTHH:MM:SS") of the last second formatted. It only
-# saves work: replaced as one tuple, it never pairs a second with another
-# second's text, so every caller gets the same string with or without it.
+# The last second formatted, and the last millisecond wall_clock read with
+# the texts "000+00:00" to "999+00:00" that end its stamps, built at its first
+# call. Replaced as one tuple each, they never pair a time with another's text.
 _second_prefix: tuple[int, str] = (-1, "")
+_millisecond: tuple[int, str, tuple[str, ...]] = (-1, "", ())
 
 
 def format_timestamp(seconds: int, microseconds: int) -> str:
@@ -125,16 +119,18 @@ class FixedClock:
 
 def wall_clock() -> str:
     """The time now, as ``format_timestamp`` writes it."""
-    global _second_prefix
-    seconds, nanoseconds = divmod(time.time_ns(), 1_000_000_000)
-    cached, prefix = _second_prefix
-    if cached != seconds:
-        prefix = "%04d-%02d-%02dT%02d:%02d:%02d" % time.gmtime(seconds)[:6]
-        _second_prefix = (seconds, prefix)
-    microseconds = nanoseconds // 1000
-    if microseconds:
-        return "%s.%06d+00:00" % (prefix, microseconds)
-    return prefix + "+00:00"
+    global _millisecond
+    milliseconds, nanoseconds = divmod(time.time_ns(), 1_000_000)
+    cached, prefix, ends = _millisecond
+    if cached != milliseconds:
+        seconds, fraction = divmod(milliseconds, 1000)
+        prefix = "%s.%03d" % (format_timestamp(seconds, 0)[:-6], fraction)
+        ends = ends or tuple(["%03d+00:00" % n for n in range(1000)])
+        _millisecond = (milliseconds, prefix, ends)
+    if nanoseconds >= 1000:
+        return prefix + ends[nanoseconds // 1000]
+    # microsecond 0 of a millisecond: no fraction if it starts a second
+    return format_timestamp(*divmod(milliseconds * 1000, 1_000_000))
 
 
 # Details go through one prebuilt C encoder (json.dumps(..., sort_keys=True)
@@ -161,17 +157,9 @@ _VALUE_JSON = {
 }
 
 
-def _value_json(value: object) -> str:
-    return _VALUE_JSON.get(type(value), _encode_detail)(value)
-
-
-@functools.lru_cache(maxsize=256)
-def _change_template(names: tuple[str, ...]) -> str:
-    """The JSON text of a context_change detail that changes these names in
-    this order, with its new and old values and its version left to fill in."""
-    change = '{"name": %s, "new": %%s, "old": %%s}'
-    changes = ", ".join([change % _escape(name).replace("%", "%%") for name in names])
-    return '{"changes": [%s], "version": %%s}' % changes
+def _literal(value: str) -> str:
+    """The JSON text of a string, each % doubled, to put in a head."""
+    return _escape(value).replace("%", "%%")
 
 
 # The details of every activity_start and activity_end record. Each is one
@@ -185,14 +173,9 @@ END_RESULT = {"outcome": "result"}
 END_JUMP = {"outcome": "jump"}
 END_STOP_SIGNAL = {"outcome": "stop_signal"}
 SHARED_DETAILS = (START_CALL, START_MANIPULATE, END_APPLIED, END_RESULT, END_JUMP, END_STOP_SIGNAL)
-_SHARED_JSON = {id(detail): _encode_detail(detail) for detail in SHARED_DETAILS}
+_SHARED_JSON = {id(detail): _encode_detail(detail) for detail in SHARED_DETAILS}  # none has a %
 
-# A line of each kind: branch, detail, position, seq and wall_time are left
-# to fill in; the log fills in its instance id once, when it is opened
-_LINE = (
-    '{"branch": %%s, "detail": %%s, "instance": %s, "kind": %s, '
-    '"position": %%s, "seq": %%d, "wall_time": %%s}\n'
-)
+_HEADS = 1024  # the most heads a log keeps; it drops them all to add another
 
 
 class EventLog:
@@ -207,6 +190,8 @@ class EventLog:
     ):
         self.instance_id = instance_id
         self._clock = clock or wall_clock
+        # a built-in clock writes JSON-safe text, which needs no escape
+        self._safe_clock = self._clock is wall_clock or type(clock) is FixedClock
         self._lock = threading.Lock()
         self.seq = start_seq  # the last seq emitted
         self.records: list[EventRecord] = []
@@ -214,19 +199,14 @@ class EventLog:
         # the first exception a write raised; the file is closed after it
         self.write_error: Optional[Exception] = None
         self.listener_error: Optional[Exception] = None  # the first a listener raised
+        self._heads: dict[tuple, str] = {}  # by shape, see _head
+        self._instance_json = _literal(instance_id)
         self._fh = None
-        self._raw = False  # the file takes bytes, not text
-        self._lines: dict[str, str] = {}
-        if path is None:
-            return
+        self._raw = path != "-"  # the file takes bytes, not text
         if path == "-":
             self._fh = sys.stdout
-        else:
-            # a trace that continues at start_seq continues its file
+        elif path is not None:  # a trace that continues at start_seq continues its file
             self._fh = open(path, "ab" if start_seq > 0 else "wb", buffering=0)
-            self._raw = True
-        instance_json = _escape(instance_id).replace("%", "%%")
-        self._lines = {kind: _LINE % (instance_json, _escape(kind)) for kind in KINDS}
 
     def add_listener(self, fn: Callable[[EventRecord], None]) -> None:
         """Register a per-record callback; it runs on the emitting thread and
@@ -241,8 +221,14 @@ class EventLog:
     ) -> EventRecord:
         assert kind in KINDS, f"unknown event kind {kind}"
         detail = detail or {}
-        text = None if self._fh is None else _SHARED_JSON.get(id(detail)) or _encode_detail(detail)
-        return self._append(kind, branch, position, detail, text)
+        if self._fh is None:
+            return self._append(kind, branch, position, detail, None, ())
+        text, fields = _SHARED_JSON.get(id(detail)), ()
+        if text is None:  # the detail fills a slot
+            text, fields = "%s", (_encode_detail(detail),)
+        key = (kind, branch, position, text)
+        head = self._heads.get(key) or self._head(key, text)
+        return self._append(kind, branch, position, detail, head, fields)
 
     def emit_change(
         self, branch: str, position: Optional[str], delta: Sequence[tuple], version: int
@@ -252,38 +238,52 @@ class EventLog:
         change. The line is the one emit writes for the same detail."""
         changes = [{"name": name, "old": old, "new": new} for name, old, new in delta]
         detail = {"changes": changes, "version": version}
-        text = None
-        if self._fh is not None:
-            names, fields = [], []
-            for name, old, new in delta:  # %s writes an exact int as JSON does
-                names.append(name)
-                fields += (
-                    new if type(new) is int else _value_json(new),
-                    old if type(old) is int else _value_json(old),
-                )
-            fields.append(version)
-            text = _change_template(tuple(names)) % tuple(fields)
-        return self._append("context_change", branch, position, detail, text)
+        if self._fh is None:
+            return self._append("context_change", branch, position, detail, None, ())
+        fields = []
+        for _, old, new in delta:  # %s writes an exact int as JSON does
+            fields += (
+                new if type(new) is int else _VALUE_JSON.get(type(new), _encode_detail)(new),
+                old if type(old) is int else _VALUE_JSON.get(type(old), _encode_detail)(old),
+            )
+        fields.append(version)
+        key = ("context_change", branch, position, tuple([change[0] for change in delta]))
+        head = self._heads.get(key)
+        if head is None:  # a slot for each value and the version
+            change = '{"name": %s, "new": %%s, "old": %%s}'
+            changes = ", ".join([change % _literal(name) for name in key[3]])
+            head = self._head(key, '{"changes": [%s], "version": %%s}' % changes)
+        return self._append("context_change", branch, position, detail, head, tuple(fields))
+
+    def _head(self, key: tuple, detail: str) -> str:
+        """Keep the line of the records of shape key, (kind, branch, position,
+        detail text or changed names), with detail (slots, or text with each %
+        doubled) and slots for seq and wall_time in it."""
+        if len(self._heads) >= _HEADS:
+            self._heads.clear()
+        kind, branch, position = _literal(key[0]), _literal(key[1]), key[2]
+        position = "null" if position is None else _literal(position)
+        stamp = '"%s"' if self._safe_clock else "%s"
+        head = self._heads[key] = (
+            f'{{"branch": {branch}, "detail": {detail}, "instance": {self._instance_json}, '
+            f'"kind": {kind}, "position": {position}, "seq": %d, "wall_time": {stamp}}}\n'
+        )
+        return head
 
     def _append(
-        self, kind: str, branch: str, position: Optional[str], detail: dict, text: Optional[str]
+        self, kind: str, branch: str, position: Optional[str], detail: dict, head, fields: tuple
     ) -> EventRecord:
-        """Append the record, write its line unless text, the JSON of its
-        detail, is None (no file), and run the listeners."""
-        if text is not None:
-            # the fields before seq need no lock; seq and wall_time must be
-            # taken in seq order
-            line = self._lines[kind]
-            branch_json = _escape(branch)
-            position_json = "null" if position is None else _escape(position)
+        """Append the record, write its line, head % (fields + (seq, wall
+        time)), unless head is None (no file), and run the listeners."""
         with self._lock:
             self.seq = seq = self.seq + 1
             wall_time = self._clock()
             record = _new_record((seq, wall_time, self.instance_id, branch, position, kind, detail))
             self.records.append(record)
             fh = self._fh
-            if text is not None and fh is not None:  # closed since, or a write failed
-                line %= (branch_json, text, position_json, seq, _escape(wall_time))
+            if head is not None and fh is not None:  # closed since, or a write failed
+                stamp = wall_time if self._safe_clock else _escape(wall_time)
+                line = head % (fields + (seq, stamp))
                 try:
                     if self._raw:
                         data = line.encode()

@@ -2023,6 +2023,59 @@ def test_an_interrupt_of_runs_caller_in_a_call_ends_the_instance_in_error(tmp_pa
     assert [r.to_json() for r in read_jsonl(log)] == [r.to_json() for r in instance.log.records]
 
 
+class InterruptAfterBlockRelease:
+    """An instance's state lock that interrupts the main thread right after
+    the first release that `_block` makes on it, so that the interrupt is
+    raised at the interpreter's next check, with the lock already free."""
+
+    def __init__(self, lock):
+        self._lock = lock
+        self.fired = False
+
+    def acquire(self, *args, **kwargs):
+        return self._lock.acquire(*args, **kwargs)
+
+    def release(self):
+        import _thread
+
+        self._lock.release()
+        if (
+            not self.fired
+            and sys._getframe(1).f_code.co_name == "_block"
+            and threading.current_thread() is threading.main_thread()
+        ):
+            self.fired = True
+            _thread.interrupt_main()
+
+    def __enter__(self):
+        return self._lock.acquire()
+
+    def __exit__(self, *exc_info):
+        self.release()
+
+
+@pytest.mark.skipif(
+    threading.current_thread() is not threading.main_thread(), reason="needs the main thread"
+)
+@pytest.mark.parametrize("virtual_time", [False, True], ids=["threads", "virtual-time"])
+def test_an_interrupt_right_after_block_releases_the_state_lock_still_ends_the_run(
+    tmp_path, virtual_time
+):
+    log = tmp_path / "trace.jsonl"
+    source = 'workflow { handler "mock" endpoint svc: "mock://svc" call :slow, endpoint: svc }'
+    options = RunOptions(log_path=str(log), virtual_time=virtual_time)
+    instance = WorkflowInstance(dsl.parse(source), PollingCall(), options)
+    instance._state_lock = lock = InterruptAfterBlockRelease(instance._state_lock)
+    with pytest.raises(KeyboardInterrupt):
+        instance.run()
+    assert lock.fired
+    assert_ended_in_error_naming(instance, "KeyboardInterrupt")
+    assert lock._lock.acquire(blocking=False)
+    lock._lock.release()
+    assert instance.log._fh is None  # the trace file is closed
+    assert [r.to_json() for r in read_jsonl(log)] == [r.to_json() for r in instance.log.records]
+
+
 def test_instances_run_and_started_at_once_under_a_short_switch_interval():
     """8 clients run fork-heavy instances at once, half of them through
     run() and half through start() and wait(), and the corpus runs on 8

@@ -6,8 +6,10 @@ import re
 import subprocess
 import sys
 import tempfile
+import threading
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -65,9 +67,13 @@ def test_wall_clock_is_isoformat_utc_now():
 
 def test_wall_clock_equals_format_timestamp(monkeypatch):
     second = 1_700_000_000 * 1_000_000_000
-    # a whole second, +1 us, a fraction under 1 us, the last microsecond of
-    # a second, the next second, and back across the rollover
-    for nanoseconds in (0, 1_000, 999, 999_999_999, 1_000_000_000, 1_000_001_000, 5_000):
+    # a whole second (.000000), +1 us, a fraction under 1 us, the last
+    # microsecond of the first millisecond (.000999), the first of the next
+    # (.001000), back across that millisecond and forth again by a fraction
+    # under 1 us, the last microsecond of the second (.999999) and a fraction
+    # under the next one, the next second, and back across the rollover
+    stamps = (0, 1_000, 999, 999_000, 1_000_000, 999_000, 1_000_500, 999_999_000, 999_999_999)
+    for nanoseconds in stamps + (1_000_000_000, 1_000_001_000, 5_000):
         now = second + nanoseconds
         monkeypatch.setattr(events.time, "time_ns", lambda: now)
         seconds, microseconds = divmod(now // 1000, 1_000_000)
@@ -171,24 +177,34 @@ DETAIL = st.dictionaries(
     ),
     max_size=4,
 )
-# (method, its arguments) of each record
-EMITS = st.lists(
-    st.tuples(
-        st.just("emit"),
+
+
+def emit_lists(labels, min_size=1):
+    """Lists of (method, its arguments) of each record, with branches and
+    positions drawn from labels."""
+    return st.lists(
         st.tuples(
-            st.sampled_from(KINDS),
-            TEXT,
-            st.none() | TEXT,
-            # the shared details are written from their stored text
-            st.none() | DETAIL | st.sampled_from(events.SHARED_DETAILS),
+            st.just("emit"),
+            st.tuples(
+                st.sampled_from(KINDS),
+                labels,
+                st.none() | labels,
+                # the shared details are written from their stored text
+                st.none() | DETAIL | st.sampled_from(events.SHARED_DETAILS),
+            )
+            | st.tuples(st.just("context_change"), labels, st.none() | labels, CONTEXT_CHANGE),
         )
-        | st.tuples(st.just("context_change"), TEXT, st.none() | TEXT, CONTEXT_CHANGE),
+        # the context changes the engine emits are written from their template
+        | st.tuples(
+            st.just("emit_change"),
+            st.tuples(labels, labels, DELTAS, st.integers(min_value=0)),
+        ),
+        min_size=min_size,
+        max_size=6,
     )
-    # the context changes the engine emits are written from their template
-    | st.tuples(st.just("emit_change"), EMIT_CHANGES),
-    min_size=1,
-    max_size=6,
-)
+
+
+EMITS = emit_lists(TEXT)
 
 
 @settings(max_examples=150, deadline=None)
@@ -209,6 +225,73 @@ def test_written_lines_equal_json_dumps_of_each_record(instance, stamps, emits):
         # of the one character they encode, so such text reads back as it
         assume(not any(joins_surrogates(r.to_json()) for r in log.records))
         assert read_jsonl(path) == log.records
+
+
+class CountedHeads(dict):
+    """A log's heads, counting the times the log drops them all."""
+
+    clears = 0
+
+    def clear(self):
+        self.clears += 1
+        super().clear()
+
+
+# the built-in clocks, and stamps that each need escapes, a % among them
+CLOCKS = st.sampled_from(["wall_clock", "FixedClock"]) | st.lists(
+    TEXT.map(lambda text: '"\\é%' + text), min_size=1, max_size=3
+)
+
+
+# a few branches and positions, so that records share heads, and any text
+LABELS = st.sampled_from(["0", "0.1", "b%s"]) | TEXT
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    instance=TEXT,
+    clock=CLOCKS,
+    keep=st.integers(1, 3),
+    emits=st.lists(emit_lists(LABELS, min_size=2), min_size=2, max_size=2),
+)
+def test_a_log_that_drops_its_heads_mid_trace_writes_each_record_as_json_does(
+    instance, clock, keep, emits
+):
+    """Two threads emit into one log more shapes of record than it keeps
+    heads for, so it drops them mid-trace: every line is still json.dumps of
+    its record."""
+    if clock == "wall_clock":
+        clock = None
+    elif clock == "FixedClock":
+        clock = FixedClock()
+    else:
+        clock = itertools.cycle(clock).__next__  # called under the log's lock
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(events, "_HEADS", keep):
+        path = Path(tmp) / "trace.jsonl"
+        log = EventLog(instance, path, clock=clock)
+        log._heads = heads = CountedHeads()
+        start, failures = threading.Barrier(2), []
+
+        def emit_all(emits):
+            start.wait()
+            try:
+                for method, args in emits:
+                    getattr(log, method)(*args)
+            except BaseException as exc:
+                failures.append(exc)
+
+        threads = [threading.Thread(target=emit_all, args=(part,)) for part in emits]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        log.close()
+        assert failures == []
+        with open(path, encoding="utf-8", newline="") as fh:
+            lines = fh.readlines()
+    assert [r.seq for r in log.records] == list(range(1, len(log.records) + 1))
+    assert lines == [json.dumps(r.to_json(), sort_keys=True) + "\n" for r in log.records]
+    assume(heads.clears > 0)
 
 
 SURROGATE_PAIR = re.compile("[\ud800-\udbff][\udc00-\udfff]")
