@@ -1018,8 +1018,7 @@ class WorkflowInstance:
         woken = None  # stays None if a signal interrupts the wait on run()'s caller
         try:
             # inside the try: a signal's exception raised as the release
-            # returns reaches the finally, which takes the lock back; one
-            # raised before the try finds it held and waits_on not yet set
+            # returns reaches the finally, which takes the lock back
             self._state_lock.release()
             if timeline is not None:
                 timeline.pass_baton(branch)

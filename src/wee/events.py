@@ -6,12 +6,16 @@ injected to make whole traces byte-identical across runs.
 
 Each line is exactly ``json.dumps(record.to_json(), sort_keys=True)``: the
 seven keys in sorted order, ``", "`` and ``": "`` separators and ASCII
-escapes. It is one ``%`` over the head the log keeps for the record's shape
-(its kind, branch and position, and its detail if that is a shared detail of
-an activity, or the names a context change from emit_change changes), which
-holds these and the instance id, escaped once. Its slots take any other
-detail (through one prebuilt encoder), a change's values and version, and
-the seq and wall_time, taken under the log's lock in seq order.
+escapes. The writer builds it in one step from a template of its log and
+the record's kind, in which the instance id and the kind are escaped once,
+when the log is opened; seq and wall_time are taken under the log's lock,
+in seq order. The stamps of the built-in clocks are JSON-safe and go into
+the line as they are; those of any other clock are escaped. The details
+the engine emits with every activity are shared module-level dicts whose
+JSON text is encoded once, at import. The engine emits each context change
+through emit_change, which writes the detail from a template of the
+changed names, each escaped once, when the template is first built; any
+other detail goes through one prebuilt encoder.
 
 The file is opened as a raw binary file with no buffer: each line reaches
 the OS as ASCII bytes in one write, before emit returns. ``"-"`` writes the
@@ -79,13 +83,19 @@ def record_from_json(obj: dict) -> EventRecord:
 
 
 def read_jsonl(path: str | Path) -> list[EventRecord]:
+    records = []
     with open(path, encoding="utf-8") as fh:
-        return [record_from_json(json.loads(line)) for line in map(str.strip, fh) if line]
+        for line in fh:
+            line = line.strip()
+            if line:
+                records.append(record_from_json(json.loads(line)))
+    return records
 
 
 # The last second formatted, and the last millisecond wall_clock read with
-# the texts "000+00:00" to "999+00:00" that end its stamps, built at its first
-# call. Replaced as one tuple each, they never pair a time with another's text.
+# the texts "000+00:00" to "999+00:00" that end its stamps, built at its
+# first call. They only save work: each replaced as one tuple, neither pairs
+# a time with another's text, so every caller gets the same string.
 _second_prefix: tuple[int, str] = (-1, "")
 _millisecond: tuple[int, str, tuple[str, ...]] = (-1, "", ())
 
@@ -157,9 +167,17 @@ _VALUE_JSON = {
 }
 
 
-def _literal(value: str) -> str:
-    """The JSON text of a string, each % doubled, to put in a head."""
-    return _escape(value).replace("%", "%%")
+def _value_json(value: object) -> str:
+    return _VALUE_JSON.get(type(value), _encode_detail)(value)
+
+
+@functools.lru_cache(maxsize=256)
+def _change_template(names: tuple[str, ...]) -> str:
+    """The JSON text of a context_change detail that changes these names in
+    this order, with its new and old values and its version left to fill in."""
+    change = '{"name": %s, "new": %%s, "old": %%s}'
+    changes = ", ".join([change % _escape(name).replace("%", "%%") for name in names])
+    return '{"changes": [%s], "version": %%s}' % changes
 
 
 # The details of every activity_start and activity_end record. Each is one
@@ -173,9 +191,15 @@ END_RESULT = {"outcome": "result"}
 END_JUMP = {"outcome": "jump"}
 END_STOP_SIGNAL = {"outcome": "stop_signal"}
 SHARED_DETAILS = (START_CALL, START_MANIPULATE, END_APPLIED, END_RESULT, END_JUMP, END_STOP_SIGNAL)
-_SHARED_JSON = {id(detail): _encode_detail(detail) for detail in SHARED_DETAILS}  # none has a %
+_SHARED_JSON = {id(detail): _encode_detail(detail) for detail in SHARED_DETAILS}
 
-_HEADS = 1024  # the most heads a log keeps; it drops them all to add another
+# A line of each kind: branch, detail, position, seq and wall_time are left
+# to fill in; the log fills in its instance id, the kind and the wall_time
+# slot once, when it is opened
+_LINE = (
+    '{"branch": %%s, "detail": %%s, "instance": %s, "kind": %s, '
+    '"position": %%s, "seq": %%d, "wall_time": %s}\n'
+)
 
 
 class EventLog:
@@ -199,14 +223,20 @@ class EventLog:
         # the first exception a write raised; the file is closed after it
         self.write_error: Optional[Exception] = None
         self.listener_error: Optional[Exception] = None  # the first a listener raised
-        self._heads: dict[tuple, str] = {}  # by shape, see _head
-        self._instance_json = _literal(instance_id)
         self._fh = None
-        self._raw = path != "-"  # the file takes bytes, not text
+        self._raw = False  # the file takes bytes, not text
+        self._lines: dict[str, str] = {}
+        if path is None:
+            return
         if path == "-":
             self._fh = sys.stdout
-        elif path is not None:  # a trace that continues at start_seq continues its file
+        else:
+            # a trace that continues at start_seq continues its file
             self._fh = open(path, "ab" if start_seq > 0 else "wb", buffering=0)
+            self._raw = True
+        instance_json = _escape(instance_id).replace("%", "%%")
+        stamp = '"%s"' if self._safe_clock else "%s"
+        self._lines = {kind: _LINE % (instance_json, _escape(kind), stamp) for kind in KINDS}
 
     def add_listener(self, fn: Callable[[EventRecord], None]) -> None:
         """Register a per-record callback; it runs on the emitting thread and
@@ -221,14 +251,8 @@ class EventLog:
     ) -> EventRecord:
         assert kind in KINDS, f"unknown event kind {kind}"
         detail = detail or {}
-        if self._fh is None:
-            return self._append(kind, branch, position, detail, None, ())
-        text, fields = _SHARED_JSON.get(id(detail)), ()
-        if text is None:  # the detail fills a slot
-            text, fields = "%s", (_encode_detail(detail),)
-        key = (kind, branch, position, text)
-        head = self._heads.get(key) or self._head(key, text)
-        return self._append(kind, branch, position, detail, head, fields)
+        text = None if self._fh is None else _SHARED_JSON.get(id(detail)) or _encode_detail(detail)
+        return self._append(kind, branch, position, detail, text)
 
     def emit_change(
         self, branch: str, position: Optional[str], delta: Sequence[tuple], version: int
@@ -238,52 +262,39 @@ class EventLog:
         change. The line is the one emit writes for the same detail."""
         changes = [{"name": name, "old": old, "new": new} for name, old, new in delta]
         detail = {"changes": changes, "version": version}
-        if self._fh is None:
-            return self._append("context_change", branch, position, detail, None, ())
-        fields = []
-        for _, old, new in delta:  # %s writes an exact int as JSON does
-            fields += (
-                new if type(new) is int else _VALUE_JSON.get(type(new), _encode_detail)(new),
-                old if type(old) is int else _VALUE_JSON.get(type(old), _encode_detail)(old),
-            )
-        fields.append(version)
-        key = ("context_change", branch, position, tuple([change[0] for change in delta]))
-        head = self._heads.get(key)
-        if head is None:  # a slot for each value and the version
-            change = '{"name": %s, "new": %%s, "old": %%s}'
-            changes = ", ".join([change % _literal(name) for name in key[3]])
-            head = self._head(key, '{"changes": [%s], "version": %%s}' % changes)
-        return self._append("context_change", branch, position, detail, head, tuple(fields))
-
-    def _head(self, key: tuple, detail: str) -> str:
-        """Keep the line of the records of shape key, (kind, branch, position,
-        detail text or changed names), with detail (slots, or text with each %
-        doubled) and slots for seq and wall_time in it."""
-        if len(self._heads) >= _HEADS:
-            self._heads.clear()
-        kind, branch, position = _literal(key[0]), _literal(key[1]), key[2]
-        position = "null" if position is None else _literal(position)
-        stamp = '"%s"' if self._safe_clock else "%s"
-        head = self._heads[key] = (
-            f'{{"branch": {branch}, "detail": {detail}, "instance": {self._instance_json}, '
-            f'"kind": {kind}, "position": {position}, "seq": %d, "wall_time": {stamp}}}\n'
-        )
-        return head
+        text = None
+        if self._fh is not None:
+            names, fields = [], []
+            for name, old, new in delta:  # %s writes an exact int as JSON does
+                names.append(name)
+                fields += (
+                    new if type(new) is int else _value_json(new),
+                    old if type(old) is int else _value_json(old),
+                )
+            fields.append(version)
+            text = _change_template(tuple(names)) % tuple(fields)
+        return self._append("context_change", branch, position, detail, text)
 
     def _append(
-        self, kind: str, branch: str, position: Optional[str], detail: dict, head, fields: tuple
+        self, kind: str, branch: str, position: Optional[str], detail: dict, text: Optional[str]
     ) -> EventRecord:
-        """Append the record, write its line, head % (fields + (seq, wall
-        time)), unless head is None (no file), and run the listeners."""
+        """Append the record, write its line unless text, the JSON of its
+        detail, is None (no file), and run the listeners."""
+        if text is not None:
+            # the fields before seq need no lock; seq and wall_time must be
+            # taken in seq order
+            line = self._lines[kind]
+            branch_json = _escape(branch)
+            position_json = "null" if position is None else _escape(position)
         with self._lock:
             self.seq = seq = self.seq + 1
             wall_time = self._clock()
             record = _new_record((seq, wall_time, self.instance_id, branch, position, kind, detail))
             self.records.append(record)
             fh = self._fh
-            if head is not None and fh is not None:  # closed since, or a write failed
+            if text is not None and fh is not None:  # closed since, or a write failed
                 stamp = wall_time if self._safe_clock else _escape(wall_time)
-                line = head % (fields + (seq, stamp))
+                line %= (branch_json, text, position_json, seq, stamp)
                 try:
                     if self._raw:
                         data = line.encode()

@@ -9,7 +9,6 @@ import tempfile
 import threading
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -177,34 +176,24 @@ DETAIL = st.dictionaries(
     ),
     max_size=4,
 )
-
-
-def emit_lists(labels, min_size=1):
-    """Lists of (method, its arguments) of each record, with branches and
-    positions drawn from labels."""
-    return st.lists(
+# (method, its arguments) of each record
+EMITS = st.lists(
+    st.tuples(
+        st.just("emit"),
         st.tuples(
-            st.just("emit"),
-            st.tuples(
-                st.sampled_from(KINDS),
-                labels,
-                st.none() | labels,
-                # the shared details are written from their stored text
-                st.none() | DETAIL | st.sampled_from(events.SHARED_DETAILS),
-            )
-            | st.tuples(st.just("context_change"), labels, st.none() | labels, CONTEXT_CHANGE),
+            st.sampled_from(KINDS),
+            TEXT,
+            st.none() | TEXT,
+            # the shared details are written from their stored text
+            st.none() | DETAIL | st.sampled_from(events.SHARED_DETAILS),
         )
-        # the context changes the engine emits are written from their template
-        | st.tuples(
-            st.just("emit_change"),
-            st.tuples(labels, labels, DELTAS, st.integers(min_value=0)),
-        ),
-        min_size=min_size,
-        max_size=6,
+        | st.tuples(st.just("context_change"), TEXT, st.none() | TEXT, CONTEXT_CHANGE),
     )
-
-
-EMITS = emit_lists(TEXT)
+    # the context changes the engine emits are written from their template
+    | st.tuples(st.just("emit_change"), EMIT_CHANGES),
+    min_size=1,
+    max_size=6,
+)
 
 
 @settings(max_examples=150, deadline=None)
@@ -227,49 +216,28 @@ def test_written_lines_equal_json_dumps_of_each_record(instance, stamps, emits):
         assert read_jsonl(path) == log.records
 
 
-class CountedHeads(dict):
-    """A log's heads, counting the times the log drops them all."""
-
-    clears = 0
-
-    def clear(self):
-        self.clears += 1
-        super().clear()
-
-
-# the built-in clocks, and stamps that each need escapes, a % among them
+# the built-in clocks, whose stamps go into the line unescaped, and stamps
+# that each need escapes, a % among them
 CLOCKS = st.sampled_from(["wall_clock", "FixedClock"]) | st.lists(
     TEXT.map(lambda text: '"\\é%' + text), min_size=1, max_size=3
 )
 
 
-# a few branches and positions, so that records share heads, and any text
-LABELS = st.sampled_from(["0", "0.1", "b%s"]) | TEXT
-
-
 @settings(max_examples=100, deadline=None)
-@given(
-    instance=TEXT,
-    clock=CLOCKS,
-    keep=st.integers(1, 3),
-    emits=st.lists(emit_lists(LABELS, min_size=2), min_size=2, max_size=2),
-)
-def test_a_log_that_drops_its_heads_mid_trace_writes_each_record_as_json_does(
-    instance, clock, keep, emits
-):
-    """Two threads emit into one log more shapes of record than it keeps
-    heads for, so it drops them mid-trace: every line is still json.dumps of
-    its record."""
+@given(instance=TEXT, clock=CLOCKS, emits=st.lists(EMITS, min_size=2, max_size=2))
+def test_lines_from_two_threads_under_each_clock_equal_json_dumps(instance, clock, emits):
+    """Two threads emit into one log, under a built-in clock or one whose
+    stamps need escapes: every line is json.dumps of its record, in seq
+    order."""
     if clock == "wall_clock":
         clock = None
     elif clock == "FixedClock":
         clock = FixedClock()
     else:
         clock = itertools.cycle(clock).__next__  # called under the log's lock
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(events, "_HEADS", keep):
+    with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "trace.jsonl"
         log = EventLog(instance, path, clock=clock)
-        log._heads = heads = CountedHeads()
         start, failures = threading.Barrier(2), []
 
         def emit_all(emits):
@@ -291,7 +259,6 @@ def test_a_log_that_drops_its_heads_mid_trace_writes_each_record_as_json_does(
             lines = fh.readlines()
     assert [r.seq for r in log.records] == list(range(1, len(log.records) + 1))
     assert lines == [json.dumps(r.to_json(), sort_keys=True) + "\n" for r in log.records]
-    assume(heads.clears > 0)
 
 
 SURROGATE_PAIR = re.compile("[\ud800-\udbff][\udc00-\udfff]")
