@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import fcntl
 import json
 import os
 import sys
 import threading
 from pathlib import Path
-from typing import NoReturn, Optional
+from typing import Callable, NoReturn, Optional
 
 from . import dsl
 from .engine import EngineError, RunOptions, WorkflowInstance
@@ -49,20 +50,15 @@ class ControllerError(Exception):
 
 
 def load_workflow(path: str | Path) -> tuple[str, dsl.WorkflowAst]:
-    """Parse and validate a workflow file; raises ControllerError with diagnostics."""
+    """Read and parse a workflow file, not yet validated; raises ControllerError."""
     try:
         source = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ControllerError(f"cannot read {path}: {exc}") from exc
     try:
-        ast = dsl.parse(source)
+        return source, dsl.parse(source)
     except dsl.ParseError as exc:
         raise ControllerError(f"{path}: {exc}") from exc
-    diagnostics = dsl.validate(ast)
-    if diagnostics:
-        listing = "\n".join(f"{path}: {d}" for d in diagnostics)
-        raise ControllerError(listing)
-    return source, ast
 
 
 def build_handler(
@@ -144,17 +140,29 @@ def claim_stop(path: str, held: contextlib.ExitStack) -> dict:
 
 
 class _ControlServer:
-    """Unix-socket listener that takes the stop command for a running instance."""
+    """Unix-socket listener that takes the stop command for a running instance.
+    It listens once built, and accepts once serve() has the instance."""
 
-    def __init__(self, path: str, instance: WorkflowInstance):
+    def __init__(self, path: str):
         self.path = path
-        self.instance = instance
+        self.thread: Optional[threading.Thread] = None
         import socket  # only a run under control and `wee stop` open a socket
 
-        Path(path).unlink(missing_ok=True)
         self._sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        self._sock.bind(path)
-        self._sock.listen(1)
+        try:
+            if Path(path).is_socket():  # left by a run that was killed, unless one answers
+                with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as probe:
+                    if probe.connect_ex(path) != errno.ECONNREFUSED:
+                        raise OSError(errno.EADDRINUSE, "a running instance listens there")
+                os.unlink(path)
+            self._sock.bind(path)
+            self._sock.listen(1)
+        except OSError as exc:  # a missing directory, a file or a live socket there, unwritable
+            self._sock.close()
+            raise ControllerError(f"cannot listen on {path}: {exc}") from exc
+
+    def serve(self, instance: WorkflowInstance) -> None:
+        self.instance = instance
         self.thread = threading.Thread(target=self._serve, name="wee-control", daemon=True)
         self.thread.start()
 
@@ -183,28 +191,36 @@ class _ControlServer:
         import socket
 
         self._sock.shutdown(socket.SHUT_RDWR)
-        self.thread.join(timeout=5)
+        if self.thread is not None:
+            self.thread.join(timeout=5)
         try:
             self._sock.close()
         finally:
             Path(self.path).unlink(missing_ok=True)
 
 
-def execute_instance(instance: WorkflowInstance, control_path: Optional[str]) -> int:
-    """Run an instance under optional control; its exit code. A Ctrl-C
-    stops the instance as `wee stop` does, so its log can be resumed."""
-    server = None
-    try:
+def execute_instance(
+    args: argparse.Namespace, open_instance: Callable[[], WorkflowInstance]
+) -> int:
+    """Open the instance of a run or resume, run it under optional control
+    and return its exit code. The control socket is bound first, so a path
+    it cannot take leaves the log as it was. A Ctrl-C stops the instance as
+    `wee stop` does, so its log can be resumed."""
+    with contextlib.ExitStack() as held:
+        server = None
+        if args.control:
+            server = held.enter_context(contextlib.closing(_ControlServer(args.control)))
+        try:
+            instance = open_instance()
+        except OSError as exc:  # the log: a missing directory, unwritable, a closed stdout
+            raise ControllerError(f"cannot open log {args.log}: {exc}") from exc
         try:
             instance.start()  # the interrupt may land here, once the root runs
-            if control_path:
-                server = _ControlServer(control_path, instance)
+            if server is not None:
+                server.serve(instance)
             result = instance.wait()
         except KeyboardInterrupt:
             result = instance.deliver_stop()
-    finally:
-        if server is not None:
-            server.close()
     if result == "stopped":
         return EXIT_STOPPED
     if result == "finished":
@@ -215,29 +231,26 @@ def execute_instance(instance: WorkflowInstance, control_path: Optional[str]) ->
 
 
 def load_run(args: argparse.Namespace) -> tuple[dsl.WorkflowAst, HandlerWrapper, RunOptions]:
-    """The workflow, handler and options a run or resume names; raises ControllerError."""
+    """The validated workflow, handler and options a run or resume names;
+    raises ControllerError."""
     source, ast = load_workflow(args.workflow)
+    diagnostics = dsl.validate(ast)
+    if diagnostics:
+        raise ControllerError("\n".join(f"{args.workflow}: {d}" for d in diagnostics))
     handler = build_handler(
         args.handler or ast.handler_name, args.script, seed=args.seed, workflow_source=source
     )
     options = RunOptions(
         max_iterations=args.max_iterations,
-        log_path=args.log or "-",  # events stream to stdout unless redirected
+        log_path=args.log,
         clock=FixedClock() if args.fixed_clock else None,
     )
     return ast, handler, options
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    try:
-        instance = WorkflowInstance(*load_run(args))
-    except ControllerError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:  # the log: a missing directory, a directory, unwritable
-        print(f"cannot open log {args.log}: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    return execute_instance(instance, args.control)
+    ast, handler, options = load_run(args)
+    return execute_instance(args, lambda: WorkflowInstance(ast, handler, options))
 
 
 def cmd_stop(args: argparse.Namespace) -> int:
@@ -250,49 +263,33 @@ def cmd_stop(args: argparse.Namespace) -> int:
             sock.sendall(b"stop\n")
             reply = sock.makefile().readline().strip()
     except OSError as exc:
-        print(f"cannot reach instance at {args.control}: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        raise ControllerError(f"cannot reach instance at {args.control}: {exc}") from exc
     print(reply)
     return 0 if reply.startswith(("stopped", "already-terminal")) else EXIT_ERROR
 
 
 def cmd_resume(args: argparse.Namespace) -> int:
+    if not args.workflow:
+        raise ControllerError("resume needs --workflow pointing at the original source")
     # the log stays locked until the resumed instance has ended: a second
     # resume finds it locked, or finds its stop resumed
     with contextlib.ExitStack() as held:
+        saved = claim_stop(args.log, held)
+        ast, handler, options = load_run(args)
         try:
-            if not args.workflow:
-                raise ControllerError("resume needs --workflow pointing at the original source")
-            saved = claim_stop(args.log, held)
-            ast, handler, options = load_run(args)
-            try:
-                skip = dsl.parse_skip_region(args.skip_region or "", ast)
-            except ValueError as exc:
-                raise ControllerError(str(exc)) from exc
-            # the trace continues the stopped instance's id and seq in its log
-            instance = WorkflowInstance.resume(ast, handler, saved, options, skip_positions=skip)
-        # EngineError: a state the engine refuses, which leaves the log untouched
-        except (ControllerError, EngineError) as exc:
-            print(exc, file=sys.stderr)
-            return EXIT_ERROR
-        except OSError as exc:
-            print(f"cannot open log {args.log}: {exc}", file=sys.stderr)
-            return EXIT_ERROR
-        return execute_instance(instance, args.control)
+            skip = dsl.parse_skip_region(args.skip_region or "", ast)
+        except ValueError as exc:
+            raise ControllerError(str(exc)) from exc
+        # the trace continues the stopped instance's id and seq in its log; an
+        # EngineError, a state the engine refuses, leaves the log untouched
+        return execute_instance(
+            args, lambda: WorkflowInstance.resume(ast, handler, saved, options, skip_positions=skip)
+        )
 
 
 def cmd_check(args: argparse.Namespace) -> int:
     path = args.workflow
-    try:
-        source = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        print(f"cannot read {path}: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    try:
-        ast = dsl.parse(source)
-    except dsl.ParseError as exc:
-        print(f"{path}: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    _, ast = load_workflow(path)
     diagnostics = dsl.validate(ast)
     for diag in diagnostics:
         print(f"{path}: {diag}", file=sys.stderr)
@@ -312,8 +309,7 @@ def cmd_patterns(args: argparse.Namespace) -> int:
     try:
         report = harness.run_all(args.corpus, parallel=args.parallel, seed=args.seed or 0)
     except (OSError, ValueError) as exc:  # a case file missing, unreadable or malformed
-        print(exc, file=sys.stderr)
-        return EXIT_ERROR
+        raise ControllerError(str(exc)) from exc
     if args.report:
         Path(args.report).write_text(
             json.dumps(report.to_json(), indent=2) + "\n", encoding="utf-8"
@@ -345,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="execute a workflow file")
     run_p.add_argument("workflow")
-    run_p.add_argument("--log", default=None, help="event log JSONL path")
+    run_p.add_argument("--log", default="-", help="event log JSONL path; - is stdout")
     add_common(run_p)
     run_p.set_defaults(func=cmd_run)
 
@@ -377,7 +373,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ControllerError, EngineError) as exc:  # a refusal, printed to stderr
+        print(exc, file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -18,10 +18,11 @@ changed names, each escaped once, when the template is first built; any
 other detail goes through one prebuilt encoder.
 
 The file is opened as a raw binary file with no buffer: each line reaches
-the OS as ASCII bytes in one write, before emit returns. ``"-"`` writes the
-lines to standard output instead, each flushed as it is written. A write
-that fails never raises into the caller: the log keeps the first exception
-as ``write_error``, closes its file and goes on recording in memory alone.
+the OS as ASCII bytes in one write, before emit returns. ``"-"`` opens
+standard output's descriptor the same way, and leaves it open at close. A
+write that fails never raises into the caller: the log keeps the first
+exception as ``write_error``, closes its file and goes on recording in
+memory alone.
 Nor does a listener that raises: the log keeps the first exception as
 ``listener_error`` and runs the other listeners.
 """
@@ -30,7 +31,6 @@ from __future__ import annotations
 
 import functools
 import json
-import sys
 import threading
 import time
 from json.encoder import c_make_encoder
@@ -224,16 +224,16 @@ class EventLog:
         self.write_error: Optional[Exception] = None
         self.listener_error: Optional[Exception] = None  # the first a listener raised
         self._fh = None
-        self._raw = False  # the file takes bytes, not text
         self._lines: dict[str, str] = {}
         if path is None:
             return
+        # a trace that continues at start_seq continues its file; "-" is
+        # stdout's descriptor, which fails here if it is closed
+        mode = "ab" if start_seq > 0 else "wb"
         if path == "-":
-            self._fh = sys.stdout
+            self._fh = open(1, mode, buffering=0, closefd=False)
         else:
-            # a trace that continues at start_seq continues its file
-            self._fh = open(path, "ab" if start_seq > 0 else "wb", buffering=0)
-            self._raw = True
+            self._fh = open(path, mode, buffering=0)
         instance_json = _escape(instance_id).replace("%", "%%")
         stamp = '"%s"' if self._safe_clock else "%s"
         self._lines = {kind: _LINE % (instance_json, _escape(kind), stamp) for kind in KINDS}
@@ -296,14 +296,13 @@ class EventLog:
                 stamp = wall_time if self._safe_clock else _escape(wall_time)
                 line %= (branch_json, text, position_json, seq, stamp)
                 try:
-                    if self._raw:
-                        data = line.encode()
-                        written = fh.write(data)
-                        while written < len(data):  # only ever short on a failing file
-                            written += fh.write(data[written:])
-                    else:
-                        fh.write(line)
-                        fh.flush()
+                    data = line.encode()
+                    written = fh.write(data)
+                    while written != len(data):  # only on a failing file
+                        if written is None:  # a full stdout another process made non-blocking
+                            raise BlockingIOError("stdout is full and does not block")
+                        more = fh.write(data[written:])
+                        written = None if more is None else written + more
                 except (OSError, ValueError) as exc:
                     # the engine must not fail on its trace: it reads write_error
                     self.write_error = exc
@@ -323,7 +322,7 @@ class EventLog:
 
     def _close(self) -> None:
         fh, self._fh = self._fh, None
-        if self._raw and fh is not None:
+        if fh is not None:
             try:
                 fh.close()
             except OSError:  # a failed write may leave the file unclosable

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import collections
 import json
+import os
+import re
 import signal
 import socket
 import statistics
@@ -102,6 +104,55 @@ def test_a_run_whose_stdout_reader_has_gone_exits_one(tmp_path):
         proc.kill()
     assert proc.returncode == 1
     assert stderr.decode().splitlines() == ["error: trace write failed: [Errno 32] Broken pipe"]
+
+
+# one branch, so that two runs write their records in the same order
+ONE_BRANCH_WEE = """
+workflow {
+  handler "mock"
+  endpoint svc: "mock://svc"
+  context n: 0
+  context label: "tea"
+  cycle (n < 3) {
+    call :ask, endpoint: svc
+    manipulate :count { n = n + 1 }
+  }
+}
+"""
+
+
+@pytest.mark.parametrize("encoding", [None, "utf-16"])
+def test_the_trace_on_stdout_is_the_bytes_of_a_trace_file(tmp_path, encoding):
+    """`--log -` writes the ASCII bytes that `--log FILE` writes, whatever
+    encoding Python would give text on stdout."""
+    workflow, log = tmp_path / "one.wee", tmp_path / "one.log"
+    workflow.write_text(ONE_BRANCH_WEE)
+    script = tmp_path / "one.json"  # a label that is not ASCII
+    script.write_text(json.dumps({"positions": {"ask": {"result": {"label": "caf\u00e9"}}}}))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+    if encoding is not None:
+        env["PYTHONIOENCODING"] = encoding
+    run = wee_cmd("run", str(workflow), "--script", str(script), "--fixed-clock")
+    to_stdout = subprocess.run([*run, "--log", "-"], capture_output=True, env=env)
+    to_file = subprocess.run([*run, "--log", str(log)], capture_output=True, env=env)
+    assert (to_stdout.returncode, to_stdout.stderr) == (0, b"")
+    assert (to_file.returncode, to_file.stdout, to_file.stderr) == (0, b"", b"")
+
+    def normalised(trace: bytes) -> bytes:  # the instance id is random
+        return re.sub(rb'"instance": "[^"]*"', b'"instance": "-"', trace)
+
+    assert normalised(to_stdout.stdout) == normalised(log.read_bytes())
+    assert len(read_jsonl(log)) > 10
+
+
+def test_a_run_with_stdout_closed_exits_one_with_one_line(tmp_path):
+    """`wee run ... >&-`: there is no trace to write to, so nothing runs."""
+    workflow = tmp_path / "ok.wee"
+    workflow.write_text('workflow { handler "mock" context x: 0 manipulate :a { x = 1 } }')
+    closed = ["sh", "-c", 'exec "$@" >&-', "sh", *wee_cmd("run", str(workflow))]
+    proc = subprocess.run(closed, capture_output=True, text=True)
+    assert proc.returncode == cli.EXIT_ERROR
+    assert proc.stderr == "cannot open log -: [Errno 9] Bad file descriptor\n"
 
 
 def test_run_booking_over_limit(tmp_path):
@@ -759,7 +810,8 @@ def test_control_server_reports_already_terminal(tmp_path):
     )
     instance.run()
     control = tmp_path / "ctl.sock"
-    server = cli._ControlServer(str(control), instance)
+    server = cli._ControlServer(str(control))
+    server.serve(instance)
     try:
         assert control_reply(control) == "already-terminal finished"
     finally:
@@ -795,7 +847,8 @@ def test_a_stop_that_the_instance_outruns_replies_already_terminal(tmp_path):
 
     instance.request_stop = finish_first
     control = tmp_path / "ctl.sock"
-    server = cli._ControlServer(str(control), instance)
+    server = cli._ControlServer(str(control))
+    server.serve(instance)
     try:
         assert control_reply(control) == "already-terminal finished"
     finally:
@@ -871,6 +924,68 @@ def test_run_with_a_log_in_a_missing_directory_exits_one_with_one_line(tmp_path,
     assert code == cli.EXIT_ERROR
     err = capsys.readouterr().err
     assert err.startswith(f"cannot open log {log}: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("command", ["run", "resume"])
+@pytest.mark.parametrize("taken", ["missing-directory", "regular-file"])
+def test_a_control_path_that_cannot_be_listened_on_exits_one_and_leaves_the_log(
+    tmp_path, capsys, command, taken
+):
+    """The control socket is bound before the log is opened: a path that
+    cannot be bound, or that holds anything but a socket, is refused with
+    one line, the log is left byte for byte, and a file there survives."""
+    log = stopped_log(tmp_path)
+    if taken == "missing-directory":
+        control = tmp_path / "missing" / "c.sock"
+    else:
+        control = tmp_path / "precious.txt"
+        control.write_text("keep me\n")
+    before = log.read_bytes()
+    capsys.readouterr()
+    if command == "run":
+        argv = ["run", str(tmp_path / "halt.wee"), "--log", str(log), "--control", str(control)]
+        code = cli.main(argv)
+    else:
+        code = resume_halted(log, "--control", str(control))
+    assert code == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot listen on {control}: ") and err.count("\n") == 1, err
+    assert log.read_bytes() == before
+    if taken == "regular-file":
+        assert control.read_text() == "keep me\n"
+    script = halt_script(tmp_path, {"result": {}})
+    assert resume_halted(log, "--script", str(script)) == cli.EXIT_FINISHED  # the stop is kept
+
+
+def test_a_control_socket_that_a_live_process_listens_on_is_left_to_it(tmp_path, capsys):
+    """Only a socket that nothing answers on is stale: one that a running
+    instance listens on is refused, and stays its own."""
+    log = stopped_log(tmp_path)
+    before = log.read_bytes()
+    control = tmp_path / "live.sock"
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as live:
+        live.bind(str(control))
+        live.listen(1)
+        capsys.readouterr()
+        assert resume_halted(log, "--control", str(control)) == cli.EXIT_ERROR
+        assert control.is_socket()
+    err = capsys.readouterr().err
+    assert err == f"cannot listen on {control}: [Errno 98] a running instance listens there\n"
+    assert log.read_bytes() == before
+
+
+def test_a_stale_control_socket_is_replaced(tmp_path):
+    """A socket left at the path by a run that was killed is taken over."""
+    control = tmp_path / "ctl.sock"
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as stale:
+        stale.bind(str(control))
+    assert control.is_socket()
+    code = cli.main(
+        ["run", str(FIXTURES / "booking.wee"), "--script", str(FIXTURES / "booking_under.json")]
+        + ["--log", str(tmp_path / "run.log"), "--control", str(control)]
+    )
+    assert code == cli.EXIT_FINISHED
+    assert not control.exists()
 
 
 def test_run_with_trigger_handler_and_events_file(tmp_path):

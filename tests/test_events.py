@@ -129,6 +129,36 @@ def test_fixed_clock_trace_file_matches_golden(tmp_path):
     assert data == (GOLDEN / "trace_golden.jsonl").read_bytes()
 
 
+# fills a stdout that does not block, then emits two records to "-"
+FULL_STDOUT = """
+import fcntl, os, sys
+from wee.events import EventLog
+read_end, write_end = os.pipe()
+fcntl.fcntl(write_end, fcntl.F_SETFL, os.O_NONBLOCK)
+os.dup2(write_end, 1)
+for size in (65536, 1):
+    try:
+        while True:
+            os.write(1, b"x" * size)
+    except BlockingIOError:
+        pass
+log = EventLog("i", "-")
+log.emit("instance_start", "0")
+log.emit("instance_finish", "0")
+print(type(log.write_error).__name__, len(log.records), file=sys.stderr)
+"""
+
+
+def test_a_full_stdout_that_does_not_block_fails_the_write():
+    """Another process may have made the stdout it shares non-blocking: a
+    write to "-" that would block is kept as write_error, as any failed
+    write is, and the log goes on in memory."""
+    proc = subprocess.run(
+        [sys.executable, "-c", FULL_STDOUT], capture_output=True, text=True, timeout=30
+    )
+    assert (proc.returncode, proc.stderr) == (0, "BlockingIOError 2\n")
+
+
 # quotes, backslashes, control characters, non-ASCII, a lone surrogate and a
 # character outside the BMP, mixed with arbitrary ones
 SPECIAL = st.sampled_from('"\\/\x00\x01\x1f\x7f\n\r\t\u2028é→Ω\ud800😀')
