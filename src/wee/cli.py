@@ -204,8 +204,14 @@ def execute_instance(
 ) -> int:
     """Open the instance of a run or resume, run it under optional control
     and return its exit code. The control socket is bound first, so a path
-    it cannot take leaves the log as it was. A Ctrl-C stops the instance as
-    `wee stop` does, so its log can be resumed."""
+    it cannot take leaves the log as it was; a closed stdout is refused
+    before, as the socket would take its descriptor. A Ctrl-C stops the
+    instance as `wee stop` does, so its log can be resumed."""
+    if args.log == "-":
+        try:
+            os.fstat(1)
+        except OSError as exc:
+            raise ControllerError(f"cannot open log -: {exc}") from exc
     with contextlib.ExitStack() as held:
         server = None
         if args.control:

@@ -4,16 +4,17 @@ One thread of control per branch: the root branch walks the workflow body,
 and every parallel_branch forks a child branch that shares the context store
 and the critical-section registry. Each live branch runs in a thread of its
 own: run() runs the root on its caller's thread, and start() hands it to a
-branch thread, as a fork hands each child; a thread whose branch has ended
-is reused for a later branch. A fork hands its child over without waiting
-for the child's thread to take it, so the schedule is parent-first, as under
-virtual time: the parent runs on until it blocks or the interpreter switches
-threads. Joins
-wait for all branches or for the first k. The losers and every live branch
-below them (a branch id's prefix names its ancestors) receive a
-no-longer-necessary signal at once and stand down at their next node
-boundary; the stop tokens of their in-flight calls are set. A jump out of a
-parallel body cancels the children forked so far the same way.
+branch thread, as a fork hands each child. A branch thread whose branch has
+ended waits idle on an inbox of its own, a queue, and a hand puts the next
+branch, of any instance, into the inbox that went idle last. A fork hands
+its child over without waiting for the child's thread to take it, so the
+schedule is parent-first, as under virtual time: the parent runs on until it
+blocks or the interpreter switches threads. Joins wait for all branches or
+for the first k. The losers and every live branch below them (a branch id's
+prefix names its ancestors) receive a no-longer-necessary signal at once and
+stand down at their next node boundary; the stop tokens of their in-flight
+calls are set. A jump out of a parallel body cancels the children forked so
+far the same way.
 A stop signal parks every branch at its program counter so the instance can
 be resumed later; the terminal instance_stop record carries the saved state.
 It names the workflow by its source hash and holds one entry per saved
@@ -66,6 +67,7 @@ import functools
 import heapq
 import itertools
 import os
+import queue
 import threading
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Union
@@ -139,65 +141,52 @@ _ENTRY_KEYS = frozenset(("id",) + _Restart._fields)  # the keys of a saved branc
 # next branch, of any instance, before it exits; at most _IDLE_CAP wait at once
 _IDLE_CAP = 16
 _IDLE_KEEPALIVE_S = 5.0
+_idle: list[queue.SimpleQueue] = []  # the inboxes of idle branch threads, the most recent last
+_idle_lock = threading.Lock()
 
 
-class _BranchThread:
-    """A daemon thread that runs one branch at a time.
+def _hand(run: Callable[[_Branch], None], branch: _Branch) -> None:
+    """Run the branch on the branch thread that went idle last, or else on a
+    new one; returns without waiting for the thread to take it.
 
     Starting an OS thread is most of the cost of a fork, so a thread whose
     branch has ended waits idle for the next one. The cache never limits
     how many branches run: a branch that finds no idle thread starts a new
     one, so every live branch has a thread of its own and no join can wait
-    for a thread. An idle thread holds no job, hence no instance.
+    for a thread. An idle thread holds no branch, hence no instance.
     """
+    with _idle_lock:
+        if _idle:
+            _idle.pop().put((run, branch))
+            return
+    inbox = queue.SimpleQueue()
+    inbox.put((run, branch))
+    # the inbox, not the branch, is the thread's argument: Thread keeps it until _serve returns
+    threading.Thread(target=_serve, args=(inbox,), daemon=True).start()
 
-    def __init__(self, job: tuple, name: str):
-        self._job: Optional[tuple] = job
-        self._wake = threading.Lock()
-        self._wake.acquire()
-        # the job is not passed as args: Thread keeps those until _serve returns
-        self._thread = threading.Thread(target=self._serve, name=name, daemon=True)
-        self._thread.start()
 
-    def hand(self, job: tuple, name: str) -> None:
-        """Give an idle thread its next job and return at once; the thread
-        takes the job when it next runs."""
-        # the thread was idle, so it takes this job before it can be handed another
-        self._job = job
-        self._thread.name = name
-        self._wake.release()
-
-    def _serve(self) -> None:
-        while True:
-            run, branch = self._job  # type: ignore[misc]
-            self._job = None
-            try:
-                run(branch)
-            except BaseException:  # the branch has traced it as its instance's error
-                pass
-            del run, branch
-            if not self._await_job():
-                return
-
-    def _await_job(self) -> bool:
-        """Wait idle for the next job; False once this thread should exit."""
+def _serve(inbox: queue.SimpleQueue) -> None:
+    """A branch thread: run the branches put in its inbox, one at a time."""
+    while True:
+        try:
+            run, branch = inbox.get(timeout=_IDLE_KEEPALIVE_S)
+        except queue.Empty:
+            with _idle_lock:
+                if inbox in _idle:
+                    _idle.remove(inbox)
+                    return
+            # a parent took this thread off the idle list as the keep-alive ran out
+            run, branch = inbox.get()
+        threading.current_thread().name = f"wee-{branch.id}"
+        try:
+            run(branch)
+        except BaseException:  # the branch has traced it as its instance's error
+            pass
+        del run, branch
         with _idle_lock:
             if len(_idle) >= _IDLE_CAP:
-                return False
-            _idle.append(self)
-        if self._wake.acquire(timeout=_IDLE_KEEPALIVE_S):
-            return True
-        with _idle_lock:
-            if self in _idle:
-                _idle.remove(self)
-                return False
-        # a parent took this thread off the idle list as the keep-alive ran out
-        self._wake.acquire()
-        return True
-
-
-_idle: list[_BranchThread] = []  # idle branch threads, the most recent last
-_idle_lock = threading.Lock()
+                return
+            _idle.append(inbox)
 
 
 def _forget_idle_threads() -> None:
@@ -813,17 +802,10 @@ class WorkflowInstance:
     # ------------------------------------------------------------------
 
     def _start_thread(self, branch: _Branch) -> None:
-        """Run the branch in an idle branch thread, or else in a new one;
-        returns without waiting for the thread to take it."""
+        """Run the branch on a branch thread (see _hand)."""
         if self._timeline is not None:
             self._timeline.add(branch)
-        with _idle_lock:
-            thread = _idle.pop() if _idle else None
-        job, name = (self._run_branch, branch), f"wee-{branch.id}"
-        if thread is None:
-            _BranchThread(job, name)
-        else:
-            thread.hand(job, name)
+        _hand(self._run_branch, branch)
 
     def _run_branch(self, branch: _Branch) -> None:
         if self._timeline is not None:

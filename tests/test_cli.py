@@ -155,6 +155,18 @@ def test_a_run_with_stdout_closed_exits_one_with_one_line(tmp_path):
     assert proc.stderr == "cannot open log -: [Errno 9] Bad file descriptor\n"
 
 
+def test_a_run_under_control_with_stdout_closed_refuses_before_it_listens(tmp_path):
+    """`wee run ... --control PATH >&-`: the control socket would take the
+    closed descriptor 1 and become the trace; the run refuses as without it."""
+    workflow, control = tmp_path / "ok.wee", tmp_path / "ctl.sock"
+    workflow.write_text('workflow { handler "mock" context x: 0 manipulate :a { x = 1 } }')
+    run = wee_cmd("run", str(workflow), "--control", str(control))
+    proc = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", *run], capture_output=True, text=True)
+    assert proc.returncode == cli.EXIT_ERROR
+    assert proc.stderr == "cannot open log -: [Errno 9] Bad file descriptor\n"
+    assert not control.exists()
+
+
 def test_run_booking_over_limit(tmp_path):
     log = tmp_path / "booking.log"
     proc = subprocess.run(

@@ -1752,16 +1752,13 @@ def test_a_warm_corpus_pass_starts_no_thread_outside_the_branch_thread_cache(mon
     real_start = threading.Thread.start
 
     def start(thread):
-        started.append(thread)
+        # a thread drops its target once it has run it
+        started.append((thread.name, thread._target))
         real_start(thread)
 
     monkeypatch.setattr(threading.Thread, "start", start)
     assert run_all().all_passed
-    others = [
-        t.name
-        for t in started
-        if not isinstance(getattr(t._target, "__self__", None), engine._BranchThread)
-    ]
+    others = [name for name, target in started if target is not engine._serve]
     assert others == []
 
 
@@ -1790,13 +1787,16 @@ def test_a_forked_child_does_not_wait_for_its_parents_idle_threads():
 
 
 class BarrierHandler(MockHandler):
-    """Each call returns only once `parties` calls are in flight at once."""
+    """Each call returns only once `parties` calls are in flight at once;
+    `threads` records the thread of each call."""
 
     def __init__(self, parties: int):
         super().__init__({"default": {"result": {}}})
         self.barrier = threading.Barrier(parties, timeout=5)
+        self.threads: list[threading.Thread] = []
 
     def call(self, call):
+        self.threads.append(threading.current_thread())
         self.barrier.wait()
         return super().call(call)
 
@@ -1841,15 +1841,14 @@ class CountingHandler(MockHandler):
         return super().call(call)
 
 
-def test_many_parents_forking_at_once_run_every_branch_exactly_once():
+def run_many_parents_at_once(script: dict, rounds: int = 20) -> None:
+    """Six MANY_PARENTS instances fork at once, `rounds` times over, with
+    threads switched every 10 us: each ends, and each of its branches ran once."""
     ast = dsl.parse(MANY_PARENTS)
-    # calls of at most 0.2 ms, so threads go idle and are handed on while
-    # other parents are still forking
-    script = {"default": {"result": {}, "delay_ms": [0, 0.2]}}
     previous = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        for seed in range(20):
+        for seed in range(rounds):
             instances = [
                 WorkflowInstance(ast, CountingHandler(script, seed * 10 + i)) for i in range(6)
             ]
@@ -1882,28 +1881,80 @@ def test_many_parents_forking_at_once_run_every_branch_exactly_once():
         sys.setswitchinterval(previous)
 
 
+def test_many_parents_forking_at_once_run_every_branch_exactly_once():
+    # calls of at most 0.2 ms, so threads go idle and are handed on while
+    # other parents are still forking
+    run_many_parents_at_once({"default": {"result": {}, "delay_ms": [0, 0.2]}})
+
+
+def test_a_hand_racing_the_keep_alive_runs_every_branch_exactly_once(monkeypatch):
+    # a keep-alive of 1 ms and calls of up to 2 ms: parents take idle
+    # threads just as their keep-alive runs out, many times in 60 rounds
+    monkeypatch.setattr(engine, "_IDLE_KEEPALIVE_S", 0.001)
+    run_many_parents_at_once({"default": {"result": {}, "delay_ms": [0, 2]}}, rounds=60)
+    assert len(engine._idle) <= engine._IDLE_CAP
+
+
 # -- where branches run: the root of run() on its caller, a fork without a handshake --
 
 
 def count_hand_offs(monkeypatch) -> list[str]:
     """The thread names of every branch handed to a branch thread, idle or new."""
     handed: list[str] = []
-    new, hand = engine._BranchThread.__init__, engine._BranchThread.hand
+    hand = engine._hand
 
-    def counted_new(thread, job, name):
-        handed.append(name)
-        new(thread, job, name)
+    def counted_hand(run, branch):
+        handed.append(f"wee-{branch.id}")
+        hand(run, branch)
 
-    def counted_hand(thread, job, name):
-        handed.append(name)
-        hand(thread, job, name)
-
-    monkeypatch.setattr(engine._BranchThread, "__init__", counted_new)
-    monkeypatch.setattr(engine._BranchThread, "hand", counted_hand)
+    monkeypatch.setattr(engine, "_hand", counted_hand)
     return handed
 
 
 ONE_BRANCH = 'workflow { handler "mock" context x: 0 manipulate :a { x = x + 1 } }'
+
+# a root call, then four rounds of two branches: later rounds reuse threads
+CALLING_CYCLE = """
+workflow {
+  handler "mock"
+  endpoint svc: "mock://svc"
+  context i: 0
+  call :first, endpoint: svc
+  cycle (i < 4) {
+    manipulate :bump { i = i + 1 }
+    parallel wait: all {
+      parallel_branch { call :a, endpoint: svc }
+      parallel_branch { call :b, endpoint: svc }
+    }
+  }
+}
+"""
+
+
+class ThreadNames(MockHandler):
+    """Records the thread, and its name, that each call runs on, by call id."""
+
+    def __init__(self):
+        super().__init__({"default": {"result": {}}})
+        self.seen: dict[str, tuple[threading.Thread, str]] = {}
+
+    def call(self, call):
+        thread = threading.current_thread()
+        self.seen[call.call_id] = (thread, thread.name)
+        return super().call(call)
+
+
+@pytest.mark.parametrize("virtual_time", [False, True], ids=["threads", "virtual-time"])
+def test_each_branch_runs_on_a_thread_named_after_it(virtual_time):
+    handler = ThreadNames()
+    options = RunOptions(virtual_time=virtual_time)
+    instance = WorkflowInstance(dsl.parse(CALLING_CYCLE), handler, options)
+    assert instance.start().wait() == "finished"
+    assert len(handler.seen) == 1 + 4 * 2
+    names = {call_id: name for call_id, (_, name) in handler.seen.items()}
+    assert names == {call_id: f"wee-{call_id.partition('/')[0]}" for call_id in names}
+    # some thread ran more than one branch, and was renamed for each
+    assert len({thread for thread, _ in handler.seen.values()}) < len(handler.seen)
 
 
 @pytest.mark.parametrize(
@@ -1957,10 +2008,19 @@ def test_an_interrupt_or_exit_in_a_child_ends_the_instance_in_error(virtual_time
     instance = WorkflowInstance(dsl.parse(MANY_PARENTS), handler, RunOptions(virtual_time=virtual_time))
     assert finish(instance) == "error"
     assert_ended_in_error_naming(instance, type(exc).__name__)
-    # the branch thread that ran the call serves on: it goes idle for the next branch
+    # the branch thread that ran the call serves on: it takes a later branch
     (thread,) = handler.threads
     assert thread is not threading.main_thread()
-    assert wait_until(lambda: any(idle._thread is thread for idle in engine._idle), timeout=1.0)
+    assert wait_until(lambda: takes_a_branch_of_a_wide_join(thread), timeout=1.0)
+
+
+def takes_a_branch_of_a_wide_join(thread: threading.Thread) -> bool:
+    """Whether thread runs a call of a join wider than the idle cap, whose
+    branches are all in their calls at once: each idle thread takes one."""
+    width = engine._IDLE_CAP + 1
+    handler = BarrierHandler(width)
+    assert run_source(wide_join(width), handler).result == "finished"
+    return thread in handler.threads
 
 
 def test_an_interrupt_in_the_root_ends_the_instance_in_error_and_run_raises_it():
