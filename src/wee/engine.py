@@ -3,11 +3,11 @@
 One thread of control per branch: the root branch walks the workflow body,
 and every parallel_branch forks a child branch that shares the context store
 and the critical-section registry. Each live branch runs in a thread of its
-own: run() runs the root on its caller's thread, and start() hands it to a
-branch thread, as a fork hands each child. A branch thread whose branch has
-ended waits idle on an inbox of its own, a queue, and a hand puts the next
-branch, of any instance, into the inbox that went idle last. A fork hands
-its child over without waiting for the child's thread to take it, so the
+own: run() runs the root on its caller's thread, and start() hands it to the
+thread cache, as a fork hands each child (a real-time timer and an HTTP
+request are jobs there too). A cache thread whose job has ended waits idle
+on an inbox of its own for _IDLE_KEEPALIVE_S, and a hand puts the next job
+into the inbox that went idle last. A fork never waits for a thread, so the
 schedule is parent-first, as under virtual time: the parent runs on until it
 blocks or the interpreter switches threads. Joins wait for all branches or
 for the first k. The losers and every live branch below them (a branch id's
@@ -53,7 +53,7 @@ the trace and wakes wait() in the same locked section, so an instance ends
 whether or not anyone waits on it, and no record follows its terminal one.
 An exception that is not an Exception, such as a KeyboardInterrupt or a
 SystemExit, ends the instance in error too: run() raises it again once the
-instance has ended, and a branch thread serves on.
+instance has ended, and a cache thread serves on.
 
 Under RunOptions(virtual_time=True) the branch threads take turns on a
 virtual clock instead (see _Timeline): the same workflow, handler script and
@@ -69,6 +69,7 @@ import itertools
 import os
 import queue
 import threading
+import time
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Union
 
@@ -137,55 +138,52 @@ class _Restart(NamedTuple):
 _ENTRY_KEYS = frozenset(("id",) + _Restart._fields)  # the keys of a saved branch's entry
 
 
-# Branch threads: a thread whose branch has ended waits this long for the
-# next branch, of any instance, before it exits; at most _IDLE_CAP wait at once
-_IDLE_CAP = 16
+# The thread cache: a thread whose job has ended waits this long for the
+# next job, a branch of any instance, a timer or an HTTP request, before it exits
 _IDLE_KEEPALIVE_S = 5.0
-_idle: list[queue.SimpleQueue] = []  # the inboxes of idle branch threads, the most recent last
+_idle: list[queue.SimpleQueue] = []  # the inboxes of idle cache threads, the most recent last
 _idle_lock = threading.Lock()
 
 
-def _hand(run: Callable[[_Branch], None], branch: _Branch) -> None:
-    """Run the branch on the branch thread that went idle last, or else on a
-    new one; returns without waiting for the thread to take it.
+def _hand(name: str, job: Callable[..., object], arg: object) -> None:
+    """Run job(arg) on the cache thread that went idle last, or else on a
+    new one, under the thread name name; returns without waiting for it.
 
     Starting an OS thread is most of the cost of a fork, so a thread whose
-    branch has ended waits idle for the next one. The cache never limits
-    how many branches run: a branch that finds no idle thread starts a new
-    one, so every live branch has a thread of its own and no join can wait
-    for a thread. An idle thread holds no branch, hence no instance.
+    job has ended waits idle for the next one. The cache never limits how
+    many jobs run: one that finds no idle thread starts a new one, so no
+    join can wait for a thread. It holds at most as many threads as jobs ran
+    at once in the last keep-alive. An idle thread holds no instance.
     """
     with _idle_lock:
         if _idle:
-            _idle.pop().put((run, branch))
+            _idle.pop().put((name, job, arg))
             return
     inbox = queue.SimpleQueue()
-    inbox.put((run, branch))
-    # the inbox, not the branch, is the thread's argument: Thread keeps it until _serve returns
+    inbox.put((name, job, arg))
+    # the inbox, not the job, is the thread's argument: Thread keeps it until _serve returns
     threading.Thread(target=_serve, args=(inbox,), daemon=True).start()
 
 
 def _serve(inbox: queue.SimpleQueue) -> None:
-    """A branch thread: run the branches put in its inbox, one at a time."""
+    """A cache thread: run the jobs put in its inbox, one at a time."""
     while True:
         try:
-            run, branch = inbox.get(timeout=_IDLE_KEEPALIVE_S)
+            name, job, arg = inbox.get(timeout=_IDLE_KEEPALIVE_S)
         except queue.Empty:
             with _idle_lock:
                 if inbox in _idle:
                     _idle.remove(inbox)
                     return
-            # a parent took this thread off the idle list as the keep-alive ran out
-            run, branch = inbox.get()
-        threading.current_thread().name = f"wee-{branch.id}"
+            # a hand took this thread off the idle list as the keep-alive ran out
+            name, job, arg = inbox.get()
+        threading.current_thread().name = name
         try:
-            run(branch)
-        except BaseException:  # the branch has traced it as its instance's error
+            job(arg)
+        except BaseException:  # a branch has traced it as its instance's error
             pass
-        del run, branch
+        del job, arg
         with _idle_lock:
-            if len(_idle) >= _IDLE_CAP:
-                return
             _idle.append(inbox)
 
 
@@ -495,12 +493,15 @@ class WorkflowInstance:
     def call_later(self, delay: float, action: Callable[[], object]) -> None:
         """Run action after delay seconds: of virtual time under virtual
         time, where it runs on the thread that hands the baton on, or else
-        on a timer thread of its own. The action must not block; one that
-        raises leaves a timer_failed signal in the trace. Under virtual time
-        an action still pending when the last branch ends never runs.
+        on a cache thread named wee-timer that sleeps out the delay (see
+        _hand). The action must not block; one that raises leaves a
+        timer_failed signal in the trace. Under virtual time an action still
+        pending when the last branch ends never runs.
         """
 
-        def run() -> None:
+        def run(after: float = 0.0) -> None:
+            if after > 0:  # time.sleep refuses a negative delay
+                time.sleep(after)
             try:
                 action()
             except Exception as exc:
@@ -511,9 +512,7 @@ class WorkflowInstance:
         if self._timeline is not None:
             self._timeline.call_later(delay, run)
             return
-        timer = threading.Timer(delay, run)
-        timer.daemon = True
-        timer.start()
+        _hand("wee-timer", run, delay)
 
     def deliver_stop(self) -> str:
         """Stop the instance and wait until it has ended; its result."""
@@ -802,10 +801,10 @@ class WorkflowInstance:
     # ------------------------------------------------------------------
 
     def _start_thread(self, branch: _Branch) -> None:
-        """Run the branch on a branch thread (see _hand)."""
+        """Run the branch on a cache thread named after it (see _hand)."""
         if self._timeline is not None:
             self._timeline.add(branch)
-        _hand(self._run_branch, branch)
+        _hand(f"wee-{branch.id}", self._run_branch, branch)
 
     def _run_branch(self, branch: _Branch) -> None:
         if self._timeline is not None:
@@ -1275,17 +1274,17 @@ class WorkflowInstance:
             # alternatives after the resumed one are re-guarded against the
             # state at resume time; the original entry snapshot is gone
             if selector < len(node.alternatives):
-                snap = self.store.snapshot()
+                values = self.store.current_values()
                 for later in range(selector + 1, len(node.alternatives)):
-                    if self._eval_guard(node.alternatives[later].guard, snap.values, path):
+                    if self._eval_guard(node.alternatives[later].guard, values, path):
                         self._exec_block(branch, blocks[later], path + (later,))
             return
 
-        snap = self.store.snapshot()
+        values = self.store.current_values()
         selected = [
             i
             for i, alt in enumerate(node.alternatives)
-            if self._eval_guard(alt.guard, snap.values, path)
+            if self._eval_guard(alt.guard, values, path)
         ]
         if selected:
             for i in selected:

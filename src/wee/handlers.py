@@ -255,13 +255,13 @@ class HttpHandler(HandlerWrapper):
 
     Request body: ``{"position", "parameters", "context", "passthrough"}``.
     A 2xx response must carry ``{"result": {name: value, ...}}``. The request
-    runs in a thread of its own, which wakes the waiting call's stop token
-    once the response is in. Once the token is set, the blocked call returns
-    a Passthrough token immediately while the request finishes in the
-    background; a later call with that token replays the stored response
-    without contacting the service again, and drops it, as release() does.
-    A replay whose stop token is set before the response is in hands back
-    the same token.
+    runs on a cache thread of the engine, named http-<position>, which wakes
+    the waiting call's stop token once the response is in. Once the token is
+    set, the blocked call returns a Passthrough token immediately while the
+    request finishes in the background; a later call with that token replays
+    the stored response without contacting the service again, and drops it, as
+    release() does. A replay whose stop token is set before the response is in
+    hands back the same token.
     """
 
     def __init__(self, timeout: float = 30.0):
@@ -294,7 +294,7 @@ class HttpHandler(HandlerWrapper):
             "passthrough": None,
         }
 
-        def worker() -> None:
+        def worker(body: dict) -> None:
             try:
                 outcome = self._post(call.endpoint, body)
             except Exception as exc:  # the call must end: a failure, not a hang
@@ -304,8 +304,9 @@ class HttpHandler(HandlerWrapper):
             if waiter is not None:
                 waiter.wake()
 
-        thread = threading.Thread(target=worker, name=f"http-{call.position}", daemon=True)
-        thread.start()
+        from .engine import _hand  # here to avoid an import cycle
+
+        _hand(f"http-{call.position}", worker, body)
 
         outcome = self._await(record, call.stop)
         if outcome is not None:

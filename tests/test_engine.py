@@ -1699,16 +1699,28 @@ def test_a_finished_instance_is_garbage_once_its_threads_are_idle():
     assert wait_until(collected, timeout=1.0)
 
 
-def test_a_burst_of_branches_leaves_at_most_the_cap_idle():
-    with engine._idle_lock:
-        idle_before = len(engine._idle)
-    others = threading.active_count() - idle_before
-    # every branch is in its call at once, so the burst needs 40 threads
-    instance = run_source(wide_join(40), MockHandler({"default": {"result": {}, "delay_ms": 50}}))
-    assert instance.result == "finished"
-    # well before the keep-alive runs out, only the cap's worth still wait
-    assert wait_until(lambda: threading.active_count() <= others + engine._IDLE_CAP, timeout=1.0)
-    assert len(engine._idle) <= engine._IDLE_CAP
+def count_thread_starts(monkeypatch) -> list[threading.Thread]:
+    """The threads started from now on, by any thread."""
+    started: list[threading.Thread] = []
+    real_start = threading.Thread.start
+
+    def start(thread):
+        started.append(thread)
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    return started
+
+
+def test_a_second_burst_of_the_same_width_starts_no_thread(monkeypatch):
+    # every branch is in its call at once, so a burst needs 40 threads
+    script = {"default": {"result": {}, "delay_ms": 50}}
+    assert run_source(wide_join(40), MockHandler(script)).result == "finished"
+    # wait() returns before the last thread is idle
+    assert wait_until(lambda: len(engine._idle) >= 40, timeout=1.0)
+    started = count_thread_starts(monkeypatch)
+    assert run_source(wide_join(40), MockHandler(script)).result == "finished"
+    assert started == []
 
 
 def test_branch_threads_exit_once_the_keep_alive_runs_out(monkeypatch):
@@ -1801,8 +1813,8 @@ class BarrierHandler(MockHandler):
         return super().call(call)
 
 
-def test_a_join_wider_than_the_idle_cap_gets_a_thread_per_branch():
-    width = engine._IDLE_CAP + 8
+def test_a_wide_join_gets_a_thread_per_branch():
+    width = 24
     instance = run_source(wide_join(width), BarrierHandler(width))
     # a branch left without a thread would break the barrier: a failed call
     assert instance.result == "finished"
@@ -1892,7 +1904,84 @@ def test_a_hand_racing_the_keep_alive_runs_every_branch_exactly_once(monkeypatch
     # threads just as their keep-alive runs out, many times in 60 rounds
     monkeypatch.setattr(engine, "_IDLE_KEEPALIVE_S", 0.001)
     run_many_parents_at_once({"default": {"result": {}, "delay_ms": [0, 2]}}, rounds=60)
-    assert len(engine._idle) <= engine._IDLE_CAP
+    assert_no_inbox_is_idle_twice()
+
+
+def assert_no_inbox_is_idle_twice() -> None:
+    with engine._idle_lock:
+        assert len(set(engine._idle)) == len(engine._idle)
+
+
+# four branches each book a quote in one critical section, then a choose
+FOUR_QUOTES = """
+workflow {
+  handler "mock"
+  endpoint svc: "mock://svc"
+  context base: 0
+  context total: 0
+  context flag: 0
+  context r1: 0
+  context r2: 0
+  context r3: 0
+  context r4: 0
+  parallel wait: all {
+    parallel_branch {
+      call :quote_1, endpoint: svc
+      critical :ledger { manipulate :book_1 { total = total + r1 + base } }
+    }
+    parallel_branch {
+      call :quote_2, endpoint: svc
+      critical :ledger { manipulate :book_2 { total = total + r2 + base } }
+    }
+    parallel_branch {
+      call :quote_3, endpoint: svc
+      critical :ledger { manipulate :book_3 { total = total + r3 + base } }
+    }
+    parallel_branch {
+      call :quote_4, endpoint: svc
+      critical :ledger { manipulate :book_4 { total = total + r4 + base } }
+    }
+  }
+  choose {
+    alternative (total > 110) { manipulate :over { flag = 1 } }
+    otherwise { manipulate :under { flag = 2 } }
+  }
+}
+"""
+
+
+def test_concurrent_instances_reuse_branch_threads(monkeypatch):
+    """16 clients run 100 four-branch instances each: at most 16 x 4
+    branches are live at once, so the cache starts at most 64 threads."""
+    ast = dsl.parse(FOUR_QUOTES)
+    script = {"positions": {f"quote_{k}": {"result": {f"r{k}": 10 * k}} for k in range(1, 5)}}
+    go = threading.Event()
+    outcomes: list[tuple] = []
+
+    def client(index: int) -> None:
+        go.wait()
+        for round_ in range(100):
+            base = (index + round_) % 7
+            instance = WorkflowInstance(ast, MockHandler(script), initial_context={"base": base})
+            result = instance.run()
+            values = instance.store.current_values()
+            total = 100 + 4 * base
+            expected = {"total": total, "flag": 1 if total > 110 else 2}
+            got = {name: values[name] for name in expected}
+            seqs = [r.seq for r in instance.log.records]
+            outcomes.append((result, got == expected, seqs == list(range(1, len(seqs) + 1))))
+
+    clients = [threading.Thread(target=client, args=(i,), daemon=True) for i in range(16)]
+    for thread in clients:
+        thread.start()
+    started = count_thread_starts(monkeypatch)
+    go.set()
+    for thread in clients:
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+    assert len(outcomes) == 1600
+    assert set(outcomes) == {("finished", True, True)}
+    assert len(started) <= 64, len(started)
 
 
 # -- where branches run: the root of run() on its caller, a fork without a handshake --
@@ -1903,9 +1992,9 @@ def count_hand_offs(monkeypatch) -> list[str]:
     handed: list[str] = []
     hand = engine._hand
 
-    def counted_hand(run, branch):
-        handed.append(f"wee-{branch.id}")
-        hand(run, branch)
+    def counted_hand(name, job, arg):
+        handed.append(name)
+        hand(name, job, arg)
 
     monkeypatch.setattr(engine, "_hand", counted_hand)
     return handed
@@ -2015,9 +2104,10 @@ def test_an_interrupt_or_exit_in_a_child_ends_the_instance_in_error(virtual_time
 
 
 def takes_a_branch_of_a_wide_join(thread: threading.Thread) -> bool:
-    """Whether thread runs a call of a join wider than the idle cap, whose
-    branches are all in their calls at once: each idle thread takes one."""
-    width = engine._IDLE_CAP + 1
+    """Whether thread runs a call of a join one wider than the idle threads,
+    whose branches are all in their calls at once: each idle thread takes one."""
+    with engine._idle_lock:
+        width = len(engine._idle) + 1
     handler = BarrierHandler(width)
     assert run_source(wide_join(width), handler).result == "finished"
     return thread in handler.threads
@@ -2191,7 +2281,7 @@ def test_instances_run_and_started_at_once_under_a_short_switch_interval():
     summary = [(r.slug, r.passed, r.result_state) for r in parallel.results]
     assert summary == [(r.slug, r.passed, r.result_state) for r in sequential.results]
     assert parallel.all_passed
-    assert len(engine._idle) <= engine._IDLE_CAP
+    assert_no_inbox_is_idle_twice()
     assert elapsed < 1.0
 
 
@@ -2307,6 +2397,48 @@ def test_a_delivery_timer_wakes_a_trigger_under_virtual_time():
     failed = [r.detail for r in instance.log.records if r.detail.get("signal") == "timer_failed"]
     message = "ZeroDivisionError('division by zero')"
     assert failed == [{"signal": "timer_failed", "message": message}]
+
+
+def timer_failures(instance: WorkflowInstance) -> list[dict]:
+    return [r.detail for r in instance.log.records if r.detail.get("signal") == "timer_failed"]
+
+
+# time.sleep refuses a negative delay; threading.Timer ran at once
+@pytest.mark.parametrize("delay", [0.01, 0.0, -1.0])
+def test_a_real_time_timer_runs_on_a_cache_thread(delay):
+    instance = WorkflowInstance(dsl.parse(ONE_BRANCH), MockHandler({"default": {"result": {}}}))
+    ran = []
+
+    def action():
+        thread = threading.current_thread()
+        ran.append((thread.name, thread._target))
+
+    instance.call_later(delay, action)
+    assert wait_until(lambda: ran, timeout=1.0)
+    assert ran == [("wee-timer", engine._serve)]
+    assert timer_failures(instance) == []
+
+
+def test_a_real_time_timer_that_raises_leaves_one_timer_failed_signal():
+    handler = TriggerHandler("transient")
+    instance = WorkflowInstance(dsl.parse(TRIGGER_ONE), handler)
+    runner = threading.Thread(target=instance.run, daemon=True)
+    runner.start()
+    assert wait_until(lambda: handler.is_waiting("0/await"))
+    names = []
+
+    def boom():
+        names.append(threading.current_thread().name)
+        1 / 0
+
+    instance.call_later(0.01, boom)
+    assert wait_until(lambda: timer_failures(instance), timeout=1.0)
+    handler.deliver("go")
+    runner.join(5)
+    assert not runner.is_alive() and instance.result == "finished"
+    assert names == ["wee-timer"]
+    message = "ZeroDivisionError('division by zero')"
+    assert timer_failures(instance) == [{"signal": "timer_failed", "message": message}]
 
 
 class RaisingHandler(MockHandler):

@@ -238,6 +238,41 @@ def test_http_maps_result_body(stub_server):
     assert stub_server.counts["/airline"] == 1
 
 
+class ThreadRecordingHttp(HttpHandler):
+    """Records the name and target of the thread that each request runs on."""
+
+    def __init__(self):
+        super().__init__(timeout=5)
+        self.threads: list[tuple] = []
+
+    def _post(self, endpoint, body):
+        thread = threading.current_thread()
+        self.threads.append((thread.name, thread._target))
+        return super()._post(endpoint, body)
+
+
+def test_http_requests_run_on_the_engines_thread_cache(stub_server, monkeypatch):
+    from wee import engine
+
+    stub_server.responses["/quote"] = {"cost": 1}
+    handler = ThreadRecordingHttp()
+    caller = threading.current_thread()
+    started = []
+    real_start = threading.Thread.start
+
+    def start(thread):
+        if threading.current_thread() is caller:  # not the stub server's request threads
+            started.append(thread)
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    for i in range(20):
+        outcome = handler.call(make_call(f"q{i}", endpoint=stub_server.url("/quote")))
+        assert outcome == Result({"cost": 1})
+    assert handler.threads == [(f"http-q{i}", engine._serve) for i in range(20)]
+    assert len(started) <= 1, started
+
+
 def test_http_posts_the_call_as_a_json_body(stub_server):
     handler = HttpHandler(timeout=5)
     call = make_call(
